@@ -5,13 +5,13 @@ rational points P_1..P_n, and a pole-order limit u < n.  Messages are
 indexed by the nongaps s <= u; encoding evaluates mu = sum(w_s * phi_s) at
 the points.
 
-Construction also computes, by incremental Gaussian elimination over the
-rows ev(phi_s) in increasing pole order:
+Construction runs one Gauss-Jordan elimination over the rows ev(phi_s) in
+increasing pole order.  That single pass yields
 
 * the reduced Groebner basis {eta_i} of the ideal J of functions vanishing
   at all points, together with its footprint (exactly n monomials), and
-* the inverse of the n x n evaluation matrix on the footprint monomials,
-  which makes interpolation of a received vector a single matrix product.
+* the Lagrange function of every point on the footprint monomials, whose
+  coefficients make interpolation a single matrix-vector product.
 
 The point order is part of the code: vectors align index by index with the
 stored point list.  The default order is lexicographic in the textual form
@@ -22,7 +22,7 @@ the bundled fixtures do).
 from __future__ import annotations
 
 import json
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import AbstractSet, Iterable, Mapping, Optional, Sequence
 
 from .curvering import Curve, Monomial, RingElement, Semigroup
 from .gf import Field, FieldElement
@@ -47,16 +47,20 @@ def points_ideal_basis(
 ) -> tuple[tuple[RingElement, ...], tuple[Monomial, ...], list[list[FieldElement]]]:
     """Reduced Groebner basis of the ideal of the given points.
 
-    Returns (etas, footprint monomials in increasing pole order, inverse of
-    the evaluation matrix on those monomials).  The footprint always has
-    exactly as many monomials as there are points.
+    Returns (etas, footprint monomials in increasing pole order, table),
+    where table[k][c] is the coefficient of footprint monomial k in the
+    Lagrange function of point c.  A row ev(phi_s) that reduces to zero
+    gives an eta; any other row is scaled to 1 at its first nonzero column,
+    which is cleared from the earlier pivots, so at the end each pivot is a
+    Lagrange function.  The footprint has exactly n monomials.
     """
     sg = curve.semigroup
     n = len(points)
     etas: list[RingElement] = []
     eta_lms: list[Monomial] = []
     delta_monos: list[Monomial] = []
-    pivots: list[tuple[int, list[FieldElement], RingElement]] = []
+    # [col, row, combo]: ev(combo) = row, 1 at col, 0 at other pivots' cols
+    pivots: list[list] = []
 
     s = 0
     cap = 4 * (n + curve.a * curve.b) * (curve.a + curve.b)
@@ -75,43 +79,29 @@ def points_ideal_basis(
         combo = curve.monomial(*mono)
         row = [combo.evaluate(px, py) for px, py in points]
         for col, vec, prev in pivots:
-            if not row[col].is_zero:
-                factor = row[col] / vec[col]
+            factor = row[col]
+            if not factor.is_zero:
                 row = [r - factor * v for r, v in zip(row, vec)]
                 combo = combo - prev * factor
-        if any(not r.is_zero for r in row):
-            col = next(idx for idx, r in enumerate(row) if not r.is_zero)
-            pivots.append((col, row, combo))
-            delta_monos.append(mono)
-        else:
+        col = next((idx for idx, r in enumerate(row) if not r.is_zero), None)
+        if col is None:
             etas.append(combo)
             eta_lms.append(mono)
+            continue
+        scale = row[col].inverse()
+        row = [r * scale for r in row]
+        combo = combo * scale
+        for pivot in pivots:
+            factor = pivot[1][col]
+            if not factor.is_zero:
+                pivot[1] = [v - factor * r for v, r in zip(pivot[1], row)]
+                pivot[2] = pivot[2] - combo * factor
+        pivots.append([col, row, combo])
+        delta_monos.append(mono)
 
-    inverse = _invert(
-        [[curve.monomial(*m).evaluate(px, py) for m in delta_monos]
-         for px, py in points],
-        curve.field)
-    return tuple(etas), tuple(delta_monos), inverse
-
-
-def _invert(matrix: list[list[FieldElement]], field: Field) -> list[list[FieldElement]]:
-    """Gauss-Jordan inverse over the field; the matrix must be square."""
-    n = len(matrix)
-    aug = [list(row) + [field.one if i == j else field.zero
-                        for j in range(n)]
-           for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if not aug[r][col].is_zero), None)
-        if pivot is None:
-            raise ValueError("evaluation matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = aug[col][col].inverse()
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and not aug[r][col].is_zero:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    lagrange = [combo for _, _, combo in sorted(pivots, key=lambda p: p[0])]
+    table = [[f.coefficient(m) for f in lagrange] for m in delta_monos]
+    return tuple(etas), tuple(delta_monos), table
 
 
 class Code:
@@ -135,10 +125,10 @@ class Code:
         self.u = u
         self.message_orders: tuple[int, ...] = sg.nongaps(u)
         self.k = len(self.message_orders)
-        etas, delta_monos, inverse = points_ideal_basis(curve, self.points)
+        etas, delta_monos, table = points_ideal_basis(curve, self.points)
         self.eta_basis = etas
         self.delta_monomials = delta_monos
-        self._interp_inverse = inverse
+        self._interp_inverse = table
         missing = [s for s in self.message_orders
                    if sg.phi(s) not in set(delta_monos)]
         if missing:
@@ -203,9 +193,7 @@ class Code:
         sg = self.curve.semigroup
         if not sg.is_nongap(s):
             raise ValueError(f"{s} is a gap")
-        delta_j = set(self.delta_monomials)
-        extra = sum(1 for m in sg.non_multiples(s) if m not in delta_j)
-        return self.n + extra - s
+        return _order_bound(sg, self.n, set(self.delta_monomials), s)
 
     def decoding_distance(self) -> int:
         """d_u = min of the order bound over nongaps s <= u (>= n - u)."""
@@ -216,6 +204,13 @@ class Code:
 
     def __repr__(self) -> str:
         return f"Code(n={self.n}, k={self.k}, u={self.u} over {self.field!r})"
+
+
+def _order_bound(sg: Semigroup, n: int, footprint: AbstractSet[Monomial],
+                 s: int) -> int:
+    """nu(s) for a nongap s and the footprint of the ideal of n points."""
+    extra = sum(1 for m in sg.non_multiples(s) if m not in footprint)
+    return n + extra - s
 
 
 def hermitian_decoding_distance(q: int, u: int) -> int:
@@ -242,12 +237,11 @@ def radius_rows(curve: Curve,
     sg = curve.semigroup
     n = len(points)
     _, delta_monos, _ = points_ideal_basis(curve, points)
-    delta_j = set(delta_monos)
+    footprint = set(delta_monos)
     rows = []
     best = None
     for u in sg.nongaps(n - 1):
-        extra = sum(1 for m in sg.non_multiples(u) if m not in delta_j)
-        nu = n + extra - u
+        nu = _order_bound(sg, n, footprint, u)
         best = nu if best is None else min(best, nu)
         rows.append((u, best))
     return rows
@@ -304,37 +298,53 @@ def format_vector(elements: Iterable[FieldElement]) -> str:
 # Code configuration files (JSON).
 # ---------------------------------------------------------------------------
 
+def _required(cfg: Mapping, key: str, prefix: str = "", convert=int):
+    """convert(cfg[key]), raising a ValueError that names the key when it
+    is missing or its value does not convert."""
+    if key not in cfg:
+        raise ValueError(f'code config requires "{prefix}{key}"')
+    try:
+        return convert(cfg[key])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{prefix}{key}: {exc}") from None
+
+
 def curve_from_config(cfg: Mapping) -> tuple[Curve, Optional[list[Point]]]:
     """Build (curve, explicit point list or None) from a config mapping."""
+    if not isinstance(cfg, Mapping):
+        raise ValueError("code config must be a JSON object")
     kind = cfg.get("type")
     if kind == "hermitian":
-        curve = Curve.hermitian(int(cfg["q"]))
+        curve = Curve.hermitian(_required(cfg, "q"))
     elif kind == "mk":
         fld = cfg.get("field")
         if not isinstance(fld, Mapping):
             raise ValueError('mk config requires a "field" object with p, m')
-        field = Field(int(fld["p"]), int(fld.get("m", 1)),
+        field = Field(_required(fld, "p", "field."), int(fld.get("m", 1)),
                       fld.get("modulus"))
         coeffs = {}
         for entry in cfg.get("coeffs", []):
             i, j, tok = entry
             coeffs[(int(i), int(j))] = field.parse(tok)
-        curve = Curve(field, int(cfg["a"]), int(cfg["b"]),
-                      field.parse(cfg["d"]), coeffs)
+        curve = Curve(field, _required(cfg, "a"), _required(cfg, "b"),
+                      _required(cfg, "d", convert=field.parse), coeffs)
     else:
         raise ValueError(f'unknown code type {kind!r}')
     points = None
     if "points" in cfg:
-        points = [(curve.field.parse(ex), curve.field.parse(ey))
-                  for ex, ey in cfg["points"]]
+        points = []
+        for idx, entry in enumerate(cfg["points"]):
+            if not (isinstance(entry, list) and len(entry) == 2):
+                raise ValueError(
+                    f"points[{idx}]: expected [x, y], got {entry!r}")
+            points.append((curve.field.parse(entry[0]),
+                           curve.field.parse(entry[1])))
     return curve, points
 
 
 def code_from_config(cfg: Mapping) -> Code:
     curve, points = curve_from_config(cfg)
-    if "u" not in cfg:
-        raise ValueError('code config requires "u"')
-    return Code(curve, int(cfg["u"]), points)
+    return Code(curve, _required(cfg, "u"), points)
 
 
 def load_code(path: str) -> Code:

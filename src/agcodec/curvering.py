@@ -127,18 +127,6 @@ class Semigroup:
 
     # -- divisibility on the exponent lattice --------------------------------
 
-    def divides(self, s: int, t: int) -> bool:
-        """Whether phi(s) divides phi(t), i.e. t - s is a nongap."""
-        for v in (s, t):
-            if not self.is_nongap(v):
-                raise ValueError(f"{v} is a gap of <{self.a},{self.b}>")
-        return self.is_nongap(t - s)
-
-    def quotient(self, s: int, t: int) -> Monomial:
-        if not self.divides(s, t):
-            raise ValueError(f"{s} does not divide {t} in <{self.a},{self.b}>")
-        return self.phi(t - s)
-
     def monomial_divides(self, r: Monomial, t: Monomial) -> bool:
         if t[1] >= r[1]:
             return t[0] >= r[0]
@@ -169,11 +157,6 @@ class Semigroup:
         l1 = Monomial(t[0], r[1])
         l2 = Monomial(r[0] + self.b, t[1])
         return tuple(sorted((l1, l2), key=self.degree))
-
-    def lcms(self, s: int, t: int) -> tuple[int, ...]:
-        """Pole orders of the lcms of phi(s) and phi(t), ascending."""
-        ms, mt = self.phi(s), self.phi(t)
-        return tuple(self.degree(m) for m in self.monomial_lcms(ms, mt))
 
     def footprint(self, lead_monomials: Iterable[Monomial]) -> frozenset[Monomial]:
         """All monomials divisible by none of the given leading monomials.

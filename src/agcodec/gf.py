@@ -131,7 +131,7 @@ class Field:
         self.m = m
         self.order = order
         if modulus is None:
-            modulus = self._default_modulus(p, m)
+            modulus = self._default_modulus()
         else:
             modulus = tuple(int(c) % p for c in modulus)
             if len(modulus) != m + 1 or modulus[-1] != 1:
@@ -144,8 +144,9 @@ class Field:
 
     # -- construction internals --------------------------------------------
 
-    @staticmethod
-    def _default_modulus(p: int, m: int) -> tuple[int, ...]:
+    def _default_modulus(self) -> tuple[int, ...]:
+        # runs once p, m and order are set; tries candidates as self.modulus
+        p, m = self.p, self.m
         if m == 1:
             return (0, 1)  # the field is GF(p) itself; any degree-1 poly works
         table = _DEFAULT_MODULI.get((p, m))
@@ -155,10 +156,8 @@ class Field:
             low = tuple((packed // p ** k) % p for k in range(m))
             candidate = low + (1,)
             if _is_irreducible(candidate, p):
-                field_try = object.__new__(Field)
-                field_try.p, field_try.m, field_try.order = p, m, p ** m
-                field_try.modulus = candidate
-                if field_try._packed_order(p) == p ** m - 1:
+                self.modulus = candidate
+                if self._packed_order(p) == self.order - 1:
                     return candidate
         raise ValueError(f"no primitive polynomial found for GF({p}^{m})")
 
@@ -274,6 +273,8 @@ class Field:
 
     def parse(self, text: str) -> "FieldElement":
         """Parse the textual element grammar ("0", "2", "a", "a^5", ...)."""
+        if not isinstance(text, str):
+            raise ValueError(f"malformed field element token {text!r}")
         tok = text.strip()
         if tok.isdigit():
             return self.element(int(tok))

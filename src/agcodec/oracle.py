@@ -100,18 +100,19 @@ def check_gb(s: int, state: GBState, code: Code,
 def lcm_check(sg: Semigroup, s: int, t: int, bound: int) -> OracleReport:
     """Enumerate common multiples of s and t up to bound and verify that the
     reported lcms are common multiples dominating all of them."""
+    # reference criterion: phi(r) divides phi(c) exactly when c - r is a nongap
     subject = f"lcm s={s} t={t}"
     floor = s + t + sg.a * sg.b
     if bound < floor:
         raise ValueError(f"bound {bound} below required {floor}")
-    lcms = sg.lcms(s, t)
+    lcms = [sg.degree(m) for m in sg.monomial_lcms(sg.phi(s), sg.phi(t))]
     for l in lcms:
-        if not (sg.divides(s, l) and sg.divides(t, l)):
+        if not (sg.is_nongap(l - s) and sg.is_nongap(l - t)):
             return OracleReport(subject, False, {
                 "check": "common-multiple", "lcm": l})
     for c in sg.nongaps(bound):
-        if sg.divides(s, c) and sg.divides(t, c):
-            if not any(sg.divides(l, c) for l in lcms):
+        if sg.is_nongap(c - s) and sg.is_nongap(c - t):
+            if not any(sg.is_nongap(c - l) for l in lcms):
                 return OracleReport(subject, False, {
-                    "check": "covering", "multiple": c, "lcms": list(lcms)})
+                    "check": "covering", "multiple": c, "lcms": lcms})
     return OracleReport(subject, True)

@@ -7,7 +7,7 @@ from __future__ import annotations
 import random
 
 from agcodec import decode
-from agcodec.curvering import Curve, Monomial, RingElement
+from agcodec.curvering import Curve, Monomial, RingElement, Semigroup
 from agcodec.gf import FieldElement
 
 
@@ -39,6 +39,11 @@ def naive_reduce(curve: Curve, raw: dict) -> RingElement:
             else:
                 terms[key] = total
     return RingElement(curve, terms)
+
+
+def lcm_orders(sg: Semigroup, s: int, t: int) -> tuple[int, ...]:
+    """Pole orders of the lcms of phi(s) and phi(t), ascending."""
+    return tuple(sg.degree(m) for m in sg.monomial_lcms(sg.phi(s), sg.phi(t)))
 
 
 def random_ring_element(curve: Curve, rng: random.Random,

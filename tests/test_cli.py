@@ -1,3 +1,4 @@
+import json
 import random
 
 from agcodec.cli import main
@@ -86,6 +87,26 @@ class TestCodec:
         msg.write_text("0\n")
         assert main(["encode", "--in", str(msg)]) == 1
         capsys.readouterr()
+        # a config missing a key, or with a malformed entry, names it
+        mk = {"type": "mk", "field": {"p": 7}, "a": 2, "b": 3, "d": "1",
+              "u": 4}
+        cases = [
+            ({"type": "hermitian"}, '"q"'),
+            ({"type": "hermitian", "q": 3, "u": 16, "points": [["a"]]},
+             "points[0]"),
+            ({**mk, "field": {"m": 1}}, '"field.p"'),
+            ({"type": "hermitian", "q": None}, "q:"),
+            ({**mk, "d": 1}, "d: malformed field element token 1"),
+            ([mk], "JSON object"),
+        ] + [({k: v for k, v in mk.items() if k != key}, f'"{key}"')
+             for key in ("a", "b", "d")]
+        cfg = tmp_path / "code.json"
+        for config, named in cases:
+            cfg.write_text(json.dumps(config))
+            for argv in (["radius"], ["encode", "--in", str(msg)]):
+                assert main([*argv, "--code", str(cfg)]) == 1
+                err = capsys.readouterr().err
+                assert err.startswith("agcodec: error:") and named in err
 
     def test_conflicting_code_args_exit_1(self, tmp_path, capsys):
         msg = tmp_path / "m.txt"

@@ -7,6 +7,7 @@ from agcodec.code import (Code, VectorParseError, code_from_config,
                           parse_vector, points_ideal_basis, radius_rows,
                           rational_points)
 from agcodec.curvering import Curve, Monomial
+from agcodec.gf import Field
 
 # the interpolation of the bundled received vector, as (token, i, j) terms
 H_V_TERMS = [
@@ -16,6 +17,24 @@ H_V_TERMS = [
     ("a^7", 3, 1), ("2", 4, 0), ("a^2", 1, 2), ("a^2", 3, 0), ("a^3", 1, 1),
     ("1", 1, 0),
 ]
+
+
+@pytest.fixture(scope="module")
+def code_q3_shortened(curve_q3):
+    """20 of the 27 points, in a shuffled order."""
+    pts = rational_points(curve_q3)
+    random.Random(3).shuffle(pts)
+    return Code(curve_q3, 9, pts[:20])
+
+
+@pytest.fixture(scope="module")
+def code_mk7():
+    """y^3 + 5y^2 + 6y + 4 + 6x^4 = 0 over GF(7): 12 points, genus 3."""
+    field = Field(7)
+    curve = Curve(field, 3, 4, field.element(6),
+                  {(0, 0): field.element(4), (0, 1): field.element(6),
+                   (0, 2): field.element(5)})
+    return Code(curve, 6)
 
 
 class TestRationalPoints:
@@ -151,14 +170,29 @@ class TestLagrange:
         x = code_q3.curve.monomial(1, 0)
         assert code_q3.lagrange(code_q3.ev(x)) == x
 
-    def test_interpolates_random_vectors(self, code_q3):
+    # the shortened and MK codes put pivot columns out of point order
+    @pytest.mark.parametrize("name",
+                             ["code_q3", "code_q3_shortened", "code_mk7"])
+    def test_interpolates_random_vectors(self, name, request):
+        code = request.getfixturevalue(name)
         rng = random.Random(42)
-        elems = code_q3.field.elements()
+        elems = code.field.elements()
         for _ in range(200):
-            v = tuple(elems[rng.randrange(9)] for _ in range(27))
-            h = code_q3.lagrange(v)
-            assert code_q3.ev(h) == v
-            assert set(h.support()) <= set(code_q3.delta_monomials)
+            v = tuple(elems[rng.randrange(code.field.order)]
+                      for _ in range(code.n))
+            h = code.lagrange(v)
+            assert code.ev(h) == v
+            assert set(h.support()) <= set(code.delta_monomials)
+        # the table times the evaluation matrix on the footprint is I
+        _, delta, table = points_ideal_basis(code.curve, code.points)
+        columns = [code.ev(code.curve.monomial(*m)) for m in delta]
+        zero, one = code.field.zero, code.field.one
+        for k, row in enumerate(table):
+            for kk, col in enumerate(columns):
+                total = zero
+                for t, e in zip(row, col):
+                    total = total + t * e
+                assert total == (one if k == kk else zero)
 
     def test_bundled_vector_interpolation(self, code_q3, received_q3):
         field = code_q3.field

@@ -28,6 +28,9 @@ class TestConstruction:
         assert field9.modulus == (2, 2, 1)  # x^2 - x - 1
         a = field9.generator
         assert a ** 2 == a + field9.one
+        # outside the table: the first primitive monic polynomial
+        assert Field(5, 2).modulus == (2, 1, 1)  # x^2 + x + 2
+        assert Field(7, 2).modulus == (3, 1, 1)  # x^2 + x + 3
 
     def test_gf4_default_is_unique_irreducible_quadratic(self):
         # enumerate monic quadratics over GF(2) by hand: x^2, x^2+1,
