@@ -298,7 +298,18 @@ def format_vector(elements: Iterable[FieldElement]) -> str:
 # Code configuration files (JSON).
 # ---------------------------------------------------------------------------
 
-def _required(cfg: Mapping, key: str, prefix: str = "", convert=int):
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _integer(value) -> int:
+    """value itself when it is a JSON integer; no float or string converts."""
+    if not _is_int(value):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _required(cfg: Mapping, key: str, prefix: str = "", convert=_integer):
     """convert(cfg[key]), raising a ValueError that names the key when it
     is missing or its value does not convert."""
     if key not in cfg:
@@ -307,6 +318,21 @@ def _required(cfg: Mapping, key: str, prefix: str = "", convert=int):
         return convert(cfg[key])
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{prefix}{key}: {exc}") from None
+
+
+def _list_at(cfg: Mapping, key: str, expected: str) -> list:
+    """cfg[key] (an empty list when absent), which must be a JSON list."""
+    value = cfg.get(key, [])
+    if not isinstance(value, list):
+        raise ValueError(f"{key}: expected a list of {expected}, got {value!r}")
+    return value
+
+
+def _parse_at(field: Field, token, path: str) -> FieldElement:
+    try:
+        return field.parse(token)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def curve_from_config(cfg: Mapping) -> tuple[Curve, Optional[list[Point]]]:
@@ -320,12 +346,21 @@ def curve_from_config(cfg: Mapping) -> tuple[Curve, Optional[list[Point]]]:
         fld = cfg.get("field")
         if not isinstance(fld, Mapping):
             raise ValueError('mk config requires a "field" object with p, m')
-        field = Field(_required(fld, "p", "field."), int(fld.get("m", 1)),
-                      fld.get("modulus"))
+        m = _required(fld, "m", "field.") if "m" in fld else 1
+        modulus = fld.get("modulus")
+        if modulus is not None and not (
+                isinstance(modulus, list) and all(map(_is_int, modulus))):
+            raise ValueError(
+                f"field.modulus: expected a list of integers, got {modulus!r}")
+        field = Field(_required(fld, "p", "field."), m, modulus)
         coeffs = {}
-        for entry in cfg.get("coeffs", []):
-            i, j, tok = entry
-            coeffs[(int(i), int(j))] = field.parse(tok)
+        for idx, entry in enumerate(_list_at(cfg, "coeffs", "[i, j, token]")):
+            if not (isinstance(entry, list) and len(entry) == 3
+                    and _is_int(entry[0]) and _is_int(entry[1])):
+                raise ValueError(f"coeffs[{idx}]: expected [i, j, token] "
+                                 f"with integer i, j, got {entry!r}")
+            coeffs[(entry[0], entry[1])] = _parse_at(field, entry[2],
+                                                     f"coeffs[{idx}]")
         curve = Curve(field, _required(cfg, "a"), _required(cfg, "b"),
                       _required(cfg, "d", convert=field.parse), coeffs)
     else:
@@ -333,12 +368,12 @@ def curve_from_config(cfg: Mapping) -> tuple[Curve, Optional[list[Point]]]:
     points = None
     if "points" in cfg:
         points = []
-        for idx, entry in enumerate(cfg["points"]):
+        for idx, entry in enumerate(_list_at(cfg, "points", "[x, y] pairs")):
             if not (isinstance(entry, list) and len(entry) == 2):
                 raise ValueError(
                     f"points[{idx}]: expected [x, y], got {entry!r}")
-            points.append((curve.field.parse(entry[0]),
-                           curve.field.parse(entry[1])))
+            points.append((_parse_at(curve.field, entry[0], f"points[{idx}]"),
+                           _parse_at(curve.field, entry[1], f"points[{idx}]")))
     return curve, points
 
 

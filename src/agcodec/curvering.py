@@ -11,6 +11,7 @@ form the numerical semigroup generated by a and b.  Everything downstream
 (codes, the decoder) runs on three primitives implemented here:
 
 * reduction of arbitrary bivariate polynomials to the canonical basis,
+  through a per-curve table of the reduced powers y^j, j >= a,
 * the pole-order function ``delta`` (with a BOTTOM sentinel for zero),
 * divisibility, quotients, lcms and footprints of monomials, computed on
   the (i, j) exponent lattice.
@@ -24,7 +25,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
-from .gf import Field, FieldElement, _prime_factors
+from .gf import ORDER_CAP, Field, FieldElement, _prime_factors
 
 
 class _Bottom:
@@ -215,10 +216,14 @@ class Curve:
         rewrite = {m: -c for m, c in clean.items()}
         rewrite[Monomial(b, 0)] = -d
         self._y_a_rewrite = rewrite
+        # j -> reduced form of y^j, for j >= a, filled on first use
+        self._y_powers: dict[int, dict[Monomial, FieldElement]] = {}
 
     @classmethod
     def hermitian(cls, q: int) -> "Curve":
         """The curve y^q + y - x^(q+1) = 0 over GF(q^2), for prime-power q."""
+        if q * q > ORDER_CAP:  # before factoring q by trial division
+            raise ValueError(f"field order {q}^2 exceeds cap {ORDER_CAP}")
         factors = _prime_factors(q)
         if len(factors) != 1:
             raise ValueError(f"{q} is not a prime power")
@@ -254,28 +259,45 @@ class Curve:
         return self.reduce(terms)
 
     def reduce(self, raw: Mapping[tuple[int, int], FieldElement]) -> "RingElement":
-        """Canonical form: rewrite until every y-degree is below a.
+        """Canonical form: every y-degree below a.
 
-        Idempotent, and the result agrees with the input as a function on
-        the curve.
+        A term c * x^i * y^j with j >= a becomes c * x^i times the reduced
+        form of y^j.  Idempotent, and the result agrees with the input as a
+        function on the curve.
         """
+        a = self.a
         out: dict[Monomial, FieldElement] = {}
-        stack = [(Monomial(i, j), c) for (i, j), c in raw.items()
-                 if not c.is_zero]
-        while stack:
-            m, c = stack.pop()
-            if m[1] < self.a:
+        for (i, j), c in raw.items():
+            if c.is_zero:
+                continue
+            if j < a:
+                m = Monomial(i, j)
                 prev = out.get(m)
-                total = c if prev is None else prev + c
-                if total.is_zero:
-                    out.pop(m, None)
-                else:
-                    out[m] = total
-            else:
-                for r, rc in self._y_a_rewrite.items():
-                    stack.append((Monomial(m[0] + r[0], m[1] - self.a + r[1]),
-                                  c * rc))
-        return RingElement(self, out)
+                out[m] = c if prev is None else prev + c
+                continue
+            for (ri, rj), rc in self._y_power(j).items():
+                m = Monomial(i + ri, rj)
+                prev = out.get(m)
+                out[m] = c * rc if prev is None else prev + c * rc
+        return RingElement(self, {m: c for m, c in out.items()
+                                  if not c.is_zero})
+
+    def _y_power(self, j: int) -> dict[Monomial, FieldElement]:
+        """The reduced form of y^j, j >= a, from the per-curve table.
+
+        Row k is the reduction of y^(k-a) times the y^a rewrite, whose
+        y-degrees are all below k, so filling rows in increasing k needs
+        only rows already present.  Rows are deterministic, so threads that
+        fill the same row concurrently store equal values.
+        """
+        table = self._y_powers
+        if j not in table:
+            for k in range(self.a, j + 1):
+                if k not in table:
+                    table[k] = self.reduce(
+                        {(ri, rj + k - self.a): rc
+                         for (ri, rj), rc in self._y_a_rewrite.items()})._terms
+        return table[j]
 
     # -- geometry -------------------------------------------------------------
 
@@ -370,16 +392,17 @@ class RingElement:
             if not self._terms:
                 self._delta = BOTTOM
             else:
-                sg = self.curve.semigroup
-                self._delta = max(sg.degree(m) for m in self._terms)
+                a, b = self.curve.a, self.curve.b
+                self._delta = max(a * i + b * j for i, j in self._terms)
         return self._delta
 
     def leading_monomial(self) -> Monomial:
+        """The term of largest pole order: phi(delta), since the reduced
+        monomials x^i y^j (j < a) have pairwise distinct pole orders."""
         if not self._terms:
             raise ValueError("the zero element has no leading monomial")
         if self._lead is None:
-            sg = self.curve.semigroup
-            self._lead = max(self._terms, key=sg.degree)
+            self._lead = self.curve.semigroup.phi(self.delta())
         return self._lead
 
     def leading_coefficient(self) -> FieldElement:
@@ -392,7 +415,7 @@ class RingElement:
     # -- arithmetic -------------------------------------------------------------
 
     def _require_same_curve(self, other: "RingElement") -> None:
-        if other.curve != self.curve:
+        if other.curve is not self.curve and other.curve != self.curve:
             raise ValueError("operands live on different curves")
 
     def __add__(self, other: "RingElement") -> "RingElement":
@@ -422,14 +445,27 @@ class RingElement:
         if not isinstance(other, RingElement):
             return NotImplemented
         self._require_same_curve(other)
-        raw: dict[Monomial, FieldElement] = {}
-        for (i1, j1), c1 in self._terms.items():
-            for (i2, j2), c2 in other._terms.items():
-                key = Monomial(i1 + i2, j1 + j2)
-                prod = c1 * c2
-                prev = raw.get(key)
-                raw[key] = prod if prev is None else prev + prod
-        return self.curve.reduce(raw)
+        # the sum of single-term products over the shorter operand's terms
+        if len(self._terms) < len(other._terms):
+            self, other = other, self
+        if not other._terms:
+            return RingElement(self.curve, {})
+        first, *rest = other._terms.items()
+        product = self._times_term(*first)
+        for t, tc in rest:
+            product = product + self._times_term(t, tc)
+        return product
+
+    def _times_term(self, t: Monomial, tc: FieldElement) -> "RingElement":
+        """Product with the single term tc * t: shift every exponent by t,
+        scale every coefficient by tc, and reduce only when some y-degree
+        reaches a."""
+        ti, tj = t
+        out = {Monomial(i + ti, j + tj): c * tc
+               for (i, j), c in self._terms.items()}
+        if tj and any(m[1] >= self.curve.a for m in out):
+            return self.curve.reduce(out)
+        return RingElement(self.curve, out)
 
     def __rmul__(self, other: FieldElement) -> "RingElement":
         if isinstance(other, FieldElement):

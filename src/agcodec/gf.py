@@ -1,10 +1,11 @@
 """Exact arithmetic in small finite fields GF(p^m).
 
 Nonzero elements are stored by discrete logarithm with respect to a fixed
-generator ``a`` of the multiplicative group, so multiplication, division and
-exponentiation are table lookups.  Addition goes through the polynomial
-(coefficient-vector) representation; for small fields a full addition table
-is precomputed.
+generator ``a`` of the multiplicative group.  Every ``Field`` builds its
+p^m elements once, indexed by logarithm, and all arithmetic returns those
+shared objects: multiplication, division and exponentiation add or scale
+logarithms, and addition uses a Zech-logarithm table Z of size p^m - 1,
+defined by 1 + a^k = a^Z(k), so that a^i + a^j = a^(i + Z(j - i)).
 
 Textual form of an element, used by all vector files and traces:
 
@@ -111,22 +112,28 @@ def _is_irreducible(modulus: Sequence[int], p: int) -> bool:
 class Field:
     """The finite field GF(p^m).
 
-    Immutable after construction; elements are plain values, so a Field and
-    its elements can be shared freely across threads.
+    Construction builds the exp and log tables, the Zech-logarithm table
+    used by addition, and the p^m element objects; arithmetic afterwards
+    only looks these up and never creates an element.  Immutable after
+    construction, so a Field and its elements can be shared freely across
+    threads.  Two Fields with the same p, m and modulus are equal and their
+    elements mix freely; the identity test comes first, so elements of one
+    Field object pay no comparison of moduli.
     """
 
-    __slots__ = ("p", "m", "order", "modulus", "_exp", "_log", "_neg_log",
-                 "_add_table", "_elements")
+    __slots__ = ("p", "m", "order", "modulus", "_exp", "_log", "_zech",
+                 "_neg_log", "_by_log", "_elements")
 
     def __init__(self, p: int, m: int = 1,
                  modulus: Optional[Sequence[int]] = None) -> None:
-        if not _is_prime(p):
-            raise ValueError(f"characteristic {p} is not prime")
         if m <= 0:
             raise ValueError(f"extension degree must be positive, got {m}")
+        # bound the order before the primality test, which is trial division
+        if m >= ORDER_CAP.bit_length() or p ** m > ORDER_CAP:
+            raise ValueError(f"field order {p}^{m} exceeds cap {ORDER_CAP}")
+        if not _is_prime(p):
+            raise ValueError(f"characteristic {p} is not prime")
         order = p ** m
-        if order > ORDER_CAP:
-            raise ValueError(f"field order {order} exceeds cap {ORDER_CAP}")
         self.p = p
         self.m = m
         self.order = order
@@ -220,52 +227,48 @@ class Field:
         # the multiplicative group is cyclic, so this search always succeeds
         generator = next(v for v in range(1, q)
                          if self._packed_order(v) == q - 1)
-        exp = [0] * max(q - 1, 1)
-        log: dict[int, int] = {}
+        exp = [0] * (q - 1)
+        log = [-1] * q  # packed value -> logarithm; -1 for zero
         acc = 1
-        for k in range(max(q - 1, 1)):
+        for k in range(q - 1):
             exp[k] = acc
             log[acc] = k
             acc = self._raw_mul(acc, generator)
-        if len(log) != q - 1 and q > 2:
-            raise ValueError("generator does not span the multiplicative group")
         self._exp = exp
         self._log = log
+        # Zech logarithms: 1 + a^k = a^zech[k], with -1 when the sum is zero
+        self._zech = [log[self._vec_add(1, v)] for v in exp]
         self._neg_log = 0 if self.p == 2 else (q - 1) // 2
-        if q <= 256:
-            self._add_table = [[self._vec_add(u, v) for v in range(q)]
-                               for u in range(q)]
-        else:
-            self._add_table = None
+        # element of logarithm k at index k; zero last, so index -1 is zero
+        self._by_log = [FieldElement(self, k) for k in range(q - 1)]
+        self._by_log.append(FieldElement(self, -1))
         self._elements = tuple(self._from_packed(v) for v in range(q))
 
     # -- public surface ------------------------------------------------------
 
     @property
     def zero(self) -> "FieldElement":
-        return FieldElement(self, -1)
+        return self._by_log[-1]
 
     @property
     def one(self) -> "FieldElement":
-        return FieldElement(self, 0)
+        return self._by_log[0]
 
     @property
     def generator(self) -> "FieldElement":
         """The generator ``a``: first element (in enumeration order) whose
         multiplicative order is p^m - 1."""
-        return FieldElement(self, 1 if self.order > 2 else 0)
+        return self._by_log[1 if self.order > 2 else 0]
 
     def element(self, value: int) -> "FieldElement":
         """The prime-subfield element value mod p."""
         return self._from_packed(value % self.p)
 
     def from_log(self, k: int) -> "FieldElement":
-        return FieldElement(self, k % (self.order - 1))
+        return self._by_log[k % (self.order - 1)]
 
     def _from_packed(self, v: int) -> "FieldElement":
-        if v == 0:
-            return FieldElement(self, -1)
-        return FieldElement(self, self._log[v])
+        return self._by_log[self._log[v]]
 
     def elements(self) -> tuple["FieldElement", ...]:
         """All p^m elements, zero first, then by packed coefficient vector."""
@@ -285,6 +288,8 @@ class Field:
         raise ValueError(f"malformed field element token {text!r}")
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, Field):
             return NotImplemented
         return (self.p, self.m, self.modulus) == (other.p, other.m, other.modulus)
@@ -299,7 +304,11 @@ class Field:
 
 
 class FieldElement:
-    """A field element: zero, or a power a^k of the field generator."""
+    """A field element: zero, or a power a^k of the field generator.
+
+    The Field holds one instance per value and every operation returns one
+    of those; an element built here directly is equal to the Field's own.
+    """
 
     __slots__ = ("field", "_k")
 
@@ -325,35 +334,48 @@ class FieldElement:
         if not isinstance(other, FieldElement) or other.field != self.field:
             raise ValueError(f"operands from different fields: {self!r}, {other!r}")
 
+    # The operators test ``other.field is f`` inline and call
+    # _require_same_field only when that fails, so the common case costs one
+    # identity test.
+
     def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._require_same_field(other)
         f = self.field
-        u, v = self._packed(), other._packed()
-        s = f._add_table[u][v] if f._add_table is not None else f._vec_add(u, v)
-        return f._from_packed(s)
+        if other.__class__ is not FieldElement or other.field is not f:
+            self._require_same_field(other)
+        i, j = self._k, other._k
+        if i < 0:
+            return f._by_log[j]
+        if j < 0:
+            return self
+        n = f.order - 1
+        z = f._zech[(j - i) % n]
+        return f._by_log[-1 if z < 0 else (i + z) % n]
 
     def __neg__(self) -> "FieldElement":
         if self._k < 0:
             return self
         f = self.field
-        return FieldElement(f, (self._k + f._neg_log) % (f.order - 1))
+        return f._by_log[(self._k + f._neg_log) % (f.order - 1)]
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
         return self + (-other)
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        self._require_same_field(other)
-        if self._k < 0 or other._k < 0:
-            return self.field.zero
-        return FieldElement(self.field,
-                            (self._k + other._k) % (self.field.order - 1))
+        f = self.field
+        if other.__class__ is not FieldElement or other.field is not f:
+            if not isinstance(other, FieldElement):
+                return NotImplemented
+            self._require_same_field(other)
+        i, j = self._k, other._k
+        if i < 0 or j < 0:
+            return f._by_log[-1]
+        return f._by_log[(i + j) % (f.order - 1)]
 
     def inverse(self) -> "FieldElement":
         if self._k < 0:
             raise ZeroDivisionError("zero has no multiplicative inverse")
-        return FieldElement(self.field, (-self._k) % (self.field.order - 1))
+        f = self.field
+        return f._by_log[-self._k % (f.order - 1)]
 
     def __truediv__(self, other: "FieldElement") -> "FieldElement":
         self._require_same_field(other)
@@ -366,9 +388,12 @@ class FieldElement:
             if e == 0:
                 return self.field.one  # 0^0 == 1, so monomials evaluate sanely
             raise ZeroDivisionError("negative power of zero")
-        return FieldElement(self.field, (self._k * e) % (self.field.order - 1))
+        f = self.field
+        return f._by_log[(self._k * e) % (f.order - 1)]
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, FieldElement):
             return NotImplemented
         return self._k == other._k and self.field == other.field

@@ -41,6 +41,16 @@ def naive_reduce(curve: Curve, raw: dict) -> RingElement:
     return RingElement(curve, terms)
 
 
+def schoolbook_mul(f: RingElement, g: RingElement) -> RingElement:
+    """Every term of f times every term of g, summed, then naive_reduce."""
+    raw: dict = {}
+    for (i1, j1), c1 in f.items():
+        for (i2, j2), c2 in g.items():
+            key = (i1 + i2, j1 + j2)
+            raw[key] = raw.get(key, f.curve.field.zero) + c1 * c2
+    return naive_reduce(f.curve, raw)
+
+
 def lcm_orders(sg: Semigroup, s: int, t: int) -> tuple[int, ...]:
     """Pole orders of the lcms of phi(s) and phi(t), ascending."""
     return tuple(sg.degree(m) for m in sg.monomial_lcms(sg.phi(s), sg.phi(t)))

@@ -96,8 +96,22 @@ class TestCodec:
              "points[0]"),
             ({**mk, "field": {"m": 1}}, '"field.p"'),
             ({"type": "hermitian", "q": None}, "q:"),
+            # every integer key takes JSON integers only, never truncating
+            ({"type": "hermitian", "q": 3.7, "u": 16}, "q: expected an integer"),
+            ({**mk, "a": 2.0}, "a: expected an integer"),
+            ({**mk, "field": {"p": "7"}}, "field.p: expected an integer"),
             ({**mk, "d": 1}, "d: malformed field element token 1"),
             ([mk], "JSON object"),
+            ({**mk, "coeffs": 5}, "coeffs:"),
+            ({**mk, "coeffs": [[0, 1]]}, "coeffs[0]"),
+            ({**mk, "coeffs": [[0, "1", "1"]]}, "coeffs[0]"),
+            ({**mk, "coeffs": [[0, 1, "b"]]}, "coeffs[0]"),
+            ({**mk, "field": {"p": 7, "m": [2]}}, "field.m"),
+            ({**mk, "field": {"p": 7, "modulus": 7}}, "field.modulus"),
+            ({"type": "hermitian", "q": 3, "u": 16, "points": 5}, "points:"),
+            # a huge prime is rejected by the order cap, not trial division
+            ({**mk, "field": {"p": 2 ** 61 - 1}}, "exceeds cap"),
+            ({"type": "hermitian", "q": 2 ** 61 - 1, "u": 4}, "exceeds cap"),
         ] + [({k: v for k, v in mk.items() if k != key}, f'"{key}"')
              for key in ("a", "b", "d")]
         cfg = tmp_path / "code.json"

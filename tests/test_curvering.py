@@ -5,7 +5,8 @@ import pytest
 from agcodec.curvering import BOTTOM, Curve, Monomial, Semigroup
 from agcodec.gf import Field
 
-from support import lcm_orders, naive_reduce, random_ring_element
+from support import (lcm_orders, naive_reduce, random_ring_element,
+                     schoolbook_mul)
 
 
 class TestBottom:
@@ -46,10 +47,40 @@ class TestCurveConstruction:
         with pytest.raises(ValueError):
             Curve(field, 2, 3, field.zero, {})
 
+    def test_hermitian_order_cap(self):
+        # refused before q is factored by trial division
+        with pytest.raises(ValueError, match="exceeds cap"):
+            Curve.hermitian(2 ** 61 - 1)
+        with pytest.raises(ValueError, match="not a prime power"):
+            Curve.hermitian(6)
+
     def test_coefficient_outside_region(self):
         field = Field(3, 2)
         with pytest.raises(ValueError):
             Curve(field, 2, 3, field.one, {(3, 0): field.one})  # 2*3 >= 6
+
+
+def mk_a3_gf7():
+    """y^3 + 2y + 5xy + y^2 + 4x^2 + 6xy^2 + 3x^4 = 0 over GF(7): the y^3
+    rewrite has six terms, three of them with a y factor."""
+    field = Field(7)
+    coeffs = {(0, 1): 2, (1, 1): 5, (0, 2): 1, (2, 0): 4, (1, 2): 6}
+    return Curve(field, 3, 4, field.element(3),
+                 {m: field.element(c) for m, c in coeffs.items()})
+
+
+def mk_a4_gf7():
+    """y^4 + x^5 + 2xy = 0 over GF(7): a=4, b=5."""
+    field = Field(7)
+    return Curve(field, 4, 5, field.one, {(1, 1): field.element(2)})
+
+
+REFERENCE_CURVES = {
+    "hermitian-q3": lambda: Curve.hermitian(3),
+    "hermitian-q4": lambda: Curve.hermitian(4),
+    "mk-a3-gf7": mk_a3_gf7,
+    "mk-a4-gf7": mk_a4_gf7,
+}
 
 
 class TestReduction:
@@ -77,15 +108,20 @@ class TestReduction:
             assert curve_q3.element(raw) == naive_reduce(curve_q3, raw)
 
     def test_general_curve_reduction(self):
-        # y^4 + x^5 + 2*x*y = 0 over GF(7): a=4, b=5
-        field = Field(7)
-        curve = Curve(field, 4, 5, field.one, {(1, 1): field.element(2)})
-        rng = random.Random(3)
-        elems = field.elements()
-        for _ in range(25):
-            raw = {(rng.randrange(6), rng.randrange(10)):
-                   elems[rng.randrange(1, 7)] for _ in range(5)}
-            assert curve.element(raw) == naive_reduce(curve, raw)
+        # Curve.element against long division, y-degrees up to 3a+1; on a
+        # fresh curve a high power of y is asked for first, then lower ones
+        for name in sorted(REFERENCE_CURVES):
+            curve = REFERENCE_CURVES[name]()
+            a, elems = curve.a, curve.field.elements()
+            for j in [3 * a + 1, 2 * a, a, 2 * a + 1, 3 * a]:
+                raw = {(0, j): curve.field.one}
+                assert curve.element(raw) == naive_reduce(curve, raw)
+            rng = random.Random(name)
+            for _ in range(25):
+                raw = {(rng.randrange(6), rng.randrange(3 * a + 2)):
+                       elems[rng.randrange(1, curve.field.order)]
+                       for _ in range(5)}
+                assert curve.element(raw) == naive_reduce(curve, raw)
 
 
 class TestRingArithmetic:
@@ -123,6 +159,29 @@ class TestRingArithmetic:
         other = Curve.hermitian(2)
         with pytest.raises(ValueError):
             curve_q3.one() + other.one()
+
+
+class TestAgainstSchoolbook:
+    """Ring products, built from single-term products and the reduced y^j
+    table, agree with the raw product followed by long division."""
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_CURVES))
+    def test_products(self, name):
+        curve = REFERENCE_CURVES[name]()
+        a, elems = curve.a, curve.field.elements()
+        rng = random.Random(name)
+        for _ in range(40):
+            f = random_ring_element(curve, rng)
+            c = elems[rng.randrange(1, curve.field.order)]
+            term = curve.monomial(rng.randrange(6), rng.randrange(a), c)
+            g = random_ring_element(curve, rng, terms=3)
+            for x, y in [(f, term), (term, f), (f, g), (term, term)]:
+                assert x * y == schoolbook_mul(x, y)
+        # the largest y-degree a product of reduced elements reaches
+        top = curve.monomial(1, a - 1) + curve.monomial(0, a - 1)
+        high = curve.monomial(2, a - 1, elems[2])
+        assert top * high == schoolbook_mul(top, high)
+        assert high * high == schoolbook_mul(high, high)
 
 
 class TestSemigroup:

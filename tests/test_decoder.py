@@ -340,6 +340,22 @@ class TestDecode:
                 received = add_vectors(code.encode(message), error)
                 assert decode(code, received).message == message
 
+    def test_q4_guarantee_at_full_radius(self):
+        # Hermitian q=4, u=30: n=64, d=34, so t=16 is the full radius
+        from agcodec.code import Code
+        from agcodec.curvering import Curve
+        code = Code(Curve.hermitian(4), 30)
+        assert (code.n, code.k, code.decoding_distance()) == (64, 25, 34)
+        rng = random.Random(4016)
+        for _ in range(12):
+            message = random_message(code, rng)
+            received = add_vectors(code.encode(message),
+                                   random_error(code, rng, 16))
+            result = decode(code, received)
+            assert result.message == message
+            assert result.status == STATUS_OK
+            assert result.distance == 16
+
 
 class TestTrackedInvariants:
     def test_bundled_vector_full_check(self, code_q3, received_q3):

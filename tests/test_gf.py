@@ -67,6 +67,11 @@ class TestConstruction:
             Field(3, 0)
         with pytest.raises(ValueError):
             Field(2, 17)  # above ORDER_CAP
+        # rejected by the cap before any primality test or huge power
+        with pytest.raises(ValueError, match="exceeds cap"):
+            Field(2 ** 61 - 1)
+        with pytest.raises(ValueError, match="exceeds cap"):
+            Field(2, 10 ** 12)
         with pytest.raises(ValueError):
             Field(2, 2, modulus=[0, 0, 1])  # x^2 is reducible
         with pytest.raises(ValueError):
@@ -106,6 +111,61 @@ class TestArithmetic:
         other = Field(2, 2)
         with pytest.raises(ValueError):
             field9.one + other.one
+        for x, y in [(field9.zero, other.zero), (field9.generator, other.one)]:
+            for op in (lambda u, v: u + v, lambda u, v: u - v,
+                       lambda u, v: u * v, lambda u, v: u / v):
+                with pytest.raises(ValueError):
+                    op(x, y)
+            assert x != y
+
+    def test_equal_fields_mix(self):
+        # two separately built GF(9)s are equal, so their elements combine
+        f, g = Field(3, 2), Field(3, 2)
+        assert f is not g and f == g and hash(f) == hash(g)
+        fe, ge = f.elements(), g.elements()
+        for a, b in itertools.product(range(f.order), repeat=2):
+            x, y = fe[a], ge[b]
+            assert x + y is fe[a] + fe[b]
+            assert x - y is fe[a] - fe[b]
+            assert x * y is fe[a] * fe[b]
+            if b:
+                assert x / y is fe[a] / fe[b]
+            assert (x == y) == (a == b)
+        for x, y in zip(fe, ge):
+            assert hash(x) == hash(y)
+            assert {x: 1}[y] == 1
+
+    @pytest.mark.parametrize("p,m", [(2, 2), (3, 2), (5, 2), (2, 8)])
+    def test_zech_addition_exhaustive(self, p, m):
+        field = Field(p, m)
+        elems = field.elements()
+        for x, y in itertools.product(elems, repeat=2):
+            reference = field._vec_add(x._packed(), y._packed())
+            assert x + y is elems[reference]
+
+    @pytest.mark.parametrize("p,m", [(17, 2), (2, 9)])
+    def test_zech_addition_random_large_orders(self, p, m):
+        # orders 289 and 512, above the old 256 cutoff of the addition table
+        field = Field(p, m)
+        elems = field.elements()
+        rng = random.Random(p * 100 + m)
+        for _ in range(4000):
+            x, y = elems[rng.randrange(field.order)], \
+                elems[rng.randrange(field.order)]
+            reference = field._vec_add(x._packed(), y._packed())
+            assert x + y is elems[reference]
+            assert (x - y) + y is x
+
+    def test_operations_return_the_fields_elements(self, field9):
+        own = {id(e) for e in field9.elements()}
+        elems = field9.elements()
+        for x, y in itertools.product(elems, repeat=2):
+            results = [x + y, x - y, x * y, -x, x ** 3, x ** 0]
+            if not y.is_zero:
+                results += [x / y, y.inverse()]
+            assert all(id(r) in own for r in results)
+        assert {id(field9.zero), id(field9.one), id(field9.generator),
+                id(field9.parse("a^5")), id(field9.from_log(12))} <= own
 
     def test_axioms_random_triples(self):
         rng = random.Random(2024)
