@@ -22,7 +22,7 @@ the bundled fixtures do).
 from __future__ import annotations
 
 import json
-from typing import AbstractSet, Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .curvering import Curve, Monomial, RingElement, Semigroup
 from .gf import Field, FieldElement
@@ -40,6 +40,27 @@ def rational_points(curve: Curve) -> list[Point]:
             if curve.contains(x, y) and curve.is_smooth_at(x, y):
                 points.append((x, y))
     return points
+
+
+def checked_points(curve: Curve,
+                   points: Optional[Sequence[Point]] = None) -> list[Point]:
+    """The curve's rational points when points is None; otherwise the given
+    points, each checked to be a nonsingular curve point over the curve's
+    field, with no point repeated."""
+    if points is None:
+        return rational_points(curve)
+    out = []
+    for x, y in points:
+        if x.field != curve.field or y.field != curve.field:
+            raise ValueError("point coordinates from a different field")
+        if not curve.contains(x, y):
+            raise ValueError(f"point ({x}, {y}) is not on the curve")
+        if not curve.is_smooth_at(x, y):
+            raise ValueError(f"point ({x}, {y}) is singular")
+        out.append((x, y))
+    if len(set((str(x), str(y)) for x, y in out)) != len(out):
+        raise ValueError("duplicate points")
+    return out
 
 
 def points_ideal_basis(
@@ -65,7 +86,7 @@ def points_ideal_basis(
     s = 0
     cap = 4 * (n + curve.a * curve.b) * (curve.a + curve.b)
     while True:
-        if etas and len(delta_monos) == n and len(sg.footprint(eta_lms)) == n:
+        if etas and len(delta_monos) == n and sum(sg.staircase(eta_lms)) == n:
             break
         if s > cap:
             raise RuntimeError("ideal basis computation failed to close")
@@ -112,13 +133,7 @@ class Code:
         self.curve = curve
         self.field = curve.field
         sg = curve.semigroup
-        if points is None:
-            points = rational_points(curve)
-        else:
-            points = [self._check_point(p) for p in points]
-        if len(set((str(x), str(y)) for x, y in points)) != len(points):
-            raise ValueError("duplicate points")
-        self.points: tuple[Point, ...] = tuple(points)
+        self.points: tuple[Point, ...] = tuple(checked_points(curve, points))
         self.n = len(self.points)
         if not (0 < u < self.n):
             raise ValueError(f"u must satisfy 0 < u < n = {self.n}, got {u}")
@@ -129,23 +144,14 @@ class Code:
         self.eta_basis = etas
         self.delta_monomials = delta_monos
         self._interp_inverse = table
+        self._staircase = sg.staircase(eta.leading_monomial() for eta in etas)
         missing = [s for s in self.message_orders
-                   if sg.phi(s) not in set(delta_monos)]
+                   if sg.phi(s).i >= self._staircase[sg.phi(s).j]]
         if missing:
             raise ValueError(
                 f"evaluation is not injective on pole orders {missing}; "
                 "the point set is too small for this u")
         self._distance: Optional[int] = None
-
-    def _check_point(self, p: Point) -> Point:
-        x, y = p
-        if x.field != self.field or y.field != self.field:
-            raise ValueError("point coordinates from a different field")
-        if not self.curve.contains(x, y):
-            raise ValueError(f"point ({x}, {y}) is not on the curve")
-        if not self.curve.is_smooth_at(x, y):
-            raise ValueError(f"point ({x}, {y}) is singular")
-        return (x, y)
 
     # -- encoding ---------------------------------------------------------------
 
@@ -193,7 +199,7 @@ class Code:
         sg = self.curve.semigroup
         if not sg.is_nongap(s):
             raise ValueError(f"{s} is a gap")
-        return _order_bound(sg, self.n, set(self.delta_monomials), s)
+        return _order_bound(sg, self.n, self._staircase, s)
 
     def decoding_distance(self) -> int:
         """d_u = min of the order bound over nongaps s <= u (>= n - u)."""
@@ -206,11 +212,11 @@ class Code:
         return f"Code(n={self.n}, k={self.k}, u={self.u} over {self.field!r})"
 
 
-def _order_bound(sg: Semigroup, n: int, footprint: AbstractSet[Monomial],
+def _order_bound(sg: Semigroup, n: int, ideal_staircase: Sequence[int],
                  s: int) -> int:
-    """nu(s) for a nongap s and the footprint of the ideal of n points."""
-    extra = sum(1 for m in sg.non_multiples(s) if m not in footprint)
-    return n + extra - s
+    """nu(s) for a nongap s and the staircase of the ideal of n points."""
+    return n - s + sg.staircase_difference(sg.staircase([sg.phi(s)]),
+                                           ideal_staircase)
 
 
 def hermitian_decoding_distance(q: int, u: int) -> int:
@@ -232,16 +238,15 @@ def radius_rows(curve: Curve,
                 points: Optional[Sequence[Point]] = None) -> list[tuple[int, int]]:
     """Rows (u, d_u) for every nongap u below n, by prefix minimisation of
     the order bound.  Gap u have no voting round and are omitted."""
-    if points is None:
-        points = rational_points(curve)
+    points = checked_points(curve, points)
     sg = curve.semigroup
     n = len(points)
-    _, delta_monos, _ = points_ideal_basis(curve, points)
-    footprint = set(delta_monos)
+    etas, _, _ = points_ideal_basis(curve, points)
+    stair = sg.staircase(eta.leading_monomial() for eta in etas)
     rows = []
     best = None
     for u in sg.nongaps(n - 1):
-        nu = _order_bound(sg, n, footprint, u)
+        nu = _order_bound(sg, n, stair, u)
         best = nu if best is None else min(best, nu)
         rows.append((u, best))
     return rows

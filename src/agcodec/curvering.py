@@ -13,8 +13,9 @@ form the numerical semigroup generated by a and b.  Everything downstream
 * reduction of arbitrary bivariate polynomials to the canonical basis,
   through a per-curve table of the reduced powers y^j, j >= a,
 * the pole-order function ``delta`` (with a BOTTOM sentinel for zero),
-* divisibility, quotients, lcms and footprints of monomials, computed on
-  the (i, j) exponent lattice.
+* divisibility, quotients and lcms of monomials, computed on the (i, j)
+  exponent lattice, and footprints as staircases: one row barrier per
+  y-degree j < a, so footprint sizes and differences are sums over a rows.
 
 Monomials print as "x^i*y^j" with unit factors omitted ("1", "x", "y^2",
 "x^3*y", ...); this grammar is used verbatim by the CLI trace format.
@@ -23,7 +24,7 @@ Monomials print as "x^i*y^j" with unit factors omitted ("1", "x", "y^2",
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, Mapping, NamedTuple, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .gf import ORDER_CAP, Field, FieldElement, _prime_factors
 
@@ -159,29 +160,30 @@ class Semigroup:
         l2 = Monomial(r[0] + self.b, t[1])
         return tuple(sorted((l1, l2), key=self.degree))
 
-    def footprint(self, lead_monomials: Iterable[Monomial]) -> frozenset[Monomial]:
-        """All monomials divisible by none of the given leading monomials.
-
-        Computed row by row on the exponent lattice: in row j the multiples
-        of a leading monomial r start at column r.i when j >= r.j and at
-        column r.i + b otherwise.
-        """
+    def staircase(self, lead_monomials: Iterable[Monomial]) -> tuple[int, ...]:
+        """Row barriers of the footprint of the given leading monomials: entry
+        j is the first column of row j that holds a multiple, so the footprint
+        is the columns left of the barriers and its size is their sum."""
         lms = list(lead_monomials)
         if not lms:
             raise ValueError("footprint of the empty set is infinite")
-        out = set()
-        for j in range(self.a):
-            barrier = min((r[0] if j >= r[1] else r[0] + self.b) for r in lms)
-            out.update(Monomial(i, j) for i in range(barrier))
-        return frozenset(out)
+        return tuple(min(r.i if j >= r.j else r.i + self.b for r in lms)
+                     for j in range(self.a))
+
+    def footprint(self, lead_monomials: Iterable[Monomial]) -> frozenset[Monomial]:
+        """All monomials divisible by none of the given leading monomials."""
+        return frozenset(Monomial(i, j) for j, barrier
+                         in enumerate(self.staircase(lead_monomials))
+                         for i in range(barrier))
 
     def non_multiples(self, s: int) -> frozenset[Monomial]:
-        """The monomials phi(t) not divisible by phi(s); a set of size s."""
-        if not self.is_nongap(s):
-            raise ValueError(f"{s} is a gap of <{self.a},{self.b}>")
-        bound = s + self.a * self.b
-        return frozenset(self.phi(t) for t in self.nongaps(bound)
-                         if not self.is_nongap(t - s))
+        """The monomials not divisible by phi(s); a set of size s."""
+        return self.footprint([self.phi(s)])
+
+    @staticmethod
+    def staircase_difference(outer: Sequence[int], inner: Sequence[int]) -> int:
+        """|footprint(outer) minus footprint(inner)| for two staircases."""
+        return sum(max(0, o - i) for o, i in zip(outer, inner))
 
     def __repr__(self) -> str:
         return f"Semigroup({self.a}, {self.b})"
@@ -253,6 +255,11 @@ class Curve:
         if j >= self.a:
             return self.reduce({(i, j): coeff})
         return RingElement(self, {Monomial(i, j): coeff})
+
+    def lead_factor(self, r: Monomial, t: Monomial) -> FieldElement:
+        """Leading coefficient of the product of the monomials r and t: one,
+        or -d when the y-degrees wrap past a, since y^a = -d*x^b + lower."""
+        return -self.d if r.j + t.j >= self.a else self.field.one
 
     def element(self, terms: Mapping[tuple[int, int], FieldElement]) -> "RingElement":
         """Build a ring element from a raw exponent map (any y-degrees)."""

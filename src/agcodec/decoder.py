@@ -54,8 +54,8 @@ class ModulePair:
     up: RingElement
     down: RingElement
 
-    def __sub__(self, other: "ModulePair") -> "ModulePair":
-        return ModulePair(self.up - other.up, self.down - other.down)
+    def __add__(self, other: "ModulePair") -> "ModulePair":
+        return ModulePair(self.up + other.up, self.down + other.down)
 
     def times(self, factor: RingElement) -> "ModulePair":
         return ModulePair(self.up * factor, self.down * factor)
@@ -140,30 +140,30 @@ def vote(code: Code, s: int, state: GBState) -> VoteRecord:
     sg = state.curve.semigroup
     if not sg.is_nongap(s) or s > code.u:
         raise ValueError(f"voting requires a nongap s <= u, got {s}")
-    field = state.curve.field
-    g_lms = [ld.monomial for ld in state.g_leads()]
-    delta_g = sg.footprint(g_lms)
+    curve = state.curve
+    phi_s = sg.phi(s)
+    stair_g = sg.staircase(ld.monomial for ld in state.g_leads())
 
     nominations: dict[FieldElement, list[Monomial]] = {}
     for pair in state.f:
         du = pair.up.delta()
         target = sg.phi(du + s)  # leading monomial of up * phi_s
         d = pair.down.coefficient(target)
-        w_j = -(d / pair.up.leading_coefficient())
+        lc = pair.up.leading_coefficient() * \
+            curve.lead_factor(pair.up.leading_monomial(), phi_s)
+        w_j = -(d / lc)
         nominations.setdefault(w_j, []).append(target)
 
-    tallies: dict[FieldElement, int] = {}
-    for c, targets in nominations.items():
-        covered = {m for m in delta_g
-                   if any(sg.monomial_divides(t, m) for t in targets)}
-        tallies[c] = len(covered)
+    # a candidate weighs the part of the G footprint its targets' cones cover
+    tallies = {c: sg.staircase_difference(stair_g, sg.staircase(targets))
+               for c, targets in nominations.items()}
 
     candidates = tuple(sorted(nominations, key=canonical_key))
     counts = sorted(tallies.values(), reverse=True)
     top = counts[0]
     runner_up = counts[1] if len(counts) > 1 else 0
     if top == 0:
-        chosen = field.zero  # all votes empty; any choice ties
+        chosen = curve.field.zero  # all votes empty; any choice ties
         margin = 0
     else:
         chosen = None
@@ -206,24 +206,29 @@ def spoly(s: int, pair: ModulePair, g_part: Sequence[ModulePair]) -> list[Module
     ld = leading(s - 1, pair)
     if ld.location is UP:
         return [pair]
-    mu, lc_down = ld.monomial, ld.coefficient
+    mu = ld.monomial
     g_leads = [leading(s, g) for g in g_part]
     for g, g_ld in zip(g_part, g_leads):
         if sg.monomial_divides(g_ld.monomial, mu):
             q = sg.monomial_quotient(g_ld.monomial, mu)
-            return [pair.times(curve.monomial(0, 0, lc_down.inverse()))
-                    - g.times(curve.monomial(q.i, q.j,
-                                             g_ld.coefficient.inverse()))]
+            return [pair.times(curve.monomial(0, 0, ld.coefficient.inverse()))
+                    + g.times(curve.monomial(q.i, q.j,
+                                             -_monic(curve, q, g_ld)))]
     out = []
     for g, g_ld in zip(g_part, g_leads):
         for psi in sg.monomial_lcms(mu, g_ld.monomial):
             qf = sg.monomial_quotient(mu, psi)
             qg = sg.monomial_quotient(g_ld.monomial, psi)
             out.append(
-                pair.times(curve.monomial(qf.i, qf.j, lc_down.inverse()))
-                - g.times(curve.monomial(qg.i, qg.j,
-                                         g_ld.coefficient.inverse())))
+                pair.times(curve.monomial(qf.i, qf.j, _monic(curve, qf, ld)))
+                + g.times(curve.monomial(qg.i, qg.j,
+                                         -_monic(curve, qg, g_ld))))
     return out
+
+
+def _monic(curve: Curve, q: Monomial, lead: Lead) -> FieldElement:
+    """The scalar that makes the monomial q times the lead term monic."""
+    return (lead.coefficient * curve.lead_factor(q, lead.monomial)).inverse()
 
 
 def _prime_reduce(pairs: list[ModulePair], lms: list[Monomial],
@@ -259,14 +264,14 @@ def step(state: GBState) -> GBState:
     s = state.weight
     sg = state.curve.semigroup
     g_lms = [ld.monomial for ld in state.g_leads()]
+    stair_g = sg.staircase(g_lms)
 
     new_g = list(state.g)
     new_g_lms = list(g_lms)  # lm at s-1 equals lm at s for G elements
     new_f: list[ModulePair] = []
     for pair in state.f:
         ld = leading(s - 1, pair)
-        if ld.location is DOWN and \
-                not any(sg.monomial_divides(lm, ld.monomial) for lm in g_lms):
+        if ld.location is DOWN and ld.monomial.i < stair_g[ld.monomial.j]:
             new_g.append(pair)
             new_g_lms.append(ld.monomial)
         new_f.extend(spoly(s, pair, state.g))

@@ -1,7 +1,7 @@
 """Brute-force verifiers, deliberately naive and independent of the decoder.
 
-These back the test suite and the verification paths of the CLI; none of
-them run during normal decoding.  Caps are hard errors: an oracle that
+These back the test suite; neither the CLI nor normal decoding runs
+them.  Caps are hard errors: an oracle that
 silently shrinks its search space proves nothing.
 """
 

@@ -7,8 +7,41 @@ from __future__ import annotations
 import random
 
 from agcodec import decode
+from agcodec.code import Code, curve_from_config, rational_points
 from agcodec.curvering import Curve, Monomial, RingElement, Semigroup
 from agcodec.gf import FieldElement
+
+#: Miura-Kamiya curves whose y^a rewrite has d != -1, so a product of
+#: monomials whose y-degrees wrap past a leads with -d, not 1.
+MK_FAMILIES = {
+    # y^2 + 4x + 2x^3 = 0 over GF(5): 9 points
+    "a2-gf5": {"type": "mk", "field": {"p": 5}, "a": 2, "b": 3, "d": "2",
+               "coeffs": [[1, 0, "4"]]},
+    # y^2 + x + 3 + x^3 = 0 over GF(7): 9 points
+    "a2-gf7": {"type": "mk", "field": {"p": 7}, "a": 2, "b": 3, "d": "1",
+               "coeffs": [[0, 0, "3"], [1, 0, "1"]]},
+    # y^2 + 2x + 1 + x^3 = 0 over GF(25): 34 points
+    "a2-gf25": {"type": "mk", "field": {"p": 5, "m": 2}, "a": 2, "b": 3,
+                "d": "1", "coeffs": [[0, 0, "1"], [1, 0, "2"]]},
+    # y^3 + 2y + 5xy + y^2 + 4x^2 + 6xy^2 + 3x^4 = 0 over GF(7): 8 points
+    "a3-gf7": {"type": "mk", "field": {"p": 7}, "a": 3, "b": 4, "d": "3",
+               "coeffs": [[0, 1, "2"], [1, 1, "5"], [0, 2, "1"],
+                          [2, 0, "4"], [1, 2, "6"]]},
+    # y^4 + 3 + 2xy + 5x^5 = 0 over GF(7): 11 points
+    "a4-gf7": {"type": "mk", "field": {"p": 7}, "a": 4, "b": 5, "d": "5",
+               "coeffs": [[0, 0, "3"], [1, 1, "2"]]},
+}
+
+
+def mk_code(family: str, u: int, shortened: bool = False) -> Code:
+    """The code C_u of an MK_FAMILIES curve on all its rational points, or
+    on a seeded shuffle of them with a quarter dropped."""
+    curve, _ = curve_from_config(MK_FAMILIES[family])
+    points = rational_points(curve)
+    if shortened:
+        random.Random(1).shuffle(points)
+        points = points[:len(points) - max(1, len(points) // 4)]
+    return Code(curve, u, points)
 
 
 def naive_reduce(curve: Curve, raw: dict) -> RingElement:

@@ -5,6 +5,7 @@ from agcodec.cli import main
 from agcodec.code import format_vector
 
 from conftest import FIXTURES
+from support import MK_FAMILIES
 
 CODE_ARGS = ["--code", str(FIXTURES / "hermitian_q3_u16.json")]
 VECTOR = str(FIXTURES / "received_vector_q3.txt")
@@ -109,6 +110,11 @@ class TestCodec:
             ({**mk, "field": {"p": 7, "m": [2]}}, "field.m"),
             ({**mk, "field": {"p": 7, "modulus": 7}}, "field.modulus"),
             ({"type": "hermitian", "q": 3, "u": 16, "points": 5}, "points:"),
+            # radius checks explicit points as the code does
+            ({"type": "hermitian", "q": 2, "u": 4,
+              "points": [["0", "0"], ["0", "0"]]}, "duplicate points"),
+            ({"type": "hermitian", "q": 2, "u": 4, "points": [["1", "0"]]},
+             "not on the curve"),
             # a huge prime is rejected by the order cap, not trial division
             ({**mk, "field": {"p": 2 ** 61 - 1}}, "exceeds cap"),
             ({"type": "hermitian", "q": 2 ** 61 - 1, "u": 4}, "exceeds cap"),
@@ -200,6 +206,18 @@ class TestSimulate:
         main(args)
         second = capsys.readouterr().out
         assert drop_timing(first) == drop_timing(second)
+
+    def test_mk_curve_at_full_radius(self, tmp_path, capsys):
+        # y^2 + x + 3 + x^3 = 0 over GF(7) has d = 1, not -1; u = 2 gives
+        # n = 9, d_2 = 7, so weight 3 is the full radius
+        cfg = tmp_path / "mk.json"
+        cfg.write_text(json.dumps({**MK_FAMILIES["a2-gf7"], "u": 2}))
+        rc = main(["simulate", "--code", str(cfg), "--trials", "200",
+                   "--weight", "3", "--seed", "1"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "# code: n=9 k=2 u=2 d=7" in out
+        assert "successes=200 failures=0" in out
 
     def test_invalid_weight_exit_1(self, capsys):
         rc = main(["simulate", *CODE_ARGS, "--trials", "1", "--weight", "99"])

@@ -155,6 +155,17 @@ class TestRingArithmetic:
             assert (f * g).delta() == f.delta() + g.delta()
             assert (f + g).delta() <= max(f.delta(), g.delta())
 
+    @pytest.mark.parametrize("name", sorted(REFERENCE_CURVES))
+    def test_lead_factor_is_the_product_lead(self, name):
+        # one, or -d once the y-degrees wrap past a
+        curve = REFERENCE_CURVES[name]()
+        monos = [Monomial(i, j) for i in range(3) for j in range(curve.a)]
+        for r in monos:
+            for t in monos:
+                product = schoolbook_mul(curve.monomial(*r),
+                                         curve.monomial(*t))
+                assert product.leading_coefficient() == curve.lead_factor(r, t)
+
     def test_mixed_curves_rejected(self, curve_q3):
         other = Curve.hermitian(2)
         with pytest.raises(ValueError):
@@ -276,6 +287,47 @@ class TestFootprint:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             Semigroup(3, 4).footprint([])
+
+
+class TestStaircase:
+    @pytest.mark.parametrize("a,b", [(2, 3), (3, 4), (4, 5)])
+    def test_matches_brute_force(self, a, b):
+        sg = Semigroup(a, b)
+        rng = random.Random(10 * a + b)
+        # a multiple of r sits in every row by column r.i + b, so nothing
+        # of a footprint lies right of this box
+        box = [Monomial(i, j) for i in range(8 + b) for j in range(a)]
+
+        def random_lms():
+            return [Monomial(rng.randrange(8), rng.randrange(a))
+                    for _ in range(rng.randrange(1, 5))]
+
+        def brute_footprint(lms):
+            return {m for m in box
+                    if not any(sg.monomial_divides(r, m) for r in lms)}
+
+        for _ in range(60):
+            lms, other = random_lms(), random_lms()
+            stair = sg.staircase(lms)
+            for j in range(a):
+                assert stair[j] == min(
+                    m.i for m in box if m.j == j
+                    and any(sg.monomial_divides(r, m) for r in lms))
+            fp = brute_footprint(lms)
+            assert sg.footprint(lms) == fp
+            assert sum(stair) == len(fp)
+            assert sg.staircase_difference(stair, sg.staircase(other)) == \
+                len(fp - brute_footprint(other))
+
+    def test_non_multiples_match_the_numeric_rule(self):
+        # phi(t) is a multiple of phi(s) exactly when t - s is a nongap,
+        # and every non-multiple has pole order below s + a*b
+        for a, b in [(2, 3), (3, 4), (4, 5)]:
+            sg = Semigroup(a, b)
+            for s in sg.nongaps(40):
+                numeric = {sg.phi(t) for t in sg.nongaps(s + a * b)
+                           if not sg.is_nongap(t - s)}
+                assert sg.non_multiples(s) == numeric
 
 
 class TestMonomialText:

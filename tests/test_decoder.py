@@ -8,8 +8,8 @@ from agcodec.decoder import (DOWN, STATUS_FAILED, STATUS_OK, UP, ModulePair,
                              vote)
 from agcodec.oracle import check_gb
 
-from support import (add_vectors, random_error, random_message,
-                     tracked_decode)
+from support import (MK_FAMILIES, add_vectors, mk_code, random_error,
+                     random_message, tracked_decode)
 
 
 @pytest.fixture(scope="module")
@@ -355,6 +355,47 @@ class TestDecode:
             assert result.message == message
             assert result.status == STATUS_OK
             assert result.distance == 16
+
+
+class TestGuaranteeAcrossFamilies:
+    """2t < d_u brings the sent message back on curves with d != -1."""
+
+    # (family, shortened point set, u): u = 1 on a=2, u = 2 on a=3 and
+    # u = 6 on a=4 are gaps
+    CASES = [("a2-gf5", False, 3), ("a2-gf5", True, 1),
+             ("a2-gf7", False, 2), ("a2-gf7", True, 2),
+             ("a2-gf25", False, 10), ("a2-gf25", True, 1),
+             ("a3-gf7", False, 3), ("a3-gf7", False, 2),
+             ("a4-gf7", False, 4), ("a4-gf7", True, 6)]
+
+    @pytest.mark.parametrize("family,shortened,u", CASES)
+    def test_every_weight_within_radius(self, family, shortened, u):
+        code = mk_code(family, u, shortened)
+        assert code.curve.d != -code.field.one
+        t_max = (code.decoding_distance() - 1) // 2
+        rng = random.Random(u)
+        for weight in range(t_max + 1):
+            for _ in range(8):
+                message = random_message(code, rng)
+                received = add_vectors(code.encode(message),
+                                       random_error(code, rng, weight))
+                result = decode(code, received)
+                assert result.message == message, (weight, result.votes)
+                assert result.status == STATUS_OK
+
+    @pytest.mark.parametrize("family", sorted(MK_FAMILIES))
+    def test_basis_invariants_at_full_radius(self, family):
+        code = mk_code(family, 3)
+        t_max = (code.decoding_distance() - 1) // 2
+        rng = random.Random(8)
+        message = random_message(code, rng)
+        received = add_vectors(code.encode(message),
+                               random_error(code, rng, t_max))
+        result, records = tracked_decode(code, received)
+        assert result.message == message
+        for s, state, _, v_s in records:
+            report = check_gb(s, state, code, v_s)
+            assert report.passed, report.counterexample
 
 
 class TestTrackedInvariants:
