@@ -6,7 +6,9 @@ indexed by the nongaps s <= u; encoding evaluates mu = sum(w_s * phi_s) at
 the points.
 
 Construction runs one Gauss-Jordan elimination over the rows ev(phi_s) in
-increasing pole order.  That single pass yields
+increasing pole order, each row held as two plain lists (values on the
+columns no pivot holds, coefficients on the footprint found so far).  That
+single pass yields
 
 * the reduced Groebner basis {eta_i} of the ideal J of functions vanishing
   at all points, together with its footprint (exactly n monomials), and
@@ -70,17 +72,21 @@ def points_ideal_basis(
 
     Returns (etas, footprint monomials in increasing pole order, table),
     where table[k][c] is the coefficient of footprint monomial k in the
-    Lagrange function of point c.  A row ev(phi_s) that reduces to zero
-    gives an eta; any other row is scaled to 1 at its first nonzero column,
-    which is cleared from the earlier pivots, so at the end each pivot is a
-    Lagrange function.  The footprint has exactly n monomials.
+    Lagrange function of point c.  The rows ev(phi_s) are plain lists over
+    the columns no pivot holds yet, each with its coefficients on the
+    footprint monomials found so far.  A row that reduces to zero gives an
+    eta; any other is scaled to 1 at its first nonzero column, which is
+    cleared from the earlier pivots, so at the end each pivot is a Lagrange
+    function.  The footprint has exactly n monomials.
     """
     sg = curve.semigroup
     n = len(points)
+    zero, one = curve.field.zero, curve.field.one
     etas: list[RingElement] = []
     eta_lms: list[Monomial] = []
     delta_monos: list[Monomial] = []
-    # [col, row, combo]: ev(combo) = row, 1 at col, 0 at other pivots' cols
+    free = list(range(n))
+    # [col, values on free, coefficients on delta_monos]
     pivots: list[list] = []
 
     s = 0
@@ -97,31 +103,35 @@ def points_ideal_basis(
         s += 1
         if any(sg.monomial_divides(lm, mono) for lm in eta_lms):
             continue
-        combo = curve.monomial(*mono)
-        row = [combo.evaluate(px, py) for px, py in points]
-        for col, vec, prev in pivots:
-            factor = row[col]
-            if not factor.is_zero:
-                row = [r - factor * v for r, v in zip(row, vec)]
-                combo = combo - prev * factor
-        col = next((idx for idx, r in enumerate(row) if not r.is_zero), None)
-        if col is None:
-            etas.append(combo)
+        full = [px ** mono.i * py ** mono.j for px, py in points]
+        row = [full[c] for c in free]
+        coeffs = [zero] * len(delta_monos)
+        for col, vals, prev in pivots:
+            nf = -full[col]
+            if not nf.is_zero:
+                row = [r + nf * v for r, v in zip(row, vals)]
+                coeffs = [c + nf * p for c, p in zip(coeffs, prev)]
+        pos = next((idx for idx, r in enumerate(row) if not r.is_zero), None)
+        if pos is None:
+            etas.append(RingElement(curve, {m: c for m, c in zip(
+                delta_monos + [mono], coeffs + [one]) if not c.is_zero}))
             eta_lms.append(mono)
             continue
-        scale = row[col].inverse()
+        scale = row.pop(pos).inverse()
         row = [r * scale for r in row]
-        combo = combo * scale
+        coeffs = [c * scale for c in coeffs] + [scale]
+        col = free.pop(pos)
         for pivot in pivots:
-            factor = pivot[1][col]
-            if not factor.is_zero:
-                pivot[1] = [v - factor * r for v, r in zip(pivot[1], row)]
-                pivot[2] = pivot[2] - combo * factor
-        pivots.append([col, row, combo])
+            nf = -pivot[1].pop(pos)
+            pivot[2].append(zero)
+            if not nf.is_zero:
+                pivot[1] = [v + nf * r for v, r in zip(pivot[1], row)]
+                pivot[2] = [c + nf * p for c, p in zip(pivot[2], coeffs)]
+        pivots.append([col, row, coeffs])
         delta_monos.append(mono)
 
-    lagrange = [combo for _, _, combo in sorted(pivots, key=lambda p: p[0])]
-    table = [[f.coefficient(m) for f in lagrange] for m in delta_monos]
+    pivots.sort(key=lambda p: p[0])
+    table = [list(coeffs) for coeffs in zip(*(p[2] for p in pivots))]
     return tuple(etas), tuple(delta_monos), table
 
 
@@ -145,12 +155,6 @@ class Code:
         self.delta_monomials = delta_monos
         self._interp_inverse = table
         self._staircase = sg.staircase(eta.leading_monomial() for eta in etas)
-        missing = [s for s in self.message_orders
-                   if sg.phi(s).i >= self._staircase[sg.phi(s).j]]
-        if missing:
-            raise ValueError(
-                f"evaluation is not injective on pole orders {missing}; "
-                "the point set is too small for this u")
         self._distance: Optional[int] = None
 
     # -- encoding ---------------------------------------------------------------

@@ -196,8 +196,13 @@ def spoly(s: int, pair: ModulePair, g_part: Sequence[ModulePair]) -> list[Module
     Three cases on the weight-(s-1) leading term of the pair:
     still upstairs -> the pair itself; downstairs and divisible by a G
     leading monomial -> one elimination against the first such G;
-    downstairs in the G footprint -> one elimination per lcm with each G
-    leading monomial.  Every output leads upstairs at weight s - 1.
+    downstairs in the G footprint -> one elimination per minimal lcm of mu
+    with the G leading monomials.  Every output leads upstairs at weight
+    s - 1: an lcm psi's combination leads with pair.up times psi / mu, as
+    the G side's up part is strictly lower.  Divisibility of monomials
+    depends only on their difference of pole order, so the outputs whose
+    lead no other output's divides are those of the minimal lcms, and only
+    those are built.
     """
     if leading(s, pair).location is not UP:
         raise ValueError("spoly needs a pair leading upstairs at weight s")
@@ -214,15 +219,15 @@ def spoly(s: int, pair: ModulePair, g_part: Sequence[ModulePair]) -> list[Module
             return [pair.times(curve.monomial(0, 0, ld.coefficient.inverse()))
                     + g.times(curve.monomial(q.i, q.j,
                                              -_monic(curve, q, g_ld)))]
+    lcms = [(g, g_ld, psi) for g, g_ld in zip(g_part, g_leads)
+            for psi in sg.monomial_lcms(mu, g_ld.monomial)]
     out = []
-    for g, g_ld in zip(g_part, g_leads):
-        for psi in sg.monomial_lcms(mu, g_ld.monomial):
-            qf = sg.monomial_quotient(mu, psi)
-            qg = sg.monomial_quotient(g_ld.monomial, psi)
-            out.append(
-                pair.times(curve.monomial(qf.i, qf.j, _monic(curve, qf, ld)))
-                + g.times(curve.monomial(qg.i, qg.j,
-                                         -_monic(curve, qg, g_ld))))
+    for g, g_ld, psi in _prime_reduce(lcms, [c[2] for c in lcms], sg)[0]:
+        qf = sg.monomial_quotient(mu, psi)
+        qg = sg.monomial_quotient(g_ld.monomial, psi)
+        out.append(
+            pair.times(curve.monomial(qf.i, qf.j, _monic(curve, qf, ld)))
+            + g.times(curve.monomial(qg.i, qg.j, -_monic(curve, qg, g_ld))))
     return out
 
 
@@ -231,15 +236,14 @@ def _monic(curve: Curve, q: Monomial, lead: Lead) -> FieldElement:
     return (lead.coefficient * curve.lead_factor(q, lead.monomial)).inverse()
 
 
-def _prime_reduce(pairs: list[ModulePair], lms: list[Monomial],
-                  sg) -> tuple[list[ModulePair], list[Monomial]]:
-    """Drop pairs whose leading monomial another pair's divides.
+def _prime_reduce(items: list, lms: list[Monomial],
+                  sg) -> tuple[list, list[Monomial]]:
+    """Drop the items whose (leading) monomial another item's divides.
 
-    Equal leading monomials keep the earlier element; output order follows
-    input order.
+    Equal monomials keep the earlier item; output order follows input order.
     """
-    keep_pairs, keep_lms = [], []
-    for i, (p, m) in enumerate(zip(pairs, lms)):
+    keep_items, keep_lms = [], []
+    for i, (p, m) in enumerate(zip(items, lms)):
         dominated = False
         for j, other in enumerate(lms):
             if j == i:
@@ -248,30 +252,28 @@ def _prime_reduce(pairs: list[ModulePair], lms: list[Monomial],
                 dominated = True
                 break
         if not dominated:
-            keep_pairs.append(p)
+            keep_items.append(p)
             keep_lms.append(m)
-    return keep_pairs, keep_lms
+    return keep_items, keep_lms
 
 
 def step(state: GBState) -> GBState:
     """Convert a basis at weight s into the reduced basis at weight s - 1.
 
-    The new G part is the old one plus those F elements whose weight-(s-1)
-    leading monomial falls in the old G footprint; the new F part collects
-    the spoly outputs; both parts are then pruned by divisibility of
-    leading terms within the part.
+    The new G part is the old one plus the F elements that lead downstairs
+    at weight s - 1; the new F part collects the spoly outputs; both parts
+    are then pruned by divisibility of leading terms within the part, which
+    drops every added F element whose lead falls outside the old G
+    footprint (an equal lead keeps the old G element).
     """
     s = state.weight
     sg = state.curve.semigroup
-    g_lms = [ld.monomial for ld in state.g_leads()]
-    stair_g = sg.staircase(g_lms)
-
     new_g = list(state.g)
-    new_g_lms = list(g_lms)  # lm at s-1 equals lm at s for G elements
+    new_g_lms = [ld.monomial for ld in state.g_leads()]  # same at s - 1
     new_f: list[ModulePair] = []
     for pair in state.f:
         ld = leading(s - 1, pair)
-        if ld.location is DOWN and ld.monomial.i < stair_g[ld.monomial.j]:
+        if ld.location is DOWN:
             new_g.append(pair)
             new_g_lms.append(ld.monomial)
         new_f.extend(spoly(s, pair, state.g))

@@ -5,9 +5,10 @@ than the library code it checks."""
 from __future__ import annotations
 
 import random
+from typing import Sequence
 
 from agcodec import decode
-from agcodec.code import Code, curve_from_config, rational_points
+from agcodec.code import Code, Point, curve_from_config, rational_points
 from agcodec.curvering import Curve, Monomial, RingElement, Semigroup
 from agcodec.gf import FieldElement
 
@@ -42,6 +43,69 @@ def mk_code(family: str, u: int, shortened: bool = False) -> Code:
         random.Random(1).shuffle(points)
         points = points[:len(points) - max(1, len(points) // 4)]
     return Code(curve, u, points)
+
+
+def reference_ideal_basis(
+    curve: Curve, points: Sequence[Point]
+) -> tuple[tuple[RingElement, ...], tuple[Monomial, ...], list[list[FieldElement]]]:
+    """The elimination of agcodec.code.points_ideal_basis with rows and
+    combinations as ring elements, kept as the reference it is compared to.
+
+    Returns (etas, footprint monomials in increasing pole order, table),
+    where table[k][c] is the coefficient of footprint monomial k in the
+    Lagrange function of point c.  A row ev(phi_s) that reduces to zero
+    gives an eta; any other row is scaled to 1 at its first nonzero column,
+    which is cleared from the earlier pivots, so at the end each pivot is a
+    Lagrange function.  The footprint has exactly n monomials.
+    """
+    sg = curve.semigroup
+    n = len(points)
+    etas: list[RingElement] = []
+    eta_lms: list[Monomial] = []
+    delta_monos: list[Monomial] = []
+    # [col, row, combo]: ev(combo) = row, 1 at col, 0 at other pivots' cols
+    pivots: list[list] = []
+
+    s = 0
+    cap = 4 * (n + curve.a * curve.b) * (curve.a + curve.b)
+    while True:
+        if etas and len(delta_monos) == n and sum(sg.staircase(eta_lms)) == n:
+            break
+        if s > cap:
+            raise RuntimeError("ideal basis computation failed to close")
+        if not sg.is_nongap(s):
+            s += 1
+            continue
+        mono = sg.phi(s)
+        s += 1
+        if any(sg.monomial_divides(lm, mono) for lm in eta_lms):
+            continue
+        combo = curve.monomial(*mono)
+        row = [combo.evaluate(px, py) for px, py in points]
+        for col, vec, prev in pivots:
+            factor = row[col]
+            if not factor.is_zero:
+                row = [r - factor * v for r, v in zip(row, vec)]
+                combo = combo - prev * factor
+        col = next((idx for idx, r in enumerate(row) if not r.is_zero), None)
+        if col is None:
+            etas.append(combo)
+            eta_lms.append(mono)
+            continue
+        scale = row[col].inverse()
+        row = [r * scale for r in row]
+        combo = combo * scale
+        for pivot in pivots:
+            factor = pivot[1][col]
+            if not factor.is_zero:
+                pivot[1] = [v - factor * r for v, r in zip(pivot[1], row)]
+                pivot[2] = pivot[2] - combo * factor
+        pivots.append([col, row, combo])
+        delta_monos.append(mono)
+
+    lagrange = [combo for _, _, combo in sorted(pivots, key=lambda p: p[0])]
+    table = [[f.coefficient(m) for f in lagrange] for m in delta_monos]
+    return tuple(etas), tuple(delta_monos), table
 
 
 def naive_reduce(curve: Curve, raw: dict) -> RingElement:

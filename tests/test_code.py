@@ -3,11 +3,13 @@ import random
 import pytest
 
 from agcodec.code import (Code, VectorParseError, code_from_config,
-                          format_vector, hermitian_decoding_distance,
-                          parse_vector, points_ideal_basis, radius_rows,
-                          rational_points)
+                          curve_from_config, format_vector,
+                          hermitian_decoding_distance, parse_vector,
+                          points_ideal_basis, radius_rows, rational_points)
 from agcodec.curvering import Curve, Monomial
 from agcodec.gf import Field
+
+from support import MK_FAMILIES, reference_ideal_basis
 
 # the interpolation of the bundled received vector, as (token, i, j) terms
 H_V_TERMS = [
@@ -35,6 +37,24 @@ def code_mk7():
                   {(0, 0): field.element(4), (0, 1): field.element(6),
                    (0, 2): field.element(5)})
     return Code(curve, 6)
+
+
+CURVES = ["hermitian-2", "hermitian-3", "hermitian-4", *sorted(MK_FAMILIES)]
+
+
+def curve_and_points(name: str, seed=None):
+    """A curve of CURVES with all its rational points, or with a seeded
+    shuffle of them cut to a random nonzero count."""
+    if name.startswith("hermitian-"):
+        curve = Curve.hermitian(int(name.split("-")[1]))
+    else:
+        curve, _ = curve_from_config(MK_FAMILIES[name])
+    points = rational_points(curve)
+    if seed is not None:
+        rng = random.Random(seed)
+        rng.shuffle(points)
+        points = points[:rng.randrange(1, len(points))]
+    return curve, points
 
 
 class TestRationalPoints:
@@ -104,8 +124,9 @@ class TestEncoding:
             code_q3.encode([code_q3.field.zero] * 3)
 
     def test_rank_is_k_for_all_valid_u(self):
-        # construction verifies injectivity of the evaluation map; it must
-        # succeed for every nongap u < n at q = 2 and q = 3
+        # construction must succeed for every nongap u < n at q = 2 and
+        # q = 3; TestIdealBasis.test_message_monomials_in_footprint checks
+        # that evaluation is injective on the messages
         for q in (2, 3):
             curve = Curve.hermitian(q)
             pts = rational_points(curve)
@@ -159,6 +180,32 @@ class TestIdealBasis:
         for eta in etas:
             for px, py in pts:
                 assert eta.evaluate(px, py).is_zero
+
+    @pytest.mark.parametrize("seed", [None, 1, 2, 3, 4])
+    @pytest.mark.parametrize("name", CURVES)
+    def test_matches_reference_elimination(self, name, seed):
+        curve, points = curve_and_points(name, seed)
+        etas, delta, table = points_ideal_basis(curve, points)
+        assert (etas, delta, table) == reference_ideal_basis(curve, points)
+        for eta in etas:
+            for px, py in points:
+                assert eta.evaluate(px, py).is_zero
+
+    @pytest.mark.parametrize("shortened", [False, True])
+    @pytest.mark.parametrize("name", CURVES)
+    def test_message_monomials_in_footprint(self, name, shortened):
+        # a function of the ideal with pole order s <= u < n would vanish at
+        # n > s points, more zeros than its s poles allow, so evaluation is
+        # injective on the messages of every u < n
+        curve, points = curve_and_points(name)
+        if shortened:
+            random.Random(7).shuffle(points)
+            points = points[:len(points) - max(1, len(points) // 4)]
+        code = Code(curve, len(points) - 1, points)
+        sg = curve.semigroup
+        stair = sg.staircase(eta.leading_monomial() for eta in code.eta_basis)
+        for s in code.message_orders:
+            assert sg.phi(s).i < stair[sg.phi(s).j]
 
 
 class TestLagrange:

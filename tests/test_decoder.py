@@ -141,13 +141,46 @@ class TestSpoly:
         assert up.coefficient((0, 0)) == code_q3.field.parse("a^5")
 
     def test_outputs_lead_upstairs(self, code_q3, received_q3):
+        # a pair leading downstairs with mu at s - 1 gives, for a common
+        # multiple psi of mu and a G lead, a combination leading upstairs
+        # with phi(delta(pair.up) + delta(psi) - delta(mu)); the outputs'
+        # leads are exactly the minimal ones among those
+        sg = code_q3.curve.semigroup
         _, records = tracked_decode(code_q3, received_q3)
         for s, state, _, _ in records:
             if s < 0:
                 continue
             for pair in state.f:
-                for out in spoly(s, pair, state.g):
-                    assert leading(s - 1, out).location is UP
+                leads = [leading(s - 1, out) for out in spoly(s, pair, state.g)]
+                assert all(ld.location is UP for ld in leads)
+                pair_ld = leading(s - 1, pair)
+                mu = pair_ld.monomial
+                if pair_ld.location is UP:
+                    assert [ld.monomial for ld in leads] == [mu]
+                    continue
+                predicted = {sg.phi(pair.up.delta() + sg.degree(psi)
+                                    - sg.degree(mu))
+                             for g in state.g
+                             for psi in sg.monomial_lcms(
+                                 mu, leading(s, g).monomial)}
+                minimal = {m for m in predicted
+                           if not any(o != m and sg.monomial_divides(o, m)
+                                      for o in predicted)}
+                assert sorted(ld.monomial for ld in leads) == sorted(minimal)
+
+    def test_outputs_have_pairwise_nondividing_leads(self, code_q3,
+                                                     received_q3):
+        sg = code_q3.curve.semigroup
+        _, records = tracked_decode(code_q3, received_q3)
+        for s, state, _, _ in records:
+            if s < 0:
+                continue
+            for pair in state.f:
+                lms = [leading(s - 1, out).monomial
+                       for out in spoly(s, pair, state.g)]
+                for i, mi in enumerate(lms):
+                    for j, mj in enumerate(lms):
+                        assert i == j or not sg.monomial_divides(mi, mj)
 
     def test_requires_upstairs_lead(self, bundled_states):
         _, states = bundled_states

@@ -6,7 +6,8 @@ from agcodec.curvering import Semigroup
 from agcodec.decoder import GBState, ModulePair, decode, initial_basis
 from agcodec.oracle import check_gb, lcm_check, nearest_codeword
 
-from support import add_vectors, lcm_orders, random_error, random_message
+from support import (add_vectors, lcm_orders, mk_code, random_error,
+                     random_message)
 
 
 class TestNearestCodeword:
@@ -125,3 +126,27 @@ class TestDecoderAgreement:
             best = nearest_codeword(code_q2, tuple(v))
             assert len(best) == 1
             assert decode(code_q2, tuple(v)).message == best[0][0]
+
+    # (family, shortened point set, u): message space at most 7^3 = 343 and
+    # t >= 1; a2-gf25 has none (its smallest message space is 25^2).  One
+    # scan takes up to about 20 ms, the eight cases about 3 s together
+    MK_CASES = [("a2-gf5", False, 3), ("a2-gf5", True, 3),
+                ("a2-gf7", False, 3), ("a2-gf7", True, 3),
+                ("a3-gf7", False, 4), ("a3-gf7", True, 4),
+                ("a4-gf7", False, 5), ("a4-gf7", True, 5)]
+
+    @pytest.mark.parametrize("family,shortened,u", MK_CASES)
+    def test_every_weight_matches_exhaustive_search_on_mk(self, family,
+                                                          shortened, u):
+        code = mk_code(family, u, shortened)
+        t_max = (code.decoding_distance() - 1) // 2
+        assert t_max >= 1
+        rng = random.Random(u)
+        for weight in range(1, t_max + 1):
+            for _ in range(20):
+                received = add_vectors(
+                    code.encode(random_message(code, rng)),
+                    random_error(code, rng, weight))
+                best = nearest_codeword(code, received)
+                assert len(best) == 1
+                assert decode(code, received).message == best[0][0]
