@@ -18,6 +18,7 @@ comment line, which carries wall-clock timing.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -50,7 +51,10 @@ def _add_code_args(p: argparse.ArgumentParser) -> None:
                    help="pole-order limit of the code")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it:
+    parsing does not change it, and it has no mutable defaults."""
     parser = _Parser(prog="agcodec",
                      description="Evaluation codes on Miura-Kamiya curves: "
                                  "encode, decode, simulate, trace, radius.")

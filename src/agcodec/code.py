@@ -6,14 +6,19 @@ indexed by the nongaps s <= u; encoding evaluates mu = sum(w_s * phi_s) at
 the points.
 
 Construction runs one Gauss-Jordan elimination over the rows ev(phi_s) in
-increasing pole order, each row held as two plain lists (values on the
-columns no pivot holds, coefficients on the footprint found so far).  That
+increasing pole order, each row held as two lists of kernel values (logs,
+see ``gf.py``): values on the columns no pivot holds, and coefficients on
+the footprint found so far.  Every update is one ``Field.axpy``.  That
 single pass yields
 
 * the reduced Groebner basis {eta_i} of the ideal J of functions vanishing
   at all points, together with its footprint (exactly n monomials), and
 * the Lagrange function of every point on the footprint monomials, whose
   coefficients make interpolation a single matrix-vector product.
+
+``Code`` keeps those Lagrange functions and the evaluation rows of the
+message monomials as kernel-value lists, so interpolation and encoding are
+sums of ``Field.axpy`` updates as well.
 
 The point order is part of the code: vectors align index by index with the
 stored point list.  The default order is lexicographic in the textual form
@@ -24,7 +29,7 @@ the bundled fixtures do).
 from __future__ import annotations
 
 import json
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .curvering import Curve, Monomial, RingElement, Semigroup
 from .gf import Field, FieldElement
@@ -65,6 +70,21 @@ def checked_points(curve: Curve,
     return out
 
 
+def _evaluation_rows(field: Field, points: Sequence[Point]
+                     ) -> Callable[[Monomial], list[int]]:
+    """The map from a monomial x^i y^j to its values at the points, as
+    kernel values of ``field`` (0^0 = 1); the point logs are taken once."""
+    xs = field.logs(px for px, _ in points)
+    ys = field.logs(py for _, py in points)
+    zero, n = field.zero_log, field.order - 1
+
+    def row(mono: Monomial) -> list[int]:
+        i, j = mono
+        return [zero if (i and x == zero) or (j and y == zero)
+                else (i * x + j * y) % n for x, y in zip(xs, ys)]
+    return row
+
+
 def points_ideal_basis(
     curve: Curve, points: Sequence[Point]
 ) -> tuple[tuple[RingElement, ...], tuple[Monomial, ...], list[list[FieldElement]]]:
@@ -72,16 +92,20 @@ def points_ideal_basis(
 
     Returns (etas, footprint monomials in increasing pole order, table),
     where table[k][c] is the coefficient of footprint monomial k in the
-    Lagrange function of point c.  The rows ev(phi_s) are plain lists over
-    the columns no pivot holds yet, each with its coefficients on the
-    footprint monomials found so far.  A row that reduces to zero gives an
-    eta; any other is scaled to 1 at its first nonzero column, which is
-    cleared from the earlier pivots, so at the end each pivot is a Lagrange
-    function.  The footprint has exactly n monomials.
+    Lagrange function of point c.  The rows ev(phi_s) are kernel-value
+    lists (``Field.axpy``) over the columns no pivot holds yet, each with
+    its coefficients on the footprint monomials found so far.  A row that
+    reduces to zero gives an eta; any other is scaled to 1 at its first
+    nonzero column, which is cleared from the earlier pivots, so at the end
+    each pivot is a Lagrange function.  The footprint has exactly n
+    monomials.
     """
     sg = curve.semigroup
+    field = curve.field
     n = len(points)
-    zero, one = curve.field.zero, curve.field.one
+    zero = field.zero_log
+    one, neg_one = field.logs([field.one, -field.one])
+    ev_row = _evaluation_rows(field, points)
     etas: list[RingElement] = []
     eta_lms: list[Monomial] = []
     delta_monos: list[Monomial] = []
@@ -103,35 +127,39 @@ def points_ideal_basis(
         s += 1
         if any(sg.monomial_divides(lm, mono) for lm in eta_lms):
             continue
-        full = [px ** mono.i * py ** mono.j for px, py in points]
+        full = ev_row(mono)
+        neg_full = field.scale(full, neg_one)
         row = [full[c] for c in free]
         coeffs = [zero] * len(delta_monos)
         for col, vals, prev in pivots:
-            nf = -full[col]
-            if not nf.is_zero:
-                row = [r + nf * v for r, v in zip(row, vals)]
-                coeffs = [c + nf * p for c, p in zip(coeffs, prev)]
-        pos = next((idx for idx, r in enumerate(row) if not r.is_zero), None)
+            nf = neg_full[col]
+            if nf != zero:
+                row = field.axpy(row, nf, vals)
+                coeffs = field.axpy(coeffs, nf, prev)
+        pos = next((idx for idx, r in enumerate(row) if r != zero), None)
         if pos is None:
             etas.append(RingElement(curve, {m: c for m, c in zip(
-                delta_monos + [mono], coeffs + [one]) if not c.is_zero}))
+                delta_monos + [mono], field.from_logs(coeffs + [one]))
+                if not c.is_zero}))
             eta_lms.append(mono)
             continue
-        scale = row.pop(pos).inverse()
-        row = [r * scale for r in row]
-        coeffs = [c * scale for c in coeffs] + [scale]
+        inverse = -row.pop(pos) % (field.order - 1)
+        row = field.scale(row, inverse)
+        coeffs = field.scale(coeffs, inverse) + [inverse]
+        neg_row = field.scale(row, neg_one)
+        neg_coeffs = field.scale(coeffs, neg_one)
         col = free.pop(pos)
         for pivot in pivots:
-            nf = -pivot[1].pop(pos)
+            f = pivot[1].pop(pos)
             pivot[2].append(zero)
-            if not nf.is_zero:
-                pivot[1] = [v + nf * r for v, r in zip(pivot[1], row)]
-                pivot[2] = [c + nf * p for c, p in zip(pivot[2], coeffs)]
+            if f != zero:
+                pivot[1] = field.axpy(pivot[1], f, neg_row)
+                pivot[2] = field.axpy(pivot[2], f, neg_coeffs)
         pivots.append([col, row, coeffs])
         delta_monos.append(mono)
 
     pivots.sort(key=lambda p: p[0])
-    table = [list(coeffs) for coeffs in zip(*(p[2] for p in pivots))]
+    table = [field.from_logs(coeffs) for coeffs in zip(*(p[2] for p in pivots))]
     return tuple(etas), tuple(delta_monos), table
 
 
@@ -153,7 +181,10 @@ class Code:
         etas, delta_monos, table = points_ideal_basis(curve, self.points)
         self.eta_basis = etas
         self.delta_monomials = delta_monos
-        self._interp_inverse = table
+        # column c: the Lagrange function of point c on delta_monos
+        self._lagrange_columns = [self.field.logs(col) for col in zip(*table)]
+        ev_row = _evaluation_rows(self.field, self.points)
+        self._message_rows = [ev_row(sg.phi(s)) for s in self.message_orders]
         self._staircase = sg.staircase(eta.leading_monomial() for eta in etas)
         self._distance: Optional[int] = None
 
@@ -162,29 +193,31 @@ class Code:
     def ev(self, f: RingElement) -> Vector:
         return tuple(f.evaluate(px, py) for px, py in self.points)
 
-    def message_function(self, message: Sequence[FieldElement]) -> RingElement:
-        """mu = sum of w_s * phi_s over the message coordinates."""
-        self._check_vector(message, self.k, "message")
-        sg = self.curve.semigroup
-        terms = {sg.phi(s): w for s, w in zip(self.message_orders, message)
-                 if not w.is_zero}
-        return RingElement(self.curve, terms)
-
     def encode(self, message: Sequence[FieldElement]) -> Vector:
-        return self.ev(self.message_function(message))
+        """ev(sum of w_s * phi_s) over the message coordinates."""
+        self._check_vector(message, self.k, "message")
+        return tuple(self.field.from_logs(
+            self._combine(message, self._message_rows)))
 
     def lagrange(self, v: Sequence[FieldElement]) -> RingElement:
         """The unique function supported on the footprint with ev(h) = v."""
         self._check_vector(v, self.n, "vector")
-        terms: dict[Monomial, FieldElement] = {}
-        for mono, row in zip(self.delta_monomials, self._interp_inverse):
-            c = self.field.zero
-            for coeff, vi in zip(row, v):
-                if not vi.is_zero:
-                    c = c + coeff * vi
-            if not c.is_zero:
-                terms[mono] = c
-        return RingElement(self.curve, terms)
+        coeffs = self.field.from_logs(
+            self._combine(v, self._lagrange_columns))
+        return RingElement(self.curve, {m: c for m, c in zip(
+            self.delta_monomials, coeffs) if not c.is_zero})
+
+    def _combine(self, weights: Sequence[FieldElement],
+                 rows: Sequence[Sequence[int]]) -> list[int]:
+        """The sum of w * row over the weights and rows (each of length n),
+        as kernel values."""
+        field = self.field
+        zero = field.zero_log
+        acc = [zero] * self.n
+        for w, row in zip(field.logs(weights), rows):
+            if w != zero:
+                acc = field.axpy(acc, w, row)
+        return acc
 
     def _check_vector(self, v: Sequence[FieldElement], length: int,
                       what: str) -> None:

@@ -7,6 +7,16 @@ shared objects: multiplication, division and exponentiation add or scale
 logarithms, and addition uses a Zech-logarithm table Z of size p^m - 1,
 defined by 1 + a^k = a^Z(k), so that a^i + a^j = a^(i + Z(j - i)).
 
+Linear algebra over the field (the code's elimination, interpolation and
+encoding) runs on lists of int kernel values instead of elements: a nonzero
+element is its log k in [0, n), n = p^m - 1, and zero is one sentinel
+outside that range (``Field.zero_log``).  ``Field.logs`` and
+``Field.from_logs`` convert, and ``Field.axpy`` (acc + c * vec) and
+``Field.scale`` (c * vec) are the only operations on such lists.  Each is
+one list comprehension over two int tables sliced from the Zech table, with
+no branch and no per-order special case, so one rule covers every order up
+to ``ORDER_CAP``.
+
 Textual form of an element, used by all vector files and traces:
 
     "0"            the zero element
@@ -24,7 +34,7 @@ of the multiplicative group.
 from __future__ import annotations
 
 import itertools
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 #: Largest supported field order.  Keeps the exp/log tables small; the codes
 #: handled here live over fields of order at most a few hundred anyway.
@@ -114,15 +124,17 @@ class Field:
 
     Construction builds the exp and log tables, the Zech-logarithm table
     used by addition, and the p^m element objects; arithmetic afterwards
-    only looks these up and never creates an element.  Immutable after
-    construction, so a Field and its elements can be shared freely across
+    only looks these up and never creates an element.  The two int tables
+    of the kernel-value operations (``axpy``, ``scale``) are sliced from the
+    Zech table on first use.  Immutable after construction apart from that
+    idempotent fill, so a Field and its elements can be shared freely across
     threads.  Two Fields with the same p, m and modulus are equal and their
     elements mix freely; the identity test comes first, so elements of one
     Field object pay no comparison of moduli.
     """
 
-    __slots__ = ("p", "m", "order", "modulus", "_exp", "_log", "_zech",
-                 "_neg_log", "_by_log", "_elements")
+    __slots__ = ("p", "m", "order", "modulus", "zero_log", "_exp", "_log",
+                 "_zech", "_neg_log", "_by_log", "_elements", "_kernel")
 
     def __init__(self, p: int, m: int = 1,
                  modulus: Optional[Sequence[int]] = None) -> None:
@@ -243,6 +255,32 @@ class Field:
         self._by_log = [FieldElement(self, k) for k in range(q - 1)]
         self._by_log.append(FieldElement(self, -1))
         self._elements = tuple(self._from_packed(v) for v in range(q))
+        self.zero_log = 3 * (q - 1)
+        self._kernel: Optional[tuple[list[int], list[int]]] = None
+
+    def _kernel_tables(self) -> tuple[list[int], list[int]]:
+        """The tables (ZT, NORM) of ``axpy`` and ``scale``, built on first use.
+
+        With n = order - 1 and zero Z = 3n, acc + a^k * v for a multiplier k
+        in [0, n) is NORM[r + ZT[3n + k + v - r]]; the index into ZT lies in
+
+        * [0, 2n) when r is zero: ZT = index - 3n, so NORM sees k + v;
+        * (2n, 5n) when neither is zero: ZT = zech((k + v - r) mod n), with
+          Z for a zero sum, so NORM sees r + zech or a value in [3n, 4n);
+        * [3n, 4n) also when both are zero: NORM sees [3n, 4n) or 6n;
+        * (5n, 7n) when v is zero: ZT = 0, so NORM sees r.
+
+        NORM reduces [0, 2n) mod n and sends [3n, 6n] to Z (NORM[2n:3n] is
+        never read), so NORM[r + k] is the product a^k * r, zero included.
+        """
+        if self._kernel is None:
+            n = self.order - 1
+            z = 3 * n
+            zech = [z if t < 0 else t for t in self._zech]
+            zt = list(range(-z, -n)) + zech * 3 + [0] * (2 * n)
+            norm = list(range(n)) * 2 + [z] * (4 * n + 1)
+            self._kernel = (zt, norm)
+        return self._kernel
 
     # -- public surface ------------------------------------------------------
 
@@ -266,6 +304,28 @@ class Field:
 
     def from_log(self, k: int) -> "FieldElement":
         return self._by_log[k % (self.order - 1)]
+
+    def logs(self, elements: Iterable["FieldElement"]) -> list[int]:
+        """Kernel values of the elements: logs, and ``zero_log`` for zero."""
+        z = self.zero_log
+        return [z if e._k < 0 else e._k for e in elements]
+
+    def from_logs(self, values: Iterable[int]) -> list["FieldElement"]:
+        """The elements of a list of kernel values."""
+        by_log, n = self._by_log, self.order - 1
+        return [by_log[k] if k < n else by_log[-1] for k in values]
+
+    def axpy(self, acc: Sequence[int], k: int, vec: Sequence[int]) -> list[int]:
+        """acc + a^k * vec on kernel values, for a nonzero multiplier a^k
+        (k in [0, n)): the caller skips zero multipliers."""
+        zt, norm = self._kernel_tables()
+        base = self.zero_log + k
+        return [norm[r + zt[base + v - r]] for r, v in zip(acc, vec)]
+
+    def scale(self, vec: Sequence[int], k: int) -> list[int]:
+        """a^k * vec on kernel values, for k in [0, n)."""
+        norm = self._kernel_tables()[1]
+        return [norm[r + k] for r in vec]
 
     def _from_packed(self, v: int) -> "FieldElement":
         return self._by_log[self._log[v]]

@@ -14,6 +14,13 @@ def field9():
 
 
 @pytest.fixture(scope="session")
+def field_65519():
+    """The prime field of the largest prime order below ORDER_CAP = 2^16
+    that is 3 mod 4."""
+    return Field(65519)
+
+
+@pytest.fixture(scope="session")
 def curve_q3():
     return Curve.hermitian(3)
 

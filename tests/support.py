@@ -108,6 +108,51 @@ def reference_ideal_basis(
     return tuple(etas), tuple(delta_monos), table
 
 
+def reference_lagrange(code: Code, table: Sequence[Sequence[FieldElement]],
+                       v: Sequence[FieldElement]) -> RingElement:
+    """Code.lagrange as a FieldElement matrix-vector product over table
+    (table[k][c] as in reference_ideal_basis), kept as the reference the
+    kernel-value version is compared to."""
+    terms: dict[Monomial, FieldElement] = {}
+    for mono, row in zip(code.delta_monomials, table):
+        c = code.field.zero
+        for coeff, vi in zip(row, v):
+            if not vi.is_zero:
+                c = c + coeff * vi
+        if not c.is_zero:
+            terms[mono] = c
+    return RingElement(code.curve, terms)
+
+
+def reference_encode(code: Code,
+                     message: Sequence[FieldElement]) -> tuple[FieldElement, ...]:
+    """Code.encode as ev(mu) of the ring element mu = sum of w_s * phi_s,
+    kept as the reference the kernel-value version is compared to."""
+    sg = code.curve.semigroup
+    terms = {sg.phi(s): w for s, w in zip(code.message_orders, message)
+             if not w.is_zero}
+    return code.ev(RingElement(code.curve, terms))
+
+
+def rank(vectors: Sequence[Sequence[FieldElement]]) -> int:
+    """Rank of equal-length vectors, by row echelon elimination."""
+    rows = [list(v) for v in vectors]
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(r, len(rows)) if not rows[i][c].is_zero),
+                   None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = rows[r][c].inverse()
+        for i in range(r + 1, len(rows)):
+            f = rows[i][c] * inv
+            if not f.is_zero:
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        r += 1
+    return r
+
+
 def naive_reduce(curve: Curve, raw: dict) -> RingElement:
     """Remainder of a bivariate polynomial by the defining equation.
 

@@ -1,7 +1,7 @@
 import json
 import random
 
-from agcodec.cli import main
+from agcodec.cli import build_parser, main
 from agcodec.code import format_vector
 
 from conftest import FIXTURES
@@ -223,3 +223,30 @@ class TestSimulate:
         rc = main(["simulate", *CODE_ARGS, "--trials", "1", "--weight", "99"])
         assert rc == 1
         capsys.readouterr()
+
+
+class TestSharedParser:
+    def test_calls_in_sequence_match_fresh_calls(self, tmp_path, capsys):
+        # the parser is built once; a usage error between calls leaves it
+        # as a freshly built one
+        msg = tmp_path / "message.txt"
+        msg.write_text(",".join(["1"] + ["0"] * 13) + "\n")
+        calls = [["encode", *CODE_ARGS, "--in", str(msg)],
+                 ["encode", *CODE_ARGS, "--bogus"],
+                 ["decode", *CODE_ARGS, "--in", VECTOR],
+                 ["radius", *CODE_ARGS]]
+
+        def run(argv, fresh):
+            if fresh:
+                build_parser.cache_clear()
+            try:
+                rc = main(argv)
+            except SystemExit as exc:
+                rc = exc.code
+            captured = capsys.readouterr()
+            return rc, captured.out, captured.err
+
+        shared = [run(argv, False) for argv in calls]
+        assert build_parser() is build_parser()
+        assert shared == [run(argv, True) for argv in calls]
+        assert [rc for rc, _, _ in shared] == [0, 1, 0, 0]

@@ -7,9 +7,12 @@ from agcodec.code import (Code, VectorParseError, code_from_config,
                           hermitian_decoding_distance, parse_vector,
                           points_ideal_basis, radius_rows, rational_points)
 from agcodec.curvering import Curve, Monomial
+from agcodec.decoder import decode
 from agcodec.gf import Field
 
-from support import MK_FAMILIES, reference_ideal_basis
+from support import (MK_FAMILIES, mk_code, random_message, rank,
+                     reference_encode, reference_ideal_basis,
+                     reference_lagrange)
 
 # the interpolation of the bundled received vector, as (token, i, j) terms
 H_V_TERMS = [
@@ -124,17 +127,24 @@ class TestEncoding:
             code_q3.encode([code_q3.field.zero] * 3)
 
     def test_rank_is_k_for_all_valid_u(self):
-        # construction must succeed for every nongap u < n at q = 2 and
-        # q = 3; TestIdealBasis.test_message_monomials_in_footprint checks
-        # that evaluation is injective on the messages
-        for q in (2, 3):
-            curve = Curve.hermitian(q)
-            pts = rational_points(curve)
+        # for every nongap u < n: the unit message of order s encodes to
+        # ev(phi_s) by the ring-element route, and the k codewords of the
+        # unit messages have rank k
+        for name in ["hermitian-2", "hermitian-3", *sorted(MK_FAMILIES)]:
+            curve, pts = curve_and_points(name)
             sg = curve.semigroup
             for u in sg.nongaps(len(pts) - 1):
                 if u == 0:
                     continue
-                Code(curve, u, pts)
+                code = Code(curve, u, pts)
+                zero, one = code.field.zero, code.field.one
+                words = []
+                for idx, s in enumerate(code.message_orders):
+                    unit = [zero] * code.k
+                    unit[idx] = one
+                    words.append(code.encode(unit))
+                    assert words[-1] == code.ev(curve.monomial(*sg.phi(s)))
+                assert rank(words) == code.k, (name, u)
 
 
 class TestIdealBasis:
@@ -250,6 +260,96 @@ class TestLagrange:
         assert h.delta() == 32
         assert h.leading_monomial() == Monomial(8, 2)
         assert h.leading_coefficient() == field.parse("a^3")
+
+
+class TestAgainstReferences:
+    """Encoding and interpolation on kernel values against the FieldElement
+    routes they replace."""
+
+    CODES = ["code_q3", "code_q3_shortened", "code_mk7",
+             *(f"{name}-u3" for name in sorted(MK_FAMILIES))]
+
+    @staticmethod
+    def named_code(name, request):
+        if name.endswith("-u3"):
+            return mk_code(name[:-3], 3)
+        return request.getfixturevalue(name)
+
+    @staticmethod
+    def sample_vectors(field, length, rng):
+        """Random vectors, sparse ones, zero and all-ones."""
+        elems = field.elements()
+        out = [tuple([field.zero] * length), tuple([field.one] * length)]
+        for density in (1.0, 0.2):
+            for _ in range(20):
+                out.append(tuple(
+                    elems[rng.randrange(1, field.order)]
+                    if rng.random() < density else field.zero
+                    for _ in range(length)))
+        return out
+
+    @pytest.mark.parametrize("name", CODES)
+    def test_lagrange_matches_reference(self, name, request):
+        code = self.named_code(name, request)
+        _, _, table = reference_ideal_basis(code.curve, code.points)
+        for v in self.sample_vectors(code.field, code.n, random.Random(5)):
+            assert code.lagrange(v) == reference_lagrange(code, table, v)
+
+    @pytest.mark.parametrize("name", CODES)
+    def test_encode_matches_reference(self, name, request):
+        code = self.named_code(name, request)
+        rng = random.Random(6)
+        messages = self.sample_vectors(code.field, code.k, rng)
+        messages += [random_message(code, rng) for _ in range(20)]
+        for message in messages:
+            assert code.encode(message) == reference_encode(code, message)
+
+
+class TestLargeField:
+    """One kernel rule for every order: a ten-point code over GF(65519)."""
+
+    @pytest.fixture(scope="class")
+    def code_65519(self, field_65519):
+        # y^2 + x^3 + x + 3 = 0; p = 3 mod 4, so a square c has the square
+        # roots +-c^((p+1)/4)
+        field = field_65519
+        p = field.p
+        curve = Curve(field, 2, 3, field.one,
+                      {(1, 0): field.one, (0, 0): field.element(3)})
+        points = []
+        x = 0
+        while len(points) < 10:
+            c = -(x ** 3 + x + 3) % p
+            y = pow(c, (p + 1) // 4, p)
+            if c and y * y % p == c:
+                points += [(field.element(x), field.element(y)),
+                           (field.element(x), field.element(p - y))]
+            x += 1
+        return Code(curve, 4, points)
+
+    def test_ideal_basis_matches_reference(self, code_65519):
+        curve, points = code_65519.curve, code_65519.points
+        assert points_ideal_basis(curve, points) == \
+            reference_ideal_basis(curve, points)
+
+    def test_round_trip(self, code_65519):
+        code = code_65519
+        rng = random.Random(9)
+        t = (code.decoding_distance() - 1) // 2
+        assert t >= 2
+        elems = [code.field.element(rng.randrange(1, code.field.p))
+                 for _ in range(code.k + t)]
+        message = tuple(elems[:code.k])
+        sent = code.encode(message)
+        assert sent == reference_encode(code, message)
+        received = list(sent)
+        for pos, e in zip(rng.sample(range(code.n), t), elems[code.k:]):
+            received[pos] = received[pos] + e
+        tables = code.field._kernel
+        result = decode(code, tuple(received))
+        assert result.message == message
+        assert result.distance == t
+        assert code.field._kernel is tables  # built once, by the Code
 
 
 class TestDistance:

@@ -1,11 +1,12 @@
+import itertools
 import random
 
 import pytest
 
 from agcodec.curvering import Monomial
-from agcodec.decoder import (DOWN, STATUS_FAILED, STATUS_OK, UP, ModulePair,
-                             decode, initial_basis, leading, shift, spoly,
-                             vote)
+from agcodec.decoder import (DOWN, STATUS_FAILED, STATUS_LOW_CONFIDENCE,
+                             STATUS_OK, UP, ModulePair, decode, initial_basis,
+                             leading, shift, spoly, vote)
 from agcodec.oracle import check_gb
 
 from support import (MK_FAMILIES, add_vectors, mk_code, random_error,
@@ -415,6 +416,34 @@ class TestGuaranteeAcrossFamilies:
                 result = decode(code, received)
                 assert result.message == message, (weight, result.votes)
                 assert result.status == STATUS_OK
+
+    # error patterns of weight 1..t on full point sets at u = 3 (t = 2)
+    PATTERNS = {"a2-gf5": 612, "a2-gf7": 1350, "a3-gf7": 1056}
+
+    @pytest.mark.parametrize("family", sorted(PATTERNS))
+    def test_every_error_pattern_within_radius(self, family):
+        # within t the sent word is the unique nearest codeword, so the
+        # decoder must return its message whatever the pattern
+        code = mk_code(family, 3)
+        t_max = (code.decoding_distance() - 1) // 2
+        nonzero = code.field.elements()[1:]
+        rng = random.Random(13)
+        for message in [(code.field.zero,) * code.k,
+                        random_message(code, rng)]:
+            sent = code.encode(message)
+            count = 0
+            for weight in range(1, t_max + 1):
+                for support in itertools.combinations(range(code.n), weight):
+                    for values in itertools.product(nonzero, repeat=weight):
+                        received = list(sent)
+                        for pos, e in zip(support, values):
+                            received[pos] = received[pos] + e
+                        result = decode(code, tuple(received))
+                        assert result.message == message, (support, values)
+                        assert result.status in (STATUS_OK,
+                                                 STATUS_LOW_CONFIDENCE)
+                        count += 1
+            assert count == self.PATTERNS[family]
 
     @pytest.mark.parametrize("family", sorted(MK_FAMILIES))
     def test_basis_invariants_at_full_radius(self, family):

@@ -190,6 +190,60 @@ class TestArithmetic:
                 assert (a + b) ** p == a ** p + b ** p
 
 
+class TestKernel:
+    """Field.axpy and Field.scale on kernel values against FieldElement
+    arithmetic."""
+
+    @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (7, 1), (2, 3),
+                                     (3, 2), (2, 4), (5, 2), (3, 3), (7, 2)])
+    def test_axpy_and_scale_exhaustive(self, p, m):
+        # every (acc, multiplier, entry) triple, zero acc and entry included
+        field = Field(p, m)
+        elems = field.elements()
+        pairs = list(itertools.product(elems, repeat=2))
+        acc = field.logs(r for r, _ in pairs)
+        vec = field.logs(v for _, v in pairs)
+        for a in elems[1:]:
+            k, = field.logs([a])
+            assert field.from_logs(field.axpy(acc, k, vec)) == \
+                [r + a * v for r, v in pairs]
+            assert field.from_logs(field.scale(vec, k)) == \
+                [a * v for _, v in pairs]
+
+    @pytest.mark.parametrize("order", [289, 512, 65519])
+    def test_axpy_random_large_orders(self, order, request):
+        if order == 65519:
+            field = request.getfixturevalue("field_65519")
+        else:
+            field = Field(*{289: (17, 2), 512: (2, 9)}[order])
+        elems = field.elements()
+        rng = random.Random(order)
+        for _ in range(4000):
+            r, v = (elems[rng.randrange(field.order)] for _ in range(2))
+            a = elems[rng.randrange(1, field.order)]
+            logs = field.logs([r, a, v])
+            assert field.from_logs(field.axpy(logs[:1], logs[1],
+                                              logs[2:])) == [r + a * v]
+            assert field.from_logs(field.scale(logs[2:], logs[1])) == [a * v]
+
+    def test_log_conversion(self, field9):
+        elems = field9.elements()
+        logs = field9.logs(elems)
+        assert field9.from_logs(logs) == list(elems)
+        assert logs[0] == field9.zero_log
+        assert not 0 <= field9.zero_log < field9.order - 1
+        assert logs[1:] == [e.log for e in elems[1:]]
+
+    def test_tables_built_once(self):
+        field = Field(5, 2)
+        assert field._kernel is None
+        one, = field.logs([field.one])
+        field.axpy([one], one, [one])
+        tables = field._kernel
+        field.scale([one], one)
+        assert field._kernel_tables() is tables
+
+
 class TestTextualForm:
     def test_parse_format_roundtrip(self, field9):
         for e in field9.elements():
