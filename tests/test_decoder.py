@@ -1,9 +1,13 @@
+import hashlib
 import itertools
 import random
 
 import pytest
 
-from agcodec.curvering import Monomial
+from agcodec.cli import trace_lines
+from agcodec.code import (Code, curve_from_config, format_vector, radius_rows,
+                          rational_points)
+from agcodec.curvering import Curve, Monomial
 from agcodec.decoder import (DOWN, STATUS_FAILED, STATUS_LOW_CONFIDENCE,
                              STATUS_OK, UP, ModulePair, decode, initial_basis,
                              leading, shift, spoly, vote)
@@ -492,3 +496,51 @@ class TestTrackedInvariants:
                     for m in prev_g:
                         assert any(sg.monomial_divides(n, m) for n in g_lms)
                 prev = (g_lms, f_lms)
+
+
+class TestSweepDigest:
+    """A fixed seeded sweep of decodes hashes to a pinned digest, so a change
+    to the ring or decoder kernels that alters any output shows here.
+
+    Hashed per code: its ``radius`` rows; per word: the trace lines, the
+    message, the status, the re-encoding distance and every vote margin.
+    """
+
+    # (curve, shortened point set, u); u = 3 is a gap of <4, 5>
+    CASES = [("hermitian-2", False, 3), ("hermitian-2", True, 3),
+             ("hermitian-3", False, 10), ("hermitian-3", True, 9)] + \
+        [(family, shortened, 3) for family in sorted(MK_FAMILIES)
+         for shortened in (False, True)]
+    DIGEST = "c20e7d4fa6dd44f40ba3cedf2d66ed3efc1267709a58d8565939410eac8dd545"
+
+    @staticmethod
+    def sweep_code(name, shortened, u):
+        if name.startswith("hermitian-"):
+            curve = Curve.hermitian(int(name.split("-")[1]))
+        else:
+            curve, _ = curve_from_config(MK_FAMILIES[name])
+        points = rational_points(curve)
+        if shortened:
+            random.Random(1).shuffle(points)
+            points = points[:len(points) - max(1, len(points) // 4)]
+        return Code(curve, u, points)
+
+    def test_sweep_digest(self):
+        digest = hashlib.sha256()
+        for index, (name, shortened, u) in enumerate(self.CASES):
+            code = self.sweep_code(name, shortened, u)
+            rows = radius_rows(code.curve, code.points)
+            digest.update(f"{name} {shortened} {u} {rows}\n".encode())
+            rng = random.Random(index)
+            t_max = (code.decoding_distance() - 1) // 2
+            for weight in range(min(t_max + 2, code.n) + 1):
+                for _ in range(3):
+                    received = add_vectors(
+                        code.encode(random_message(code, rng)),
+                        random_error(code, rng, weight))
+                    lines, result = trace_lines(code, received)
+                    margins = ",".join(str(r.margin) for r in result.votes)
+                    digest.update("\n".join(lines + [
+                        format_vector(result.message), result.status,
+                        str(result.distance), margins, ""]).encode())
+        assert digest.hexdigest() == self.DIGEST
