@@ -28,6 +28,7 @@ the bundled fixtures do).
 
 from __future__ import annotations
 
+import itertools
 import json
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -87,18 +88,18 @@ def _evaluation_rows(field: Field, points: Sequence[Point]
 
 def points_ideal_basis(
     curve: Curve, points: Sequence[Point]
-) -> tuple[tuple[RingElement, ...], tuple[Monomial, ...], list[list[FieldElement]]]:
+) -> tuple[tuple[RingElement, ...], tuple[Monomial, ...], list[list[int]]]:
     """Reduced Groebner basis of the ideal of the given points.
 
     Returns (etas, footprint monomials in increasing pole order, table),
     where table[k][c] is the coefficient of footprint monomial k in the
-    Lagrange function of point c.  The rows ev(phi_s) are kernel-value
-    lists (``Field.axpy``) over the columns no pivot holds yet, each with
-    its coefficients on the footprint monomials found so far.  A row that
-    reduces to zero gives an eta; any other is scaled to 1 at its first
-    nonzero column, which is cleared from the earlier pivots, so at the end
-    each pivot is a Lagrange function.  The footprint has exactly n
-    monomials.
+    Lagrange function of point c, as a kernel value.  The rows ev(phi_s)
+    are kernel-value lists (``Field.axpy``) over the columns no pivot holds
+    yet, each with its coefficients on the footprint monomials found so
+    far.  A row that reduces to zero gives an eta; any other is scaled to 1
+    at its first nonzero column, which is cleared from the earlier pivots,
+    so at the end each pivot is a Lagrange function.  The footprint has
+    exactly n monomials.
     """
     sg = curve.semigroup
     field = curve.field
@@ -107,30 +108,25 @@ def points_ideal_basis(
     one, neg_one = field.logs([field.one, -field.one])
     ev_row = _evaluation_rows(field, points)
     etas: list[RingElement] = []
-    eta_lms: list[Monomial] = []
-    delta_monos: list[Monomial] = []
+    eta_orders: list[int] = []
+    delta_orders: list[int] = []
     free = list(range(n))
-    # [col, values on free, coefficients on delta_monos]
+    # [col, values on free, coefficients on delta_orders]
     pivots: list[list] = []
 
-    s = 0
     cap = 4 * (n + curve.a * curve.b) * (curve.a + curve.b)
-    while True:
-        if etas and len(delta_monos) == n and sum(sg.staircase(eta_lms)) == n:
+    for s in itertools.count():
+        if etas and len(delta_orders) == n and \
+                sum(sg.staircase(eta_orders)) == n:
             break
         if s > cap:
             raise RuntimeError("ideal basis computation failed to close")
-        if not sg.is_nongap(s):
-            s += 1
+        if not sg.is_nongap(s) or any(sg.is_nongap(s - e) for e in eta_orders):
             continue
-        mono = sg.phi(s)
-        s += 1
-        if any(sg.monomial_divides(lm, mono) for lm in eta_lms):
-            continue
-        full = ev_row(mono)
+        full = ev_row(sg.phi(s))
         neg_full = field.scale(full, neg_one)
         row = [full[c] for c in free]
-        coeffs = [zero] * len(delta_monos)
+        coeffs = [zero] * len(delta_orders)
         for col, vals, prev in pivots:
             nf = neg_full[col]
             if nf != zero:
@@ -138,10 +134,10 @@ def points_ideal_basis(
                 coeffs = field.axpy(coeffs, nf, prev)
         pos = next((idx for idx, r in enumerate(row) if r != zero), None)
         if pos is None:
-            etas.append(RingElement(curve, {m: c for m, c in zip(
-                delta_monos + [mono], field.from_logs(coeffs + [one]))
+            etas.append(RingElement(curve, {o: c for o, c in zip(
+                delta_orders + [s], field.from_logs(coeffs + [one]))
                 if not c.is_zero}))
-            eta_lms.append(mono)
+            eta_orders.append(s)
             continue
         inverse = -row.pop(pos) % (field.order - 1)
         row = field.scale(row, inverse)
@@ -156,11 +152,11 @@ def points_ideal_basis(
                 pivot[1] = field.axpy(pivot[1], f, neg_row)
                 pivot[2] = field.axpy(pivot[2], f, neg_coeffs)
         pivots.append([col, row, coeffs])
-        delta_monos.append(mono)
+        delta_orders.append(s)
 
     pivots.sort(key=lambda p: p[0])
-    table = [field.from_logs(coeffs) for coeffs in zip(*(p[2] for p in pivots))]
-    return tuple(etas), tuple(delta_monos), table
+    table = [list(coeffs) for coeffs in zip(*(p[2] for p in pivots))]
+    return tuple(etas), tuple(map(sg.phi, delta_orders)), table
 
 
 class Code:
@@ -181,11 +177,12 @@ class Code:
         etas, delta_monos, table = points_ideal_basis(curve, self.points)
         self.eta_basis = etas
         self.delta_monomials = delta_monos
+        self._delta_orders = tuple(map(sg.degree, delta_monos))
         # column c: the Lagrange function of point c on delta_monos
-        self._lagrange_columns = [self.field.logs(col) for col in zip(*table)]
+        self._lagrange_columns = [list(col) for col in zip(*table)]
         ev_row = _evaluation_rows(self.field, self.points)
         self._message_rows = [ev_row(sg.phi(s)) for s in self.message_orders]
-        self._staircase = sg.staircase(eta.leading_monomial() for eta in etas)
+        self._staircase = sg.staircase(eta.delta() for eta in etas)
         self._distance: Optional[int] = None
 
     # -- encoding ---------------------------------------------------------------
@@ -204,8 +201,8 @@ class Code:
         self._check_vector(v, self.n, "vector")
         coeffs = self.field.from_logs(
             self._combine(v, self._lagrange_columns))
-        return RingElement(self.curve, {m: c for m, c in zip(
-            self.delta_monomials, coeffs) if not c.is_zero})
+        return RingElement(self.curve, {o: c for o, c in zip(
+            self._delta_orders, coeffs) if not c.is_zero})
 
     def _combine(self, weights: Sequence[FieldElement],
                  rows: Sequence[Sequence[int]]) -> list[int]:
@@ -252,8 +249,7 @@ class Code:
 def _order_bound(sg: Semigroup, n: int, ideal_staircase: Sequence[int],
                  s: int) -> int:
     """nu(s) for a nongap s and the staircase of the ideal of n points."""
-    return n - s + sg.staircase_difference(sg.staircase([sg.phi(s)]),
-                                           ideal_staircase)
+    return n - s + sg.staircase_difference(sg.staircase([s]), ideal_staircase)
 
 
 def hermitian_decoding_distance(q: int, u: int) -> int:
@@ -279,7 +275,7 @@ def radius_rows(curve: Curve,
     sg = curve.semigroup
     n = len(points)
     etas, _, _ = points_ideal_basis(curve, points)
-    stair = sg.staircase(eta.leading_monomial() for eta in etas)
+    stair = sg.staircase(eta.delta() for eta in etas)
     rows = []
     best = None
     for u in sg.nongaps(n - 1):

@@ -7,18 +7,25 @@ A curve here is defined by
 with gcd(a, b) = 1 and d != 0.  Its coordinate ring R has the monomials
 x^i y^j with j < a as a basis; the pole order at the unique place at
 infinity is delta(x^i y^j) = a*i + b*j, and the pole orders achieved by R
-form the numerical semigroup generated by a and b.  Everything downstream
-(codes, the decoder) runs on three primitives implemented here:
+form the numerical semigroup generated by a and b.  These basis monomials
+have pairwise distinct pole orders, so everything here names a monomial by
+its order s, with phi(s) = x^i y^j the monomial itself.  Everything
+downstream (codes, the decoder) runs on three primitives implemented here:
 
-* reduction of arbitrary bivariate polynomials to the canonical basis,
-  through a per-curve table of the reduced powers y^j, j >= a,
+* ring elements as maps from pole order to coefficient, so delta is the
+  largest key and a product by one term adds its order to every key; a
+  product whose y-degrees reach a is folded back with the per-curve rows
+  of the reduced y^(a+r), stored as pole-order offsets,
 * the pole-order function ``delta`` (with a BOTTOM sentinel for zero),
-* divisibility, quotients and lcms of monomials, computed on the (i, j)
-  exponent lattice, and footprints as staircases: one row barrier per
-  y-degree j < a, so footprint sizes and differences are sums over a rows.
+* divisibility on orders: phi(r) divides phi(t) exactly when t - r is a
+  nongap, with quotient phi(t - r); lcms of two orders; and footprints as
+  staircases, one row barrier per y-degree j < a, so footprint sizes and
+  differences are sums over a rows.
 
-Monomials print as "x^i*y^j" with unit factors omitted ("1", "x", "y^2",
-"x^3*y", ...); this grammar is used verbatim by the CLI trace format.
+``Monomial`` is the inspection and printing form: monomials print as
+"x^i*y^j" with unit factors omitted ("1", "x", "y^2", "x^3*y", ...), a
+grammar used verbatim by the CLI trace format.  Raw polynomials with any
+y-degrees (``Curve.element``, ``Curve.reduce``) are maps from (i, j).
 """
 
 from __future__ import annotations
@@ -86,8 +93,12 @@ class Semigroup:
     """The numerical semigroup <a, b> with gcd(a, b) = 1.
 
     A nongap s corresponds to the unique ring monomial phi(s) = x^i y^j with
-    a*i + b*j = s and 0 <= j < a; the exponents come from j = b' * s mod a
-    where b' inverts b mod a.
+    a*i + b*j = s and 0 <= j < a; the y-degree is j = b' * s mod a, where b'
+    inverts b mod a, so it depends on s mod a only (``y_degrees``).
+
+    Divisibility is on pole orders: phi(r) divides phi(t), in the sense that
+    some monomial times phi(r) leads with phi(t), exactly when t - r is a
+    nongap, and the quotient is then phi(t - r).
     """
 
     def __init__(self, a: int, b: int) -> None:
@@ -98,19 +109,21 @@ class Semigroup:
         self.a = a
         self.b = b
         self.b_inv = pow(b, -1, a) if a > 1 else 0
+        #: y_degrees[s % a] is the y-degree of phi(s)
+        self.y_degrees = tuple(self.b_inv * r % a for r in range(a))
         #: Frobenius number: the largest gap (-1 when there are no gaps).
         self.frobenius = a * b - a - b
 
     def is_nongap(self, s: int) -> bool:
         if s < 0:
             return False
-        return self.b * ((self.b_inv * s) % self.a) <= s
+        return self.b * self.y_degrees[s % self.a] <= s
 
     def phi(self, s: int) -> Monomial:
         """The unique monomial of pole order s (s must be a nongap)."""
         if not self.is_nongap(s):
             raise ValueError(f"{s} is a gap of <{self.a},{self.b}>")
-        j = (self.b_inv * s) % self.a
+        j = self.y_degrees[s % self.a]
         return Monomial((s - self.b * j) // self.a, j)
 
     def degree(self, m: Monomial) -> int:
@@ -120,60 +133,46 @@ class Semigroup:
         return tuple(s for s in range(self.frobenius + 1)
                      if not self.is_nongap(s))
 
-    def gaps_below(self, s: int) -> tuple[int, ...]:
-        return tuple(g for g in self.gaps() if g < s)
-
     def nongaps(self, limit: int) -> tuple[int, ...]:
         """All nongaps s with 0 <= s <= limit."""
         return tuple(s for s in range(limit + 1) if self.is_nongap(s))
 
-    # -- divisibility on the exponent lattice --------------------------------
+    # -- divisibility on pole orders -----------------------------------------
 
-    def monomial_divides(self, r: Monomial, t: Monomial) -> bool:
-        if t[1] >= r[1]:
-            return t[0] >= r[0]
-        return t[0] >= r[0] + self.b
+    def lcms(self, r: int, t: int) -> tuple[int, ...]:
+        """Pole orders of the least common multiples of phi(r) and phi(t).
 
-    def monomial_quotient(self, r: Monomial, t: Monomial) -> Monomial:
-        """The monomial q with leading monomial of q*r equal to t."""
-        if not self.monomial_divides(r, t):
-            raise ValueError(f"{r} does not divide {t}")
-        if t[1] >= r[1]:
-            return Monomial(t[0] - r[0], t[1] - r[1])
-        return Monomial(t[0] - r[0] - self.b, t[1] - r[1] + self.a)
-
-    def monomial_lcms(self, r: Monomial, t: Monomial) -> tuple[Monomial, ...]:
-        """The least common multiples of two monomials.
-
-        One monomial when r and t divide one another; otherwise the unique
-        pair (l1, l2) such that every common multiple of r and t is a
-        multiple of l1 or l2.  Sorted by pole order.
+        One order when one divides the other; otherwise the unique pair such
+        that every common multiple is a multiple of one of them, ascending.
+        With phi(r) the one of larger y-degree, they are x^(t's i) y^(r's j)
+        and x^(r's i + b) y^(t's j).
         """
-        if self.monomial_divides(r, t):
+        if self.is_nongap(t - r):
             return (t,)
-        if self.monomial_divides(t, r):
+        if self.is_nongap(r - t):
             return (r,)
-        if r[0] > t[0]:
-            r, t = t, r
-        # neither divides the other, so now r.i < t.i and r.j > t.j
-        l1 = Monomial(t[0], r[1])
-        l2 = Monomial(r[0] + self.b, t[1])
-        return tuple(sorted((l1, l2), key=self.degree))
+        ys = self.y_degrees
+        rise = self.b * (ys[r % self.a] - ys[t % self.a])
+        if rise < 0:
+            r, t, rise = t, r, -rise
+        return tuple(sorted((t + rise, r + self.a * self.b - rise)))
 
-    def staircase(self, lead_monomials: Iterable[Monomial]) -> tuple[int, ...]:
-        """Row barriers of the footprint of the given leading monomials: entry
-        j is the first column of row j that holds a multiple, so the footprint
-        is the columns left of the barriers and its size is their sum."""
-        lms = list(lead_monomials)
-        if not lms:
+    def staircase(self, lead_orders: Iterable[int]) -> tuple[int, ...]:
+        """Row barriers of the footprint of the monomials of the given pole
+        orders: entry j is the first column of row j that holds a multiple,
+        so the footprint is the columns left of the barriers and its size is
+        their sum."""
+        a, b, ys = self.a, self.b, self.y_degrees
+        leads = [((r - b * ys[r % a]) // a, ys[r % a]) for r in lead_orders]
+        if not leads:
             raise ValueError("footprint of the empty set is infinite")
-        return tuple(min(r.i if j >= r.j else r.i + self.b for r in lms)
-                     for j in range(self.a))
+        return tuple(min(i if row >= j else i + b for i, j in leads)
+                     for row in range(a))
 
     def footprint(self, lead_monomials: Iterable[Monomial]) -> frozenset[Monomial]:
         """All monomials divisible by none of the given leading monomials."""
-        return frozenset(Monomial(i, j) for j, barrier
-                         in enumerate(self.staircase(lead_monomials))
+        stair = self.staircase(self.degree(m) for m in lead_monomials)
+        return frozenset(Monomial(i, j) for j, barrier in enumerate(stair)
                          for i in range(barrier))
 
     def non_multiples(self, s: int) -> frozenset[Monomial]:
@@ -218,8 +217,11 @@ class Curve:
         rewrite = {m: -c for m, c in clean.items()}
         rewrite[Monomial(b, 0)] = -d
         self._y_a_rewrite = rewrite
-        # j -> reduced form of y^j, for j >= a, filled on first use
-        self._y_powers: dict[int, dict[Monomial, FieldElement]] = {}
+        # j -> reduced form of y^j (pole order -> coefficient), for j >= a,
+        # and r -> the reduced y^(a+r) as (offset from b*(a+r), coefficient)
+        # pairs, for r < a - 1; both filled on first use
+        self._y_powers: dict[int, dict[int, FieldElement]] = {}
+        self._wrap_rows: dict[int, list[tuple[int, FieldElement]]] = {}
 
     @classmethod
     def hermitian(cls, q: int) -> "Curve":
@@ -254,42 +256,43 @@ class Curve:
             return RingElement(self, {})
         if j >= self.a:
             return self.reduce({(i, j): coeff})
-        return RingElement(self, {Monomial(i, j): coeff})
+        return RingElement(self, {self.a * i + self.b * j: coeff})
 
-    def lead_factor(self, r: Monomial, t: Monomial) -> FieldElement:
-        """Leading coefficient of the product of the monomials r and t: one,
-        or -d when the y-degrees wrap past a, since y^a = -d*x^b + lower."""
-        return -self.d if r.j + t.j >= self.a else self.field.one
+    def lead_factor(self, r: int, t: int) -> FieldElement:
+        """Leading coefficient of phi(r) * phi(t): one, or -d when the
+        y-degrees wrap past a, since y^a = -d*x^b + lower."""
+        ys, a = self.semigroup.y_degrees, self.a
+        return -self.d if ys[r % a] + ys[t % a] >= a else self.field.one
 
     def element(self, terms: Mapping[tuple[int, int], FieldElement]) -> "RingElement":
         """Build a ring element from a raw exponent map (any y-degrees)."""
         return self.reduce(terms)
 
     def reduce(self, raw: Mapping[tuple[int, int], FieldElement]) -> "RingElement":
-        """Canonical form: every y-degree below a.
+        """Canonical form of a raw exponent map: every y-degree below a.
 
         A term c * x^i * y^j with j >= a becomes c * x^i times the reduced
         form of y^j.  Idempotent, and the result agrees with the input as a
         function on the curve.
         """
-        a = self.a
-        out: dict[Monomial, FieldElement] = {}
+        a, b = self.a, self.b
+        out: dict[int, FieldElement] = {}
         for (i, j), c in raw.items():
             if c.is_zero:
                 continue
             if j < a:
-                m = Monomial(i, j)
-                prev = out.get(m)
-                out[m] = c if prev is None else prev + c
+                s = a * i + b * j
+                prev = out.get(s)
+                out[s] = c if prev is None else prev + c
                 continue
-            for (ri, rj), rc in self._y_power(j).items():
-                m = Monomial(i + ri, rj)
-                prev = out.get(m)
-                out[m] = c * rc if prev is None else prev + c * rc
-        return RingElement(self, {m: c for m, c in out.items()
+            for rs, rc in self._y_power(j).items():
+                s = a * i + rs
+                prev = out.get(s)
+                out[s] = c * rc if prev is None else prev + c * rc
+        return RingElement(self, {s: c for s, c in out.items()
                                   if not c.is_zero})
 
-    def _y_power(self, j: int) -> dict[Monomial, FieldElement]:
+    def _y_power(self, j: int) -> dict[int, FieldElement]:
         """The reduced form of y^j, j >= a, from the per-curve table.
 
         Row k is the reduction of y^(k-a) times the y^a rewrite, whose
@@ -306,6 +309,17 @@ class Curve:
                          for (ri, rj), rc in self._y_a_rewrite.items()})._terms
         return table[j]
 
+    def _wrap_row(self, r: int) -> list[tuple[int, FieldElement]]:
+        """The reduced y^(a+r) as (pole order - b*(a+r), coefficient) pairs,
+        leading with (0, -d): x^i y^j times x^i' y^j' with j + j' = a + r is
+        the key a*(i+i') + b*(a+r) shifted by each offset."""
+        row = self._wrap_rows.get(r)
+        if row is None:
+            top = self.b * (self.a + r)
+            row = [(s - top, c) for s, c in self._y_power(self.a + r).items()]
+            self._wrap_rows[r] = row
+        return row
+
     # -- geometry -------------------------------------------------------------
 
     def equation_terms(self) -> dict[Monomial, FieldElement]:
@@ -316,14 +330,14 @@ class Curve:
         return terms
 
     def contains(self, x: FieldElement, y: FieldElement) -> bool:
-        return _evaluate_raw(self.equation_terms(), x, y).is_zero
+        return _evaluate_raw(self.equation_terms().items(), x, y).is_zero
 
     def is_smooth_at(self, x: FieldElement, y: FieldElement) -> bool:
         """False when both formal partial derivatives vanish at (x, y)."""
         dx = _partial(self.equation_terms(), self.field, axis=0)
         dy = _partial(self.equation_terms(), self.field, axis=1)
-        return not (_evaluate_raw(dx, x, y).is_zero
-                    and _evaluate_raw(dy, x, y).is_zero)
+        return not (_evaluate_raw(dx.items(), x, y).is_zero
+                    and _evaluate_raw(dy.items(), x, y).is_zero)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Curve):
@@ -339,10 +353,10 @@ class Curve:
         return f"Curve(a={self.a}, b={self.b} over {self.field!r})"
 
 
-def _evaluate_raw(terms: Mapping[Monomial, FieldElement],
+def _evaluate_raw(terms: Iterable[tuple[tuple[int, int], FieldElement]],
                   x: FieldElement, y: FieldElement) -> FieldElement:
     total = x.field.zero
-    for (i, j), c in terms.items():
+    for (i, j), c in terms:
         total = total + c * x ** i * y ** j
     return total
 
@@ -363,20 +377,27 @@ def _partial(terms: Mapping[Monomial, FieldElement], field: Field,
 
 
 class RingElement:
-    """An element of the coordinate ring, as a sparse reduced monomial map.
+    """An element of the coordinate ring, as a sparse map from the pole order
+    s of each reduced monomial phi(s) = x^i y^j (j < a) to its coefficient.
+
+    Reduced monomials have pairwise distinct pole orders, so the order names
+    the monomial: delta is the largest key, and a product by the single term
+    tc * phi(t) moves every key s to s + t.  Keys whose y-degrees wrap past a
+    are folded back with the curve's reduced y^(a+r) rows.  ``Monomial``
+    appears only in the inspection API (``items``, ``coefficient``,
+    ``leading_monomial``, ``leading_term``) and in printing.
 
     Instances are immutable values; arithmetic returns new elements.  The
     pole order of the zero element is the BOTTOM sentinel, which compares
     below every integer.
     """
 
-    __slots__ = ("curve", "_terms", "_delta", "_lead")
+    __slots__ = ("curve", "_terms", "_delta")
 
-    def __init__(self, curve: Curve, terms: dict[Monomial, FieldElement]) -> None:
+    def __init__(self, curve: Curve, terms: dict[int, FieldElement]) -> None:
         self.curve = curve
         self._terms = terms
         self._delta: Delta | None = None
-        self._lead: Monomial | None = None
 
     # -- inspection -----------------------------------------------------------
 
@@ -385,39 +406,38 @@ class RingElement:
         return not self._terms
 
     def items(self) -> Iterator[tuple[Monomial, FieldElement]]:
-        return iter(self._terms.items())
-
-    def support(self) -> frozenset[Monomial]:
-        return frozenset(self._terms)
+        phi = self.curve.semigroup.phi
+        return ((phi(s), c) for s, c in self._terms.items())
 
     def coefficient(self, m: tuple[int, int]) -> FieldElement:
-        return self._terms.get(Monomial(*m), self.curve.field.zero)
+        i, j = m
+        if i < 0 or not 0 <= j < self.curve.a:
+            return self.curve.field.zero
+        return self.coefficient_at(self.curve.a * i + self.curve.b * j)
+
+    def coefficient_at(self, s: int) -> FieldElement:
+        """The coefficient of phi(s)."""
+        return self._terms.get(s, self.curve.field.zero)
 
     def delta(self) -> Delta:
-        """Pole order at infinity: max of a*i + b*j, BOTTOM for zero."""
+        """Pole order at infinity: the largest key, BOTTOM for zero."""
         if self._delta is None:
-            if not self._terms:
-                self._delta = BOTTOM
-            else:
-                a, b = self.curve.a, self.curve.b
-                self._delta = max(a * i + b * j for i, j in self._terms)
+            self._delta = max(self._terms) if self._terms else BOTTOM
         return self._delta
 
     def leading_monomial(self) -> Monomial:
-        """The term of largest pole order: phi(delta), since the reduced
-        monomials x^i y^j (j < a) have pairwise distinct pole orders."""
+        """phi(delta), the term of largest pole order."""
         if not self._terms:
             raise ValueError("the zero element has no leading monomial")
-        if self._lead is None:
-            self._lead = self.curve.semigroup.phi(self.delta())
-        return self._lead
+        return self.curve.semigroup.phi(self.delta())
 
     def leading_coefficient(self) -> FieldElement:
-        return self._terms[self.leading_monomial()]
+        if not self._terms:
+            raise ValueError("the zero element has no leading coefficient")
+        return self._terms[self.delta()]
 
     def leading_term(self) -> tuple[Monomial, FieldElement]:
-        m = self.leading_monomial()
-        return m, self._terms[m]
+        return self.leading_monomial(), self.leading_coefficient()
 
     # -- arithmetic -------------------------------------------------------------
 
@@ -427,18 +447,18 @@ class RingElement:
 
     def __add__(self, other: "RingElement") -> "RingElement":
         self._require_same_curve(other)
-        merged = dict(self._terms)
-        for m, c in other._terms.items():
-            prev = merged.get(m)
-            total = c if prev is None else prev + c
+        mine, theirs = self._terms, other._terms
+        merged = {**mine, **theirs}
+        for s in mine.keys() & theirs.keys():
+            total = mine[s] + theirs[s]
             if total.is_zero:
-                merged.pop(m, None)
+                del merged[s]
             else:
-                merged[m] = total
+                merged[s] = total
         return RingElement(self.curve, merged)
 
     def __neg__(self) -> "RingElement":
-        return RingElement(self.curve, {m: -c for m, c in self._terms.items()})
+        return RingElement(self.curve, {s: -c for s, c in self._terms.items()})
 
     def __sub__(self, other: "RingElement") -> "RingElement":
         return self + (-other)
@@ -448,7 +468,7 @@ class RingElement:
             if other.is_zero:
                 return RingElement(self.curve, {})
             return RingElement(self.curve,
-                               {m: c * other for m, c in self._terms.items()})
+                               {s: c * other for s, c in self._terms.items()})
         if not isinstance(other, RingElement):
             return NotImplemented
         self._require_same_curve(other)
@@ -463,16 +483,30 @@ class RingElement:
             product = product + self._times_term(t, tc)
         return product
 
-    def _times_term(self, t: Monomial, tc: FieldElement) -> "RingElement":
-        """Product with the single term tc * t: shift every exponent by t,
-        scale every coefficient by tc, and reduce only when some y-degree
-        reaches a."""
-        ti, tj = t
-        out = {Monomial(i + ti, j + tj): c * tc
-               for (i, j), c in self._terms.items()}
-        if tj and any(m[1] >= self.curve.a for m in out):
-            return self.curve.reduce(out)
-        return RingElement(self.curve, out)
+    def _times_term(self, t: int, tc: FieldElement) -> "RingElement":
+        """Product with the single term tc * phi(t): key s goes to s + t with
+        coefficient c * tc.  A key whose y-degree wraps past a (its y-degree
+        falls below t's) is folded back with the curve's reduced y^(a+r)."""
+        curve = self.curve
+        out = {s + t: c * tc for s, c in self._terms.items()}
+        a, ys = curve.a, curve.semigroup.y_degrees
+        jt = ys[t % a]
+        if jt:
+            wrapped = [(u, out.pop(u)) for u in [u for u in out
+                                                 if ys[u % a] < jt]]
+            for u, c in wrapped:
+                for off, rc in curve._wrap_row(ys[u % a]):
+                    key = u + off
+                    prev = out.get(key)
+                    if prev is None:
+                        out[key] = c * rc
+                    else:
+                        total = prev + c * rc
+                        if total.is_zero:
+                            del out[key]
+                        else:
+                            out[key] = total
+        return RingElement(curve, out)
 
     def __rmul__(self, other: FieldElement) -> "RingElement":
         if isinstance(other, FieldElement):
@@ -480,7 +514,7 @@ class RingElement:
         return NotImplemented
 
     def evaluate(self, x: FieldElement, y: FieldElement) -> FieldElement:
-        return _evaluate_raw(self._terms, x, y)
+        return _evaluate_raw(self.items(), x, y)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RingElement):
@@ -490,16 +524,16 @@ class RingElement:
     def __str__(self) -> str:
         if not self._terms:
             return "0"
-        sg = self.curve.semigroup
+        phi = self.curve.semigroup.phi
         parts = []
-        for m in sorted(self._terms, key=sg.degree, reverse=True):
-            c = self._terms[m]
-            if m == (0, 0):
+        for s in sorted(self._terms, reverse=True):
+            c = self._terms[s]
+            if s == 0:
                 parts.append(str(c))
             elif c == self.curve.field.one:
-                parts.append(str(m))
+                parts.append(str(phi(s)))
             else:
-                parts.append(f"{c}*{m}")
+                parts.append(f"{c}*{phi(s)}")
         return " + ".join(parts)
 
     def __repr__(self) -> str:

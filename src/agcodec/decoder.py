@@ -30,7 +30,7 @@ import dataclasses
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .code import Code, Vector
-from .curvering import BOTTOM, Curve, Monomial, RingElement
+from .curvering import BOTTOM, Curve, Monomial, RingElement, Semigroup
 from .gf import FieldElement, canonical_key
 
 UP = "up"
@@ -42,9 +42,17 @@ STATUS_FAILED = "failed-verification"
 
 
 class Lead(NamedTuple):
+    """A leading term: its side, the pole order of its monomial, and its
+    coefficient; the monomial itself is computed only when read."""
+
     location: str
-    monomial: Monomial
+    order: int
     coefficient: FieldElement
+    semigroup: Semigroup
+
+    @property
+    def monomial(self) -> Monomial:
+        return self.semigroup.phi(self.order)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -75,8 +83,9 @@ def leading(s: int, pair: ModulePair) -> Lead:
     if du is BOTTOM and dd is BOTTOM:
         raise ValueError("the zero pair has no leading term")
     if du + s >= dd:
-        return Lead(UP, pair.up.leading_monomial(), pair.up.leading_coefficient())
-    return Lead(DOWN, pair.down.leading_monomial(), pair.down.leading_coefficient())
+        return Lead(UP, du, pair.up.coefficient_at(du), pair.up.curve.semigroup)
+    return Lead(DOWN, dd, pair.down.coefficient_at(dd),
+                pair.down.curve.semigroup)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -84,8 +93,8 @@ class GBState:
     """Groebner basis of the interpolation module at one weight.
 
     Within g the downstairs leading monomials are pairwise non-divisible,
-    within f the upstairs ones are; together their footprints count n
-    monomials.
+    within f the upstairs ones are (phi(r) divides phi(t) exactly when t - r
+    is a nongap); together their footprints count n monomials.
     """
 
     weight: int
@@ -141,16 +150,14 @@ def vote(code: Code, s: int, state: GBState) -> VoteRecord:
     if not sg.is_nongap(s) or s > code.u:
         raise ValueError(f"voting requires a nongap s <= u, got {s}")
     curve = state.curve
-    phi_s = sg.phi(s)
-    stair_g = sg.staircase(ld.monomial for ld in state.g_leads())
+    stair_g = sg.staircase(ld.order for ld in state.g_leads())
 
-    nominations: dict[FieldElement, list[Monomial]] = {}
+    nominations: dict[FieldElement, list[int]] = {}
     for pair in state.f:
         du = pair.up.delta()
-        target = sg.phi(du + s)  # leading monomial of up * phi_s
-        d = pair.down.coefficient(target)
-        lc = pair.up.leading_coefficient() * \
-            curve.lead_factor(pair.up.leading_monomial(), phi_s)
+        target = du + s  # pole order of the leading monomial of up * phi_s
+        d = pair.down.coefficient_at(target)
+        lc = pair.up.leading_coefficient() * curve.lead_factor(du, s)
         w_j = -(d / lc)
         nominations.setdefault(w_j, []).append(target)
 
@@ -182,8 +189,7 @@ def shift(state: GBState, w: FieldElement, s: int) -> GBState:
         raise ValueError(f"{s} is a gap")
     if w.is_zero:
         return state
-    mono = sg.phi(s)
-    term = state.curve.monomial(mono.i, mono.j, w)
+    term = RingElement(state.curve, {s: w})
     return GBState(state.weight,
                    tuple(p.substitute(term) for p in state.g),
                    tuple(p.substitute(term) for p in state.f),
@@ -202,59 +208,49 @@ def spoly(s: int, pair: ModulePair, g_part: Sequence[ModulePair]) -> list[Module
     the G side's up part is strictly lower.  Divisibility of monomials
     depends only on their difference of pole order, so the outputs whose
     lead no other output's divides are those of the minimal lcms, and only
-    those are built.
+    those are built.  Leads are pole orders: a G lead of order r divides
+    mu exactly when mu - r is a nongap, with quotient phi(mu - r).
     """
     if leading(s, pair).location is not UP:
         raise ValueError("spoly needs a pair leading upstairs at weight s")
-    sg = pair.up.curve.semigroup
     curve = pair.up.curve
+    sg = curve.semigroup
     ld = leading(s - 1, pair)
     if ld.location is UP:
         return [pair]
-    mu = ld.monomial
+    mu = ld.order
     g_leads = [leading(s, g) for g in g_part]
     for g, g_ld in zip(g_part, g_leads):
-        if sg.monomial_divides(g_ld.monomial, mu):
-            q = sg.monomial_quotient(g_ld.monomial, mu)
-            return [pair.times(curve.monomial(0, 0, ld.coefficient.inverse()))
-                    + g.times(curve.monomial(q.i, q.j,
-                                             -_monic(curve, q, g_ld)))]
+        q = mu - g_ld.order
+        if sg.is_nongap(q):
+            unit = RingElement(curve, {0: ld.coefficient.inverse()})
+            return [pair.times(unit)
+                    + g.times(RingElement(curve, {q: -_monic(curve, q, g_ld)}))]
     lcms = [(g, g_ld, psi) for g, g_ld in zip(g_part, g_leads)
-            for psi in sg.monomial_lcms(mu, g_ld.monomial)]
+            for psi in sg.lcms(mu, g_ld.order)]
     out = []
-    for g, g_ld, psi in _prime_reduce(lcms, [c[2] for c in lcms], sg)[0]:
-        qf = sg.monomial_quotient(mu, psi)
-        qg = sg.monomial_quotient(g_ld.monomial, psi)
-        out.append(
-            pair.times(curve.monomial(qf.i, qf.j, _monic(curve, qf, ld)))
-            + g.times(curve.monomial(qg.i, qg.j, -_monic(curve, qg, g_ld))))
+    for g, g_ld, psi in _prime_reduce(lcms, [c[2] for c in lcms], sg):
+        qf, qg = psi - mu, psi - g_ld.order
+        f_term = RingElement(curve, {qf: _monic(curve, qf, ld)})
+        g_term = RingElement(curve, {qg: -_monic(curve, qg, g_ld)})
+        out.append(pair.times(f_term) + g.times(g_term))
     return out
 
 
-def _monic(curve: Curve, q: Monomial, lead: Lead) -> FieldElement:
-    """The scalar that makes the monomial q times the lead term monic."""
-    return (lead.coefficient * curve.lead_factor(q, lead.monomial)).inverse()
+def _monic(curve: Curve, q: int, lead: Lead) -> FieldElement:
+    """The scalar that makes phi(q) times the lead term monic."""
+    return (lead.coefficient * curve.lead_factor(q, lead.order)).inverse()
 
 
-def _prime_reduce(items: list, lms: list[Monomial],
-                  sg) -> tuple[list, list[Monomial]]:
-    """Drop the items whose (leading) monomial another item's divides.
+def _prime_reduce(items: list, orders: list[int], sg: Semigroup) -> list:
+    """Drop the items whose (leading) monomial another item's divides, the
+    monomials given by their pole orders.
 
     Equal monomials keep the earlier item; output order follows input order.
     """
-    keep_items, keep_lms = [], []
-    for i, (p, m) in enumerate(zip(items, lms)):
-        dominated = False
-        for j, other in enumerate(lms):
-            if j == i:
-                continue
-            if sg.monomial_divides(other, m) and (other != m or j < i):
-                dominated = True
-                break
-        if not dominated:
-            keep_items.append(p)
-            keep_lms.append(m)
-    return keep_items, keep_lms
+    return [p for i, (p, m) in enumerate(zip(items, orders))
+            if not any(sg.is_nongap(m - other) and (other != m or j < i)
+                       for j, other in enumerate(orders) if j != i)]
 
 
 def step(state: GBState) -> GBState:
@@ -269,18 +265,17 @@ def step(state: GBState) -> GBState:
     s = state.weight
     sg = state.curve.semigroup
     new_g = list(state.g)
-    new_g_lms = [ld.monomial for ld in state.g_leads()]  # same at s - 1
+    new_g_lms = [ld.order for ld in state.g_leads()]  # same at s - 1
     new_f: list[ModulePair] = []
     for pair in state.f:
         ld = leading(s - 1, pair)
         if ld.location is DOWN:
             new_g.append(pair)
-            new_g_lms.append(ld.monomial)
+            new_g_lms.append(ld.order)
         new_f.extend(spoly(s, pair, state.g))
 
-    new_g, _ = _prime_reduce(new_g, new_g_lms, sg)
-    f_lms = [leading(s - 1, p).monomial for p in new_f]
-    new_f, _ = _prime_reduce(new_f, f_lms, sg)
+    new_g = _prime_reduce(new_g, new_g_lms, sg)
+    new_f = _prime_reduce(new_f, [leading(s - 1, p).order for p in new_f], sg)
     return GBState(s - 1, tuple(new_g), tuple(new_f), state.curve)
 
 

@@ -302,9 +302,6 @@ class Field:
         """The prime-subfield element value mod p."""
         return self._from_packed(value % self.p)
 
-    def from_log(self, k: int) -> "FieldElement":
-        return self._by_log[k % (self.order - 1)]
-
     def logs(self, elements: Iterable["FieldElement"]) -> list[int]:
         """Kernel values of the elements: logs, and ``zero_log`` for zero."""
         z = self.zero_log

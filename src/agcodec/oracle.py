@@ -78,13 +78,13 @@ def check_gb(s: int, state: GBState, code: Code,
                 return OracleReport(subject, False, {
                     "check": "location", "element": f"{label}{idx + 1}",
                     "got": ld.location})
-        lms = [ld.monomial for ld in leads]
-        for i, mi in enumerate(lms):
-            for j, mj in enumerate(lms):
-                if i != j and sg.monomial_divides(mi, mj):
+        for i, li in enumerate(leads):
+            for j, lj in enumerate(leads):
+                if i != j and sg.is_nongap(lj.order - li.order):
                     return OracleReport(subject, False, {
                         "check": "reduced", "part": label,
-                        "divisor": str(mi), "multiple": str(mj)})
+                        "divisor": str(li.monomial),
+                        "multiple": str(lj.monomial)})
 
     if not g_leads or not f_leads:  # an empty part has infinite footprint
         return OracleReport(subject, False, {
@@ -105,7 +105,7 @@ def lcm_check(sg: Semigroup, s: int, t: int, bound: int) -> OracleReport:
     floor = s + t + sg.a * sg.b
     if bound < floor:
         raise ValueError(f"bound {bound} below required {floor}")
-    lcms = [sg.degree(m) for m in sg.monomial_lcms(sg.phi(s), sg.phi(t))]
+    lcms = sg.lcms(s, t)
     for l in lcms:
         if not (sg.is_nongap(l - s) and sg.is_nongap(l - t)):
             return OracleReport(subject, False, {

@@ -69,7 +69,8 @@ def reference_ideal_basis(
     s = 0
     cap = 4 * (n + curve.a * curve.b) * (curve.a + curve.b)
     while True:
-        if etas and len(delta_monos) == n and sum(sg.staircase(eta_lms)) == n:
+        if etas and len(delta_monos) == n and \
+                sum(sg.staircase(map(sg.degree, eta_lms))) == n:
             break
         if s > cap:
             raise RuntimeError("ideal basis computation failed to close")
@@ -78,7 +79,7 @@ def reference_ideal_basis(
             continue
         mono = sg.phi(s)
         s += 1
-        if any(sg.monomial_divides(lm, mono) for lm in eta_lms):
+        if any(lattice_divides(sg, lm, mono) for lm in eta_lms):
             continue
         combo = curve.monomial(*mono)
         row = [combo.evaluate(px, py) for px, py in points]
@@ -121,7 +122,7 @@ def reference_lagrange(code: Code, table: Sequence[Sequence[FieldElement]],
                 c = c + coeff * vi
         if not c.is_zero:
             terms[mono] = c
-    return RingElement(code.curve, terms)
+    return code.curve.element(terms)
 
 
 def reference_encode(code: Code,
@@ -131,7 +132,7 @@ def reference_encode(code: Code,
     sg = code.curve.semigroup
     terms = {sg.phi(s): w for s, w in zip(code.message_orders, message)
              if not w.is_zero}
-    return code.ev(RingElement(code.curve, terms))
+    return code.ev(code.curve.element(terms))
 
 
 def rank(vectors: Sequence[Sequence[FieldElement]]) -> int:
@@ -180,7 +181,7 @@ def naive_reduce(curve: Curve, raw: dict) -> RingElement:
                 terms.pop(key, None)
             else:
                 terms[key] = total
-    return RingElement(curve, terms)
+    return curve.element(terms)
 
 
 def schoolbook_mul(f: RingElement, g: RingElement) -> RingElement:
@@ -193,9 +194,23 @@ def schoolbook_mul(f: RingElement, g: RingElement) -> RingElement:
     return naive_reduce(f.curve, raw)
 
 
-def lcm_orders(sg: Semigroup, s: int, t: int) -> tuple[int, ...]:
-    """Pole orders of the lcms of phi(s) and phi(t), ascending."""
-    return tuple(sg.degree(m) for m in sg.monomial_lcms(sg.phi(s), sg.phi(t)))
+def lattice_divides(sg: Semigroup, r: Monomial, t: Monomial) -> bool:
+    """Whether some monomial times r leads with t, read off the exponent
+    lattice: t lies right of and above r, or, as y^a leads with x^b, at least
+    b columns right of r in a lower row.  The reference for the library's
+    rule on pole orders (t - r a nongap)."""
+    if t.j >= r.j:
+        return t.i >= r.i
+    return t.i >= r.i + sg.b
+
+
+def gaps_below(sg: Semigroup, s: int) -> tuple[int, ...]:
+    return tuple(g for g in sg.gaps() if g < s)
+
+
+def support(f: RingElement) -> frozenset[Monomial]:
+    """The monomials with a nonzero coefficient in f."""
+    return frozenset(m for m, _ in f.items())
 
 
 def random_ring_element(curve: Curve, rng: random.Random,

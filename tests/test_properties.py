@@ -1,0 +1,141 @@
+"""Property tests: ring arithmetic on random Miura-Kamiya curves, and the
+decoder on arbitrary received words.
+
+Runs are derandomized and bounded, so the suite stays deterministic."""
+
+import functools
+import math
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from agcodec.code import Code
+from agcodec.curvering import Curve
+from agcodec.decoder import STATUS_OK, decode, hamming_distance
+from agcodec.gf import Field
+
+from support import (MK_FAMILIES, add_vectors, mk_code, naive_reduce,
+                     schoolbook_mul)
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None,
+                    max_examples=60)
+
+FIELDS = {(p, m): Field(p, m) for p, m in [(2, 2), (3, 1), (3, 2), (5, 1),
+                                           (7, 1)]}
+
+
+@st.composite
+def mk_curves(draw):
+    """y^a + sum(c_ij x^i y^j : a*i + b*j < a*b) + d x^b = 0 with random d
+    and up to four random coefficients, a = 2..4."""
+    field = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
+    a = draw(st.integers(2, 4))
+    b = draw(st.sampled_from([b for b in range(a + 1, a + 4)
+                              if math.gcd(a, b) == 1]))
+    nonzero = st.sampled_from(field.elements()[1:])
+    region = [(i, j) for j in range(a) for i in range(b)
+              if a * i + b * j < a * b]
+    coeffs = draw(st.dictionaries(st.sampled_from(region), nonzero,
+                                  max_size=4))
+    return Curve(field, a, b, draw(nonzero), coeffs)
+
+
+def raw_maps(curve, max_j=None, max_size=5):
+    """Raw exponent maps with y-degrees up to max_j (default a - 1)."""
+    top = curve.a - 1 if max_j is None else max_j
+    return st.dictionaries(
+        st.tuples(st.integers(0, 6), st.integers(0, top)),
+        st.sampled_from(curve.field.elements()[1:]), max_size=max_size)
+
+
+@st.composite
+def curve_and_elements(draw, count):
+    curve = draw(mk_curves())
+    return curve, [curve.element(draw(raw_maps(curve))) for _ in range(count)]
+
+
+class TestRingProperties:
+    @PROPERTY
+    @given(curve_and_elements(2))
+    def test_products_match_schoolbook(self, case):
+        _, (f, g) = case
+        assert f * g == schoolbook_mul(f, g)
+
+    @PROPERTY
+    @given(curve_and_elements(3))
+    def test_associative(self, case):
+        _, (f, g, h) = case
+        assert (f * g) * h == f * (g * h)
+
+    @PROPERTY
+    @given(curve_and_elements(3))
+    def test_distributive(self, case):
+        _, (f, g, h) = case
+        assert f * (g + h) == f * g + f * h
+
+    @PROPERTY
+    @given(st.data())
+    def test_reduce_is_idempotent(self, data):
+        curve = data.draw(mk_curves())
+        raw = data.draw(raw_maps(curve, max_j=2 * curve.a + 1))
+        once = curve.reduce(raw)
+        assert once == naive_reduce(curve, raw)
+        assert curve.reduce(dict(once.items())) == once
+
+    @PROPERTY
+    @given(curve_and_elements(2))
+    def test_delta_is_additive(self, case):
+        _, (f, g) = case
+        if not (f.is_zero or g.is_zero):
+            assert (f * g).delta() == f.delta() + g.delta()
+
+
+@functools.cache
+def code(name):
+    if name == "hermitian-2":
+        return Code(Curve.hermitian(2), 3)
+    return mk_code(name, 3)
+
+
+CODES = ["hermitian-2", *sorted(MK_FAMILIES)]
+
+
+@st.composite
+def messages(draw, c):
+    return tuple(draw(st.lists(st.sampled_from(c.field.elements()),
+                               min_size=c.k, max_size=c.k)))
+
+
+@st.composite
+def received_words(draw):
+    """(code, sent message, received word) with any number of errors."""
+    c = code(draw(st.sampled_from(CODES)))
+    message = draw(messages(c))
+    received = list(c.encode(message))
+    nonzero = st.sampled_from(c.field.elements()[1:])
+    for pos in draw(st.sets(st.integers(0, c.n - 1))):
+        received[pos] = received[pos] + draw(nonzero)
+    return c, message, tuple(received)
+
+
+class TestDecoderProperties:
+    @PROPERTY
+    @given(received_words())
+    def test_decoding_never_raises_and_ok_is_within_radius(self, case):
+        c, sent, received = case
+        t_max = (c.decoding_distance() - 1) // 2
+        result = decode(c, received)
+        decoded = c.encode(result.message)
+        assert result.distance == hamming_distance(decoded, received)
+        if result.status == STATUS_OK:
+            assert result.distance <= t_max
+        if hamming_distance(c.encode(sent), received) <= t_max:
+            assert result.message == sent
+
+    @PROPERTY
+    @given(st.data())
+    def test_encoding_is_linear(self, data):
+        c = code(data.draw(st.sampled_from(CODES)))
+        m1, m2 = data.draw(messages(c)), data.draw(messages(c))
+        total = tuple(x + y for x, y in zip(m1, m2))
+        assert c.encode(total) == add_vectors(c.encode(m1), c.encode(m2))
