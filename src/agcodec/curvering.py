@@ -15,7 +15,8 @@ downstream (codes, the decoder) runs on three primitives implemented here:
 * ring elements as maps from pole order to coefficient, so delta is the
   largest key and a product by one term adds its order to every key; a
   product whose y-degrees reach a is folded back with the per-curve rows
-  of the reduced y^(a+r), stored as pole-order offsets,
+  of the reduced y^(a+r) = y^a * y^r, kept as pole-order offsets and
+  derived from the curve's one stored rewrite of y^a (``Curve._y_a``),
 * the pole-order function ``delta`` (with a BOTTOM sentinel for zero),
 * divisibility on orders: phi(r) divides phi(t) exactly when t - r is a
   nongap, with quotient phi(t - r); lcms of two orders; and footprints as
@@ -25,7 +26,9 @@ downstream (codes, the decoder) runs on three primitives implemented here:
 ``Monomial`` is the inspection and printing form: monomials print as
 "x^i*y^j" with unit factors omitted ("1", "x", "y^2", "x^3*y", ...), a
 grammar used verbatim by the CLI trace format.  Raw polynomials with any
-y-degrees (``Curve.element``, ``Curve.reduce``) are maps from (i, j).
+y-degrees (``Curve.element``, ``Curve.reduce``) are maps from (i, j),
+reduced term by term: x^i y^j with j >= a is x^i y^(j mod a) times
+y^a raised to j div a.
 """
 
 from __future__ import annotations
@@ -34,6 +37,11 @@ import math
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .gf import ORDER_CAP, Field, FieldElement, _prime_factors
+
+#: Largest supported curve weight a or b, checked before any per-weight
+#: table is built; above every Hermitian weight the field cap admits
+#: (b = q + 1 <= 257).
+WEIGHT_CAP = 1 << 10
 
 
 class _Bottom:
@@ -104,6 +112,8 @@ class Semigroup:
     def __init__(self, a: int, b: int) -> None:
         if a < 1 or b < 1:
             raise ValueError(f"weights must be positive, got ({a}, {b})")
+        if max(a, b) > WEIGHT_CAP:
+            raise ValueError(f"weights ({a}, {b}) exceed cap {WEIGHT_CAP}")
         if math.gcd(a, b) != 1:
             raise ValueError(f"weights ({a}, {b}) are not coprime")
         self.a = a
@@ -213,14 +223,12 @@ class Curve:
         self.b = b
         self.d = d
         self.coeffs = clean
-        # rewrite rule y^a = -(d x^b + sum c_ij x^i y^j)
-        rewrite = {m: -c for m, c in clean.items()}
-        rewrite[Monomial(b, 0)] = -d
-        self._y_a_rewrite = rewrite
-        # j -> reduced form of y^j (pole order -> coefficient), for j >= a,
-        # and r -> the reduced y^(a+r) as (offset from b*(a+r), coefficient)
-        # pairs, for r < a - 1; both filled on first use
-        self._y_powers: dict[int, dict[int, FieldElement]] = {}
+        # the rewrite rule y^a = -(d x^b + sum c_ij x^i y^j), its one stored
+        # form; every y-degree at or above a is folded back with it
+        self._y_a = RingElement(self, {a * i + b * j: -c for (i, j), c
+                                       in [*clean.items(), ((b, 0), d)]})
+        # r -> the reduced y^(a+r) = y^a * y^r as (offset from b*(a+r),
+        # coefficient) pairs, for r < a - 1, filled on first use
         self._wrap_rows: dict[int, list[tuple[int, FieldElement]]] = {}
 
     @classmethod
@@ -254,9 +262,11 @@ class Curve:
             coeff = self.field.one
         if coeff.is_zero:
             return RingElement(self, {})
-        if j >= self.a:
-            return self.reduce({(i, j): coeff})
-        return RingElement(self, {self.a * i + self.b * j: coeff})
+        a, b = self.a, self.b
+        out = RingElement(self, {a * i + b * (j % a): coeff})
+        for _ in range(j // a):  # y^j = y^(j mod a) * (y^a)^(j div a)
+            out = out * self._y_a
+        return out
 
     def lead_factor(self, r: int, t: int) -> FieldElement:
         """Leading coefficient of phi(r) * phi(t): one, or -d when the
@@ -271,52 +281,26 @@ class Curve:
     def reduce(self, raw: Mapping[tuple[int, int], FieldElement]) -> "RingElement":
         """Canonical form of a raw exponent map: every y-degree below a.
 
-        A term c * x^i * y^j with j >= a becomes c * x^i times the reduced
-        form of y^j.  Idempotent, and the result agrees with the input as a
-        function on the curve.
+        The sum of the terms as ``monomial``s, so a term c * x^i * y^j with
+        j >= a is c * x^i * y^(j mod a) times (y^a)^(j div a).  Idempotent,
+        and the result agrees with the input as a function on the curve.
         """
-        a, b = self.a, self.b
-        out: dict[int, FieldElement] = {}
+        out = self.zero()
         for (i, j), c in raw.items():
-            if c.is_zero:
-                continue
-            if j < a:
-                s = a * i + b * j
-                prev = out.get(s)
-                out[s] = c if prev is None else prev + c
-                continue
-            for rs, rc in self._y_power(j).items():
-                s = a * i + rs
-                prev = out.get(s)
-                out[s] = c * rc if prev is None else prev + c * rc
-        return RingElement(self, {s: c for s, c in out.items()
-                                  if not c.is_zero})
-
-    def _y_power(self, j: int) -> dict[int, FieldElement]:
-        """The reduced form of y^j, j >= a, from the per-curve table.
-
-        Row k is the reduction of y^(k-a) times the y^a rewrite, whose
-        y-degrees are all below k, so filling rows in increasing k needs
-        only rows already present.  Rows are deterministic, so threads that
-        fill the same row concurrently store equal values.
-        """
-        table = self._y_powers
-        if j not in table:
-            for k in range(self.a, j + 1):
-                if k not in table:
-                    table[k] = self.reduce(
-                        {(ri, rj + k - self.a): rc
-                         for (ri, rj), rc in self._y_a_rewrite.items()})._terms
-        return table[j]
+            out = out + self.monomial(i, j, c)
+        return out
 
     def _wrap_row(self, r: int) -> list[tuple[int, FieldElement]]:
         """The reduced y^(a+r) as (pole order - b*(a+r), coefficient) pairs,
         leading with (0, -d): x^i y^j times x^i' y^j' with j + j' = a + r is
-        the key a*(i+i') + b*(a+r) shifted by each offset."""
+        the key a*(i+i') + b*(a+r) shifted by each offset.  The row is y^a
+        times y^r, whose product folds only rows below r, as the terms of
+        y^a have y-degrees below a."""
         row = self._wrap_rows.get(r)
         if row is None:
             top = self.b * (self.a + r)
-            row = [(s - top, c) for s, c in self._y_power(self.a + r).items()]
+            y_a_r = self._y_a._times_term(self.b * r, self.field.one)
+            row = [(s - top, c) for s, c in y_a_r._terms.items()]
             self._wrap_rows[r] = row
         return row
 

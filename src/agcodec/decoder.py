@@ -16,7 +16,11 @@ its upstairs cone covers; the winner is subtracted by substituting
 z -> z + w * phi_s.  The basis is then converted from weight s to s - 1 by
 the spoly combinations, followed by removal of elements whose leading term
 another element's leading term divides (within the G part and the F part
-separately).
+separately).  The split is kept at every weight, so leads are read off the
+basis: a G element leads with its down part, an F element with its up
+part, and the one test left is whether an F element still leads upstairs
+at s - 1.  ``leading`` and ``Lead`` are the inspection form of a lead, for
+traces and checks.
 
 The guarantee: if the error weight t satisfies 2*t < d_u (the code's
 decoding distance), every vote picks the sent coordinate.  Decoding never
@@ -30,7 +34,7 @@ import dataclasses
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .code import Code, Vector
-from .curvering import BOTTOM, Curve, Monomial, RingElement, Semigroup
+from .curvering import Curve, Monomial, RingElement, Semigroup
 from .gf import FieldElement, canonical_key
 
 UP = "up"
@@ -42,17 +46,13 @@ STATUS_FAILED = "failed-verification"
 
 
 class Lead(NamedTuple):
-    """A leading term: its side, the pole order of its monomial, and its
-    coefficient; the monomial itself is computed only when read."""
+    """A leading term: its side, the pole order of its monomial, its
+    coefficient, and the monomial itself."""
 
     location: str
     order: int
     coefficient: FieldElement
-    semigroup: Semigroup
-
-    @property
-    def monomial(self) -> Monomial:
-        return self.semigroup.phi(self.order)
+    monomial: Monomial
 
 
 @dataclasses.dataclass(frozen=True)
@@ -78,23 +78,27 @@ def leading(s: int, pair: ModulePair) -> Lead:
 
     Upstairs wins when delta(up) + s >= delta(down); ties go upstairs.
     """
-    du = pair.up.delta()
-    dd = pair.down.delta()
-    if du is BOTTOM and dd is BOTTOM:
+    if pair.up.is_zero and pair.down.is_zero:
         raise ValueError("the zero pair has no leading term")
-    if du + s >= dd:
-        return Lead(UP, du, pair.up.coefficient_at(du), pair.up.curve.semigroup)
-    return Lead(DOWN, dd, pair.down.coefficient_at(dd),
-                pair.down.curve.semigroup)
+    side, location = (pair.up, UP) if _leads_up(s, pair) else (pair.down, DOWN)
+    return Lead(location, side.delta(), side.leading_coefficient(),
+                side.leading_monomial())
+
+
+def _leads_up(s: int, pair: ModulePair) -> bool:
+    """Whether a nonzero pair leads upstairs at weight s."""
+    return pair.up.delta() + s >= pair.down.delta()
 
 
 @dataclasses.dataclass(frozen=True)
 class GBState:
     """Groebner basis of the interpolation module at one weight.
 
-    Within g the downstairs leading monomials are pairwise non-divisible,
-    within f the upstairs ones are (phi(r) divides phi(t) exactly when t - r
-    is a nongap); together their footprints count n monomials.
+    Every g element leads downstairs and every f element upstairs, so a
+    lead is read off as ``g.down``'s or ``f.up``'s leading term.  Within g
+    the downstairs leading monomials are pairwise non-divisible, within f
+    the upstairs ones are (phi(r) divides phi(t) exactly when t - r is a
+    nongap); together their footprints count n monomials.
     """
 
     weight: int
@@ -135,13 +139,10 @@ Watcher = Callable[[int, GBState, Optional[VoteRecord]], None]
 def initial_basis(code: Code, v: Sequence[FieldElement]) -> GBState:
     """Basis {0*z + eta_i} + {z - h_v} at weight N = delta(h_v)."""
     h = code.lagrange(v)
-    n_weight = h.delta()
-    if n_weight is BOTTOM:
-        n_weight = 0
     curve = code.curve
     g = tuple(ModulePair(curve.zero(), eta) for eta in code.eta_basis)
     f = (ModulePair(curve.one(), -h),)
-    return GBState(n_weight, g, f, curve)
+    return GBState(0 if h.is_zero else h.delta(), g, f, curve)
 
 
 def vote(code: Code, s: int, state: GBState) -> VoteRecord:
@@ -150,7 +151,7 @@ def vote(code: Code, s: int, state: GBState) -> VoteRecord:
     if not sg.is_nongap(s) or s > code.u:
         raise ValueError(f"voting requires a nongap s <= u, got {s}")
     curve = state.curve
-    stair_g = sg.staircase(ld.order for ld in state.g_leads())
+    stair_g = sg.staircase(g.down.delta() for g in state.g)
 
     nominations: dict[FieldElement, list[int]] = {}
     for pair in state.f:
@@ -166,20 +167,11 @@ def vote(code: Code, s: int, state: GBState) -> VoteRecord:
                for c, targets in nominations.items()}
 
     candidates = tuple(sorted(nominations, key=canonical_key))
-    counts = sorted(tallies.values(), reverse=True)
-    top = counts[0]
-    runner_up = counts[1] if len(counts) > 1 else 0
-    if top == 0:
-        chosen = curve.field.zero  # all votes empty; any choice ties
-        margin = 0
-    else:
-        chosen = None
-        for c in candidates:
-            if tallies[c] == top:
-                chosen = c
-                break
-        margin = top - runner_up
-    return VoteRecord(s, candidates, tallies, chosen, margin)
+    top, runner_up = (sorted(tallies.values(), reverse=True) + [0])[:2]
+    # the first maximum wins; when all votes are empty any choice ties
+    chosen = (max(candidates, key=tallies.__getitem__) if top
+              else curve.field.zero)
+    return VoteRecord(s, candidates, tallies, chosen, top - runner_up)
 
 
 def shift(state: GBState, w: FieldElement, s: int) -> GBState:
@@ -199,47 +191,41 @@ def shift(state: GBState, w: FieldElement, s: int) -> GBState:
 def spoly(s: int, pair: ModulePair, g_part: Sequence[ModulePair]) -> list[ModulePair]:
     """Combinations converting one F element from weight s to weight s - 1.
 
-    Three cases on the weight-(s-1) leading term of the pair:
-    still upstairs -> the pair itself; downstairs and divisible by a G
-    leading monomial -> one elimination against the first such G;
-    downstairs in the G footprint -> one elimination per minimal lcm of mu
-    with the G leading monomials.  Every output leads upstairs at weight
-    s - 1: an lcm psi's combination leads with pair.up times psi / mu, as
-    the G side's up part is strictly lower.  Divisibility of monomials
-    depends only on their difference of pole order, so the outputs whose
-    lead no other output's divides are those of the minimal lcms, and only
-    those are built.  Leads are pole orders: a G lead of order r divides
-    mu exactly when mu - r is a nongap, with quotient phi(mu - r).
+    Two cases on the weight-(s-1) leading term of the pair: still upstairs
+    -> the pair itself; downstairs at order mu -> one elimination per
+    minimal lcm of mu with the G leading monomials (a single one, against
+    the first such G, when G leads divide mu: mu is then the one minimal
+    lcm).  Every output leads upstairs at weight s - 1: an lcm psi's
+    combination leads with pair.up times psi / mu, as the G side's up part
+    is strictly lower.  Divisibility of monomials depends only on their
+    difference of pole order, so the outputs whose lead no other output's
+    divides are those of the minimal lcms, and only those are built.  Leads
+    are pole orders, read from the basis invariants: a G lead of order r =
+    delta(g.down) divides mu exactly when mu - r is a nongap.
     """
-    if leading(s, pair).location is not UP:
+    if pair.up.is_zero or not _leads_up(s, pair):
         raise ValueError("spoly needs a pair leading upstairs at weight s")
+    if _leads_up(s - 1, pair):
+        return [pair]
     curve = pair.up.curve
     sg = curve.semigroup
-    ld = leading(s - 1, pair)
-    if ld.location is UP:
-        return [pair]
-    mu = ld.order
-    g_leads = [leading(s, g) for g in g_part]
-    for g, g_ld in zip(g_part, g_leads):
-        q = mu - g_ld.order
-        if sg.is_nongap(q):
-            unit = RingElement(curve, {0: ld.coefficient.inverse()})
-            return [pair.times(unit)
-                    + g.times(RingElement(curve, {q: -_monic(curve, q, g_ld)}))]
-    lcms = [(g, g_ld, psi) for g, g_ld in zip(g_part, g_leads)
-            for psi in sg.lcms(mu, g_ld.order)]
+    mu = pair.down.delta()
+    lc = pair.down.leading_coefficient()
+    lcms = [(g, psi) for g in g_part for psi in sg.lcms(mu, g.down.delta())]
     out = []
-    for g, g_ld, psi in _prime_reduce(lcms, [c[2] for c in lcms], sg):
-        qf, qg = psi - mu, psi - g_ld.order
-        f_term = RingElement(curve, {qf: _monic(curve, qf, ld)})
-        g_term = RingElement(curve, {qg: -_monic(curve, qg, g_ld)})
+    for g, psi in _prime_reduce(lcms, [psi for _, psi in lcms], sg):
+        r = g.down.delta()
+        qf, qg = psi - mu, psi - r
+        f_term = RingElement(curve, {qf: _monic(curve, qf, mu, lc)})
+        g_term = RingElement(
+            curve, {qg: -_monic(curve, qg, r, g.down.leading_coefficient())})
         out.append(pair.times(f_term) + g.times(g_term))
     return out
 
 
-def _monic(curve: Curve, q: int, lead: Lead) -> FieldElement:
-    """The scalar that makes phi(q) times the lead term monic."""
-    return (lead.coefficient * curve.lead_factor(q, lead.order)).inverse()
+def _monic(curve: Curve, q: int, order: int, lc: FieldElement) -> FieldElement:
+    """The scalar that makes phi(q) times the lead lc * phi(order) monic."""
+    return (lc * curve.lead_factor(q, order)).inverse()
 
 
 def _prime_reduce(items: list, orders: list[int], sg: Semigroup) -> list:
@@ -264,18 +250,11 @@ def step(state: GBState) -> GBState:
     """
     s = state.weight
     sg = state.curve.semigroup
-    new_g = list(state.g)
-    new_g_lms = [ld.order for ld in state.g_leads()]  # same at s - 1
-    new_f: list[ModulePair] = []
-    for pair in state.f:
-        ld = leading(s - 1, pair)
-        if ld.location is DOWN:
-            new_g.append(pair)
-            new_g_lms.append(ld.order)
-        new_f.extend(spoly(s, pair, state.g))
-
-    new_g = _prime_reduce(new_g, new_g_lms, sg)
-    new_f = _prime_reduce(new_f, [leading(s - 1, p).order for p in new_f], sg)
+    new_g = [*state.g, *(p for p in state.f if not _leads_up(s - 1, p))]
+    new_f = [out for p in state.f for out in spoly(s, p, state.g)]
+    # every element of new_g leads downstairs, of new_f upstairs, at s - 1
+    new_g = _prime_reduce(new_g, [p.down.delta() for p in new_g], sg)
+    new_f = _prime_reduce(new_f, [p.up.delta() for p in new_f], sg)
     return GBState(s - 1, tuple(new_g), tuple(new_f), state.curve)
 
 

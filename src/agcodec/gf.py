@@ -20,7 +20,7 @@ to ``ORDER_CAP``.
 Textual form of an element, used by all vector files and traces:
 
     "0"            the zero element
-    "1", "2", ...  elements of the prime subfield
+    "1", "2", ...  elements of the prime subfield (ASCII digits only)
     "a^k"          the k-th power of the generator (k >= 1); "a" == "a^1"
 
 Default moduli: the table ``_DEFAULT_MODULI`` below fixes the reduction
@@ -333,9 +333,9 @@ class Field:
 
     def parse(self, text: str) -> "FieldElement":
         """Parse the textual element grammar ("0", "2", "a", "a^5", ...)."""
-        if not isinstance(text, str):
+        if not isinstance(text, str) or not text.strip().isascii():
             raise ValueError(f"malformed field element token {text!r}")
-        tok = text.strip()
+        tok = text.strip()  # ASCII, so isdigit() accepts 0-9 only
         if tok.isdigit():
             return self.element(int(tok))
         if tok == "a":

@@ -61,6 +61,15 @@ class TestCodec:
         assert main(["decode", *CODE_ARGS, "--in", str(bad)]) == 1
         capsys.readouterr()
 
+    def test_non_ascii_digit_exit_1(self, tmp_path, capsys):
+        # an Arabic-Indic one is a Unicode digit but not a field element
+        bad = tmp_path / "bad.txt"
+        bad.write_text("0,\u0661," + ",".join(["0"] * 25) + "\n",
+                       encoding="utf-8")
+        assert main(["decode", *CODE_ARGS, "--in", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert "column 3" in err and "malformed field element token" in err
+
     def test_failed_verification_exit_2(self, tmp_path, code_q3, capsys):
         rng = random.Random(0)
         elems = code_q3.field.elements()
@@ -127,6 +136,16 @@ class TestCodec:
                 assert main([*argv, "--code", str(cfg)]) == 1
                 err = capsys.readouterr().err
                 assert err.startswith("agcodec: error:") and named in err
+
+    def test_huge_curve_weight_exit_1(self, tmp_path, capsys):
+        # refused by the weight cap before a table of a entries is built
+        cfg = tmp_path / "code.json"
+        cfg.write_text(json.dumps({"type": "mk", "field": {"p": 5},
+                                   "a": 1000000000, "b": 1, "d": "1",
+                                   "u": 3}))
+        assert main(["radius", "--code", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("agcodec: error:") and "exceed cap" in err
 
     def test_conflicting_code_args_exit_1(self, tmp_path, capsys):
         msg = tmp_path / "m.txt"

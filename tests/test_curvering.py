@@ -2,10 +2,12 @@ import random
 
 import pytest
 
-from agcodec.curvering import BOTTOM, Curve, Monomial, Semigroup
+from agcodec.code import curve_from_config, rational_points
+from agcodec.curvering import (BOTTOM, WEIGHT_CAP, Curve, Monomial,
+                               Semigroup)
 from agcodec.gf import Field
 
-from support import (gaps_below, lattice_divides, naive_reduce,
+from support import (MK_FAMILIES, gaps_below, lattice_divides, naive_reduce,
                      random_ring_element, schoolbook_mul)
 
 
@@ -53,6 +55,16 @@ class TestCurveConstruction:
             Curve.hermitian(2 ** 61 - 1)
         with pytest.raises(ValueError, match="not a prime power"):
             Curve.hermitian(6)
+
+    def test_weight_cap(self):
+        # a and b are refused before the per-weight tables are built; the
+        # largest Hermitian weights the field cap admits pass
+        with pytest.raises(ValueError, match="exceed cap"):
+            Semigroup(10 ** 9, 1)
+        with pytest.raises(ValueError, match="exceed cap"):
+            Semigroup(2, WEIGHT_CAP + 1)
+        assert Semigroup(256, 257).y_degrees[1] == 1
+        assert len(Semigroup(WEIGHT_CAP, 1).y_degrees) == WEIGHT_CAP
 
     def test_coefficient_outside_region(self):
         field = Field(3, 2)
@@ -106,6 +118,16 @@ class TestReduction:
             raw = {(rng.randrange(7), rng.randrange(9)):
                    elems[rng.randrange(1, 9)] for _ in range(6)}
             assert curve_q3.element(raw) == naive_reduce(curve_q3, raw)
+
+    def test_high_y_power_is_not_recursive(self):
+        # y^5001 is y times (y^2)^2500 folded in a loop, not one call deep
+        # per power; it agrees with x * y^5001 at every rational point
+        curve, _ = curve_from_config(MK_FAMILIES["a2-gf5"])
+        c = curve.field.element(3)
+        f = curve.element({(1, 5001): c})
+        assert f.delta() == 2 + 3 * 5001
+        for x, y in rational_points(curve):
+            assert f.evaluate(x, y) == c * x * y ** 5001
 
     def test_general_curve_reduction(self):
         # Curve.element against long division, y-degrees up to 3a+1; on a

@@ -186,11 +186,53 @@ class TestSpoly:
                     for j, mj in enumerate(lms):
                         assert i == j or not lattice_divides(sg, mi, mj)
 
-    def test_requires_upstairs_lead(self, bundled_states):
+    def test_divisible_lead_is_one_elimination(self, code_q3, received_q3):
+        # when G leads divide the pair's downstairs lead mu at s - 1, spoly
+        # returns pair / lc - phi(mu - r) * g / m for the first such g, of
+        # lead order r, with m the leading coefficient of phi(mu - r) * g
+        codes = [(code_q3, [received_q3])]
+        for family in sorted(MK_FAMILIES):
+            code = mk_code(family, 3)
+            rng = random.Random(family)
+            t = (code.decoding_distance() - 1) // 2
+            codes.append((code, [add_vectors(
+                code.encode(random_message(code, rng)),
+                random_error(code, rng, w)) for w in range(t + 2)]))
+        checked = 0
+        for code, words in codes:
+            curve, sg = code.curve, code.curve.semigroup
+            for v in words:
+                for s, state, _, _ in tracked_decode(code, v)[1]:
+                    if s < 0:
+                        continue
+                    for pair in state.f:
+                        ld = leading(s - 1, pair)
+                        if ld.location is UP:
+                            continue
+                        g = next((g for g in state.g if sg.is_nongap(
+                            ld.order - leading(s, g).order)), None)
+                        if g is None:
+                            continue
+                        q = ld.order - leading(s, g).order
+                        phi_q = curve.monomial(*sg.phi(q))
+                        m = (phi_q * g.down).leading_coefficient()
+                        want = ModulePair(
+                            pair.up * ld.coefficient.inverse()
+                            - phi_q * g.up * m.inverse(),
+                            pair.down * ld.coefficient.inverse()
+                            - phi_q * g.down * m.inverse())
+                        assert spoly(s, pair, state.g) == [want]
+                        checked += 1
+        assert checked > 0
+
+    def test_requires_upstairs_lead(self, bundled_states, code_q3):
         _, states = bundled_states
         state, _ = states[32]
         with pytest.raises(ValueError):
             spoly(32, state.g[0], state.g)
+        zero = ModulePair(code_q3.curve.zero(), code_q3.curve.zero())
+        with pytest.raises(ValueError):
+            spoly(32, zero, state.g)
 
 
 class TestStep:

@@ -261,7 +261,8 @@ class TestTextualForm:
         assert str(field9.generator) == "a^1"
 
     def test_malformed(self, field9):
-        for tok in ["", "b", "a^", "a^-1", "2.5", "a ^2"]:
+        # digits are ASCII 0-9 only: no Arabic-Indic one, no superscript two
+        for tok in ["", "b", "a^", "a^-1", "2.5", "a ^2", "\u0661", "a^\u00b2"]:
             with pytest.raises(ValueError):
                 field9.parse(tok)
 

@@ -127,12 +127,15 @@ class TestDecoderAgreement:
             assert decode(code_q2, tuple(v)).message == best[0][0]
 
     # (family, shortened point set, u): message space at most 7^3 = 343 and
-    # t >= 1; a2-gf25 has none (its smallest message space is 25^2).  One
-    # scan takes up to about 20 ms, the eight cases about 3 s together
+    # t >= 1; a2-gf25 has none (its smallest message space is 25^2).  The
+    # last four take a gap u (5 of <3,4>, 6 of <4,5>), each with k = 3.  One
+    # scan takes up to about 20 ms, the twelve cases about 4 s together
     MK_CASES = [("a2-gf5", False, 3), ("a2-gf5", True, 3),
                 ("a2-gf7", False, 3), ("a2-gf7", True, 3),
                 ("a3-gf7", False, 4), ("a3-gf7", True, 4),
-                ("a4-gf7", False, 5), ("a4-gf7", True, 5)]
+                ("a4-gf7", False, 5), ("a4-gf7", True, 5),
+                ("a3-gf7", False, 5), ("a3-gf7", True, 5),
+                ("a4-gf7", False, 6), ("a4-gf7", True, 6)]
 
     @pytest.mark.parametrize("family,shortened,u", MK_CASES)
     def test_every_weight_matches_exhaustive_search_on_mk(self, family,
