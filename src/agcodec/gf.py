@@ -1,26 +1,24 @@
 """Exact arithmetic in small finite fields GF(p^m).
 
-Nonzero elements are stored by discrete logarithm with respect to a fixed
-generator ``a`` of the multiplicative group.  Every ``Field`` builds its
-p^m elements once, indexed by logarithm, and all arithmetic returns those
-shared objects: multiplication, division and exponentiation add or scale
-logarithms, and addition uses a Zech-logarithm table Z of size p^m - 1,
-defined by 1 + a^k = a^Z(k), so that a^i + a^j = a^(i + Z(j - i)).
+An element is its kernel value: a nonzero element is its discrete log k in
+[0, n), n = p^m - 1, with respect to a fixed generator ``a`` of the
+multiplicative group, and zero is one sentinel outside that range,
+``Field.zero_log`` = 3n.  Every ``Field`` builds its p^m elements once, with
+two int tables ZT and NORM, and all arithmetic returns those shared objects.
+Sum, product and negation are each one lookup in ZT and NORM, with no
+branch and no per-order special case, so one rule covers every order up to
+``ORDER_CAP``; ZT folds in the Zech logarithm Z of 1 + a^k = a^Z(k), so that
+a^i + a^j = a^(i + Z(j - i)).
 
-Linear algebra over the field (the code's elimination, interpolation and
-encoding) runs on lists of int kernel values instead of elements: a nonzero
-element is its log k in [0, n), n = p^m - 1, and zero is one sentinel
-outside that range (``Field.zero_log``).  ``Field.logs`` and
-``Field.from_logs`` convert, and ``Field.axpy`` (acc + c * vec) and
-``Field.scale`` (c * vec) are the only operations on such lists.  Each is
-one list comprehension over two int tables sliced from the Zech table, with
-no branch and no per-order special case, so one rule covers every order up
-to ``ORDER_CAP``.
+The code's linear algebra (elimination, interpolation, encoding) runs on
+lists of kernel values: ``Field.logs`` and ``Field.from_logs`` convert, and
+``Field.axpy`` (acc + c * vec) and ``Field.scale`` (c * vec) are the same
+lookups as the element operators, one list comprehension each.
 
 Textual form of an element, used by all vector files and traces:
 
     "0"            the zero element
-    "1", "2", ...  elements of the prime subfield (ASCII digits only)
+    "1", "2", ...  elements of the prime subfield (ASCII digits, below p)
     "a^k"          the k-th power of the generator (k >= 1); "a" == "a^1"
 
 Default moduli: the table ``_DEFAULT_MODULI`` below fixes the reduction
@@ -122,19 +120,17 @@ def _is_irreducible(modulus: Sequence[int], p: int) -> bool:
 class Field:
     """The finite field GF(p^m).
 
-    Construction builds the exp and log tables, the Zech-logarithm table
-    used by addition, and the p^m element objects; arithmetic afterwards
-    only looks these up and never creates an element.  The two int tables
-    of the kernel-value operations (``axpy``, ``scale``) are sliced from the
-    Zech table on first use.  Immutable after construction apart from that
-    idempotent fill, so a Field and its elements can be shared freely across
-    threads.  Two Fields with the same p, m and modulus are equal and their
-    elements mix freely; the identity test comes first, so elements of one
-    Field object pay no comparison of moduli.
+    Construction builds the exp and log tables, the tables ZT and NORM of
+    every operation, and the p^m element objects, all at once; arithmetic
+    afterwards only looks these up and never creates an element.  Immutable
+    after construction, so a Field and its elements can be shared freely
+    across threads.  Two Fields with the same p, m and modulus are equal and
+    their elements mix freely; the identity test comes first, so elements of
+    one Field object pay no comparison of moduli.
     """
 
     __slots__ = ("p", "m", "order", "modulus", "zero_log", "_exp", "_log",
-                 "_zech", "_neg_log", "_by_log", "_elements", "_kernel")
+                 "_zt", "_norm", "_neg_log", "_by_log", "_elements")
 
     def __init__(self, p: int, m: int = 1,
                  modulus: Optional[Sequence[int]] = None) -> None:
@@ -235,31 +231,7 @@ class Field:
         return order
 
     def _build_tables(self) -> None:
-        q = self.order
-        # the multiplicative group is cyclic, so this search always succeeds
-        generator = next(v for v in range(1, q)
-                         if self._packed_order(v) == q - 1)
-        exp = [0] * (q - 1)
-        log = [-1] * q  # packed value -> logarithm; -1 for zero
-        acc = 1
-        for k in range(q - 1):
-            exp[k] = acc
-            log[acc] = k
-            acc = self._raw_mul(acc, generator)
-        self._exp = exp
-        self._log = log
-        # Zech logarithms: 1 + a^k = a^zech[k], with -1 when the sum is zero
-        self._zech = [log[self._vec_add(1, v)] for v in exp]
-        self._neg_log = 0 if self.p == 2 else (q - 1) // 2
-        # element of logarithm k at index k; zero last, so index -1 is zero
-        self._by_log = [FieldElement(self, k) for k in range(q - 1)]
-        self._by_log.append(FieldElement(self, -1))
-        self._elements = tuple(self._from_packed(v) for v in range(q))
-        self.zero_log = 3 * (q - 1)
-        self._kernel: Optional[tuple[list[int], list[int]]] = None
-
-    def _kernel_tables(self) -> tuple[list[int], list[int]]:
-        """The tables (ZT, NORM) of ``axpy`` and ``scale``, built on first use.
+        """The exp/log tables, the elements, and the tables ZT and NORM.
 
         With n = order - 1 and zero Z = 3n, acc + a^k * v for a multiplier k
         in [0, n) is NORM[r + ZT[3n + k + v - r]]; the index into ZT lies in
@@ -272,21 +244,39 @@ class Field:
 
         NORM reduces [0, 2n) mod n and sends [3n, 6n] to Z (NORM[2n:3n] is
         never read), so NORM[r + k] is the product a^k * r, zero included.
+        The element operators read the same tables: a sum is the case k = 0,
+        a product of kernel values i and j is NORM[i + j] (6n for two zeros),
+        and -a^i is NORM[i + neg], neg being the log of -1.
         """
-        if self._kernel is None:
-            n = self.order - 1
-            z = 3 * n
-            zech = [z if t < 0 else t for t in self._zech]
-            zt = list(range(-z, -n)) + zech * 3 + [0] * (2 * n)
-            norm = list(range(n)) * 2 + [z] * (4 * n + 1)
-            self._kernel = (zt, norm)
-        return self._kernel
+        q = self.order
+        n = q - 1
+        z = self.zero_log = 3 * n
+        # the multiplicative group is cyclic, so this search always succeeds
+        generator = next(v for v in range(1, q) if self._packed_order(v) == n)
+        exp = [0] * n
+        log = [z] * q  # packed value -> kernel value
+        acc = 1
+        for k in range(n):
+            exp[k] = acc
+            log[acc] = k
+            acc = self._raw_mul(acc, generator)
+        self._exp = exp
+        self._log = log
+        # Zech logarithms: 1 + a^k = a^zech[k], with Z when the sum is zero
+        zech = [log[self._vec_add(1, v)] for v in exp]
+        self._zt = list(range(-z, -n)) + zech * 3 + [0] * (2 * n)
+        self._norm = list(range(n)) * 2 + [z] * (4 * n + 1)
+        self._neg_log = 0 if self.p == 2 else n // 2
+        # element of kernel value k at index k: every index >= n is zero
+        self._by_log = [FieldElement(self, k) for k in range(n)]
+        self._by_log += [FieldElement(self, z)] * (2 * n + 1)
+        self._elements = tuple(self._from_packed(v) for v in range(q))
 
     # -- public surface ------------------------------------------------------
 
     @property
     def zero(self) -> "FieldElement":
-        return self._by_log[-1]
+        return self._by_log[self.zero_log]
 
     @property
     def one(self) -> "FieldElement":
@@ -304,24 +294,23 @@ class Field:
 
     def logs(self, elements: Iterable["FieldElement"]) -> list[int]:
         """Kernel values of the elements: logs, and ``zero_log`` for zero."""
-        z = self.zero_log
-        return [z if e._k < 0 else e._k for e in elements]
+        return [e._k for e in elements]
 
     def from_logs(self, values: Iterable[int]) -> list["FieldElement"]:
         """The elements of a list of kernel values."""
-        by_log, n = self._by_log, self.order - 1
-        return [by_log[k] if k < n else by_log[-1] for k in values]
+        by_log = self._by_log
+        return [by_log[k] for k in values]
 
     def axpy(self, acc: Sequence[int], k: int, vec: Sequence[int]) -> list[int]:
         """acc + a^k * vec on kernel values, for a nonzero multiplier a^k
         (k in [0, n)): the caller skips zero multipliers."""
-        zt, norm = self._kernel_tables()
+        zt, norm = self._zt, self._norm
         base = self.zero_log + k
         return [norm[r + zt[base + v - r]] for r, v in zip(acc, vec)]
 
     def scale(self, vec: Sequence[int], k: int) -> list[int]:
         """a^k * vec on kernel values, for k in [0, n)."""
-        norm = self._kernel_tables()[1]
+        norm = self._norm
         return [norm[r + k] for r in vec]
 
     def _from_packed(self, v: int) -> "FieldElement":
@@ -336,7 +325,7 @@ class Field:
         if not isinstance(text, str) or not text.strip().isascii():
             raise ValueError(f"malformed field element token {text!r}")
         tok = text.strip()  # ASCII, so isdigit() accepts 0-9 only
-        if tok.isdigit():
+        if tok.isdigit() and int(tok) < self.p:
             return self.element(int(tok))
         if tok == "a":
             return self.generator
@@ -363,29 +352,28 @@ class Field:
 class FieldElement:
     """A field element: zero, or a power a^k of the field generator.
 
-    The Field holds one instance per value and every operation returns one
-    of those; an element built here directly is equal to the Field's own.
+    It holds its kernel value ``_k``: the log k, or ``Field.zero_log`` for
+    zero.  The Field holds one instance per value and every operation
+    returns one of those; an element built here directly is equal to the
+    Field's own.
     """
 
-    __slots__ = ("field", "_k")
+    __slots__ = ("field", "_k", "is_zero")
 
     def __init__(self, field: Field, k: int) -> None:
         self.field = field
-        self._k = k  # -1 encodes zero
-
-    @property
-    def is_zero(self) -> bool:
-        return self._k < 0
+        self._k = k
+        self.is_zero = k == field.zero_log
 
     @property
     def log(self) -> int:
         """Discrete logarithm; undefined (raises) for zero."""
-        if self._k < 0:
+        if self.is_zero:
             raise ValueError("the zero element has no discrete logarithm")
         return self._k
 
     def _packed(self) -> int:
-        return 0 if self._k < 0 else self.field._exp[self._k]
+        return 0 if self.is_zero else self.field._exp[self._k]
 
     def _require_same_field(self, other: "FieldElement") -> None:
         if not isinstance(other, FieldElement) or other.field != self.field:
@@ -399,20 +387,12 @@ class FieldElement:
         f = self.field
         if other.__class__ is not FieldElement or other.field is not f:
             self._require_same_field(other)
-        i, j = self._k, other._k
-        if i < 0:
-            return f._by_log[j]
-        if j < 0:
-            return self
-        n = f.order - 1
-        z = f._zech[(j - i) % n]
-        return f._by_log[-1 if z < 0 else (i + z) % n]
+        i = self._k
+        return f._by_log[f._norm[i + f._zt[f.zero_log + other._k - i]]]
 
     def __neg__(self) -> "FieldElement":
-        if self._k < 0:
-            return self
         f = self.field
-        return f._by_log[(self._k + f._neg_log) % (f.order - 1)]
+        return f._by_log[f._norm[self._k + f._neg_log]]
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
         return self + (-other)
@@ -423,13 +403,10 @@ class FieldElement:
             if not isinstance(other, FieldElement):
                 return NotImplemented
             self._require_same_field(other)
-        i, j = self._k, other._k
-        if i < 0 or j < 0:
-            return f._by_log[-1]
-        return f._by_log[(i + j) % (f.order - 1)]
+        return f._by_log[f._norm[self._k + other._k]]
 
     def inverse(self) -> "FieldElement":
-        if self._k < 0:
+        if self.is_zero:
             raise ZeroDivisionError("zero has no multiplicative inverse")
         f = self.field
         return f._by_log[-self._k % (f.order - 1)]
@@ -439,7 +416,7 @@ class FieldElement:
         return self * other.inverse()
 
     def __pow__(self, e: int) -> "FieldElement":
-        if self._k < 0:
+        if self.is_zero:
             if e > 0:
                 return self
             if e == 0:
@@ -459,7 +436,7 @@ class FieldElement:
         return hash((self._k, self.field.p, self.field.m))
 
     def __str__(self) -> str:
-        if self._k < 0:
+        if self.is_zero:
             return "0"
         packed = self._packed()
         if packed < self.field.p:

@@ -70,6 +70,16 @@ class TestCodec:
         err = capsys.readouterr().err
         assert "column 3" in err and "malformed field element token" in err
 
+    def test_token_above_prime_exit_1(self, tmp_path, capsys):
+        # GF(9) has prime subfield {0, 1, 2}: "3" is malformed, not 0
+        tokens = (FIXTURES / "received_vector_q3.txt").read_text().split(",")
+        bad = tmp_path / "bad.txt"
+        bad.write_text(",".join(["3"] + tokens[1:]) + "\n")
+        assert main(["decode", *CODE_ARGS, "--in", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert "line 1" in err and "column 1" in err \
+            and "malformed field element token" in err
+
     def test_failed_verification_exit_2(self, tmp_path, code_q3, capsys):
         rng = random.Random(0)
         elems = code_q3.field.elements()
@@ -111,6 +121,8 @@ class TestCodec:
             ({**mk, "a": 2.0}, "a: expected an integer"),
             ({**mk, "field": {"p": "7"}}, "field.p: expected an integer"),
             ({**mk, "d": 1}, "d: malformed field element token 1"),
+            # a decimal token must be below p, never read mod p
+            ({**mk, "d": "8"}, "d: malformed field element token '8'"),
             ([mk], "JSON object"),
             ({**mk, "coeffs": 5}, "coeffs:"),
             ({**mk, "coeffs": [[0, 1]]}, "coeffs[0]"),

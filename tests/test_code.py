@@ -348,11 +348,14 @@ class TestLargeField:
         received = list(sent)
         for pos, e in zip(rng.sample(range(code.n), t), elems[code.k:]):
             received[pos] = received[pos] + e
-        tables = code.field._kernel
+        field = code.field
+        tables = (field._zt, field._norm)
+        assert len(field._zt) == 7 * (field.order - 1)
         result = decode(code, tuple(received))
         assert result.message == message
         assert result.distance == t
-        assert code.field._kernel is tables  # built once, by the Code
+        # built once, with the Field
+        assert field._zt is tables[0] and field._norm is tables[1]
 
 
 class TestDistance:

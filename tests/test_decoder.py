@@ -462,14 +462,17 @@ class TestGuaranteeAcrossFamilies:
                 assert result.message == message, (weight, result.votes)
                 assert result.status == STATUS_OK
 
-    # error patterns of weight 1..t on full point sets at u = 3 (t = 2)
-    PATTERNS = {"a2-gf5": 612, "a2-gf7": 1350, "a3-gf7": 1056}
+    # error patterns of weight 1..t (t = 2) on full point sets at u = 3,
+    # and on the shortened a4-gf7 set (n = 9, k = 3) at the gap u = 6
+    PATTERNS = {("a2-gf5", False, 3): 612, ("a2-gf7", False, 3): 1350,
+                ("a3-gf7", False, 3): 1056, ("a4-gf7", True, 6): 1350}
 
-    @pytest.mark.parametrize("family", sorted(PATTERNS))
-    def test_every_error_pattern_within_radius(self, family):
+    @pytest.mark.parametrize("family,shortened,u", sorted(PATTERNS), ids=[
+        f"{f}{'-shortened' if s else ''}-u{u}" for f, s, u in sorted(PATTERNS)])
+    def test_every_error_pattern_within_radius(self, family, shortened, u):
         # within t the sent word is the unique nearest codeword, so the
         # decoder must return its message whatever the pattern
-        code = mk_code(family, 3)
+        code = mk_code(family, u, shortened)
         t_max = (code.decoding_distance() - 1) // 2
         nonzero = code.field.elements()[1:]
         rng = random.Random(13)
@@ -488,7 +491,7 @@ class TestGuaranteeAcrossFamilies:
                         assert result.status in (STATUS_OK,
                                                  STATUS_LOW_CONFIDENCE)
                         count += 1
-            assert count == self.PATTERNS[family]
+            assert count == self.PATTERNS[family, shortened, u]
 
     @pytest.mark.parametrize("family", sorted(MK_FAMILIES))
     def test_basis_invariants_at_full_radius(self, family):

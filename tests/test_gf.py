@@ -3,6 +3,9 @@ import random
 
 import pytest
 
+from agcodec.code import Code
+from agcodec.curvering import Curve
+from agcodec.decoder import decode
 from agcodec.gf import Field, ORDER_CAP, canonical_key
 
 # prime powers up to 81, for the exhaustive property sweeps
@@ -135,13 +138,24 @@ class TestArithmetic:
             assert hash(x) == hash(y)
             assert {x: 1}[y] == 1
 
+    @staticmethod
+    def check_against_vectors(field, x, y):
+        """+, *, - and / of x and y against packed-vector arithmetic, which
+        shares no table with the operators (elements() is by packed value)."""
+        elems, add = field.elements(), field._vec_add
+        assert x + y is elems[add(x._packed(), y._packed())]
+        assert x * y is elems[field._raw_mul(x._packed(), y._packed())]
+        assert add((x - y)._packed(), y._packed()) == x._packed()
+        assert add((-x)._packed(), x._packed()) == 0
+        if not y.is_zero:
+            assert (x / y) * y is x
+
+    # p = 2 fields negate by the identity (neg_log 0)
     @pytest.mark.parametrize("p,m", [(2, 2), (3, 2), (5, 2), (2, 8)])
     def test_zech_addition_exhaustive(self, p, m):
         field = Field(p, m)
-        elems = field.elements()
-        for x, y in itertools.product(elems, repeat=2):
-            reference = field._vec_add(x._packed(), y._packed())
-            assert x + y is elems[reference]
+        for x, y in itertools.product(field.elements(), repeat=2):
+            self.check_against_vectors(field, x, y)
 
     @pytest.mark.parametrize("p,m", [(17, 2), (2, 9)])
     def test_zech_addition_random_large_orders(self, p, m):
@@ -152,8 +166,7 @@ class TestArithmetic:
         for _ in range(4000):
             x, y = elems[rng.randrange(field.order)], \
                 elems[rng.randrange(field.order)]
-            reference = field._vec_add(x._packed(), y._packed())
-            assert x + y is elems[reference]
+            self.check_against_vectors(field, x, y)
             assert (x - y) + y is x
 
     def test_operations_return_the_fields_elements(self, field9):
@@ -236,12 +249,20 @@ class TestKernel:
 
     def test_tables_built_once(self):
         field = Field(5, 2)
-        assert field._kernel is None
-        one, = field.logs([field.one])
-        field.axpy([one], one, [one])
-        tables = field._kernel
-        field.scale([one], one)
-        assert field._kernel_tables() is tables
+        n = field.order - 1
+        tables = (field._zt, field._norm, field._by_log)
+        assert [len(t) for t in tables] == [7 * n, 6 * n + 1, 3 * n + 1]
+        # y^2 + 2x + 1 + x^3 = 0, 34 points: a Code build and a decode read
+        # the Field's tables and build none
+        curve = Curve(field, 2, 3, field.one,
+                      {(0, 0): field.one, (1, 0): field.element(2)})
+        code = Code(curve, 10)
+        message = tuple(field.elements()[:code.k])
+        received = list(code.encode(message))
+        received[0] += field.one
+        assert decode(code, tuple(received)).message == message
+        assert all(now is then for now, then in zip(
+            (field._zt, field._norm, field._by_log), tables))
 
 
 class TestTextualForm:
@@ -265,6 +286,11 @@ class TestTextualForm:
         for tok in ["", "b", "a^", "a^-1", "2.5", "a ^2", "\u0661", "a^\u00b2"]:
             with pytest.raises(ValueError):
                 field9.parse(tok)
+        # a decimal token names a prime-subfield element, so it is below p
+        for field, tok in [(field9, "3"), (field9, "12"), (Field(7), "9")]:
+            with pytest.raises(ValueError,
+                               match="malformed field element token"):
+                field.parse(tok)
 
     def test_log_of_zero(self, field9):
         with pytest.raises(ValueError):
