@@ -12,11 +12,12 @@ have pairwise distinct pole orders, so everything here names a monomial by
 its order s, with phi(s) = x^i y^j the monomial itself.  Everything
 downstream (codes, the decoder) runs on three primitives implemented here:
 
-* ring elements as maps from pole order to coefficient, so delta is the
-  largest key and a product by one term adds its order to every key; a
-  product whose y-degrees reach a is folded back with the per-curve rows
-  of the reduced y^(a+r) = y^a * y^r, kept as pole-order offsets and
-  derived from the curve's one stored rewrite of y^a (``Curve._y_a``),
+* ring elements as maps from pole order to coefficient (delta is the
+  largest key) and one kernel behind every product, ``RingElement._plus``:
+  self + sum(c * phi(t) * e) in one dict, a term product adding its order
+  to every key, y-degrees past a folded back with per-curve rows of the
+  reduced y^(a+r) = y^a * y^r (from the curve's one stored rewrite of y^a,
+  ``Curve._y_a``), and a sum that cancels deleted,
 * the pole-order function ``delta`` (with a BOTTOM sentinel for zero),
 * divisibility on orders: phi(r) divides phi(t) exactly when t - r is a
   nongap, with quotient phi(t - r); lcms of two orders; and footprints as
@@ -258,6 +259,8 @@ class Curve:
 
     def monomial(self, i: int, j: int,
                  coeff: FieldElement | None = None) -> "RingElement":
+        if i < 0 or j < 0:
+            raise ValueError(f"negative exponent in x^{i}*y^{j}")
         if coeff is None:
             coeff = self.field.one
         if coeff.is_zero:
@@ -299,7 +302,7 @@ class Curve:
         row = self._wrap_rows.get(r)
         if row is None:
             top = self.b * (self.a + r)
-            y_a_r = self._y_a._times_term(self.b * r, self.field.one)
+            y_a_r = self.zero()._plus((self._y_a, self.b * r, self.field.one))
             row = [(s - top, c) for s, c in y_a_r._terms.items()]
             self._wrap_rows[r] = row
         return row
@@ -450,46 +453,52 @@ class RingElement:
     def __mul__(self, other: "RingElement | FieldElement") -> "RingElement":
         if isinstance(other, FieldElement):
             if other.is_zero:
-                return RingElement(self.curve, {})
-            return RingElement(self.curve,
-                               {s: c * other for s, c in self._terms.items()})
+                return self.curve.zero()
+            return self.curve.zero()._plus((self, 0, other))
         if not isinstance(other, RingElement):
             return NotImplemented
         self._require_same_curve(other)
-        # the sum of single-term products over the shorter operand's terms
+        # one pass over the shorter operand's terms
         if len(self._terms) < len(other._terms):
             self, other = other, self
-        if not other._terms:
-            return RingElement(self.curve, {})
-        first, *rest = other._terms.items()
-        product = self._times_term(*first)
-        for t, tc in rest:
-            product = product + self._times_term(t, tc)
-        return product
+        return self.curve.zero()._plus(
+            *((self, t, tc) for t, tc in other._terms.items()))
 
-    def _times_term(self, t: int, tc: FieldElement) -> "RingElement":
-        """Product with the single term tc * phi(t): key s goes to s + t with
-        coefficient c * tc.  A key whose y-degree wraps past a (its y-degree
-        falls below t's) is folded back with the curve's reduced y^(a+r)."""
+    def _plus(self, *products: tuple["RingElement", int, FieldElement]
+              ) -> "RingElement":
+        """self + sum(tc * phi(t) * e for e, t, tc in products), for nonzero
+        tc and e on self's curve, in one dict: key s of e goes to s + t with
+        coefficient c * tc, a key whose y-degree wraps past a (below t's) is
+        folded back with the reduced y^(a+r); a cancelled sum is deleted."""
         curve = self.curve
-        out = {s + t: c * tc for s, c in self._terms.items()}
-        a, ys = curve.a, curve.semigroup.y_degrees
-        jt = ys[t % a]
-        if jt:
-            wrapped = [(u, out.pop(u)) for u in [u for u in out
-                                                 if ys[u % a] < jt]]
-            for u, c in wrapped:
-                for off, rc in curve._wrap_row(ys[u % a]):
-                    key = u + off
-                    prev = out.get(key)
-                    if prev is None:
-                        out[key] = c * rc
-                    else:
-                        total = prev + c * rc
-                        if total.is_zero:
-                            del out[key]
+        a, ys, wrap_row = curve.a, curve.semigroup.y_degrees, curve._wrap_row
+        out = dict(self._terms)
+        for e, t, tc in products:
+            jt = ys[t % a]
+            for s, c in e._terms.items():
+                u, c = s + t, c * tc
+                if jt and ys[u % a] < jt:
+                    for off, rc in wrap_row(ys[u % a]):
+                        k, v = u + off, c * rc
+                        prev = out.get(k)
+                        if prev is None:
+                            out[k] = v
                         else:
-                            out[key] = total
+                            v = prev + v
+                            if v.is_zero:
+                                del out[k]
+                            else:
+                                out[k] = v
+                    continue
+                prev = out.get(u)
+                if prev is None:
+                    out[u] = c
+                else:
+                    c = prev + c
+                    if c.is_zero:
+                        del out[u]
+                    else:
+                        out[u] = c
         return RingElement(curve, out)
 
     def __rmul__(self, other: FieldElement) -> "RingElement":

@@ -55,22 +55,22 @@ class Lead(NamedTuple):
     monomial: Monomial
 
 
-@dataclasses.dataclass(frozen=True)
 class ModulePair:
     """f = up * z + down with both components reduced."""
 
-    up: RingElement
-    down: RingElement
+    __slots__ = ("up", "down")
 
-    def __add__(self, other: "ModulePair") -> "ModulePair":
-        return ModulePair(self.up + other.up, self.down + other.down)
+    def __init__(self, up: RingElement, down: RingElement) -> None:
+        self.up = up
+        self.down = down
 
-    def times(self, factor: RingElement) -> "ModulePair":
-        return ModulePair(self.up * factor, self.down * factor)
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ModulePair):
+            return NotImplemented
+        return self.up == other.up and self.down == other.down
 
-    def substitute(self, shift_term: RingElement) -> "ModulePair":
-        """z -> z + shift_term, i.e. add shift_term * up downstairs."""
-        return ModulePair(self.up, self.down + self.up * shift_term)
+    def __repr__(self) -> str:
+        return f"ModulePair(up={self.up!r}, down={self.down!r})"
 
 
 def leading(s: int, pair: ModulePair) -> Lead:
@@ -181,11 +181,9 @@ def shift(state: GBState, w: FieldElement, s: int) -> GBState:
         raise ValueError(f"{s} is a gap")
     if w.is_zero:
         return state
-    term = RingElement(state.curve, {s: w})
-    return GBState(state.weight,
-                   tuple(p.substitute(term) for p in state.g),
-                   tuple(p.substitute(term) for p in state.f),
-                   state.curve)
+    g, f = (tuple(ModulePair(p.up, p.down._plus((p.up, s, w))) for p in part)
+            for part in (state.g, state.f))
+    return GBState(state.weight, g, f, state.curve)
 
 
 def spoly(s: int, pair: ModulePair, g_part: Sequence[ModulePair]) -> list[ModulePair]:
@@ -212,14 +210,16 @@ def spoly(s: int, pair: ModulePair, g_part: Sequence[ModulePair]) -> list[Module
     mu = pair.down.delta()
     lc = pair.down.leading_coefficient()
     lcms = [(g, psi) for g in g_part for psi in sg.lcms(mu, g.down.delta())]
+    zero = curve.zero()
     out = []
     for g, psi in _prime_reduce(lcms, [psi for _, psi in lcms], sg):
         r = g.down.delta()
         qf, qg = psi - mu, psi - r
-        f_term = RingElement(curve, {qf: _monic(curve, qf, mu, lc)})
-        g_term = RingElement(
-            curve, {qg: -_monic(curve, qg, r, g.down.leading_coefficient())})
-        out.append(pair.times(f_term) + g.times(g_term))
+        cf = _monic(curve, qf, mu, lc)
+        cg = -_monic(curve, qg, r, g.down.leading_coefficient())
+        # cf * phi(qf) * pair + cg * phi(qg) * g, each side in one pass
+        out.append(ModulePair(zero._plus((pair.up, qf, cf), (g.up, qg, cg)),
+                              zero._plus((pair.down, qf, cf), (g.down, qg, cg))))
     return out
 
 
@@ -234,9 +234,16 @@ def _prime_reduce(items: list, orders: list[int], sg: Semigroup) -> list:
 
     Equal monomials keep the earlier item; output order follows input order.
     """
-    return [p for i, (p, m) in enumerate(zip(items, orders))
-            if not any(sg.is_nongap(m - other) and (other != m or j < i)
-                       for j, other in enumerate(orders) if j != i)]
+    a, b, ys = sg.a, sg.b, sg.y_degrees
+    kept = []
+    for i, m in enumerate(orders):
+        for j, other in enumerate(orders):
+            d = m - other  # phi(other) divides phi(m): d is a nongap
+            if j != i and d >= 0 and b * ys[d % a] <= d and (d or j < i):
+                break
+        else:
+            kept.append(items[i])
+    return kept
 
 
 def step(state: GBState) -> GBState:

@@ -184,6 +184,8 @@ class Field:
         return digits
 
     def _vec_add(self, u: int, v: int) -> int:
+        if self.m == 1:
+            return (u + v) % self.p
         if self.p == 2:
             return u ^ v
         du, dv = self._unpack(u), self._unpack(v)
@@ -195,6 +197,8 @@ class Field:
     def _raw_mul(self, u: int, v: int) -> int:
         """Product of two packed vectors, reduced by the modulus."""
         p, m = self.p, self.m
+        if m == 1:
+            return u * v % p
         du, dv = self._unpack(u), self._unpack(v)
         prod = [0] * (2 * m - 1)
         for i, a in enumerate(du):

@@ -119,6 +119,15 @@ class TestReduction:
                    elems[rng.randrange(1, 9)] for _ in range(6)}
             assert curve_q3.element(raw) == naive_reduce(curve_q3, raw)
 
+    def test_negative_exponents_rejected(self, curve_q3):
+        # without the check x^-1 is keyed by the gap -3 (its str raises),
+        # and y^-1 is read as y^2, since -1 % 3 = 2
+        one = curve_q3.field.one
+        with pytest.raises(ValueError, match="negative exponent"):
+            curve_q3.monomial(-1, 0)
+        with pytest.raises(ValueError, match="negative exponent"):
+            curve_q3.element({(2, -1): one})
+
     def test_high_y_power_is_not_recursive(self):
         # y^5001 is y times (y^2)^2500 folded in a loop, not one call deep
         # per power; it agrees with x * y^5001 at every rational point

@@ -1,18 +1,21 @@
 import hashlib
 import itertools
+import json
 import random
 
 import pytest
 
 from agcodec.cli import trace_lines
-from agcodec.code import (Code, curve_from_config, format_vector, radius_rows,
-                          rational_points)
+from agcodec.code import (Code, code_from_config, curve_from_config,
+                          format_vector, radius_rows, rational_points)
 from agcodec.curvering import Curve, Monomial
 from agcodec.decoder import (DOWN, STATUS_FAILED, STATUS_LOW_CONFIDENCE,
-                             STATUS_OK, UP, ModulePair, decode, initial_basis,
-                             leading, shift, spoly, vote)
+                             STATUS_OK, UP, ModulePair, _prime_reduce, decode,
+                             initial_basis, leading, shift, spoly, vote)
+from agcodec.gf import FieldElement
 from agcodec.oracle import check_gb
 
+from conftest import FIXTURES
 from support import (MK_FAMILIES, add_vectors, lattice_divides, mk_code,
                      random_error, random_message, tracked_decode)
 
@@ -186,10 +189,13 @@ class TestSpoly:
                     for j, mj in enumerate(lms):
                         assert i == j or not lattice_divides(sg, mi, mj)
 
-    def test_divisible_lead_is_one_elimination(self, code_q3, received_q3):
-        # when G leads divide the pair's downstairs lead mu at s - 1, spoly
-        # returns pair / lc - phi(mu - r) * g / m for the first such g, of
-        # lead order r, with m the leading coefficient of phi(mu - r) * g
+    def test_every_output_is_its_written_out_combination(self, code_q3,
+                                                         received_q3):
+        # a pair leading downstairs with mu at s - 1 gives, for each minimal
+        # lcm psi of mu and a G lead r (the first such G for an equal psi),
+        # pair * cf phi(psi - mu) + g * cg phi(psi - r), where cf and cg
+        # make the two products lead with 1 and -1; a G lead dividing mu
+        # leaves a single output
         codes = [(code_q3, [received_q3])]
         for family in sorted(MK_FAMILIES):
             code = mk_code(family, 3)
@@ -198,7 +204,7 @@ class TestSpoly:
             codes.append((code, [add_vectors(
                 code.encode(random_message(code, rng)),
                 random_error(code, rng, w)) for w in range(t + 2)]))
-        checked = 0
+        checked, two_outputs = 0, 0
         for code, words in codes:
             curve, sg = code.curve, code.curve.semigroup
             for v in words:
@@ -206,24 +212,28 @@ class TestSpoly:
                     if s < 0:
                         continue
                     for pair in state.f:
-                        ld = leading(s - 1, pair)
-                        if ld.location is UP:
+                        mu = leading(s - 1, pair)
+                        if mu.location is UP:
                             continue
-                        g = next((g for g in state.g if sg.is_nongap(
-                            ld.order - leading(s, g).order)), None)
-                        if g is None:
-                            continue
-                        q = ld.order - leading(s, g).order
-                        phi_q = curve.monomial(*sg.phi(q))
-                        m = (phi_q * g.down).leading_coefficient()
-                        want = ModulePair(
-                            pair.up * ld.coefficient.inverse()
-                            - phi_q * g.up * m.inverse(),
-                            pair.down * ld.coefficient.inverse()
-                            - phi_q * g.down * m.inverse())
-                        assert spoly(s, pair, state.g) == [want]
+                        lcms = [(g, psi) for g in state.g for psi in
+                                sg.lcms(mu.order, leading(s, g).order)]
+                        want = []
+                        for g, psi in _prime_reduce(
+                                lcms, [psi for _, psi in lcms], sg):
+                            qf = sg.phi(psi - mu.order)
+                            qg = sg.phi(psi - leading(s, g).order)
+                            cf = (curve.monomial(*qf) * pair.down
+                                  ).leading_coefficient().inverse()
+                            cg = -(curve.monomial(*qg) * g.down
+                                   ).leading_coefficient().inverse()
+                            mf = curve.monomial(*qf, cf)
+                            mg = curve.monomial(*qg, cg)
+                            want.append(ModulePair(pair.up * mf + g.up * mg,
+                                                   pair.down * mf + g.down * mg))
+                        assert spoly(s, pair, state.g) == want
                         checked += 1
-        assert checked > 0
+                        two_outputs += len(want) == 2
+        assert checked > 0 and two_outputs > 0
 
     def test_requires_upstairs_lead(self, bundled_states, code_q3):
         _, states = bundled_states
@@ -418,6 +428,22 @@ class TestDecode:
                 error = random_error(code, rng, rng.randrange(t_max + 1))
                 received = add_vectors(code.encode(message), error)
                 assert decode(code, received).message == message
+
+    def test_field_products_pinned(self, received_q3, monkeypatch):
+        # the bundled decode on a fresh code (no wrap row cached yet) makes
+        # 1,326 FieldElement products; a change to the ring glue around the
+        # arithmetic keeps that count, and the products stay on __mul__
+        code = code_from_config(json.loads(
+            (FIXTURES / "hermitian_q3_u16.json").read_text(encoding="utf-8")))
+        plain, count = FieldElement.__mul__, [0]
+
+        def counted(x, y):
+            count[0] += 1
+            return plain(x, y)
+
+        monkeypatch.setattr(FieldElement, "__mul__", counted)
+        assert decode(code, received_q3).status == STATUS_OK
+        assert count[0] == 1326
 
     def test_q4_guarantee_at_full_radius(self):
         # Hermitian q=4, u=30: n=64, d=34, so t=16 is the full radius

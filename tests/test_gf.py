@@ -151,15 +151,17 @@ class TestArithmetic:
             assert (x / y) * y is x
 
     # p = 2 fields negate by the identity (neg_log 0)
-    @pytest.mark.parametrize("p,m", [(2, 2), (3, 2), (5, 2), (2, 8)])
+    @pytest.mark.parametrize("p,m", [(2, 2), (3, 2), (5, 2), (2, 8), (7, 1),
+                                     (257, 1)])
     def test_zech_addition_exhaustive(self, p, m):
         field = Field(p, m)
         for x, y in itertools.product(field.elements(), repeat=2):
             self.check_against_vectors(field, x, y)
 
-    @pytest.mark.parametrize("p,m", [(17, 2), (2, 9)])
+    @pytest.mark.parametrize("p,m", [(17, 2), (2, 9), (65519, 1)])
     def test_zech_addition_random_large_orders(self, p, m):
-        # orders 289 and 512, above the old 256 cutoff of the addition table
+        # orders 289 and 512, above the old 256 cutoff of the addition table,
+        # and the largest prime order below the cap
         field = Field(p, m)
         elems = field.elements()
         rng = random.Random(p * 100 + m)

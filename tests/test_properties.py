@@ -83,6 +83,25 @@ class TestRingProperties:
         assert curve.reduce(dict(once.items())) == once
 
     @PROPERTY
+    @given(st.data())
+    def test_plus_is_a_sum_of_term_products(self, data):
+        # the private kernel against the public operators; multipliers are
+        # nonzero, as at every caller
+        curve, (x, y, z) = data.draw(curve_and_elements(3))
+        sg, one = curve.semigroup, curve.field.one
+        terms = st.tuples(st.sampled_from(sg.nongaps(2 * curve.a * curve.b)),
+                          st.sampled_from(curve.field.elements()[1:]))
+        (t, c), (t2, c2) = data.draw(terms), data.draw(terms)
+        m1 = curve.monomial(*sg.phi(t), c)
+        m2 = curve.monomial(*sg.phi(t2), c2)
+        got = x._plus((y, t, c), (z, t2, c2))
+        assert got == x + y * m1 + z * m2
+        assert x._plus((y, t, c), (y, t, -c)) == x
+        assert x._plus((x, 0, -one))._terms == {}
+        for f in (got, y * m1, y * z, x + y, x + got):
+            assert not any(v.is_zero for v in f._terms.values())
+
+    @PROPERTY
     @given(curve_and_elements(2))
     def test_delta_is_additive(self, case):
         _, (f, g) = case
