@@ -93,6 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config(args: argparse.Namespace) -> dict:
     if args.code and args.hermitian_q is not None:
         raise ValueError("give either --code or --hermitian-q, not both")
+    if args.code and args.u is not None:
+        raise ValueError("--u does not apply with --code: a --code file sets u")
     if args.code:
         with open(args.code, "r", encoding="utf-8") as fh:
             return json.load(fh)

@@ -66,7 +66,7 @@ def checked_points(curve: Curve,
         if not curve.is_smooth_at(x, y):
             raise ValueError(f"point ({x}, {y}) is singular")
         out.append((x, y))
-    if len(set((str(x), str(y)) for x, y in out)) != len(out):
+    if len(set(out)) != len(out):
         raise ValueError("duplicate points")
     return out
 
@@ -397,8 +397,10 @@ def curve_from_config(cfg: Mapping) -> tuple[Curve, Optional[list[Point]]]:
                     and _is_int(entry[0]) and _is_int(entry[1])):
                 raise ValueError(f"coeffs[{idx}]: expected [i, j, token] "
                                  f"with integer i, j, got {entry!r}")
-            coeffs[(entry[0], entry[1])] = _parse_at(field, entry[2],
-                                                     f"coeffs[{idx}]")
+            term = (entry[0], entry[1])
+            if term in coeffs:
+                raise ValueError(f"coeffs[{idx}]: duplicate term {term}")
+            coeffs[term] = _parse_at(field, entry[2], f"coeffs[{idx}]")
         curve = Curve(field, _required(cfg, "a"), _required(cfg, "b"),
                       _required(cfg, "d", convert=field.parse), coeffs)
     else:

@@ -28,8 +28,8 @@ downstream (codes, the decoder) runs on three primitives implemented here:
 "x^i*y^j" with unit factors omitted ("1", "x", "y^2", "x^3*y", ...), a
 grammar used verbatim by the CLI trace format.  Raw polynomials with any
 y-degrees (``Curve.element``, ``Curve.reduce``) are maps from (i, j),
-reduced term by term: x^i y^j with j >= a is x^i y^(j mod a) times
-y^a raised to j div a.
+summed in one ``_plus`` over their terms as ``monomial``s: x^i y^j with
+j >= a is x^i y^(j mod a) times y^a raised to j div a.
 """
 
 from __future__ import annotations
@@ -288,10 +288,9 @@ class Curve:
         j >= a is c * x^i * y^(j mod a) times (y^a)^(j div a).  Idempotent,
         and the result agrees with the input as a function on the curve.
         """
-        out = self.zero()
-        for (i, j), c in raw.items():
-            out = out + self.monomial(i, j, c)
-        return out
+        one = self.field.one
+        return self.zero()._plus(*((self.monomial(i, j, c), 0, one)
+                                   for (i, j), c in raw.items()))
 
     def _wrap_row(self, r: int) -> list[tuple[int, FieldElement]]:
         """The reduced y^(a+r) as (pole order - b*(a+r), coefficient) pairs,
@@ -321,10 +320,11 @@ class Curve:
 
     def is_smooth_at(self, x: FieldElement, y: FieldElement) -> bool:
         """False when both formal partial derivatives vanish at (x, y)."""
-        dx = _partial(self.equation_terms(), self.field, axis=0)
-        dy = _partial(self.equation_terms(), self.field, axis=1)
-        return not (_evaluate_raw(dx.items(), x, y).is_zero
-                    and _evaluate_raw(dy.items(), x, y).is_zero)
+        terms, times = self.equation_terms().items(), self.field.element
+        dx = (((i - 1, j), times(i) * c) for (i, j), c in terms if i)
+        dy = (((i, j - 1), times(j) * c) for (i, j), c in terms if j)
+        return not (_evaluate_raw(dx, x, y).is_zero
+                    and _evaluate_raw(dy, x, y).is_zero)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Curve):
@@ -346,21 +346,6 @@ def _evaluate_raw(terms: Iterable[tuple[tuple[int, int], FieldElement]],
     for (i, j), c in terms:
         total = total + c * x ** i * y ** j
     return total
-
-
-def _partial(terms: Mapping[Monomial, FieldElement], field: Field,
-             axis: int) -> dict[Monomial, FieldElement]:
-    out: dict[Monomial, FieldElement] = {}
-    for (i, j), c in terms.items():
-        e = (i, j)[axis]
-        if e == 0:
-            continue
-        scaled = field.element(e) * c
-        if scaled.is_zero:
-            continue
-        key = Monomial(i - 1, j) if axis == 0 else Monomial(i, j - 1)
-        out[key] = out.get(key, field.zero) + scaled
-    return {m: c for m, c in out.items() if not c.is_zero}
 
 
 class RingElement:

@@ -279,7 +279,6 @@ def decode(code: Code, v: Sequence[FieldElement],
     ``watch`` is called as watch(s, basis entering weight s, vote or None)
     for every s, and once more with the final basis at weight -1.
     """
-    code._check_vector(v, code.n, "vector")
     sg = code.curve.semigroup
     field = code.field
     state = initial_basis(code, v)

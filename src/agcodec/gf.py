@@ -48,21 +48,6 @@ _DEFAULT_MODULI: dict[tuple[int, int], tuple[int, ...]] = {
 }
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    i = 3
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 2
-    return True
-
-
 def _prime_factors(n: int) -> list[int]:
     out = []
     d = 2
@@ -78,30 +63,22 @@ def _prime_factors(n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Polynomial helpers over GF(p).  Polynomials are tuples of ints in [0, p),
-# constant term first, with no trailing zeros (except the zero polynomial ()).
+# Polynomial helpers over GF(p).  Polynomials are sequences of ints in [0, p),
+# constant term first.  A remainder by a monic divisor of degree e is its e
+# low coefficients, trailing zeros kept.
 # ---------------------------------------------------------------------------
 
-def _poly_trim(c: Sequence[int]) -> tuple[int, ...]:
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def _poly_mod(num: Sequence[int], den: Sequence[int], p: int) -> tuple[int, ...]:
-    """Remainder of num / den over GF(p); den must be nonzero."""
+def _poly_mod(num: Sequence[int], den: Sequence[int], p: int) -> list[int]:
+    """Remainder of num / den over GF(p), for a monic den: the deg(den)
+    low coefficients."""
     num = list(num)
     dd = len(den) - 1
-    inv_lead = pow(den[-1], -1, p)
     for k in range(len(num) - 1, dd - 1, -1):
         c = num[k]
-        if c == 0:
-            continue
-        factor = (c * inv_lead) % p
-        for i, d in enumerate(den):
-            num[k - dd + i] = (num[k - dd + i] - factor * d) % p
-    return _poly_trim(num)
+        if c:
+            for i, d in enumerate(den):
+                num[k - dd + i] = (num[k - dd + i] - c * d) % p
+    return num[:dd]
 
 
 def _is_irreducible(modulus: Sequence[int], p: int) -> bool:
@@ -112,7 +89,7 @@ def _is_irreducible(modulus: Sequence[int], p: int) -> bool:
     for d in range(1, deg // 2 + 1):
         for low in itertools.product(range(p), repeat=d):
             divisor = tuple(low) + (1,)
-            if not _poly_mod(modulus, divisor, p):
+            if not any(_poly_mod(modulus, divisor, p)):
                 return False
     return True
 
@@ -139,7 +116,7 @@ class Field:
         # bound the order before the primality test, which is trial division
         if m >= ORDER_CAP.bit_length() or p ** m > ORDER_CAP:
             raise ValueError(f"field order {p}^{m} exceeds cap {ORDER_CAP}")
-        if not _is_prime(p):
+        if _prime_factors(p) != [p]:
             raise ValueError(f"characteristic {p} is not prime")
         order = p ** m
         self.p = p
@@ -205,12 +182,7 @@ class Field:
             if a:
                 for j, b in enumerate(dv):
                     prod[i + j] = (prod[i + j] + a * b) % p
-        for k in range(2 * m - 2, m - 1, -1):
-            c = prod[k]
-            if c:
-                prod[k] = 0
-                for i in range(m):
-                    prod[k - m + i] = (prod[k - m + i] - c * self.modulus[i]) % p
+        prod = _poly_mod(prod, self.modulus, p)
         packed = 0
         for k in range(m - 1, -1, -1):
             packed = packed * p + prod[k]

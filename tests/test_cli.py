@@ -139,6 +139,9 @@ class TestCodec:
             # a huge prime is rejected by the order cap, not trial division
             ({**mk, "field": {"p": 2 ** 61 - 1}}, "exceeds cap"),
             ({"type": "hermitian", "q": 2 ** 61 - 1, "u": 4}, "exceeds cap"),
+            # a repeated term would overwrite the earlier one
+            ({**mk, "coeffs": [[0, 0, "1"], [0, 0, "2"]]},
+             "coeffs[1]: duplicate term (0, 0)"),
         ] + [({k: v for k, v in mk.items() if k != key}, f'"{key}"')
              for key in ("a", "b", "d")]
         cfg = tmp_path / "code.json"
@@ -166,6 +169,14 @@ class TestCodec:
                    "--in", str(msg)])
         assert rc == 1
         capsys.readouterr()
+        # the --code file sets u, so --u beside it is refused, not ignored
+        for argv in (["encode", "--in", str(msg)], ["decode", "--in", VECTOR],
+                     ["simulate", "--trials", "1", "--weight", "0"],
+                     ["trace", "--in", VECTOR], ["radius"]):
+            assert main([*argv, *CODE_ARGS, "--u", "3"]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("agcodec: error:")
+            assert "a --code file sets u" in err
 
 
 class TestTrace:

@@ -103,6 +103,23 @@ class TestRationalPoints:
         with pytest.raises(ValueError):
             Code(cusp, 1, [origin, smooth])
 
+    def test_singular_point_with_nonzero_partial_terms(self):
+        # on a3-gf7 the partials at (2, 5) are sums of nonzero terms that
+        # cancel, unlike the cusp's, where every term vanishes at the origin
+        curve, _ = curve_from_config(MK_FAMILIES["a3-gf7"])
+        x, y = curve.field.element(2), curve.field.element(5)
+        assert curve.contains(x, y) and not curve.is_smooth_at(x, y)
+        elems = curve.field.elements()
+        assert sum(curve.contains(px, py) for px in elems for py in elems) == 9
+        assert (x, y) not in rational_points(curve)
+
+    @pytest.mark.parametrize("family, count", [
+        ("a2-gf5", 9), ("a2-gf7", 9), ("a2-gf25", 34), ("a3-gf7", 8),
+        ("a4-gf7", 11)])
+    def test_smooth_point_counts(self, family, count):
+        curve, _ = curve_from_config(MK_FAMILIES[family])
+        assert len(rational_points(curve)) == count
+
 
 class TestEncoding:
     def test_zero_message(self, code_q3):

@@ -127,6 +127,19 @@ class TestReduction:
             curve_q3.monomial(-1, 0)
         with pytest.raises(ValueError, match="negative exponent"):
             curve_q3.element({(2, -1): one})
+        # checked before the coefficient, so a zero term is refused too
+        with pytest.raises(ValueError, match="negative exponent"):
+            curve_q3.element({(2, -1): curve_q3.field.zero})
+
+    @pytest.mark.parametrize("name", sorted(MK_FAMILIES) + [
+        "hermitian-q2", "hermitian-q3", "hermitian-q4"])
+    def test_equation_reduces_to_zero(self, name):
+        # every term of the reduced y^a cancels against the other terms
+        if name.startswith("hermitian"):
+            curve = Curve.hermitian(int(name[-1]))
+        else:
+            curve, _ = curve_from_config(MK_FAMILIES[name])
+        assert curve.reduce(curve.equation_terms()).is_zero
 
     def test_high_y_power_is_not_recursive(self):
         # y^5001 is y times (y^2)^2500 folded in a loop, not one call deep
