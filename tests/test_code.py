@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -218,6 +219,27 @@ class TestIdealBasis:
         for eta in etas:
             for px, py in points:
                 assert eta.evaluate(px, py).is_zero
+
+    # sha256 of the etas, the footprint and the table as printed by the
+    # dense Gauss-Jordan build, where the reference is too slow to compare
+    @pytest.mark.parametrize("q, subset, digest", [
+        (5, False,
+         "5f99ef72e9e4c25ee65732f537186a5d5082b4035686097acd0a14ae4c20ad10"),
+        (5, True,
+         "0c45fb904e0fe3d15120038bf77536585dd4c3db0687cd38cb771da71bd2fe90"),
+        (7, False,
+         "6e38af40244c38faca0997af424ebe2c680cb53347e854d8ba0cdd1014c9aa66"),
+    ])
+    def test_digest_pinned(self, q, subset, digest):
+        curve = Curve.hermitian(q)
+        points = rational_points(curve)
+        if subset:
+            points = random.Random(5).sample(points, 3 * len(points) // 4)
+        etas, delta, table = points_ideal_basis(curve, points)
+        h = hashlib.sha256()
+        for part in (*map(str, etas), " ".join(map(str, delta)), str(table)):
+            h.update(part.encode() + b"\n")
+        assert h.hexdigest() == digest
 
     @pytest.mark.parametrize("shortened", [False, True])
     @pytest.mark.parametrize("name", CURVES)
