@@ -5,15 +5,19 @@ rational points P_1..P_n, and a pole-order limit u < n.  Messages are
 indexed by the nongaps s <= u; encoding evaluates mu = sum(w_s * phi_s) at
 the points.
 
-Construction runs one Gauss-Jordan elimination over the rows ev(phi_s) in
-increasing pole order, each row held as two lists of kernel values (logs,
-see ``gf.py``): values on the columns no pivot holds, and coefficients on
-the footprint found so far.  Every update is one ``Field.axpy``.  That
-single pass yields
+Construction works in R as a free F[x]-module with basis 1, y, ...,
+y^(a-1), on lists of kernel values (logs, see ``gf.py``) indexed by pole
+order, each update one ``Field.axpy``, in two steps:
 
-* the reduced Groebner basis {eta_i} of the ideal J of functions vanishing
-  at all points, together with its footprint (exactly n monomials), and
-* the Lagrange function of every point on the footprint monomials, whose
+* Kötter's point-by-point update builds the reduced F[x]-basis of the
+  ideal J of functions vanishing at all points: a generators, one per
+  y-degree, each multiplied by (x - x_P) or eliminated at every point P.
+  Its generators whose leads are not multiples of other leads are the
+  reduced Groebner basis {eta_i} of J, and the monomials below the leads
+  are its footprint (exactly n monomials).
+* The Lagrange function of each point (x0, y0) is l_x(x) * l_y(y), the
+  univariate Lagrange polynomials of x0 over the distinct x-values and of
+  y0 over its fiber, reduced by that basis onto the footprint; its
   coefficients make interpolation a single matrix-vector product.
 
 ``Code`` keeps those Lagrange functions and the evaluation rows of the
@@ -28,9 +32,9 @@ the bundled fixtures do).
 
 from __future__ import annotations
 
-import itertools
 import json
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import (Callable, Collection, Iterable, Mapping, Optional,
+                    Sequence)
 
 from .curvering import Curve, Monomial, RingElement, Semigroup
 from .gf import Field, FieldElement
@@ -86,6 +90,102 @@ def _evaluation_rows(field: Field, points: Sequence[Point]
     return row
 
 
+def _reduce(curve: Curve, vec: list[int], basis: Sequence[Sequence[int]],
+            leads: Sequence[int]) -> None:
+    """Reduce vec in place by the F[x]-basis of an ideal of points.
+
+    vec and each basis[j] are kernel values indexed by pole order, and
+    basis[j] ends with its monic lead at order leads[j], the barrier of row
+    j (the monomials x^i y^j).  Walking the orders of vec down, each term
+    c * x^i y^j at or above its row's barrier is cleared by c times
+    basis[j] times a power of x, which adds terms of lower order only, so
+    at the end every term lies in the footprint.
+    """
+    field, ys, a = curve.field, curve.semigroup.y_degrees, curve.a
+    zero, n = field.zero_log, field.order - 1
+    neg_one = field.logs([-field.one])[0]
+    for s in range(len(vec) - 1, min(leads) - 1, -1):
+        j = ys[s % a]
+        if s >= leads[j] and vec[s] != zero:
+            off = s - leads[j]
+            vec[off:s + 1] = field.axpy(vec[off:s + 1], (vec[s] + neg_one) % n,
+                                        basis[j])
+
+
+def _ideal_generators(curve: Curve, points: Sequence[Point]
+                      ) -> tuple[list[list[int]], list[int]]:
+    """The reduced F[x]-basis of the ideal of the points, and its leads.
+
+    R is free over F[x] with basis 1, y, ..., y^(a-1), and so is the ideal:
+    generator j is a list of kernel values indexed by pole order that ends
+    with its monic lead, at order leads[j] in row j (a monomial x^i y^j).
+    Kötter's update builds it one point at a time from g_j = y^j, each
+    generator carrying its values at the points still to come: at point P
+    the generator g* of least lead that does not vanish at P is eliminated
+    from the others, which keeps their leads, and is then multiplied by
+    (x - x_P), which raises its lead by x and keeps it monic.  After the
+    last point each generator is reduced by those of smaller lead, in
+    increasing lead order, so every term but its lead lies in the
+    footprint, the monomials below the leads of their rows.
+    """
+    field = curve.field
+    a, b = curve.a, curve.b
+    zero, n = field.zero_log, field.order - 1
+    neg_one = field.logs([-field.one])[0]
+    xs = field.logs(px for px, _ in points)
+    neg_xs = field.logs(-px for px, _ in points)
+    ev_row = _evaluation_rows(field, points)
+    leads = [b * j for j in range(a)]
+    gens = [[zero] * s + [0] for s in leads]
+    values = [ev_row(Monomial(0, j)) for j in range(a)]
+    for p in reversed(range(len(points))):  # last first: pop() drops P
+        at_p = [vals.pop() for vals in values]
+        star = min((j for j in range(a) if at_p[j] != zero),
+                   key=leads.__getitem__)
+        g = gens[star]
+        for j in range(a):
+            if j != star and at_p[j] != zero:
+                k = (at_p[j] - at_p[star] + neg_one) % n
+                values[j] = field.axpy(values[j], k, values[star])
+                gens[j][:len(g)] = field.axpy(gens[j], k, g)
+        neg_x = neg_xs[p]
+        values[star] = field.multiply(
+            values[star], field.axpy(xs[:p], 0, [neg_x] * p))
+        gens[star] = [zero] * a + g if neg_x == zero else \
+            field.axpy([zero] * a + g, neg_x, g + [zero] * a)
+        leads[star] += a
+    for j in sorted(range(a), key=leads.__getitem__):
+        tail = gens[j][:-1]
+        _reduce(curve, tail, gens, leads)
+        gens[j] = tail + [0]
+    return gens, leads
+
+
+def _lagrange_polys(field: Field, roots: Collection[FieldElement]
+                    ) -> dict[FieldElement, list[int]]:
+    """For each of the distinct roots r0, the coefficients (constant first,
+    kernel values) of the polynomial that is 1 at r0 and 0 at the other
+    roots: the quotient of the vanishing polynomial of the roots by
+    (T - r0), one synthetic division, over its value at r0."""
+    zero = field.zero
+    vanishing = [field.one]
+    for r in roots:
+        vanishing = [lo - r * hi for lo, hi
+                     in zip([zero] + vanishing, vanishing + [zero])]
+    out = {}
+    for r0 in roots:
+        quotient, acc = [], zero  # highest coefficient first
+        for c in reversed(vanishing[1:]):
+            acc = acc * r0 + c
+            quotient.append(acc)
+        at_r0 = zero
+        for c in quotient:
+            at_r0 = at_r0 * r0 + c
+        out[r0] = field.scale(field.logs(reversed(quotient)),
+                              at_r0.inverse().log)
+    return out
+
+
 def points_ideal_basis(
     curve: Curve, points: Sequence[Point]
 ) -> tuple[tuple[RingElement, ...], tuple[Monomial, ...], list[list[int]]]:
@@ -93,70 +193,47 @@ def points_ideal_basis(
 
     Returns (etas, footprint monomials in increasing pole order, table),
     where table[k][c] is the coefficient of footprint monomial k in the
-    Lagrange function of point c, as a kernel value.  The rows ev(phi_s)
-    are kernel-value lists (``Field.axpy``) over the columns no pivot holds
-    yet, each with its coefficients on the footprint monomials found so
-    far.  A row that reduces to zero gives an eta; any other is scaled to 1
-    at its first nonzero column, which is cleared from the earlier pivots,
-    so at the end each pivot is a Lagrange function.  The footprint has
-    exactly n monomials.
+    Lagrange function of point c, as a kernel value.  The etas are the
+    generators of the reduced F[x]-basis (``_ideal_generators``) whose
+    lead is no other lead times a monomial, in increasing lead order; the
+    footprint is the n monomials below the leads of their rows.  The
+    Lagrange function of a point (x0, y0) is l_x(x) * l_y(y), the
+    Lagrange polynomials of x0 over the distinct x-values and of y0 over
+    its fiber (``_lagrange_polys``), reduced by the basis (``_reduce``):
+    the unique function on the footprint that is 1 at the point and 0 at
+    the others.  On a full Hermitian point set no product needs reducing.
     """
-    sg = curve.semigroup
-    field = curve.field
-    n = len(points)
+    sg, field = curve.semigroup, curve.field
+    a, b, ys = curve.a, curve.b, sg.y_degrees
     zero = field.zero_log
-    one, neg_one = field.logs([field.one, -field.one])
-    ev_row = _evaluation_rows(field, points)
-    etas: list[RingElement] = []
-    eta_orders: list[int] = []
-    delta_orders: list[int] = []
-    free = list(range(n))
-    # [col, values on free, coefficients on delta_orders]
-    pivots: list[list] = []
-
-    cap = 4 * (n + curve.a * curve.b) * (curve.a + curve.b)
-    for s in itertools.count():
-        if etas and len(delta_orders) == n and \
-                sum(sg.staircase(eta_orders)) == n:
-            break
-        if s > cap:
-            raise RuntimeError("ideal basis computation failed to close")
-        if not sg.is_nongap(s) or any(sg.is_nongap(s - e) for e in eta_orders):
-            continue
-        full = ev_row(sg.phi(s))
-        neg_full = field.scale(full, neg_one)
-        row = [full[c] for c in free]
-        coeffs = [zero] * len(delta_orders)
-        for col, vals, prev in pivots:
-            nf = neg_full[col]
-            if nf != zero:
-                row = field.axpy(row, nf, vals)
-                coeffs = field.axpy(coeffs, nf, prev)
-        pos = next((idx for idx, r in enumerate(row) if r != zero), None)
-        if pos is None:
-            etas.append(RingElement(curve, {o: c for o, c in zip(
-                delta_orders + [s], field.from_logs(coeffs + [one]))
-                if not c.is_zero}))
-            eta_orders.append(s)
-            continue
-        inverse = -row.pop(pos) % (field.order - 1)
-        row = field.scale(row, inverse)
-        coeffs = field.scale(coeffs, inverse) + [inverse]
-        neg_row = field.scale(row, neg_one)
-        neg_coeffs = field.scale(coeffs, neg_one)
-        col = free.pop(pos)
-        for pivot in pivots:
-            f = pivot[1].pop(pos)
-            pivot[2].append(zero)
-            if f != zero:
-                pivot[1] = field.axpy(pivot[1], f, neg_row)
-                pivot[2] = field.axpy(pivot[2], f, neg_coeffs)
-        pivots.append([col, row, coeffs])
-        delta_orders.append(s)
-
-    pivots.sort(key=lambda p: p[0])
-    table = [list(coeffs) for coeffs in zip(*(p[2] for p in pivots))]
-    return tuple(etas), tuple(map(sg.phi, delta_orders)), table
+    gens, leads = _ideal_generators(curve, points)
+    etas = tuple(
+        RingElement(curve, {s: e for s, e in
+                            enumerate(field.from_logs(gens[j]))
+                            if not e.is_zero})
+        for j in sorted(range(a), key=leads.__getitem__)
+        if not any(sg.is_nongap(leads[j] - t) for t in leads if t != leads[j]))
+    footprint = [s for s in range(max(leads))
+                 if s < leads[ys[s % a]] and sg.is_nongap(s)]
+    fibers: dict[FieldElement, list[FieldElement]] = {}
+    for px, py in points:
+        fibers.setdefault(px, []).append(py)
+    width = len(fibers)
+    lx = _lagrange_polys(field, fibers)
+    ly = {x0: _lagrange_polys(field, fiber) for x0, fiber in fibers.items()}
+    # room for every product term (a fiber has at most a points) and for
+    # every footprint order
+    size = max(a * width + b * (a - 1), max(leads))
+    columns = []
+    for x0, y0 in points:
+        f = [zero] * size
+        for j, c in enumerate(ly[x0][y0]):
+            if c != zero:
+                f[b * j:b * j + a * width:a] = field.scale(lx[x0], c)
+        _reduce(curve, f, gens, leads)
+        columns.append([f[s] for s in footprint])
+    return (etas, tuple(map(sg.phi, footprint)),
+            [list(row) for row in zip(*columns)])
 
 
 class Code:
@@ -274,8 +351,8 @@ def radius_rows(curve: Curve,
     points = checked_points(curve, points)
     sg = curve.semigroup
     n = len(points)
-    etas, _, _ = points_ideal_basis(curve, points)
-    stair = sg.staircase(eta.delta() for eta in etas)
+    _, leads = _ideal_generators(curve, points)
+    stair = sg.staircase(leads)
     rows = []
     best = None
     for u in sg.nongaps(n - 1):

@@ -10,10 +10,12 @@ branch and no per-order special case, so one rule covers every order up to
 ``ORDER_CAP``; ZT folds in the Zech logarithm Z of 1 + a^k = a^Z(k), so that
 a^i + a^j = a^(i + Z(j - i)).
 
-The code's linear algebra (elimination, interpolation, encoding) runs on
-lists of kernel values: ``Field.logs`` and ``Field.from_logs`` convert, and
-``Field.axpy`` (acc + c * vec) and ``Field.scale`` (c * vec) are the same
-lookups as the element operators, one list comprehension each.
+The code's linear algebra (the build of the ideal of the points and its
+Lagrange functions, interpolation, encoding) runs on lists of kernel
+values: ``Field.logs`` and ``Field.from_logs`` convert, and ``Field.axpy``
+(acc + c * vec), ``Field.scale`` (c * vec) and ``Field.multiply`` (u * v
+entrywise) are the same lookups as the element operators, one list
+comprehension each.
 
 Textual form of an element, used by all vector files and traces:
 
@@ -288,6 +290,11 @@ class Field:
         """a^k * vec on kernel values, for k in [0, n)."""
         norm = self._norm
         return [norm[r + k] for r in vec]
+
+    def multiply(self, u: Sequence[int], v: Sequence[int]) -> list[int]:
+        """u * v entrywise on kernel values."""
+        norm = self._norm
+        return [norm[i + j] for i, j in zip(u, v)]
 
     def _from_packed(self, v: int) -> "FieldElement":
         return self._by_log[self._log[v]]

@@ -48,8 +48,9 @@ def mk_code(family: str, u: int, shortened: bool = False) -> Code:
 def reference_ideal_basis(
     curve: Curve, points: Sequence[Point]
 ) -> tuple[tuple[RingElement, ...], tuple[Monomial, ...], list[list[FieldElement]]]:
-    """The elimination of agcodec.code.points_ideal_basis with rows and
-    combinations as ring elements, kept as the reference it is compared to.
+    """The independent dense reference for agcodec.code.points_ideal_basis:
+    a Gauss-Jordan elimination over the rows ev(phi_s) in increasing pole
+    order, with rows and combinations as ring elements.
 
     Returns (etas, footprint monomials in increasing pole order, table),
     where table[k][c] is the coefficient of footprint monomial k in the

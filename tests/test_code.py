@@ -417,11 +417,12 @@ class TestDistance:
             code_q3.order_bound(5)
 
     def test_matches_closed_form_everywhere(self, curve_q3):
-        rows = dict(radius_rows(curve_q3))
-        sg = curve_q3.semigroup
-        for u in sg.nongaps(26):
-            assert rows[u] == hermitian_decoding_distance(3, u)
-            assert rows[u] >= 27 - u
+        for curve in (curve_q3, *map(Curve.hermitian, (4, 5, 7))):
+            q, n = curve.a, curve.a ** 3
+            rows = dict(radius_rows(curve))
+            for u in curve.semigroup.nongaps(n - 1):
+                assert rows[u] == hermitian_decoding_distance(q, u)
+                assert rows[u] >= n - u
 
     def test_hermitian_order_bound_formula(self, code_q3):
         # nu(s) = s2 * max(s1 - s2 + q + 1 - q^2, 0) + q^3 - s

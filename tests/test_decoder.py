@@ -461,6 +461,20 @@ class TestDecode:
             assert result.status == STATUS_OK
             assert result.distance == 16
 
+    def test_q7_guarantee_at_full_radius(self):
+        # Hermitian q=7, u=150: n=343, d=193, so t=96 is the full radius
+        code = Code(Curve.hermitian(7), 150)
+        assert (code.n, code.k, code.decoding_distance()) == (343, 130, 193)
+        rng = random.Random(7150)
+        for _ in range(2):
+            message = random_message(code, rng)
+            received = add_vectors(code.encode(message),
+                                   random_error(code, rng, 96))
+            result = decode(code, received)
+            assert result.message == message
+            assert result.status == STATUS_OK
+            assert result.distance == 96
+
 
 class TestGuaranteeAcrossFamilies:
     """2t < d_u brings the sent message back on curves with d != -1."""
