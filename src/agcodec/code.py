@@ -140,11 +140,13 @@ def _ideal_generators(curve: Curve, points: Sequence[Point]
     values = [ev_row(Monomial(0, j)) for j in range(a)]
     for p in reversed(range(len(points))):  # last first: pop() drops P
         at_p = [vals.pop() for vals in values]
-        star = min((j for j in range(a) if at_p[j] != zero),
-                   key=leads.__getitem__)
+        live = [j for j in range(a) if at_p[j] != zero]
+        if not live:  # the ideal so far vanishes at P: P came before
+            raise ValueError(f"duplicate point {points[p]}")
+        star = min(live, key=leads.__getitem__)
         g = gens[star]
-        for j in range(a):
-            if j != star and at_p[j] != zero:
+        for j in live:
+            if j != star:
                 k = (at_p[j] - at_p[star] + neg_one) % n
                 values[j] = field.axpy(values[j], k, values[star])
                 gens[j][:len(g)] = field.axpy(gens[j], k, g)
@@ -199,9 +201,11 @@ def points_ideal_basis(
     footprint is the n monomials below the leads of their rows.  The
     Lagrange function of a point (x0, y0) is l_x(x) * l_y(y), the
     Lagrange polynomials of x0 over the distinct x-values and of y0 over
-    its fiber (``_lagrange_polys``), reduced by the basis (``_reduce``):
-    the unique function on the footprint that is 1 at the point and 0 at
-    the others.  On a full Hermitian point set no product needs reducing.
+    its fiber (``_lagrange_polys``), reduced by the basis: each term at or
+    above its row's barrier is replaced by that monomial's form on the
+    footprint (``_reduce``), which gives the unique function on the
+    footprint that is 1 at the point and 0 at the others.  On a full
+    Hermitian point set no product has such a term.
     """
     sg, field = curve.semigroup, curve.field
     a, b, ys = curve.a, curve.b, sg.y_degrees
@@ -221,17 +225,29 @@ def points_ideal_basis(
     width = len(fibers)
     lx = _lagrange_polys(field, fibers)
     ly = {x0: _lagrange_polys(field, fiber) for x0, fiber in fibers.items()}
-    # room for every product term (a fiber has at most a points) and for
-    # every footprint order
-    size = max(a * width + b * (a - 1), max(leads))
+    # a product's terms x^i y^j have i < width and j < a (a fiber has at
+    # most a points); nf[s] is the footprint form of such a monomial of
+    # order s at or above its row's barrier: x times the one below, reduced
+    top = max(leads)
+    nf = {}
+    for j, lead in enumerate(leads):
+        vec = [zero] * (top + 1)
+        vec[lead] = 0
+        for s in range(lead, a * width + b * j, a):
+            _reduce(curve, vec, gens, leads)
+            nf[s] = [vec[t] for t in footprint]
+            vec = [zero] * a + vec
     columns = []
     for x0, y0 in points:
-        f = [zero] * size
+        f = [zero] * max(a * width + b * (a - 1), top)
         for j, c in enumerate(ly[x0][y0]):
             if c != zero:
                 f[b * j:b * j + a * width:a] = field.scale(lx[x0], c)
-        _reduce(curve, f, gens, leads)
-        columns.append([f[s] for s in footprint])
+        column = [f[s] for s in footprint]
+        for s, form in nf.items():
+            if f[s] != zero:
+                column = field.axpy(column, f[s], form)
+        columns.append(column)
     return (etas, tuple(map(sg.phi, footprint)),
             [list(row) for row in zip(*columns)])
 

@@ -188,6 +188,11 @@ class TestIdealBasis:
         assert {e.leading_monomial() for e in etas} == \
             {Monomial(1, 0), Monomial(0, 1)}
 
+    def test_rejects_repeated_point(self, curve_q3):
+        pts = rational_points(curve_q3)
+        with pytest.raises(ValueError, match="duplicate point"):
+            points_ideal_basis(curve_q3, pts[:3] + pts[1:2])
+
     def test_eta_vanishes_everywhere(self, code_q3):
         for eta in code_q3.eta_basis:
             for px, py in code_q3.points:
