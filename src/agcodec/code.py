@@ -217,7 +217,8 @@ def points_ideal_basis(
                             if not e.is_zero})
         for j in sorted(range(a), key=leads.__getitem__)
         if not any(sg.is_nongap(leads[j] - t) for t in leads if t != leads[j]))
-    footprint = [s for s in range(max(leads))
+    top = max(leads)
+    footprint = [s for s in range(top)
                  if s < leads[ys[s % a]] and sg.is_nongap(s)]
     fibers: dict[FieldElement, list[FieldElement]] = {}
     for px, py in points:
@@ -228,7 +229,6 @@ def points_ideal_basis(
     # a product's terms x^i y^j have i < width and j < a (a fiber has at
     # most a points); nf[s] is the footprint form of such a monomial of
     # order s at or above its row's barrier: x times the one below, reduced
-    top = max(leads)
     nf = {}
     for j, lead in enumerate(leads):
         vec = [zero] * (top + 1)
