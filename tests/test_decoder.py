@@ -70,6 +70,19 @@ class TestLeading:
                 assert equality == drop
 
 
+class TestModulePair:
+    def test_value_semantics(self, curve_q3):
+        # a mutable value: printed by component, equal by component, and
+        # unhashable; never equal to a plain tuple
+        pair = ModulePair(curve_q3.zero(), curve_q3.one())
+        assert repr(pair) == "ModulePair(up=0, down=1)"
+        assert pair == ModulePair(curve_q3.zero(), curve_q3.one())
+        assert pair != ModulePair(curve_q3.one(), curve_q3.one())
+        assert pair != (curve_q3.zero(), curve_q3.one())
+        with pytest.raises(TypeError):
+            hash(pair)
+
+
 class TestInitialBasis:
     def test_bundled_vector(self, code_q3, received_q3):
         state = initial_basis(code_q3, received_q3)

@@ -5,6 +5,7 @@ Runs are derandomized and bounded, so the suite stays deterministic."""
 
 import functools
 import math
+import operator
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -81,6 +82,22 @@ class TestRingProperties:
         once = curve.reduce(raw)
         assert once == naive_reduce(curve, raw)
         assert curve.reduce(dict(once.items())) == once
+
+    @PROPERTY
+    @given(curve_and_elements(2))
+    def test_sums_match_a_term_by_term_merge(self, case):
+        # the reference merges the public items() with field + and -, so it
+        # is independent of the ring kernel behind the operators
+        _, (f, g) = case
+        zero = f.curve.field.zero
+        for got, op in ((f + g, operator.add), (f - g, operator.sub)):
+            want = dict(f.items())
+            for m, c in g.items():
+                want[m] = op(want.get(m, zero), c)
+            assert dict(got.items()) == {m: c for m, c in want.items()
+                                         if not c.is_zero}
+            assert not any(c.is_zero for _, c in got.items())
+        assert (f - f).is_zero
 
     @PROPERTY
     @given(st.data())
