@@ -278,6 +278,7 @@ class TestTextualForm:
         assert str(a7) == "a^7"
         assert field9.parse("0").is_zero
         assert str(field9.generator ** 4) == "2"
+        assert field9.parse("a^8") == field9.one  # k >= n is a power too
 
     def test_bare_a(self, field9):
         assert field9.parse("a") == field9.generator
@@ -287,6 +288,11 @@ class TestTextualForm:
         # digits are ASCII 0-9 only: no Arabic-Indic one, no superscript two
         for tok in ["", "b", "a^", "a^-1", "2.5", "a ^2", "\u0661", "a^\u00b2"]:
             with pytest.raises(ValueError):
+                field9.parse(tok)
+        # the grammar's powers of the generator start at k = 1
+        for tok in ["a^0", "a^00"]:
+            with pytest.raises(ValueError,
+                               match="malformed field element token"):
                 field9.parse(tok)
         # a decimal token names a prime-subfield element, so it is below p
         for field, tok in [(field9, "3"), (field9, "12"), (Field(7), "9")]:
