@@ -2,7 +2,7 @@
 decoder driven by Groebner bases of modules and majority voting."""
 
 from .code import (Code, VectorParseError, code_from_config, format_vector,
-                   hermitian_decoding_distance, load_code, parse_vector,
+                   hermitian_decoding_distance, parse_vector,
                    points_ideal_basis, radius_rows, rational_points)
 from .curvering import BOTTOM, Curve, Monomial, RingElement, Semigroup
 from .decoder import (DOWN, STATUS_FAILED, STATUS_LOW_CONFIDENCE, STATUS_OK,
@@ -21,7 +21,7 @@ __all__ = [
     "Semigroup", "UP", "VectorParseError", "VoteRecord", "canonical_key",
     "check_gb", "code_from_config", "decode", "format_vector",
     "hamming_distance", "hermitian_decoding_distance", "initial_basis",
-    "lcm_check", "leading", "load_code", "nearest_codeword", "parse_vector",
+    "lcm_check", "leading", "nearest_codeword", "parse_vector",
     "points_ideal_basis", "radius_rows", "rational_points", "shift", "spoly",
     "step", "vote",
 ]

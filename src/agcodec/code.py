@@ -32,11 +32,10 @@ the bundled fixtures do).
 
 from __future__ import annotations
 
-import json
 from typing import (Callable, Collection, Iterable, Mapping, Optional,
                     Sequence)
 
-from .curvering import Curve, Monomial, RingElement, Semigroup
+from .curvering import Curve, Monomial, RingElement, Semigroup, _prime_reduce
 from .gf import Field, FieldElement
 
 Point = tuple[FieldElement, FieldElement]
@@ -211,12 +210,12 @@ def points_ideal_basis(
     a, b, ys = curve.a, curve.b, sg.y_degrees
     zero = field.zero_log
     gens, leads = _ideal_generators(curve, points)
+    rows = sorted(range(a), key=leads.__getitem__)
     etas = tuple(
         RingElement(curve, {s: e for s, e in
                             enumerate(field.from_logs(gens[j]))
                             if not e.is_zero})
-        for j in sorted(range(a), key=leads.__getitem__)
-        if not any(sg.is_nongap(leads[j] - t) for t in leads if t != leads[j]))
+        for j in _prime_reduce(rows, [leads[j] for j in rows], sg))
     top = max(leads)
     footprint = [s for s in range(top)
                  if s < leads[ys[s % a]] and sg.is_nongap(s)]
@@ -513,8 +512,3 @@ def curve_from_config(cfg: Mapping) -> tuple[Curve, Optional[list[Point]]]:
 def code_from_config(cfg: Mapping) -> Code:
     curve, points = curve_from_config(cfg)
     return Code(curve, _required(cfg, "u"), points)
-
-
-def load_code(path: str) -> Code:
-    with open(path, "r", encoding="utf-8") as fh:
-        return code_from_config(json.load(fh))

@@ -13,16 +13,18 @@ its order s, with phi(s) = x^i y^j the monomial itself.  Everything
 downstream (codes, the decoder) runs on three primitives implemented here:
 
 * ring elements as maps from pole order to coefficient (delta is the
-  largest key) and one kernel behind every product, ``RingElement._plus``:
-  self + sum(c * phi(t) * e) in one dict, a term product adding its order
-  to every key, y-degrees past a folded back with per-curve rows of the
-  reduced y^(a+r) = y^a * y^r (from the curve's one stored rewrite of y^a,
-  ``Curve._y_a``), and a sum that cancels deleted,
+  largest key) and one kernel behind every sum, difference and product,
+  ``RingElement._plus``: self + sum(c * phi(t) * e) in one dict, a term
+  product adding its order to every key, y-degrees past a folded back with
+  per-curve rows of the reduced y^(a+r) = y^a * y^r (from the curve's one
+  stored rewrite of y^a, ``Curve._y_a``), and a sum that cancels deleted,
 * the pole-order function ``delta`` (with a BOTTOM sentinel for zero),
 * divisibility on orders: phi(r) divides phi(t) exactly when t - r is a
-  nongap, with quotient phi(t - r); lcms of two orders; and footprints as
-  staircases, one row barrier per y-degree j < a, so footprint sizes and
-  differences are sums over a rows.
+  nongap, with quotient phi(t - r); lcms of two orders; the one
+  lead-minimality rule, ``_prime_reduce``, which keeps the items whose
+  lead no other item's divides (the decoder's pruning and the choice of
+  the ideal's etas); and footprints as staircases, one row barrier per
+  y-degree j < a, so footprint sizes and differences are sums over a rows.
 
 ``Monomial`` is the inspection and printing form: monomials print as
 "x^i*y^j" with unit factors omitted ("1", "x", "y^2", "x^3*y", ...), a
@@ -199,6 +201,24 @@ class Semigroup:
         return f"Semigroup({self.a}, {self.b})"
 
 
+def _prime_reduce(items: list, orders: list[int], sg: Semigroup) -> list:
+    """Drop the items whose (leading) monomial another item's divides, the
+    monomials given by their pole orders.
+
+    Equal monomials keep the earlier item; output order follows input order.
+    """
+    a, b, ys = sg.a, sg.b, sg.y_degrees
+    kept = []
+    for i, m in enumerate(orders):
+        for j, other in enumerate(orders):
+            d = m - other  # phi(other) divides phi(m): d is a nongap
+            if j != i and d >= 0 and b * ys[d % a] <= d and (d or j < i):
+                break
+        else:
+            kept.append(items[i])
+    return kept
+
+
 class Curve:
     """A Miura-Kamiya plane curve over a finite field."""
 
@@ -277,10 +297,6 @@ class Curve:
         ys, a = self.semigroup.y_degrees, self.a
         return -self.d if ys[r % a] + ys[t % a] >= a else self.field.one
 
-    def element(self, terms: Mapping[tuple[int, int], FieldElement]) -> "RingElement":
-        """Build a ring element from a raw exponent map (any y-degrees)."""
-        return self.reduce(terms)
-
     def reduce(self, raw: Mapping[tuple[int, int], FieldElement]) -> "RingElement":
         """Canonical form of a raw exponent map: every y-degree below a.
 
@@ -291,6 +307,8 @@ class Curve:
         one = self.field.one
         return self.zero()._plus(*((self.monomial(i, j, c), 0, one)
                                    for (i, j), c in raw.items()))
+
+    element = reduce
 
     def _wrap_row(self, r: int) -> list[tuple[int, FieldElement]]:
         """The reduced y^(a+r) as (pole order - b*(a+r), coefficient) pairs,
@@ -419,21 +437,14 @@ class RingElement:
 
     def __add__(self, other: "RingElement") -> "RingElement":
         self._require_same_curve(other)
-        mine, theirs = self._terms, other._terms
-        merged = {**mine, **theirs}
-        for s in mine.keys() & theirs.keys():
-            total = mine[s] + theirs[s]
-            if total.is_zero:
-                del merged[s]
-            else:
-                merged[s] = total
-        return RingElement(self.curve, merged)
+        return self._plus((other, 0, self.curve.field.one))
 
     def __neg__(self) -> "RingElement":
         return RingElement(self.curve, {s: -c for s, c in self._terms.items()})
 
     def __sub__(self, other: "RingElement") -> "RingElement":
-        return self + (-other)
+        self._require_same_curve(other)
+        return self._plus((other, 0, -self.curve.field.one))
 
     def __mul__(self, other: "RingElement | FieldElement") -> "RingElement":
         if isinstance(other, FieldElement):

@@ -34,7 +34,7 @@ import dataclasses
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .code import Code, Vector
-from .curvering import Curve, Monomial, RingElement, Semigroup
+from .curvering import Curve, Monomial, RingElement, _prime_reduce
 from .gf import FieldElement, canonical_key
 
 UP = "up"
@@ -55,22 +55,12 @@ class Lead(NamedTuple):
     monomial: Monomial
 
 
+@dataclasses.dataclass(slots=True)
 class ModulePair:
     """f = up * z + down with both components reduced."""
 
-    __slots__ = ("up", "down")
-
-    def __init__(self, up: RingElement, down: RingElement) -> None:
-        self.up = up
-        self.down = down
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ModulePair):
-            return NotImplemented
-        return self.up == other.up and self.down == other.down
-
-    def __repr__(self) -> str:
-        return f"ModulePair(up={self.up!r}, down={self.down!r})"
+    up: RingElement
+    down: RingElement
 
 
 def leading(s: int, pair: ModulePair) -> Lead:
@@ -226,24 +216,6 @@ def spoly(s: int, pair: ModulePair, g_part: Sequence[ModulePair]) -> list[Module
 def _monic(curve: Curve, q: int, order: int, lc: FieldElement) -> FieldElement:
     """The scalar that makes phi(q) times the lead lc * phi(order) monic."""
     return (lc * curve.lead_factor(q, order)).inverse()
-
-
-def _prime_reduce(items: list, orders: list[int], sg: Semigroup) -> list:
-    """Drop the items whose (leading) monomial another item's divides, the
-    monomials given by their pole orders.
-
-    Equal monomials keep the earlier item; output order follows input order.
-    """
-    a, b, ys = sg.a, sg.b, sg.y_degrees
-    kept = []
-    for i, m in enumerate(orders):
-        for j, other in enumerate(orders):
-            d = m - other  # phi(other) divides phi(m): d is a nongap
-            if j != i and d >= 0 and b * ys[d % a] <= d and (d or j < i):
-                break
-        else:
-            kept.append(items[i])
-    return kept
 
 
 def step(state: GBState) -> GBState:
