@@ -422,7 +422,7 @@ class TestDistance:
             code_q3.order_bound(5)
 
     def test_matches_closed_form_everywhere(self, curve_q3):
-        for curve in (curve_q3, *map(Curve.hermitian, (4, 5, 7))):
+        for curve in (curve_q3, *map(Curve.hermitian, (4, 5, 7, 8, 9))):
             q, n = curve.a, curve.a ** 3
             rows = dict(radius_rows(curve))
             for u in curve.semigroup.nongaps(n - 1):

@@ -475,18 +475,22 @@ class TestDecode:
             assert result.distance == 16
 
     def test_q7_guarantee_at_full_radius(self):
-        # Hermitian q=7, u=150: n=343, d=193, so t=96 is the full radius
-        code = Code(Curve.hermitian(7), 150)
-        assert (code.n, code.k, code.decoding_distance()) == (343, 130, 193)
-        rng = random.Random(7150)
-        for _ in range(2):
-            message = random_message(code, rng)
-            received = add_vectors(code.encode(message),
-                                   random_error(code, rng, 96))
-            result = decode(code, received)
-            assert result.message == message
-            assert result.status == STATUS_OK
-            assert result.distance == 96
+        # Hermitian q=7, u=150: n=343, d=193, so t=96 is the full radius;
+        # Hermitian q=8, u=200: n=512, d=312, so t=155 is
+        for q, u, (n, k, d), words in [(7, 150, (343, 130, 193), 2),
+                                       (8, 200, (512, 173, 312), 1)]:
+            code = Code(Curve.hermitian(q), u)
+            assert (code.n, code.k, code.decoding_distance()) == (n, k, d)
+            t = (d - 1) // 2
+            rng = random.Random(1000 * q + u)
+            for _ in range(words):
+                message = random_message(code, rng)
+                received = add_vectors(code.encode(message),
+                                       random_error(code, rng, t))
+                result = decode(code, received)
+                assert result.message == message
+                assert result.status == STATUS_OK
+                assert result.distance == t
 
 
 class TestGuaranteeAcrossFamilies:
