@@ -312,7 +312,7 @@ class Field:
             return self.element(int(tok))
         if tok == "a":
             return self.generator
-        if tok.startswith("a^") and tok[2:].isdigit() and int(tok[2:]):
+        if tok.startswith("a^") and tok[2:].isdigit() and int(tok[2:]) > 0:
             return self.generator ** int(tok[2:])
         raise ValueError(f"malformed field element token {text!r}")
 
