@@ -46,6 +46,11 @@ class TestLeading:
         for s in (-1, 0, 5, 100):
             assert leading(s, pair).location is DOWN
 
+    def test_zero_down_component(self, code_q3):
+        pair = ModulePair(code_q3.curve.monomial(9, 0), code_q3.curve.zero())
+        for s in (-1, 0, 5, 100):
+            assert leading(s, pair).location is UP
+
     def test_zero_pair_rejected(self, code_q3):
         pair = ModulePair(code_q3.curve.zero(), code_q3.curve.zero())
         with pytest.raises(ValueError):
