@@ -28,8 +28,8 @@ from typing import Optional, Sequence
 from .code import (Code, VectorParseError, code_from_config,
                    curve_from_config, format_vector, parse_vector,
                    radius_rows, rational_points)
-from .decoder import (STATUS_FAILED, GBState, Lead, UP, VoteRecord,
-                      decode)
+from .decoder import (STATUS_FAILED, STATUS_LOW_CONFIDENCE, GBState, Lead,
+                      UP, VoteRecord, decode)
 
 TRACE_FORMAT = "# agcodec trace v1"
 RADIUS_FORMAT = "# agcodec radius v1"
@@ -96,8 +96,11 @@ def _load_config(args: argparse.Namespace) -> dict:
     if args.code and args.u is not None:
         raise ValueError("--u does not apply with --code: a --code file sets u")
     if args.code:
-        with open(args.code, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        try:
+            with open(args.code, "r", encoding="utf-8") as fh:
+                return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{args.code}: JSON nested too deeply") from None
     if args.hermitian_q is not None:
         cfg = {"type": "hermitian", "q": args.hermitian_q}
         if args.u is not None:
@@ -188,9 +191,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     code = _load_code(args)
     v = parse_vector(code.field, _read_text(args.infile),
                      expect_length=code.n)
-    lines, _ = trace_lines(code, v)
+    lines, result = trace_lines(code, v)
     _write_lines(args.traceout, lines)
-    return 0
+    return 2 if result.status == STATUS_FAILED else 0
 
 
 def _cmd_radius(args: argparse.Namespace) -> int:
@@ -230,7 +233,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             successes += 1
         else:
             failures += 1
-        if result.status == "low-confidence":
+        if result.status == STATUS_LOW_CONFIDENCE:
             low_confidence += 1
     mean_ms = 1000.0 * total_time / args.trials
     lines = [SIMULATE_FORMAT,

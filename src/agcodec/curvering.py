@@ -18,7 +18,7 @@ downstream (codes, the decoder) runs on three primitives implemented here:
   product adding its order to every key, y-degrees past a folded back with
   per-curve rows of the reduced y^(a+r) = y^a * y^r (from the curve's one
   stored rewrite of y^a, ``Curve._y_a``), and a sum that cancels deleted,
-* the pole-order function ``delta`` (with a BOTTOM sentinel for zero),
+* the pole-order function ``delta`` (None for zero, which has no lead),
 * divisibility on orders: phi(r) divides phi(t) exactly when t - r is a
   nongap, with quotient phi(t - r); lcms of two orders; the one
   lead-minimality rule, ``_prime_reduce``, which keeps the items whose
@@ -37,7 +37,7 @@ j >= a is x^i y^(j mod a) times y^a raised to j div a.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .gf import ORDER_CAP, Field, FieldElement, _prime_factors
 
@@ -45,42 +45,6 @@ from .gf import ORDER_CAP, Field, FieldElement, _prime_factors
 #: table is built; above every Hermitian weight the field cap admits
 #: (b = q + 1 <= 257).
 WEIGHT_CAP = 1 << 10
-
-
-class _Bottom:
-    """Order of the zero ring element: compares below every integer."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __lt__(self, other):
-        return other is not self
-
-    def __le__(self, other):
-        return True
-
-    def __gt__(self, other):
-        return False
-
-    def __ge__(self, other):
-        return other is self
-
-    def __add__(self, other):
-        return self
-
-    __radd__ = __add__
-
-    def __repr__(self):
-        return "BOTTOM"
-
-
-BOTTOM = _Bottom()
-
-Delta = Union[int, _Bottom]
 
 
 class Monomial(NamedTuple):
@@ -378,8 +342,8 @@ class RingElement:
     ``leading_monomial``, ``leading_term``) and in printing.
 
     Instances are immutable values; arithmetic returns new elements.  The
-    pole order of the zero element is the BOTTOM sentinel, which compares
-    below every integer.
+    zero element has no leading term, so no pole order: its ``delta`` is
+    None.
     """
 
     __slots__ = ("curve", "_terms", "_delta")
@@ -387,7 +351,7 @@ class RingElement:
     def __init__(self, curve: Curve, terms: dict[int, FieldElement]) -> None:
         self.curve = curve
         self._terms = terms
-        self._delta: Delta | None = None
+        self._delta: int | None = None
 
     # -- inspection -----------------------------------------------------------
 
@@ -409,10 +373,10 @@ class RingElement:
         """The coefficient of phi(s)."""
         return self._terms.get(s, self.curve.field.zero)
 
-    def delta(self) -> Delta:
-        """Pole order at infinity: the largest key, BOTTOM for zero."""
-        if self._delta is None:
-            self._delta = max(self._terms) if self._terms else BOTTOM
+    def delta(self) -> int | None:
+        """Pole order at infinity: the largest key, None for zero."""
+        if self._delta is None and self._terms:
+            self._delta = max(self._terms)
         return self._delta
 
     def leading_monomial(self) -> Monomial:

@@ -66,7 +66,8 @@ class ModulePair:
 def leading(s: int, pair: ModulePair) -> Lead:
     """Leading term under the order giving z weight s.
 
-    Upstairs wins when delta(up) + s >= delta(down); ties go upstairs.
+    Upstairs wins when delta(up) + s >= delta(down); ties go upstairs, and
+    a zero component never leads.
     """
     if pair.up.is_zero and pair.down.is_zero:
         raise ValueError("the zero pair has no leading term")
@@ -77,7 +78,8 @@ def leading(s: int, pair: ModulePair) -> Lead:
 
 def _leads_up(s: int, pair: ModulePair) -> bool:
     """Whether a nonzero pair leads upstairs at weight s."""
-    return pair.up.delta() + s >= pair.down.delta()
+    du, dd = pair.up.delta(), pair.down.delta()
+    return dd is None or du is not None and du + s >= dd
 
 
 @dataclasses.dataclass(frozen=True)

@@ -1,7 +1,7 @@
 import json
 import random
 
-from agcodec.cli import build_parser, main
+from agcodec.cli import build_parser, main, trace_lines
 from agcodec.code import format_vector
 
 from conftest import FIXTURES
@@ -162,6 +162,14 @@ class TestCodec:
         err = capsys.readouterr().err
         assert err.startswith("agcodec: error:") and "exceed cap" in err
 
+    def test_deeply_nested_config_exit_1(self, tmp_path, capsys):
+        # too deep for the JSON parser: a diagnostic, not a RecursionError
+        cfg = tmp_path / "deep.json"
+        cfg.write_text("[" * 200000 + "]" * 200000)
+        assert main(["radius", "--code", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("agcodec: error:") and "nested" in err
+
     def test_conflicting_code_args_exit_1(self, tmp_path, capsys):
         msg = tmp_path / "m.txt"
         msg.write_text("0\n")
@@ -201,6 +209,24 @@ class TestTrace:
         out = tmp_path / "trace.txt"
         main(["trace", *CODE_ARGS, "--in", VECTOR, "--trace-out", str(out)])
         assert out.read_text() == golden.read_text()
+
+
+    def test_failed_verification_exit_2(self, tmp_path, code_q3):
+        # the decode of TestCodec.test_failed_verification_exit_2, traced:
+        # the same exit code, and the trace is written in full
+        rng = random.Random(0)
+        elems = code_q3.field.elements()
+        v = [code_q3.field.zero] * 27
+        for pos in rng.sample(range(27), 10):
+            v[pos] = elems[rng.randrange(1, 9)]
+        vec = tmp_path / "far.txt"
+        vec.write_text(format_vector(v) + "\n")
+        out = tmp_path / "trace.txt"
+        rc = main(["trace", *CODE_ARGS, "--in", str(vec),
+                   "--trace-out", str(out)])
+        assert rc == 2
+        lines, _ = trace_lines(code_q3, v)
+        assert out.read_text() == "\n".join(lines) + "\n"
 
 
 class TestRadius:

@@ -3,27 +3,11 @@ import random
 import pytest
 
 from agcodec.code import curve_from_config, rational_points
-from agcodec.curvering import (BOTTOM, WEIGHT_CAP, Curve, Monomial,
-                               Semigroup)
+from agcodec.curvering import WEIGHT_CAP, Curve, Monomial, Semigroup
 from agcodec.gf import Field
 
 from support import (MK_FAMILIES, gaps_below, lattice_divides, naive_reduce,
                      random_ring_element, schoolbook_mul)
-
-
-class TestBottom:
-    def test_orders_below_integers(self):
-        assert BOTTOM < 0
-        assert BOTTOM < -10
-        assert not BOTTOM < BOTTOM
-        assert 0 > BOTTOM
-        assert 0 >= BOTTOM
-        assert not BOTTOM >= 0
-        assert BOTTOM >= BOTTOM
-
-    def test_absorbs_addition(self):
-        assert BOTTOM + 5 is BOTTOM
-        assert 5 + BOTTOM is BOTTOM
 
 
 class TestCurveConstruction:
@@ -187,7 +171,7 @@ class TestRingArithmetic:
         assert curve_q3.monomial(1, 0).delta() == 3
         assert curve_q3.monomial(0, 1).delta() == 4
         assert curve_q3.one().delta() == 0
-        assert curve_q3.zero().delta() is BOTTOM
+        assert curve_q3.zero().delta() is None
 
     def test_delta_laws(self, curve_q3):
         rng = random.Random(5)
