@@ -12,12 +12,15 @@ have pairwise distinct pole orders, so everything here names a monomial by
 its order s, with phi(s) = x^i y^j the monomial itself.  Everything
 downstream (codes, the decoder) runs on three primitives implemented here:
 
-* ring elements as maps from pole order to coefficient (delta is the
-  largest key) and one kernel behind every sum, difference and product,
-  ``RingElement._plus``: self + sum(c * phi(t) * e) in one dict, a term
-  product adding its order to every key, y-degrees past a folded back with
-  per-curve rows of the reduced y^(a+r) = y^a * y^r (from the curve's one
-  stored rewrite of y^a, ``Curve._y_a``), and a sum that cancels deleted,
+* ring elements as a nonzero scale times a map from pole order to
+  coefficient (delta is the largest key), so negation and scalar products
+  are O(1) and change only the scale, and one kernel behind every sum,
+  difference and product, ``RingElement._plus``: self + sum(c * phi(t) *
+  e) in one dict, a term product adding its order to every key and
+  multiplying its coefficient only when its multiplier relative to the
+  result's scale is not one, y-degrees past a folded back with per-curve
+  rows of the reduced y^(a+r) = y^a * y^r (from the curve's one stored
+  rewrite of y^a, ``Curve._y_a``), and a sum that cancels deleted,
 * the pole-order function ``delta`` (None for zero, which has no lead),
 * divisibility on orders: phi(r) divides phi(t) exactly when t - r is a
   nongap, with quotient phi(t - r); lcms of two orders; the one
@@ -284,7 +287,7 @@ class Curve:
         if row is None:
             top = self.b * (self.a + r)
             y_a_r = self.zero()._plus((self._y_a, self.b * r, self.field.one))
-            row = [(s - top, c) for s, c in y_a_r._terms.items()]
+            row = [(s - top, c) for s, c in y_a_r._values().items()]
             self._wrap_rows[r] = row
         return row
 
@@ -331,27 +334,40 @@ def _evaluate_raw(terms: Iterable[tuple[tuple[int, int], FieldElement]],
 
 
 class RingElement:
-    """An element of the coordinate ring, as a sparse map from the pole order
-    s of each reduced monomial phi(s) = x^i y^j (j < a) to its coefficient.
+    """An element of the coordinate ring: a nonzero scalar ``_scale`` times a
+    sparse map ``_terms`` from the pole order s of each reduced monomial
+    phi(s) = x^i y^j (j < a) to a coefficient, so its value is
+    _scale * sum(_terms[s] * phi(s)).
 
     Reduced monomials have pairwise distinct pole orders, so the order names
     the monomial: delta is the largest key, and a product by the single term
     tc * phi(t) moves every key s to s + t.  Keys whose y-degrees wrap past a
     are folded back with the curve's reduced y^(a+r) rows.  ``Monomial``
     appears only in the inspection API (``items``, ``coefficient``,
-    ``leading_monomial``, ``leading_term``) and in printing.
+    ``leading_monomial``, ``leading_term``) and in printing, and every read
+    of a coefficient applies the scale.
 
-    Instances are immutable values; arithmetic returns new elements.  The
-    zero element has no leading term, so no pole order: its ``delta`` is
-    None.
+    Instances are immutable values; arithmetic returns new elements, and
+    ``-x`` and ``x * c`` for a scalar c are O(1): they share x's term map
+    and change only the scale.  The zero element has scale one and no
+    leading term, so no pole order: its ``delta`` is None.
     """
 
-    __slots__ = ("curve", "_terms", "_delta")
+    __slots__ = ("curve", "_terms", "_scale", "_delta")
 
-    def __init__(self, curve: Curve, terms: dict[int, FieldElement]) -> None:
+    def __init__(self, curve: Curve, terms: dict[int, FieldElement],
+                 scale: FieldElement | None = None) -> None:
         self.curve = curve
         self._terms = terms
+        self._scale = curve.field.one if scale is None else scale
         self._delta: int | None = None
+
+    def _values(self) -> dict[int, FieldElement]:
+        """The map from pole order to true coefficient, scale applied."""
+        k = self._scale
+        if k is self.curve.field.one:
+            return self._terms
+        return {s: c * k for s, c in self._terms.items()}
 
     # -- inspection -----------------------------------------------------------
 
@@ -361,7 +377,7 @@ class RingElement:
 
     def items(self) -> Iterator[tuple[Monomial, FieldElement]]:
         phi = self.curve.semigroup.phi
-        return ((phi(s), c) for s, c in self._terms.items())
+        return ((phi(s), c) for s, c in self._values().items())
 
     def coefficient(self, m: tuple[int, int]) -> FieldElement:
         i, j = m
@@ -371,7 +387,8 @@ class RingElement:
 
     def coefficient_at(self, s: int) -> FieldElement:
         """The coefficient of phi(s)."""
-        return self._terms.get(s, self.curve.field.zero)
+        c = self._terms.get(s)
+        return self.curve.field.zero if c is None else c * self._scale
 
     def delta(self) -> int | None:
         """Pole order at infinity: the largest key, None for zero."""
@@ -388,7 +405,7 @@ class RingElement:
     def leading_coefficient(self) -> FieldElement:
         if not self._terms:
             raise ValueError("the zero element has no leading coefficient")
-        return self._terms[self.delta()]
+        return self._terms[self.delta()] * self._scale
 
     def leading_term(self) -> tuple[Monomial, FieldElement]:
         return self.leading_monomial(), self.leading_coefficient()
@@ -404,7 +421,9 @@ class RingElement:
         return self._plus((other, 0, self.curve.field.one))
 
     def __neg__(self) -> "RingElement":
-        return RingElement(self.curve, {s: -c for s, c in self._terms.items()})
+        if not self._terms:
+            return self
+        return RingElement(self.curve, self._terms, -self._scale)
 
     def __sub__(self, other: "RingElement") -> "RingElement":
         self._require_same_curve(other)
@@ -412,31 +431,51 @@ class RingElement:
 
     def __mul__(self, other: "RingElement | FieldElement") -> "RingElement":
         if isinstance(other, FieldElement):
-            if other.is_zero:
+            scale = self._scale * other  # a scalar of another field raises
+            if other.is_zero or not self._terms:
                 return self.curve.zero()
-            return self.curve.zero()._plus((self, 0, other))
+            return RingElement(self.curve, self._terms, scale)
         if not isinstance(other, RingElement):
             return NotImplemented
         self._require_same_curve(other)
-        # one pass over the shorter operand's terms
+        # one pass over the shorter operand's terms; the other operand's
+        # scale goes on the result's
         if len(self._terms) < len(other._terms):
             self, other = other, self
-        return self.curve.zero()._plus(
+        out = self.curve.zero()._plus(
             *((self, t, tc) for t, tc in other._terms.items()))
+        if out.is_zero:
+            return out
+        return RingElement(out.curve, out._terms, out._scale * other._scale)
 
     def _plus(self, *products: tuple["RingElement", int, FieldElement]
               ) -> "RingElement":
         """self + sum(tc * phi(t) * e for e, t, tc in products), for nonzero
-        tc and e on self's curve, in one dict: key s of e goes to s + t with
-        coefficient c * tc, a key whose y-degree wraps past a (below t's) is
-        folded back with the reduced y^(a+r); a cancelled sum is deleted."""
+        tc and e on self's curve, in one dict: key s of e goes to s + t, a
+        key whose y-degree wraps past a (below t's) is folded back with the
+        reduced y^(a+r); a cancelled sum is deleted.
+
+        The result takes self's scale, or the first product's tc * e's
+        scale when self is zero, and each product's terms are multiplied by
+        tc * (e's scale) / (that scale).  A multiplier of one (the same
+        interned element as the scale) copies the terms with no field
+        product, so a spoly combination multiplies only its g side: the f
+        side is a shift of keys.  Wrap rows still multiply by their row
+        coefficient."""
         curve = self.curve
         a, ys, wrap_row = curve.a, curve.semigroup.y_degrees, curve._wrap_row
         out = dict(self._terms)
+        scale = self._scale if out else None
         for e, t, tc in products:
+            m = tc * e._scale
+            if scale is None:
+                scale = m
+            m = None if m is scale else m * scale.inverse()
             jt = ys[t % a]
             for s, c in e._terms.items():
-                u, c = s + t, c * tc
+                u = s + t
+                if m is not None:
+                    c = c * m
                 if jt and ys[u % a] < jt:
                     for off, rc in wrap_row(ys[u % a]):
                         k, v = u + off, c * rc
@@ -459,7 +498,7 @@ class RingElement:
                         del out[u]
                     else:
                         out[u] = c
-        return RingElement(curve, out)
+        return RingElement(curve, out, scale if out else None)
 
     def __rmul__(self, other: FieldElement) -> "RingElement":
         if isinstance(other, FieldElement):
@@ -472,15 +511,20 @@ class RingElement:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RingElement):
             return NotImplemented
-        return self.curve == other.curve and self._terms == other._terms
+        if self.curve != other.curve:
+            return False
+        if self._scale == other._scale:
+            return self._terms == other._terms
+        return self._values() == other._values()
 
     def __str__(self) -> str:
         if not self._terms:
             return "0"
         phi = self.curve.semigroup.phi
+        values = self._values()
         parts = []
-        for s in sorted(self._terms, reverse=True):
-            c = self._terms[s]
+        for s in sorted(values, reverse=True):
+            c = values[s]
             if s == 0:
                 parts.append(str(c))
             elif c == self.curve.field.one:

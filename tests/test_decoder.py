@@ -20,6 +20,18 @@ from support import (MK_FAMILIES, add_vectors, lattice_divides, mk_code,
                      random_error, random_message, tracked_decode)
 
 
+def decode_counting_products(code, received, monkeypatch):
+    """(decode(code, received), the FieldElement products it made)."""
+    plain, count = FieldElement.__mul__, [0]
+
+    def counted(x, y):
+        count[0] += 1
+        return plain(x, y)
+
+    monkeypatch.setattr(FieldElement, "__mul__", counted)
+    return decode(code, received), count[0]
+
+
 @pytest.fixture(scope="module")
 def bundled_states(code_q3, received_q3):
     """Basis states entering each weight for the bundled received vector."""
@@ -449,19 +461,28 @@ class TestDecode:
 
     def test_field_products_pinned(self, received_q3, monkeypatch):
         # the bundled decode on a fresh code (no wrap row cached yet) makes
-        # 1,326 FieldElement products; a change to the ring glue around the
-        # arithmetic keeps that count, and the products stay on __mul__
+        # 821 FieldElement products (1,326 before a unit multiplier in the
+        # ring kernel skipped its products); a change to the ring glue
+        # around the arithmetic keeps that count, and the products stay on
+        # __mul__
         code = code_from_config(json.loads(
             (FIXTURES / "hermitian_q3_u16.json").read_text(encoding="utf-8")))
-        plain, count = FieldElement.__mul__, [0]
+        result, count = decode_counting_products(code, received_q3,
+                                                 monkeypatch)
+        assert result.status == STATUS_OK
+        assert count == 821
 
-        def counted(x, y):
-            count[0] += 1
-            return plain(x, y)
-
-        monkeypatch.setattr(FieldElement, "__mul__", counted)
-        assert decode(code, received_q3).status == STATUS_OK
-        assert count[0] == 1326
+    def test_field_products_pinned_q4(self, monkeypatch):
+        # one seeded word at the full radius t=16 of Hermitian q=4, u=30 on
+        # a fresh code: the spoly combinations' f sides cost no product
+        code = Code(Curve.hermitian(4), 30)
+        rng = random.Random(4030)
+        message = random_message(code, rng)
+        received = add_vectors(code.encode(message),
+                               random_error(code, rng, 16))
+        result, count = decode_counting_products(code, received, monkeypatch)
+        assert result.message == message
+        assert count == 12144
 
     def test_q4_guarantee_at_full_radius(self):
         # Hermitian q=4, u=30: n=64, d=34, so t=16 is the full radius

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agcodec.code import Code
-from agcodec.curvering import Curve
+from agcodec.curvering import Curve, RingElement
 from agcodec.decoder import STATUS_OK, decode, hamming_distance
 from agcodec.gf import Field
 
@@ -124,6 +124,71 @@ class TestRingProperties:
         _, (f, g) = case
         if not (f.is_zero or g.is_zero):
             assert (f * g).delta() == f.delta() + g.delta()
+
+
+class TestScaledElements:
+    """A ring element is a scale times a term map: reads apply the scale,
+    and equality compares values, however they are split."""
+
+    @PROPERTY
+    @given(st.data())
+    def test_scalar_products_and_negation(self, data):
+        curve, (x, y) = data.draw(curve_and_elements(2))
+        c = data.draw(st.sampled_from(curve.field.elements()[1:]))
+        for got, want in ((x * c, {m: v * c for m, v in x.items()}),
+                          (-x, {m: -v for m, v in x.items()}),
+                          ((x * c) * c.inverse(), dict(x.items()))):
+            assert dict(got.items()) == want
+            assert got == curve.element(want)
+        assert -(x * c) == x * -c
+        # a ring product carries both operands' scales, whichever is shorter
+        assert (x * c) * y == y * (x * c) == schoolbook_mul(x, y) * c
+
+    @PROPERTY
+    @given(st.data())
+    def test_plus_over_differently_scaled_operands(self, data):
+        # the kernel on scaled operands against the same sum of elements
+        # rebuilt from their true coefficients, all at scale one
+        curve, elements = data.draw(curve_and_elements(3))
+        nonzero = st.sampled_from(curve.field.elements()[1:])
+        x, y, z = (e * data.draw(nonzero) for e in elements)
+        terms = st.tuples(
+            st.sampled_from(curve.semigroup.nongaps(2 * curve.a * curve.b)),
+            nonzero)
+        (t, c), (t2, c2) = data.draw(terms), data.draw(terms)
+
+        def rebuilt(e):
+            return curve.element(dict(e.items()))
+
+        for first in (x, curve.zero()):
+            got = first._plus((y, t, c), (z, t2, c2))
+            want = rebuilt(first)._plus((rebuilt(y), t, c),
+                                        (rebuilt(z), t2, c2))
+            assert dict(got.items()) == dict(want.items())
+            assert got == want
+
+    @PROPERTY
+    @given(st.data())
+    def test_equality_ignores_the_split(self, data):
+        curve, (x, y) = data.draw(curve_and_elements(2))
+        c = data.draw(st.sampled_from(curve.field.elements()[1:]))
+        moved = RingElement(curve, {s: v * c for s, v in x._terms.items()},
+                            x._scale * c.inverse())
+        assert moved == x and x == moved
+        assert (moved == y) == (x == y)
+        if c != curve.field.one and not x.is_zero:
+            assert x * c != x
+
+    @PROPERTY
+    @given(st.data())
+    def test_cancelled_sum_is_zero_at_scale_one(self, data):
+        curve, (x,) = data.draw(curve_and_elements(1))
+        c = data.draw(st.sampled_from(curve.field.elements()[1:]))
+        one = curve.field.one
+        for zero in ((x * c) - (x * c), (x * c)._plus((x, 0, -c)),
+                     -curve.zero(), curve.zero() * c, x * curve.field.zero):
+            assert zero.is_zero and zero == curve.zero()
+            assert zero._terms == {} and zero._scale is one
 
 
 @functools.cache
