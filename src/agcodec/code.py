@@ -194,6 +194,18 @@ def points_ideal_basis(
 
     Returns (etas, footprint monomials in increasing pole order, table),
     where table[k][c] is the coefficient of footprint monomial k in the
+    Lagrange function of point c, as a kernel value: the transpose of the
+    columns of ``_ideal_basis_columns``.
+    """
+    etas, footprint, columns = _ideal_basis_columns(curve, points)
+    return etas, footprint, [list(row) for row in zip(*columns)]
+
+
+def _ideal_basis_columns(
+    curve: Curve, points: Sequence[Point]
+) -> tuple[tuple[RingElement, ...], tuple[Monomial, ...], list[list[int]]]:
+    """(etas, footprint monomials in increasing pole order, columns), where
+    columns[c][k] is the coefficient of footprint monomial k in the
     Lagrange function of point c, as a kernel value.  The etas are the
     generators of the reduced F[x]-basis (``_ideal_generators``) whose
     lead is no other lead times a monomial, in increasing lead order; the
@@ -247,8 +259,7 @@ def points_ideal_basis(
             if f[s] != zero:
                 column = field.axpy(column, f[s], form)
         columns.append(column)
-    return (etas, tuple(map(sg.phi, footprint)),
-            [list(row) for row in zip(*columns)])
+    return etas, tuple(map(sg.phi, footprint)), columns
 
 
 class Code:
@@ -266,12 +277,12 @@ class Code:
         self.u = u
         self.message_orders: tuple[int, ...] = sg.nongaps(u)
         self.k = len(self.message_orders)
-        etas, delta_monos, table = points_ideal_basis(curve, self.points)
+        # column c: the Lagrange function of point c on delta_monos
+        etas, delta_monos, self._lagrange_columns = _ideal_basis_columns(
+            curve, self.points)
         self.eta_basis = etas
         self.delta_monomials = delta_monos
         self._delta_orders = tuple(map(sg.degree, delta_monos))
-        # column c: the Lagrange function of point c on delta_monos
-        self._lagrange_columns = [list(col) for col in zip(*table)]
         ev_row = _evaluation_rows(self.field, self.points)
         self._message_rows = [ev_row(sg.phi(s)) for s in self.message_orders]
         self._staircase = sg.staircase(eta.delta() for eta in etas)
@@ -465,17 +476,34 @@ def _parse_at(field: Field, token, path: str) -> FieldElement:
         raise ValueError(f"{path}: {exc}") from None
 
 
+# the keys a code config of each type accepts, and those of an mk field
+_HERMITIAN_KEYS = ("type", "q", "u", "points")
+_MK_KEYS = ("type", "field", "a", "b", "d", "coeffs", "u", "points")
+_FIELD_KEYS = ("p", "m", "modulus")
+
+
+def _known_keys(cfg: Mapping, keys: Sequence[str], prefix: str = "") -> None:
+    """Raise a ValueError naming the first key of cfg outside keys."""
+    for key in cfg:
+        if key not in keys:
+            raise ValueError(f'unknown code config key "{prefix}{key}"')
+
+
 def curve_from_config(cfg: Mapping) -> tuple[Curve, Optional[list[Point]]]:
-    """Build (curve, explicit point list or None) from a config mapping."""
+    """Build (curve, explicit point list or None) from a config mapping;
+    a key the config's type does not accept is an error."""
     if not isinstance(cfg, Mapping):
         raise ValueError("code config must be a JSON object")
     kind = cfg.get("type")
     if kind == "hermitian":
+        _known_keys(cfg, _HERMITIAN_KEYS)
         curve = Curve.hermitian(_required(cfg, "q"))
     elif kind == "mk":
+        _known_keys(cfg, _MK_KEYS)
         fld = cfg.get("field")
         if not isinstance(fld, Mapping):
             raise ValueError('mk config requires a "field" object with p, m')
+        _known_keys(fld, _FIELD_KEYS, "field.")
         m = _required(fld, "m", "field.") if "m" in fld else 1
         modulus = fld.get("modulus")
         if modulus is not None and not (

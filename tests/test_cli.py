@@ -152,6 +152,26 @@ class TestCodec:
                 err = capsys.readouterr().err
                 assert err.startswith("agcodec: error:") and named in err
 
+    def test_unknown_config_key_exit_1(self, tmp_path, capsys):
+        # a misspelled key is refused by name, never silently dropped
+        mk = {"type": "mk", "field": {"p": 7}, "a": 2, "b": 3, "d": "1",
+              "u": 4}
+        cases = [
+            ({"type": "hermitian", "q": 2, "u": 3,
+              "point": [["0", "0"]]}, '"point"'),
+            ({**mk, "coef": []}, '"coef"'),
+            ({**mk, "field": {"p": 7, "modulos": [3, 6, 1]}},
+             '"field.modulos"'),
+        ]
+        cfg = tmp_path / "code.json"
+        for config, named in cases:
+            cfg.write_text(json.dumps(config))
+            assert main(["radius", "--code", str(cfg)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("agcodec: error:")
+            assert f"unknown code config key {named}" in captured.err
+
     def test_huge_curve_weight_exit_1(self, tmp_path, capsys):
         # refused by the weight cap before a table of a entries is built
         cfg = tmp_path / "code.json"
