@@ -15,14 +15,17 @@ order, each update one ``Field.axpy``, in two steps:
   Its generators whose leads are not multiples of other leads are the
   reduced Groebner basis {eta_i} of J, and the monomials below the leads
   are its footprint (exactly n monomials).
-* The Lagrange function of each point (x0, y0) is l_x(x) * l_y(y), the
-  univariate Lagrange polynomials of x0 over the distinct x-values and of
-  y0 over its fiber, reduced by that basis onto the footprint; its
-  coefficients make interpolation a single matrix-vector product.
+* Interpolation goes through the fibers.  The Lagrange function of a
+  point (x0, y0) is l_x(x) * l_y(y), the univariate Lagrange polynomials
+  of x0 over the distinct x-values and of y0 over its fiber, so the
+  interpolant of a word is the sum of y^j P_j(x): each fiber's values and
+  its l_y give the y-coefficients at x0, and P_j combines those through
+  the l_x.  That sum is reduced by the basis onto the footprint, with no
+  n x n table.
 
-``Code`` keeps those Lagrange functions and the evaluation rows of the
-message monomials as kernel-value lists, so interpolation and encoding are
-sums of ``Field.axpy`` updates as well.
+``Code`` keeps that interpolation routine and the evaluation rows of the
+message monomials as kernel-value lists, so encoding is a sum of
+``Field.axpy`` updates as well.
 
 The point order is part of the code: vectors align index by index with the
 stored point list.  The default order is lexicographic in the textual form
@@ -194,29 +197,31 @@ def points_ideal_basis(
 
     Returns (etas, footprint monomials in increasing pole order, table),
     where table[k][c] is the coefficient of footprint monomial k in the
-    Lagrange function of point c, as a kernel value: the transpose of the
-    columns of ``_ideal_basis_columns``.
+    Lagrange function of point c, as a kernel value: column c interpolates
+    the unit vector of point c (``_ideal_basis_interpolator``).
     """
-    etas, footprint, columns = _ideal_basis_columns(curve, points)
-    return etas, footprint, [list(row) for row in zip(*columns)]
+    etas, footprint, interpolate = _ideal_basis_interpolator(curve, points)
+    zero = curve.field.zero_log
+    columns = [interpolate([zero] * c + [0] + [zero] * (len(points) - c - 1))
+               for c in range(len(points))]
+    return (etas, tuple(map(curve.semigroup.phi, footprint)),
+            [list(row) for row in zip(*columns)])
 
 
-def _ideal_basis_columns(
+def _ideal_basis_interpolator(
     curve: Curve, points: Sequence[Point]
-) -> tuple[tuple[RingElement, ...], tuple[Monomial, ...], list[list[int]]]:
-    """(etas, footprint monomials in increasing pole order, columns), where
-    columns[c][k] is the coefficient of footprint monomial k in the
-    Lagrange function of point c, as a kernel value.  The etas are the
-    generators of the reduced F[x]-basis (``_ideal_generators``) whose
-    lead is no other lead times a monomial, in increasing lead order; the
-    footprint is the n monomials below the leads of their rows.  The
-    Lagrange function of a point (x0, y0) is l_x(x) * l_y(y), the
-    Lagrange polynomials of x0 over the distinct x-values and of y0 over
-    its fiber (``_lagrange_polys``), reduced by the basis: each term at or
-    above its row's barrier is replaced by that monomial's form on the
-    footprint (``_reduce``), which gives the unique function on the
-    footprint that is 1 at the point and 0 at the others.  On a full
-    Hermitian point set no product has such a term.
+) -> tuple[tuple[RingElement, ...], tuple[int, ...],
+           Callable[[Sequence[int]], list[int]]]:
+    """(etas, footprint pole orders in increasing order, interpolate).
+
+    The etas are the generators of the reduced F[x]-basis
+    (``_ideal_generators``) whose lead is no other lead times a monomial,
+    in increasing lead order; the footprint is the n monomials below the
+    leads of their rows.  interpolate maps kernel values v_P at the points
+    to the footprint coefficients of the function with those values: the
+    sum of v_P * l_x(x) * l_y(y) (``_lagrange_polys``) is the sum of y^j
+    P_j(x), where P_j sums c_j(x0) * l_x over the fibers and c_j(x0) is a
+    fiber's values times its l_y; it is reduced by the basis (``_reduce``).
     """
     sg, field = curve.semigroup, curve.field
     a, b, ys = curve.a, curve.b, sg.y_degrees
@@ -229,41 +234,37 @@ def _ideal_basis_columns(
                             if not e.is_zero})
         for j in _prime_reduce(rows, [leads[j] for j in rows], sg))
     top = max(leads)
-    footprint = [s for s in range(top)
-                 if s < leads[ys[s % a]] and sg.is_nongap(s)]
-    fibers: dict[FieldElement, list[FieldElement]] = {}
-    for px, py in points:
-        fibers.setdefault(px, []).append(py)
+    footprint = tuple(s for s in range(top)
+                      if s < leads[ys[s % a]] and sg.is_nongap(s))
+    fibers: dict[FieldElement, dict[FieldElement, int]] = {}
+    for c, (px, py) in enumerate(points):
+        fibers.setdefault(px, {})[py] = c
     width = len(fibers)
     lx = _lagrange_polys(field, fibers)
     ly = {x0: _lagrange_polys(field, fiber) for x0, fiber in fibers.items()}
-    # a product's terms x^i y^j have i < width and j < a (a fiber has at
-    # most a points); nf[s] is the footprint form of such a monomial of
-    # order s at or above its row's barrier: x times the one below, reduced
-    nf = {}
-    for j, lead in enumerate(leads):
-        vec = [zero] * (top + 1)
-        vec[lead] = 0
-        for s in range(lead, a * width + b * j, a):
-            _reduce(curve, vec, gens, leads)
-            nf[s] = [vec[t] for t in footprint]
-            vec = [zero] * a + vec
-    columns = []
-    for x0, y0 in points:
-        f = [zero] * max(a * width + b * (a - 1), top)
-        for j, c in enumerate(ly[x0][y0]):
-            if c != zero:
-                f[b * j:b * j + a * width:a] = field.scale(lx[x0], c)
-        column = [f[s] for s in footprint]
-        for s, form in nf.items():
-            if f[s] != zero:
-                column = field.axpy(column, f[s], form)
-        columns.append(column)
-    return etas, tuple(map(sg.phi, footprint)), columns
+    size = max(a * width + b * (a - 1), top)
+
+    def interpolate(values: Sequence[int]) -> list[int]:
+        polys = [[zero] * width for _ in range(a)]  # P_j, constant first
+        for x0, fiber in fibers.items():
+            cs = [zero] * len(fiber)  # c_j(x0), j < the fiber size
+            for y0, c in fiber.items():
+                if values[c] != zero:
+                    cs = field.axpy(cs, values[c], ly[x0][y0])
+            for j, cj in enumerate(cs):
+                if cj != zero:
+                    polys[j] = field.axpy(polys[j], cj, lx[x0])
+        f = [zero] * size
+        for j, poly in enumerate(polys):
+            f[b * j:b * j + a * width:a] = poly
+        _reduce(curve, f, gens, leads)
+        return [f[s] for s in footprint]
+    return etas, footprint, interpolate
 
 
 class Code:
-    """An evaluation code C_u with its decoding-side precomputations."""
+    """An evaluation code C_u with its decoding-side precomputations: the
+    etas, the footprint and the interpolation routine of its points."""
 
     def __init__(self, curve: Curve, u: int,
                  points: Optional[Sequence[Point]] = None) -> None:
@@ -277,12 +278,10 @@ class Code:
         self.u = u
         self.message_orders: tuple[int, ...] = sg.nongaps(u)
         self.k = len(self.message_orders)
-        # column c: the Lagrange function of point c on delta_monos
-        etas, delta_monos, self._lagrange_columns = _ideal_basis_columns(
-            curve, self.points)
+        etas, self._delta_orders, self._interpolate = \
+            _ideal_basis_interpolator(curve, self.points)
         self.eta_basis = etas
-        self.delta_monomials = delta_monos
-        self._delta_orders = tuple(map(sg.degree, delta_monos))
+        self.delta_monomials = tuple(map(sg.phi, self._delta_orders))
         ev_row = _evaluation_rows(self.field, self.points)
         self._message_rows = [ev_row(sg.phi(s)) for s in self.message_orders]
         self._staircase = sg.staircase(eta.delta() for eta in etas)
@@ -296,28 +295,20 @@ class Code:
     def encode(self, message: Sequence[FieldElement]) -> Vector:
         """ev(sum of w_s * phi_s) over the message coordinates."""
         self._check_vector(message, self.k, "message")
-        return tuple(self.field.from_logs(
-            self._combine(message, self._message_rows)))
+        field = self.field
+        zero = field.zero_log
+        acc = [zero] * self.n
+        for w, row in zip(field.logs(message), self._message_rows):
+            if w != zero:
+                acc = field.axpy(acc, w, row)
+        return tuple(field.from_logs(acc))
 
     def lagrange(self, v: Sequence[FieldElement]) -> RingElement:
         """The unique function supported on the footprint with ev(h) = v."""
         self._check_vector(v, self.n, "vector")
-        coeffs = self.field.from_logs(
-            self._combine(v, self._lagrange_columns))
+        coeffs = self.field.from_logs(self._interpolate(self.field.logs(v)))
         return RingElement(self.curve, {o: c for o, c in zip(
             self._delta_orders, coeffs) if not c.is_zero})
-
-    def _combine(self, weights: Sequence[FieldElement],
-                 rows: Sequence[Sequence[int]]) -> list[int]:
-        """The sum of w * row over the weights and rows (each of length n),
-        as kernel values."""
-        field = self.field
-        zero = field.zero_log
-        acc = [zero] * self.n
-        for w, row in zip(field.logs(weights), rows):
-            if w != zero:
-                acc = field.axpy(acc, w, row)
-        return acc
 
     def _check_vector(self, v: Sequence[FieldElement], length: int,
                       what: str) -> None:

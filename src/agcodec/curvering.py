@@ -45,9 +45,10 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 from .gf import ORDER_CAP, Field, FieldElement, _prime_factors
 
 #: Largest supported curve weight a or b, checked before any per-weight
-#: table is built; above every Hermitian weight the field cap admits
-#: (b = q + 1 <= 257).
-WEIGHT_CAP = 1 << 10
+#: table is built: the largest Hermitian weight the field cap admits
+#: (b = q + 1 <= 257).  The ideal build starts from a generators whose
+#: lists hold a(a-1)b/2 entries in total, so it also bounds that step.
+WEIGHT_CAP = 257
 
 
 class Monomial(NamedTuple):

@@ -182,6 +182,18 @@ class TestCodec:
         err = capsys.readouterr().err
         assert err.startswith("agcodec: error:") and "exceed cap" in err
 
+    def test_generator_step_weight_exit_1(self, tmp_path, capsys):
+        # weights this large would need gigabytes in the ideal build's
+        # first generator lists: refused by the cap before it starts
+        cfg = tmp_path / "code.json"
+        cfg.write_text(json.dumps({"type": "mk", "field": {"p": 2},
+                                   "a": 1023, "b": 1024, "d": "1", "u": 1}))
+        assert main(["radius", "--code", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("agcodec: error:")
+        assert "exceed cap" in captured.err
+
     def test_deeply_nested_config_exit_1(self, tmp_path, capsys):
         # too deep for the JSON parser: a diagnostic, not a RecursionError
         cfg = tmp_path / "deep.json"

@@ -264,6 +264,16 @@ class TestIdealBasis:
 
 
 class TestLagrange:
+    def test_keeps_no_n_by_n_table(self):
+        # interpolation goes through the fibers: no attribute of a code is
+        # n lists of length n
+        code = Code(Curve.hermitian(4), 30)
+        for name, value in vars(code).items():
+            assert not (isinstance(value, (list, tuple))
+                        and len(value) == code.n
+                        and all(isinstance(row, (list, tuple))
+                                and len(row) == code.n for row in value)), name
+
     def test_zero(self, code_q3):
         v = tuple([code_q3.field.zero] * 27)
         assert code_q3.lagrange(v).is_zero

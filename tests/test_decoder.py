@@ -502,9 +502,11 @@ class TestDecode:
 
     def test_q7_guarantee_at_full_radius(self):
         # Hermitian q=7, u=150: n=343, d=193, so t=96 is the full radius;
-        # Hermitian q=8, u=200: n=512, d=312, so t=155 is
+        # Hermitian q=8, u=200: n=512, d=312, so t=155 is; and
+        # Hermitian q=9, u=300: n=729, d=429, so t=214 is
         for q, u, (n, k, d), words in [(7, 150, (343, 130, 193), 2),
-                                       (8, 200, (512, 173, 312), 1)]:
+                                       (8, 200, (512, 173, 312), 1),
+                                       (9, 300, (729, 265, 429), 1)]:
             code = Code(Curve.hermitian(q), u)
             assert (code.n, code.k, code.decoding_distance()) == (n, k, d)
             t = (d - 1) // 2
