@@ -5,16 +5,23 @@ rational points P_1..P_n, and a pole-order limit u < n.  Messages are
 indexed by the nongaps s <= u; encoding evaluates mu = sum(w_s * phi_s) at
 the points.
 
+The default points are listed per x-value: the equation's values at every
+y are one ``Field.axpy`` per y-degree, and only its roots are tested for
+smoothness.
+
 Construction works in R as a free F[x]-module with basis 1, y, ...,
 y^(a-1), on lists of kernel values (logs, see ``gf.py``) indexed by pole
-order, each update one ``Field.axpy``, in two steps:
+order, each update one ``Field.axpy``.  The points are grouped once by
+x-value into fibers of at most a points each, and both steps read them:
 
-* Kötter's point-by-point update builds the reduced F[x]-basis of the
-  ideal J of functions vanishing at all points: a generators, one per
-  y-degree, each multiplied by (x - x_P) or eliminated at every point P.
-  Its generators whose leads are not multiples of other leads are the
-  reduced Groebner basis {eta_i} of J, and the monomials below the leads
-  are its footprint (exactly n monomials).
+* The reduced F[x]-basis of the ideal J of functions vanishing at all
+  points has a generators, one per y-degree.  A full fiber, a points over
+  x0, has the ideal (x - x0)R, so the generators start as y^j times the
+  product of (x - x0) over the full fibers, and Kötter's point-by-point
+  update multiplies one by (x - x_P) or eliminates it at each of the other
+  points P.  The generators whose leads are not multiples of other leads
+  are the reduced Groebner basis {eta_i} of J, and the monomials below the
+  leads are its footprint (exactly n monomials).
 * Interpolation goes through the fibers.  The Lagrange function of a
   point (x0, y0) is l_x(x) * l_y(y), the univariate Lagrange polynomials
   of x0 over the distinct x-values and of y0 over its fiber, so the
@@ -46,13 +53,30 @@ Vector = tuple[FieldElement, ...]
 
 
 def rational_points(curve: Curve) -> list[Point]:
-    """All nonsingular affine rational points, in the canonical order."""
-    elems = sorted(curve.field.elements(), key=str)
+    """All nonsingular affine rational points, in the canonical order.
+
+    For each x the equation is a polynomial in Y with coefficients C_j(x);
+    its values at every y are one ``Field.axpy`` of C_j(x) times the kernel
+    values of y^j per Y-degree j, and only its roots are tested for
+    smoothness.
+    """
+    field = curve.field
+    elems = sorted(field.elements(), key=str)
+    zero = field.zero_log
+    by_degree: dict[int, list[tuple[int, FieldElement]]] = {}
+    for (i, j), c in curve.equation_terms().items():
+        by_degree.setdefault(j, []).append((i, c))
+    ev_row = _evaluation_rows(field, [(field.zero, y) for y in elems])
+    powers = {j: ev_row(Monomial(0, j)) for j in by_degree}
     points = []
     for x in elems:
-        for y in elems:
-            if curve.contains(x, y) and curve.is_smooth_at(x, y):
-                points.append((x, y))
+        values = [zero] * len(elems)
+        for j, terms in by_degree.items():
+            cj = sum((c * x ** i for i, c in terms), field.zero)
+            if not cj.is_zero:
+                values = field.axpy(values, cj.log, powers[j])
+        points += [(x, y) for y, v in zip(elems, values)
+                   if v == zero and curve.is_smooth_at(x, y)]
     return points
 
 
@@ -114,19 +138,43 @@ def _reduce(curve: Curve, vec: list[int], basis: Sequence[Sequence[int]],
                                         basis[j])
 
 
-def _ideal_generators(curve: Curve, points: Sequence[Point]
+def _times_x_minus(field: Field, g: list[int], neg_x: int,
+                   step: int) -> list[int]:
+    """(x - x0) * g on kernel values, for neg_x the kernel value of -x0 and
+    a factor x moving a coefficient step places up the list."""
+    zero = field.zero_log
+    up = [zero] * step + g
+    return up if neg_x == zero else field.axpy(up, neg_x, g + [zero] * step)
+
+
+def _fibers(points: Sequence[Point]) -> dict[FieldElement, dict[FieldElement, int]]:
+    """The points grouped by x-value: x0 -> {y0: index of (x0, y0)}, both
+    in first-seen order; a repeated point keeps its last index."""
+    fibers: dict[FieldElement, dict[FieldElement, int]] = {}
+    for c, (px, py) in enumerate(points):
+        fibers.setdefault(px, {})[py] = c
+    return fibers
+
+
+def _ideal_generators(curve: Curve, points: Sequence[Point],
+                      fibers: Mapping[FieldElement, Mapping[FieldElement, int]]
                       ) -> tuple[list[list[int]], list[int]]:
     """The reduced F[x]-basis of the ideal of the points, and its leads.
 
     R is free over F[x] with basis 1, y, ..., y^(a-1), and so is the ideal:
     generator j is a list of kernel values indexed by pole order that ends
     with its monic lead, at order leads[j] in row j (a monomial x^i y^j).
-    Kötter's update builds it one point at a time from g_j = y^j, each
-    generator carrying its values at the points still to come: at point P
-    the generator g* of least lead that does not vanish at P is eliminated
-    from the others, which keeps their leads, and is then multiplied by
-    (x - x_P), which raises its lead by x and keeps it monic.  After the
-    last point each generator is reduced by those of smaller lead, in
+
+    A full fiber, a distinct points over one x-value x0 (``_fibers``), has
+    the ideal (x - x0)R, and the ideal J of the other points meets it in
+    (x - x0)J.  So the generators start as g_j = y^j V(x), V the product of
+    (x - x0) over the full fibers, and Kötter's update runs over the other
+    points only, each generator carrying its values at the points still to
+    come: at point P the generator g* of least lead that does not vanish at
+    P is eliminated from the others, which keeps their leads, and is then
+    multiplied by (x - x_P), which raises its lead by x and keeps it monic.
+    With no full fiber, V = 1 and the update runs over every point.  After
+    the last point each generator is reduced by those of smaller lead, in
     increasing lead order, so every term but its lead lies in the
     footprint, the monomials below the leads of their rows.
     """
@@ -134,17 +182,27 @@ def _ideal_generators(curve: Curve, points: Sequence[Point]
     a, b = curve.a, curve.b
     zero, n = field.zero_log, field.order - 1
     neg_one = field.logs([-field.one])[0]
-    xs = field.logs(px for px, _ in points)
-    neg_xs = field.logs(-px for px, _ in points)
-    ev_row = _evaluation_rows(field, points)
-    leads = [b * j for j in range(a)]
-    gens = [[zero] * s + [0] for s in leads]
-    values = [ev_row(Monomial(0, j)) for j in range(a)]
-    for p in reversed(range(len(points))):  # last first: pop() drops P
+
+    full = [x0 for x0, fiber in fibers.items() if len(fiber) == a]
+    seeded = {c for x0 in full for c in fibers[x0].values()}
+    rest = [pt for c, pt in enumerate(points) if c not in seeded]
+    xs = field.logs(px for px, _ in rest)
+    neg_xs = field.logs(-px for px, _ in rest)
+    v, v_at = [0], [0] * len(rest)  # V, constant first, and its values
+    for neg_x in field.logs(-x0 for x0 in full):
+        v = _times_x_minus(field, v, neg_x, 1)
+        v_at = field.multiply(v_at, field.axpy(xs, 0, [neg_x] * len(rest)))
+    g0 = [zero] * (a * (len(v) - 1) + 1)  # V(x) by pole order
+    g0[::a] = v
+    leads = [b * j + len(g0) - 1 for j in range(a)]
+    gens = [[zero] * (b * j) + g0 for j in range(a)]
+    ev_row = _evaluation_rows(field, rest)
+    values = [field.multiply(ev_row(Monomial(0, j)), v_at) for j in range(a)]
+    for p in reversed(range(len(rest))):  # last first: pop() drops P
         at_p = [vals.pop() for vals in values]
         live = [j for j in range(a) if at_p[j] != zero]
         if not live:  # the ideal so far vanishes at P: P came before
-            raise ValueError(f"duplicate point {points[p]}")
+            raise ValueError(f"duplicate point {rest[p]}")
         star = min(live, key=leads.__getitem__)
         g = gens[star]
         for j in live:
@@ -152,11 +210,9 @@ def _ideal_generators(curve: Curve, points: Sequence[Point]
                 k = (at_p[j] - at_p[star] + neg_one) % n
                 values[j] = field.axpy(values[j], k, values[star])
                 gens[j][:len(g)] = field.axpy(gens[j], k, g)
-        neg_x = neg_xs[p]
         values[star] = field.multiply(
-            values[star], field.axpy(xs[:p], 0, [neg_x] * p))
-        gens[star] = [zero] * a + g if neg_x == zero else \
-            field.axpy([zero] * a + g, neg_x, g + [zero] * a)
+            values[star], field.axpy(xs[:p], 0, [neg_xs[p]] * p))
+        gens[star] = _times_x_minus(field, g, neg_xs[p], a)
         leads[star] += a
     for j in sorted(range(a), key=leads.__getitem__):
         tail = gens[j][:-1]
@@ -170,24 +226,23 @@ def _lagrange_polys(field: Field, roots: Collection[FieldElement]
     """For each of the distinct roots r0, the coefficients (constant first,
     kernel values) of the polynomial that is 1 at r0 and 0 at the other
     roots: the quotient of the vanishing polynomial of the roots by
-    (T - r0), one synthetic division, over its value at r0."""
-    zero = field.zero
-    vanishing = [field.one]
-    for r in roots:
-        vanishing = [lo - r * hi for lo, hi
-                     in zip([zero] + vanishing, vanishing + [zero])]
-    out = {}
-    for r0 in roots:
-        quotient, acc = [], zero  # highest coefficient first
-        for c in reversed(vanishing[1:]):
-            acc = acc * r0 + c
-            quotient.append(acc)
-        at_r0 = zero
-        for c in quotient:
-            at_r0 = at_r0 * r0 + c
-        out[r0] = field.scale(field.logs(reversed(quotient)),
-                              at_r0.inverse().log)
-    return out
+    (T - r0), one synthetic division, over its value at r0.  The divisions
+    of all the roots, and the Horner evaluations of their quotients, run
+    side by side on lists indexed by root."""
+    roots = list(roots)
+    rs, width = field.logs(roots), len(roots)
+    vanishing = [0]  # constant first, monic
+    for neg_r in field.logs(-r for r in roots):
+        vanishing = _times_x_minus(field, vanishing, neg_r, 1)
+    quotient = at_root = [0] * width  # the quotient's lead is one
+    rows = [quotient]  # quotient coefficients, highest first
+    for c in reversed(vanishing[1:-1]):
+        quotient = field.axpy([c] * width, 0, field.multiply(quotient, rs))
+        at_root = field.axpy(quotient, 0, field.multiply(at_root, rs))
+        rows.append(quotient)
+    n = field.order - 1
+    return {r0: field.scale(column[::-1], -k % n)
+            for r0, k, column in zip(roots, at_root, zip(*rows))}
 
 
 def points_ideal_basis(
@@ -226,7 +281,8 @@ def _ideal_basis_interpolator(
     sg, field = curve.semigroup, curve.field
     a, b, ys = curve.a, curve.b, sg.y_degrees
     zero = field.zero_log
-    gens, leads = _ideal_generators(curve, points)
+    fibers = _fibers(points)
+    gens, leads = _ideal_generators(curve, points, fibers)
     rows = sorted(range(a), key=leads.__getitem__)
     etas = tuple(
         RingElement(curve, {s: e for s, e in
@@ -236,9 +292,6 @@ def _ideal_basis_interpolator(
     top = max(leads)
     footprint = tuple(s for s in range(top)
                       if s < leads[ys[s % a]] and sg.is_nongap(s))
-    fibers: dict[FieldElement, dict[FieldElement, int]] = {}
-    for c, (px, py) in enumerate(points):
-        fibers.setdefault(px, {})[py] = c
     width = len(fibers)
     lx = _lagrange_polys(field, fibers)
     ly = {x0: _lagrange_polys(field, fiber) for x0, fiber in fibers.items()}
@@ -368,7 +421,7 @@ def radius_rows(curve: Curve,
     points = checked_points(curve, points)
     sg = curve.semigroup
     n = len(points)
-    _, leads = _ideal_generators(curve, points)
+    _, leads = _ideal_generators(curve, points, _fibers(points))
     stair = sg.staircase(leads)
     rows = []
     best = None

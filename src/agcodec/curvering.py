@@ -219,6 +219,13 @@ class Curve:
         # r -> the reduced y^(a+r) = y^a * y^r as (offset from b*(a+r),
         # coefficient) pairs, for r < a - 1, filled on first use
         self._wrap_rows: dict[int, list[tuple[int, FieldElement]]] = {}
+        # the defining polynomial and its formal partials in x and y as raw
+        # terms, built once for contains and is_smooth_at
+        self._equation = {Monomial(0, a): field.one, Monomial(b, 0): d, **clean}
+        terms, times = self._equation.items(), field.element
+        self._partials = (
+            [((i - 1, j), times(i) * c) for (i, j), c in terms if i],
+            [((i, j - 1), times(j) * c) for (i, j), c in terms if j])
 
     @classmethod
     def hermitian(cls, q: int) -> "Curve":
@@ -295,20 +302,15 @@ class Curve:
     # -- geometry -------------------------------------------------------------
 
     def equation_terms(self) -> dict[Monomial, FieldElement]:
-        """The defining polynomial as a raw exponent map."""
-        terms = {Monomial(0, self.a): self.field.one,
-                 Monomial(self.b, 0): self.d}
-        terms.update(self.coeffs)
-        return terms
+        """The defining polynomial as a raw exponent map (a new dict)."""
+        return dict(self._equation)
 
     def contains(self, x: FieldElement, y: FieldElement) -> bool:
-        return _evaluate_raw(self.equation_terms().items(), x, y).is_zero
+        return _evaluate_raw(self._equation.items(), x, y).is_zero
 
     def is_smooth_at(self, x: FieldElement, y: FieldElement) -> bool:
         """False when both formal partial derivatives vanish at (x, y)."""
-        terms, times = self.equation_terms().items(), self.field.element
-        dx = (((i - 1, j), times(i) * c) for (i, j), c in terms if i)
-        dy = (((i, j - 1), times(j) * c) for (i, j), c in terms if j)
+        dx, dy = self._partials
         return not (_evaluate_raw(dx, x, y).is_zero
                     and _evaluate_raw(dy, x, y).is_zero)
 

@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from agcodec.code import (Code, VectorParseError, code_from_config,
-                          curve_from_config, format_vector,
+from agcodec.code import (Code, VectorParseError, _fibers, _ideal_generators,
+                          code_from_config, curve_from_config, format_vector,
                           hermitian_decoding_distance, parse_vector,
                           points_ideal_basis, radius_rows, rational_points)
 from agcodec.curvering import Curve, Monomial
@@ -61,6 +61,12 @@ def curve_and_points(name: str, seed=None):
     return curve, points
 
 
+def cusp_curve() -> Curve:
+    """y^2 + x^3 = 0 over GF(4), singular at the origin."""
+    field = Field(2, 2)
+    return Curve(field, 2, 3, field.one, {})
+
+
 class TestRationalPoints:
     def test_q3_has_27(self, curve_q3):
         assert len(rational_points(curve_q3)) == 27
@@ -92,9 +98,8 @@ class TestRationalPoints:
     def test_singular_point_excluded_and_rejected(self):
         # the cuspidal curve y^2 + x^3 = 0 over GF(4) is singular at the
         # origin: both partials vanish there
-        from agcodec.gf import Field
-        field = Field(2, 2)
-        cusp = Curve(field, 2, 3, field.one, {})
+        cusp = cusp_curve()
+        field = cusp.field
         origin = (field.zero, field.zero)
         assert cusp.contains(*origin)
         assert not cusp.is_smooth_at(*origin)
@@ -113,6 +118,34 @@ class TestRationalPoints:
         elems = curve.field.elements()
         assert sum(curve.contains(px, py) for px in elems for py in elems) == 9
         assert (x, y) not in rational_points(curve)
+
+    @pytest.mark.parametrize("name", [*CURVES, "cusp"])
+    def test_matches_exhaustive_scan(self, name):
+        # the per-x listing against contains/is_smooth_at on every (x, y)
+        # pair, in the canonical order
+        curve = cusp_curve() if name == "cusp" else curve_and_points(name)[0]
+        elems = sorted(curve.field.elements(), key=str)
+        scan = [(x, y) for x in elems for y in elems
+                if curve.contains(x, y) and curve.is_smooth_at(x, y)]
+        assert rational_points(curve) == scan
+        singular = {"cusp": (0, 0), "a3-gf7": (2, 5)}.get(name)
+        if singular is not None:
+            point = tuple(map(curve.field.element, singular))
+            assert curve.contains(*point) and point not in scan
+
+    def test_listing_tests_only_the_roots(self, monkeypatch):
+        # q=5: 125 points among 625 pairs; each root is tested once for
+        # smoothness, and no pair is tested one by one for the equation
+        curve = Curve.hermitian(5)
+        calls = []
+        for name in ("contains", "is_smooth_at"):
+            method = getattr(Curve, name)
+            monkeypatch.setattr(
+                Curve, name, lambda self, x, y, method=method:
+                calls.append(1) or method(self, x, y))
+        points = rational_points(curve)
+        assert len(points) == 125
+        assert len(calls) <= 2 * len(points)
 
     @pytest.mark.parametrize("family, count", [
         ("a2-gf5", 9), ("a2-gf7", 9), ("a2-gf25", 34), ("a3-gf7", 8),
@@ -192,6 +225,43 @@ class TestIdealBasis:
         pts = rational_points(curve_q3)
         with pytest.raises(ValueError, match="duplicate point"):
             points_ideal_basis(curve_q3, pts[:3] + pts[1:2])
+
+    def test_repeat_in_full_fiber_is_duplicate(self, curve_q3):
+        # every fiber of the 27 points is full, so the repeat is the only
+        # point the update sees, and the seed already vanishes there
+        pts = rational_points(curve_q3)
+        assert all(len(fiber) == 3 for fiber in _fibers(pts).values())
+        with pytest.raises(ValueError, match="duplicate point"):
+            points_ideal_basis(curve_q3, pts + [pts[4]])
+
+    @pytest.mark.parametrize("name", [
+        "hermitian-3-minus-one", "hermitian-4-minus-one", "fixture",
+        "shuffled-mixed", *sorted(MK_FAMILIES)])
+    def test_full_fiber_seed_matches_reference(self, name, code_q3):
+        if name == "fixture":
+            curve, points = code_q3.curve, list(code_q3.points)
+        elif name == "shuffled-mixed":
+            # a point dropped from every other fiber, then shuffled, so
+            # full fibers lie between partial ones
+            curve, points = curve_and_points("hermitian-3")
+            drop = {next(iter(fiber.values()))
+                    for fiber in list(_fibers(points).values())[::2]}
+            points = [p for c, p in enumerate(points) if c not in drop]
+            random.Random(17).shuffle(points)
+        else:
+            curve, points = curve_and_points(name.removesuffix("-minus-one"))
+            if name.endswith("-minus-one"):
+                points = points[:11] + points[12:]
+        fibers = _fibers(points)
+        assert any(len(f) == curve.a for f in fibers.values())
+        if name.endswith(("-minus-one", "-mixed")):
+            assert any(len(f) < curve.a for f in fibers.values())
+        # the seeded build equals the point-by-point update over every point
+        assert _ideal_generators(curve, points, fibers) == \
+            _ideal_generators(curve, points, {})
+        etas, delta, table = points_ideal_basis(curve, points)
+        table = [curve.field.from_logs(row) for row in table]
+        assert (etas, delta, table) == reference_ideal_basis(curve, points)
 
     def test_eta_vanishes_everywhere(self, code_q3):
         for eta in code_q3.eta_basis:
@@ -432,7 +502,8 @@ class TestDistance:
             code_q3.order_bound(5)
 
     def test_matches_closed_form_everywhere(self, curve_q3):
-        for curve in (curve_q3, *map(Curve.hermitian, (4, 5, 7, 8, 9))):
+        for curve in (curve_q3, *map(Curve.hermitian,
+                                     (4, 5, 7, 8, 9, 11, 13, 16))):
             q, n = curve.a, curve.a ** 3
             rows = dict(radius_rows(curve))
             for u in curve.semigroup.nongaps(n - 1):
