@@ -12,7 +12,7 @@ smoothness.
 Construction works in R as a free F[x]-module with basis 1, y, ...,
 y^(a-1), on lists of kernel values (logs, see ``gf.py``) indexed by pole
 order, each update one ``Field.axpy``.  The points are grouped once by
-x-value into fibers of at most a points each, and both steps read them:
+x-value into fibers of at most a points each, which all three steps read:
 
 * The reduced F[x]-basis of the ideal J of functions vanishing at all
   points has a generators, one per y-degree.  A full fiber, a points over
@@ -29,10 +29,9 @@ x-value into fibers of at most a points each, and both steps read them:
   its l_y give the y-coefficients at x0, and P_j combines those through
   the l_x.  That sum is reduced by the basis onto the footprint, with no
   n x n table.
-
-``Code`` keeps that interpolation routine and the evaluation rows of the
-message monomials as kernel-value lists, so encoding is a sum of
-``Field.axpy`` updates as well.
+* Encoding is the transpose: a message function, the sum of y^j M_j(x), is
+  evaluated by Horner's rule in x at the distinct x-values, then in y at
+  each point, with no k x n table.
 
 The point order is part of the code: vectors align index by index with the
 stored point list.  The default order is lexicographic in the textual form
@@ -42,6 +41,7 @@ the bundled fixtures do).
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import (Callable, Collection, Iterable, Mapping, Optional,
                     Sequence)
 
@@ -66,8 +66,8 @@ def rational_points(curve: Curve) -> list[Point]:
     by_degree: dict[int, list[tuple[int, FieldElement]]] = {}
     for (i, j), c in curve.equation_terms().items():
         by_degree.setdefault(j, []).append((i, c))
-    ev_row = _evaluation_rows(field, [(field.zero, y) for y in elems])
-    powers = {j: ev_row(Monomial(0, j)) for j in by_degree}
+    ys = field.logs(elems)  # and the powers y^j at every y, j <= a
+    powers = list(accumulate([[0] * len(ys)] + [ys] * curve.a, field.multiply))
     points = []
     for x in elems:
         values = [zero] * len(elems)
@@ -99,21 +99,6 @@ def checked_points(curve: Curve,
     if len(set(out)) != len(out):
         raise ValueError("duplicate points")
     return out
-
-
-def _evaluation_rows(field: Field, points: Sequence[Point]
-                     ) -> Callable[[Monomial], list[int]]:
-    """The map from a monomial x^i y^j to its values at the points, as
-    kernel values of ``field`` (0^0 = 1); the point logs are taken once."""
-    xs = field.logs(px for px, _ in points)
-    ys = field.logs(py for _, py in points)
-    zero, n = field.zero_log, field.order - 1
-
-    def row(mono: Monomial) -> list[int]:
-        i, j = mono
-        return [zero if (i and x == zero) or (j and y == zero)
-                else (i * x + j * y) % n for x, y in zip(xs, ys)]
-    return row
 
 
 def _reduce(curve: Curve, vec: list[int], basis: Sequence[Sequence[int]],
@@ -196,8 +181,8 @@ def _ideal_generators(curve: Curve, points: Sequence[Point],
     g0[::a] = v
     leads = [b * j + len(g0) - 1 for j in range(a)]
     gens = [[zero] * (b * j) + g0 for j in range(a)]
-    ev_row = _evaluation_rows(field, rest)
-    values = [field.multiply(ev_row(Monomial(0, j)), v_at) for j in range(a)]
+    ys = field.logs(py for _, py in rest)  # and y^j V at those points
+    values = list(accumulate([v_at] + [ys] * (a - 1), field.multiply))
     for p in reversed(range(len(rest))):  # last first: pop() drops P
         at_p = [vals.pop() for vals in values]
         live = [j for j in range(a) if at_p[j] != zero]
@@ -248,14 +233,16 @@ def _lagrange_polys(field: Field, roots: Collection[FieldElement]
 def points_ideal_basis(
     curve: Curve, points: Sequence[Point]
 ) -> tuple[tuple[RingElement, ...], tuple[Monomial, ...], list[list[int]]]:
-    """Reduced Groebner basis of the ideal of the given points.
+    """Reduced Groebner basis of the ideal of the points (``checked_points``).
 
     Returns (etas, footprint monomials in increasing pole order, table),
     where table[k][c] is the coefficient of footprint monomial k in the
     Lagrange function of point c, as a kernel value: column c interpolates
     the unit vector of point c (``_ideal_basis_interpolator``).
     """
-    etas, footprint, interpolate = _ideal_basis_interpolator(curve, points)
+    points = checked_points(curve, points)
+    etas, footprint, interpolate = _ideal_basis_interpolator(
+        curve, points, _fibers(points))
     zero = curve.field.zero_log
     columns = [interpolate([zero] * c + [0] + [zero] * (len(points) - c - 1))
                for c in range(len(points))]
@@ -264,7 +251,8 @@ def points_ideal_basis(
 
 
 def _ideal_basis_interpolator(
-    curve: Curve, points: Sequence[Point]
+    curve: Curve, points: Sequence[Point],
+    fibers: Mapping[FieldElement, Mapping[FieldElement, int]]
 ) -> tuple[tuple[RingElement, ...], tuple[int, ...],
            Callable[[Sequence[int]], list[int]]]:
     """(etas, footprint pole orders in increasing order, interpolate).
@@ -281,7 +269,6 @@ def _ideal_basis_interpolator(
     sg, field = curve.semigroup, curve.field
     a, b, ys = curve.a, curve.b, sg.y_degrees
     zero = field.zero_log
-    fibers = _fibers(points)
     gens, leads = _ideal_generators(curve, points, fibers)
     rows = sorted(range(a), key=leads.__getitem__)
     etas = tuple(
@@ -316,8 +303,8 @@ def _ideal_basis_interpolator(
 
 
 class Code:
-    """An evaluation code C_u with its decoding-side precomputations: the
-    etas, the footprint and the interpolation routine of its points."""
+    """An evaluation code C_u with its precomputations, all from the fibers
+    of its points: the etas, the footprint, interpolation and encoding."""
 
     def __init__(self, curve: Curve, u: int,
                  points: Optional[Sequence[Point]] = None) -> None:
@@ -326,17 +313,21 @@ class Code:
         sg = curve.semigroup
         self.points: tuple[Point, ...] = tuple(checked_points(curve, points))
         self.n = len(self.points)
-        if not (0 < u < self.n):
-            raise ValueError(f"u must satisfy 0 < u < n = {self.n}, got {u}")
+        if not (_is_int(u) and 0 < u < self.n):
+            raise ValueError(
+                f"u must be an integer with 0 < u < n = {self.n}, got {u!r}")
         self.u = u
         self.message_orders: tuple[int, ...] = sg.nongaps(u)
         self.k = len(self.message_orders)
+        fibers = _fibers(self.points)
         etas, self._delta_orders, self._interpolate = \
-            _ideal_basis_interpolator(curve, self.points)
+            _ideal_basis_interpolator(curve, self.points, fibers)
         self.eta_basis = etas
         self.delta_monomials = tuple(map(sg.phi, self._delta_orders))
-        ev_row = _evaluation_rows(self.field, self.points)
-        self._message_rows = [ev_row(sg.phi(s)) for s in self.message_orders]
+        index = {x0: f for f, x0 in enumerate(fibers)}
+        self._x_logs = self.field.logs(fibers)  # the distinct x-values
+        self._x_index = [index[px] for px, _ in self.points]
+        self._y_logs = self.field.logs(py for _, py in self.points)
         self._staircase = sg.staircase(eta.delta() for eta in etas)
         self._distance: Optional[int] = None
 
@@ -346,14 +337,23 @@ class Code:
         return tuple(f.evaluate(px, py) for px, py in self.points)
 
     def encode(self, message: Sequence[FieldElement]) -> Vector:
-        """ev(sum of w_s * phi_s) over the message coordinates."""
+        """ev(sum of w_s * phi_s) = ev(sum of y^j M_j(x)): Horner's rule in x
+        at the distinct x-values, then in y at each point."""
         self._check_vector(message, self.k, "message")
-        field = self.field
-        zero = field.zero_log
-        acc = [zero] * self.n
-        for w, row in zip(field.logs(message), self._message_rows):
-            if w != zero:
-                acc = field.axpy(acc, w, row)
+        field, a, b = self.field, self.curve.a, self.curve.b
+        xs, width = self._x_logs, len(self._x_logs)
+        mu = [field.zero_log] * (self.u + 1)  # kernel values by pole order
+        for s, w in zip(self.message_orders, field.logs(message)):
+            mu[s] = w
+        acc = None
+        for j in reversed(range(min(a, self.u // b + 1))):
+            row = mu[b * j::a]  # M_j, constant first: interpolate's P_j slots
+            at_x = [row[-1]] * width
+            for c in reversed(row[:-1]):
+                at_x = field.axpy([c] * width, 0, field.multiply(at_x, xs))
+            at_x = [at_x[f] for f in self._x_index]  # M_j at the points
+            acc = at_x if acc is None else field.axpy(
+                at_x, 0, field.multiply(acc, self._y_logs))
         return tuple(field.from_logs(acc))
 
     def lagrange(self, v: Sequence[FieldElement]) -> RingElement:

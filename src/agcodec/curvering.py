@@ -199,8 +199,8 @@ class Curve:
             raise ValueError("leading coefficient d must be nonzero")
         clean: dict[Monomial, FieldElement] = {}
         for (i, j), c in coeffs.items():
-            if c.field != field:
-                raise ValueError("curve coefficient from a different field")
+            if not isinstance(c, FieldElement) or c.field != field:
+                raise ValueError(f"coeffs entry {(i, j)}: not a field element")
             if c.is_zero:
                 continue
             if i < 0 or j < 0 or a * i + b * j >= a * b:

@@ -34,6 +34,16 @@ def code_q3_shortened(curve_q3):
 
 
 @pytest.fixture(scope="module")
+def code_q4_shuffled():
+    """All 64 Hermitian q=4 points in a seeded shuffle, so the fibers
+    interleave in the point order."""
+    curve = Curve.hermitian(4)
+    pts = rational_points(curve)
+    random.Random(4).shuffle(pts)
+    return Code(curve, 30, pts)
+
+
+@pytest.fixture(scope="module")
 def code_mk7():
     """y^3 + 5y^2 + 6y + 4 + 6x^4 = 0 over GF(7): 12 points, genus 3."""
     field = Field(7)
@@ -177,6 +187,22 @@ class TestEncoding:
         with pytest.raises(ValueError):
             code_q3.encode([code_q3.field.zero] * 3)
 
+    @pytest.mark.parametrize("u", [True, 2.5, "3"])
+    def test_u_must_be_an_integer(self, code_q2, u):
+        with pytest.raises(ValueError, match="u must be an integer"):
+            Code(code_q2.curve, u)
+
+    @pytest.mark.parametrize("q, u", [(11, 600), (13, 1000), (16, 2000)])
+    def test_large_q_interpolates_back_to_the_message(self, q, u):
+        # the message monomials lie in the footprint, so interpolating a
+        # codeword gives back mu, with w_s at every message order
+        code = Code(Curve.hermitian(q), u)
+        message = random_message(code, random.Random(q))
+        h = code.lagrange(code.encode(message))
+        assert h.delta() <= u
+        assert [h.coefficient_at(s) for s in code.message_orders] == \
+            list(message)
+
     def test_rank_is_k_for_all_valid_u(self):
         # for every nongap u < n: the unit message of order s encodes to
         # ev(phi_s) by the ring-element route, and the k codewords of the
@@ -222,17 +248,37 @@ class TestIdealBasis:
             {Monomial(1, 0), Monomial(0, 1)}
 
     def test_rejects_repeated_point(self, curve_q3):
-        pts = rational_points(curve_q3)
+        pts = rational_points(curve_q3)[:3]
+        pts.append(pts[1])
         with pytest.raises(ValueError, match="duplicate point"):
-            points_ideal_basis(curve_q3, pts[:3] + pts[1:2])
+            points_ideal_basis(curve_q3, pts)
+        # the update's own check, behind checked_points
+        with pytest.raises(ValueError, match="duplicate point"):
+            _ideal_generators(curve_q3, pts, _fibers(pts))
 
     def test_repeat_in_full_fiber_is_duplicate(self, curve_q3):
         # every fiber of the 27 points is full, so the repeat is the only
         # point the update sees, and the seed already vanishes there
         pts = rational_points(curve_q3)
         assert all(len(fiber) == 3 for fiber in _fibers(pts).values())
+        pts.append(pts[4])
         with pytest.raises(ValueError, match="duplicate point"):
-            points_ideal_basis(curve_q3, pts + [pts[4]])
+            points_ideal_basis(curve_q3, pts)
+        with pytest.raises(ValueError, match="duplicate point"):
+            _ideal_generators(curve_q3, pts, _fibers(pts))
+
+    def test_rejects_point_off_the_curve(self, code_q2):
+        one = code_q2.field.one
+        assert not code_q2.curve.contains(one, one)
+        with pytest.raises(ValueError, match="not on the curve"):
+            points_ideal_basis(code_q2.curve,
+                               [*code_q2.points[:3], (one, one)])
+
+    def test_rejects_point_from_another_field(self, code_q2):
+        one = Field(3).one
+        with pytest.raises(ValueError, match="different field"):
+            points_ideal_basis(code_q2.curve,
+                               [*code_q2.points[:3], (one, one)])
 
     @pytest.mark.parametrize("name", [
         "hermitian-3-minus-one", "hermitian-4-minus-one", "fixture",
@@ -335,12 +381,13 @@ class TestIdealBasis:
 
 class TestLagrange:
     def test_keeps_no_n_by_n_table(self):
-        # interpolation goes through the fibers: no attribute of a code is
-        # n lists of length n
+        # interpolation and encoding go through the fibers: no attribute of
+        # a code is a list of more than a lists of length n, so neither an
+        # n x n nor a k x n table
         code = Code(Curve.hermitian(4), 30)
         for name, value in vars(code).items():
             assert not (isinstance(value, (list, tuple))
-                        and len(value) == code.n
+                        and len(value) > code.curve.a
                         and all(isinstance(row, (list, tuple))
                                 and len(row) == code.n for row in value)), name
 
@@ -392,7 +439,7 @@ class TestAgainstReferences:
     """Encoding and interpolation on kernel values against the FieldElement
     routes they replace."""
 
-    CODES = ["code_q3", "code_q3_shortened", "code_mk7",
+    CODES = ["code_q3", "code_q3_shortened", "code_q4_shuffled", "code_mk7",
              *(f"{name}-u3" for name in sorted(MK_FAMILIES))]
 
     @staticmethod

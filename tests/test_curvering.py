@@ -50,6 +50,11 @@ class TestCurveConstruction:
         assert Semigroup(256, 257).y_degrees[1] == 1
         assert len(Semigroup(WEIGHT_CAP, 1).y_degrees) == WEIGHT_CAP
 
+    def test_coefficient_must_be_a_field_element(self):
+        field = Field(3, 2)
+        with pytest.raises(ValueError, match="coeffs entry"):
+            Curve(field, 2, 3, field.one, {(0, 0): 1})
+
     def test_coefficient_outside_region(self):
         field = Field(3, 2)
         with pytest.raises(ValueError):
