@@ -45,7 +45,8 @@ from itertools import accumulate
 from typing import (Callable, Collection, Iterable, Mapping, Optional,
                     Sequence)
 
-from .curvering import Curve, Monomial, RingElement, Semigroup, _prime_reduce
+from .curvering import (Curve, Monomial, RingElement, Semigroup, _is_int,
+                        _prime_reduce)
 from .gf import Field, FieldElement
 
 Point = tuple[FieldElement, FieldElement]
@@ -482,10 +483,6 @@ def format_vector(elements: Iterable[FieldElement]) -> str:
 # ---------------------------------------------------------------------------
 # Code configuration files (JSON).
 # ---------------------------------------------------------------------------
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
 
 def _integer(value) -> int:
     """value itself when it is a JSON integer; no float or string converts."""

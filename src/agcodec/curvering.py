@@ -68,6 +68,11 @@ class Monomial(NamedTuple):
         return "*".join(parts) if parts else "1"
 
 
+def _is_int(value) -> bool:
+    """Whether value is an int proper (a bool is not)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class Semigroup:
     """The numerical semigroup <a, b> with gcd(a, b) = 1.
 
@@ -81,6 +86,8 @@ class Semigroup:
     """
 
     def __init__(self, a: int, b: int) -> None:
+        if not (_is_int(a) and _is_int(b)):
+            raise ValueError(f"weights must be integers, got ({a!r}, {b!r})")
         if a < 1 or b < 1:
             raise ValueError(f"weights must be positive, got ({a}, {b})")
         if max(a, b) > WEIGHT_CAP:
@@ -198,7 +205,11 @@ class Curve:
         if d.is_zero:
             raise ValueError("leading coefficient d must be nonzero")
         clean: dict[Monomial, FieldElement] = {}
-        for (i, j), c in coeffs.items():
+        for key, c in coeffs.items():
+            if not (isinstance(key, tuple) and len(key) == 2
+                    and all(map(_is_int, key))):
+                raise ValueError(f"coeffs key {key!r}: not a pair of integers")
+            i, j = key
             if not isinstance(c, FieldElement) or c.field != field:
                 raise ValueError(f"coeffs entry {(i, j)}: not a field element")
             if c.is_zero:

@@ -16,7 +16,11 @@ its upstairs cone covers; the winner is subtracted by substituting
 z -> z + w * phi_s.  The basis is then converted from weight s to s - 1 by
 the spoly combinations, followed by removal of elements whose leading term
 another element's leading term divides (within the G part and the F part
-separately).  The split is kept at every weight, so leads are read off the
+separately).  A weight costs only what changes: the basis changes only where
+an F element's lead moves downstairs, so a weight at which none moves keeps
+both parts as they are, the combinations are pruned by the leads they are
+known to have before any is built, and a shift leaves a pair with a zero up
+part untouched.  The split is kept at every weight, so leads are read off the
 basis: a G element leads with its down part, an F element with its up
 part, and the one test left is whether an F element still leads upstairs
 at s - 1.  ``leading`` and ``Lead`` are the inspection form of a lead, for
@@ -167,13 +171,15 @@ def vote(code: Code, s: int, state: GBState) -> VoteRecord:
 
 
 def shift(state: GBState, w: FieldElement, s: int) -> GBState:
-    """Substitute z -> z + w * phi_s; leading data at weight s is unchanged."""
+    """Substitute z -> z + w * phi_s; leading data at weight s is unchanged,
+    and a pair with a zero up part is returned as the same object."""
     sg = state.curve.semigroup
     if not sg.is_nongap(s):
         raise ValueError(f"{s} is a gap")
     if w.is_zero:
         return state
-    g, f = (tuple(ModulePair(p.up, p.down._plus((p.up, s, w))) for p in part)
+    g, f = (tuple(p if p.up.is_zero else
+                  ModulePair(p.up, p.down._plus((p.up, s, w))) for p in part)
             for part in (state.g, state.f))
     return GBState(state.weight, g, f, state.curve)
 
@@ -192,27 +198,49 @@ def spoly(s: int, pair: ModulePair, g_part: Sequence[ModulePair]) -> list[Module
     divides are those of the minimal lcms, and only those are built.  Leads
     are pole orders, read from the basis invariants: a G lead of order r =
     delta(g.down) divides mu exactly when mu - r is a nongap.
+
+    The outputs are planned (``_planned``) before they are built
+    (``_combine``), so ``step`` prunes the plans of all F elements together
+    and builds only the survivors.
     """
+    return [_combine(*plan[1:]) for plan in _planned(s, pair, g_part)]
+
+
+def _planned(s: int, pair: ModulePair, g_part: Sequence[ModulePair]) -> list[tuple]:
+    """spoly's outputs before they are built, in its order: (up lead at
+    weight s - 1, pair, g, psi, lc) each, g None for the pair itself.
+
+    The lead of an lcm psi's combination is delta(pair.up) + psi - mu (see
+    ``spoly``); lc is the pair's downstairs leading coefficient."""
     if pair.up.is_zero or not _leads_up(s, pair):
         raise ValueError("spoly needs a pair leading upstairs at weight s")
+    du = pair.up.delta()
     if _leads_up(s - 1, pair):
-        return [pair]
-    curve = pair.up.curve
-    sg = curve.semigroup
+        return [(du, pair, None, 0, None)]
+    sg = pair.up.curve.semigroup
     mu = pair.down.delta()
     lc = pair.down.leading_coefficient()
     lcms = [(g, psi) for g in g_part for psi in sg.lcms(mu, g.down.delta())]
+    return [(du + psi - mu, pair, g, psi, lc)
+            for g, psi in _prime_reduce(lcms, [psi for _, psi in lcms], sg)]
+
+
+def _combine(pair: ModulePair, g: Optional[ModulePair], psi: int,
+             lc: Optional[FieldElement]) -> ModulePair:
+    """The planned spoly output: the pair itself when g is None, else
+    cf * phi(psi - mu) * pair + cg * phi(psi - r) * g with both products
+    monic at psi (mu, r the downstairs leads, lc the pair's coefficient)."""
+    if g is None:
+        return pair
+    curve = pair.up.curve
+    mu, r = pair.down.delta(), g.down.delta()
+    qf, qg = psi - mu, psi - r
+    cf = _monic(curve, qf, mu, lc)
+    cg = -_monic(curve, qg, r, g.down.leading_coefficient())
+    # each side in one pass
     zero = curve.zero()
-    out = []
-    for g, psi in _prime_reduce(lcms, [psi for _, psi in lcms], sg):
-        r = g.down.delta()
-        qf, qg = psi - mu, psi - r
-        cf = _monic(curve, qf, mu, lc)
-        cg = -_monic(curve, qg, r, g.down.leading_coefficient())
-        # cf * phi(qf) * pair + cg * phi(qg) * g, each side in one pass
-        out.append(ModulePair(zero._plus((pair.up, qf, cf), (g.up, qg, cg)),
-                              zero._plus((pair.down, qf, cf), (g.down, qg, cg))))
-    return out
+    return ModulePair(zero._plus((pair.up, qf, cf), (g.up, qg, cg)),
+                      zero._plus((pair.down, qf, cf), (g.down, qg, cg)))
 
 
 def _monic(curve: Curve, q: int, order: int, lc: FieldElement) -> FieldElement:
@@ -224,18 +252,29 @@ def step(state: GBState) -> GBState:
     """Convert a basis at weight s into the reduced basis at weight s - 1.
 
     The new G part is the old one plus the F elements that lead downstairs
-    at weight s - 1; the new F part collects the spoly outputs; both parts
-    are then pruned by divisibility of leading terms within the part, which
-    drops every added F element whose lead falls outside the old G
-    footprint (an equal lead keeps the old G element).
+    at weight s - 1 (``moved``); the new F part collects the spoly outputs;
+    both parts are then pruned by divisibility of leading terms within the
+    part, which drops every moved F element whose lead falls outside the
+    old G footprint (an equal lead keeps the old G element).
+
+    Only what changes is built.  With nothing moved the state at s - 1 has
+    the same g and f tuples: both parts are already pairwise non-divisible,
+    a G lead does not depend on the weight, and an F element still leading
+    upstairs keeps its lead.  Otherwise the spoly outputs are pruned by
+    their planned leads, which are the leads they would be built with, so
+    the combinations that pruning drops are never formed.
     """
     s = state.weight
+    moved = [p for p in state.f if not _leads_up(s - 1, p)]
+    if not moved:
+        return GBState(s - 1, state.g, state.f, state.curve)
     sg = state.curve.semigroup
-    new_g = [*state.g, *(p for p in state.f if not _leads_up(s - 1, p))]
-    new_f = [out for p in state.f for out in spoly(s, p, state.g)]
     # every element of new_g leads downstairs, of new_f upstairs, at s - 1
+    new_g = [*state.g, *moved]
     new_g = _prime_reduce(new_g, [p.down.delta() for p in new_g], sg)
-    new_f = _prime_reduce(new_f, [p.up.delta() for p in new_f], sg)
+    plans = [plan for p in state.f for plan in _planned(s, p, state.g)]
+    new_f = [_combine(*plan[1:]) for plan
+             in _prime_reduce(plans, [plan[0] for plan in plans], sg)]
     return GBState(s - 1, tuple(new_g), tuple(new_f), state.curve)
 
 

@@ -34,6 +34,7 @@ of the multiplicative group.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterable, Optional, Sequence
 
 #: Largest supported field order.  Keeps the exp/log tables small; the codes
@@ -125,35 +126,64 @@ class Field:
         self.m = m
         self.order = order
         if modulus is None:
-            modulus = self._default_modulus()
+            modulus, powers = self._default_modulus()
         else:
             modulus = tuple(int(c) % p for c in modulus)
             if len(modulus) != m + 1 or modulus[-1] != 1:
                 raise ValueError(
                     f"modulus must be monic of degree {m}, got {modulus}")
-            if not _is_irreducible(modulus, p):
+            powers = self._x_powers(modulus)
+            if powers is None and not _is_irreducible(modulus, p):
                 raise ValueError(f"modulus {modulus} is reducible over GF({p})")
         self.modulus = modulus
-        self._build_tables()
+        self._build_tables(powers)
 
     # -- construction internals --------------------------------------------
 
-    def _default_modulus(self) -> tuple[int, ...]:
-        # runs once p, m and order are set; tries candidates as self.modulus
+    def _default_modulus(self) -> tuple[tuple[int, ...], Optional[list[int]]]:
+        """The default modulus and its ``_x_powers``; runs once p, m and
+        order are set."""
         p, m = self.p, self.m
         if m == 1:
-            return (0, 1)  # the field is GF(p) itself; any degree-1 poly works
+            # the field is GF(p) itself; any degree-1 poly works
+            return (0, 1), None
         table = _DEFAULT_MODULI.get((p, m))
         if table is not None:
-            return table
+            return table, self._x_powers(table)
         for packed in range(p ** m):
             low = tuple((packed // p ** k) % p for k in range(m))
             candidate = low + (1,)
-            if _is_irreducible(candidate, p):
-                self.modulus = candidate
-                if self._packed_order(p) == self.order - 1:
-                    return candidate
+            powers = self._x_powers(candidate)
+            if powers is not None:
+                return candidate, powers
         raise ValueError(f"no primitive polynomial found for GF({p}^{m})")
+
+    def _x_powers(self, modulus: Sequence[int]) -> Optional[list[int]]:
+        """The packed x^0, ..., x^(n-1) modulo the modulus when x has order
+        n = p^m - 1 there, else None (and always None for m = 1).
+
+        Each power is the last times x, then one reduction of the x^m term.
+        A unit x whose powers do not reach 1 before x^n has n distinct unit
+        powers, which only a field holds: a primitive x also proves the
+        modulus irreducible.
+        """
+        p, m = self.p, self.m
+        if m == 1 or modulus[0] == 0:  # x divides the modulus: no unit
+            return None
+        neg = [-c % p for c in modulus[:m]]  # x^m = sum(neg[k] * x^k)
+        weights = [p ** k for k in range(m)]
+        digits = [1] + [0] * (m - 1)
+        powers = [1]
+        for _ in range(self.order - 2):
+            top = digits[-1]
+            digits = [0] + digits[:-1]
+            if top:
+                digits = [(d + top * c) % p for d, c in zip(digits, neg)]
+            packed = sum(d * w for d, w in zip(digits, weights))
+            if packed == 1:
+                return None
+            powers.append(packed)
+        return powers
 
     def _unpack(self, v: int) -> list[int]:
         digits = []
@@ -208,8 +238,13 @@ class Field:
                 order //= ell
         return order
 
-    def _build_tables(self) -> None:
+    def _build_tables(self, powers: Optional[list[int]]) -> None:
         """The exp/log tables, the elements, and the tables ZT and NORM.
+
+        The generator is the first packed value of order n = order - 1.
+        Given the powers of a primitive x (``_x_powers``), that is the
+        least x^e with e coprime to n, and its powers are read off x's by
+        index arithmetic; otherwise it is found by trial powers.
 
         With n = order - 1 and zero Z = 3n, acc + a^k * v for a multiplier k
         in [0, n) is NORM[r + ZT[3n + k + v - r]]; the index into ZT lies in
@@ -229,19 +264,28 @@ class Field:
         q = self.order
         n = q - 1
         z = self.zero_log = 3 * n
-        # the multiplicative group is cyclic, so this search always succeeds
-        generator = next(v for v in range(1, q) if self._packed_order(v) == n)
-        exp = [0] * n
+        if powers is not None:
+            # the generator is x^e for the e coprime to n giving the least
+            # packed value
+            e = min((k for k in range(n) if math.gcd(k, n) == 1),
+                    key=powers.__getitem__)
+            exp = [powers[e * k % n] for k in range(n)]
+        else:
+            # the multiplicative group is cyclic, so this search succeeds
+            generator = next(v for v in range(1, q)
+                             if self._packed_order(v) == n)
+            exp = [1]
+            for _ in range(n - 1):
+                exp.append(self._raw_mul(exp[-1], generator))
         log = [z] * q  # packed value -> kernel value
-        acc = 1
-        for k in range(n):
-            exp[k] = acc
-            log[acc] = k
-            acc = self._raw_mul(acc, generator)
+        for k, v in enumerate(exp):
+            log[v] = k
         self._exp = exp
         self._log = log
-        # Zech logarithms: 1 + a^k = a^zech[k], with Z when the sum is zero
-        zech = [log[self._vec_add(1, v)] for v in exp]
+        # Zech logarithms: 1 + a^k = a^zech[k], with Z when the sum is zero;
+        # adding 1 steps the constant digit mod p
+        p = self.p
+        zech = [log[v + 1 if v % p != p - 1 else v + 1 - p] for v in exp]
         self._zt = list(range(-z, -n)) + zech * 3 + [0] * (2 * n)
         self._norm = list(range(n)) * 2 + [z] * (4 * n + 1)
         self._neg_log = 0 if self.p == 2 else n // 2

@@ -50,6 +50,23 @@ class TestCurveConstruction:
         assert Semigroup(256, 257).y_degrees[1] == 1
         assert len(Semigroup(WEIGHT_CAP, 1).y_degrees) == WEIGHT_CAP
 
+    @pytest.mark.parametrize("a,b", [(True, 3), (2.0, 3), (2, "3")])
+    def test_weights_must_be_integers(self, a, b):
+        # True built a curve with a = True, 2.0 raised a TypeError
+        field = Field(5)
+        with pytest.raises(ValueError, match="weights must be integers"):
+            Curve(field, a, b, field.one, {})
+        with pytest.raises(ValueError, match="weights must be integers"):
+            Semigroup(a, b)
+
+    @pytest.mark.parametrize("key", [(0.5, 0), (0,), (0, 0, 0), (True, 0),
+                                     "ab"])
+    def test_coefficient_key_must_be_an_integer_pair(self, key):
+        # (0.5, 0) raised a TypeError and (0,) a bare unpacking ValueError
+        field = Field(5)
+        with pytest.raises(ValueError, match="coeffs key"):
+            Curve(field, 2, 3, field.one, {key: field.one})
+
     def test_coefficient_must_be_a_field_element(self):
         field = Field(3, 2)
         with pytest.raises(ValueError, match="coeffs entry"):

@@ -11,7 +11,7 @@ from agcodec.code import (Code, code_from_config, curve_from_config,
 from agcodec.curvering import Curve, Monomial
 from agcodec.decoder import (DOWN, STATUS_FAILED, STATUS_LOW_CONFIDENCE,
                              STATUS_OK, UP, ModulePair, _prime_reduce, decode,
-                             initial_basis, leading, shift, spoly, vote)
+                             initial_basis, leading, shift, spoly, step, vote)
 from agcodec.gf import FieldElement
 from agcodec.oracle import check_gb
 
@@ -275,7 +275,79 @@ class TestSpoly:
             spoly(32, zero, state.g)
 
 
+def reference_step(state):
+    """(g, f) at weight s - 1 written out from the public spoly: the old G
+    part plus the F elements leading downstairs at s - 1, every F element's
+    spoly outputs, each part pruned by divisibility of its leads."""
+    s, sg = state.weight, state.curve.semigroup
+    new_g = [*state.g, *(p for p in state.f
+                         if leading(s - 1, p).location is DOWN)]
+    new_f = [out for p in state.f for out in spoly(s, p, state.g)]
+    return tuple(_prime_reduce(part, [leading(s - 1, p).order for p in part],
+                               sg) for part in (new_g, new_f))
+
+
 class TestStep:
+    @staticmethod
+    def equivalence_words(code_q3, received_q3):
+        """(code, received word) pairs: the bundled q=3 decode, the pinned
+        q=4 word and a q=4 word at 4 errors (G elements with a zero up part
+        are left at the votes), and words at full radius on a curve with
+        d != -1 and on a shortened Hermitian q=4 point set."""
+        words = [(code_q3, received_q3)]
+        curve = Curve.hermitian(4)
+        code = Code(curve, 30)
+        for seed, t in [(4030, 16), (404, 4)]:
+            rng = random.Random(seed)
+            words.append((code, add_vectors(
+                code.encode(random_message(code, rng)),
+                random_error(code, rng, t))))
+        mk = mk_code("a2-gf25", 10)
+        assert mk.curve.d != -mk.field.one
+        points = rational_points(curve)
+        random.Random(1).shuffle(points)
+        for code in [mk, Code(curve, 20, points[:48])]:
+            rng = random.Random(code.n)
+            t = (code.decoding_distance() - 1) // 2
+            words.append((code, add_vectors(
+                code.encode(random_message(code, rng)),
+                random_error(code, rng, t))))
+        return words
+
+    def test_matches_reference_from_spoly(self, code_q3, received_q3):
+        # step builds only what changes: the same pairs in the same order
+        # as spoly on every F element followed by pruning, the same tuples
+        # when no F element changes side, and shift passes a pair with a
+        # zero up part through as the same object
+        unchanged = changed = passed_through = 0
+        for code, v in self.equivalence_words(code_q3, received_q3):
+            for s, state, record, _ in tracked_decode(code, v)[1]:
+                if s < 0:
+                    continue
+                states = [state]
+                if record is not None and not record.chosen.is_zero:
+                    shifted = shift(state, record.chosen, s)
+                    for before, after in zip(state.g + state.f,
+                                             shifted.g + shifted.f):
+                        if before.up.is_zero:
+                            assert after is before
+                            passed_through += 1
+                        else:
+                            assert after is not before
+                    states.append(shifted)
+                for st in states:
+                    got = step(st)
+                    want_g, want_f = reference_step(st)
+                    assert got.weight == s - 1
+                    assert list(got.g) == list(want_g)
+                    assert list(got.f) == list(want_f)
+                    if all(leading(s - 1, p).location is UP for p in st.f):
+                        assert got.g is st.g and got.f is st.f
+                        unchanged += 1
+                    else:
+                        changed += 1
+        assert unchanged > 0 and changed > 0 and passed_through > 0
+
     def test_no_change_rounds(self, bundled_states):
         _, states = bundled_states
         assert states[30][0].g == states[31][0].g
@@ -461,20 +533,25 @@ class TestDecode:
 
     def test_field_products_pinned(self, received_q3, monkeypatch):
         # the bundled decode on a fresh code (no wrap row cached yet) makes
-        # 821 FieldElement products (1,326 before a unit multiplier in the
-        # ring kernel skipped its products); a change to the ring glue
-        # around the arithmetic keeps that count, and the products stay on
-        # __mul__
+        # 681 FieldElement products (1,326 before a unit multiplier in the
+        # ring kernel skipped its products; 821 before step stopped
+        # building the spoly outputs that pruning drops, and shift stopped
+        # passing zero-up pairs through the kernel); a change to the ring
+        # glue around the arithmetic keeps that count, and the products
+        # stay on __mul__
         code = code_from_config(json.loads(
             (FIXTURES / "hermitian_q3_u16.json").read_text(encoding="utf-8")))
         result, count = decode_counting_products(code, received_q3,
                                                  monkeypatch)
         assert result.status == STATUS_OK
-        assert count == 821
+        assert count == 681
 
     def test_field_products_pinned_q4(self, monkeypatch):
         # one seeded word at the full radius t=16 of Hermitian q=4, u=30 on
         # a fresh code: the spoly combinations' f sides cost no product
+        # (12,144 before step stopped building the spoly outputs that
+        # pruning drops, and shift stopped passing zero-up pairs through
+        # the kernel)
         code = Code(Curve.hermitian(4), 30)
         rng = random.Random(4030)
         message = random_message(code, rng)
@@ -482,7 +559,7 @@ class TestDecode:
                                random_error(code, rng, 16))
         result, count = decode_counting_products(code, received, monkeypatch)
         assert result.message == message
-        assert count == 12144
+        assert count == 11143
 
     def test_q4_guarantee_at_full_radius(self):
         # Hermitian q=4, u=30: n=64, d=34, so t=16 is the full radius

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import math
 import random
 
 import pytest
@@ -6,7 +8,7 @@ import pytest
 from agcodec.code import Code
 from agcodec.curvering import Curve
 from agcodec.decoder import decode
-from agcodec.gf import Field, ORDER_CAP, canonical_key
+from agcodec.gf import Field, ORDER_CAP, _prime_factors, canonical_key
 
 # prime powers up to 81, for the exhaustive property sweeps
 SMALL_ORDERS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
@@ -62,6 +64,47 @@ class TestConstruction:
         for p, m in [(2, 3), (3, 2), (5, 1)]:
             field = Field(p, m)
             assert len(set(field.elements())) == p ** m
+
+    # sha256 over every field of prime-power order <= 1024 by its default
+    # modulus, and GF(3) by x^2 + 1: p, m, the modulus, the generator's
+    # packed value and every element's str in ``elements()`` order (so the
+    # whole log table), as the trial-power construction gave them
+    TABLES_DIGEST = \
+        "593d78e20d0596a826ff2c309394029d75dbbd08b455ee73f8657a8f2f1f3b6a"
+
+    def test_tables_pinned_up_to_1024(self):
+        digest = hashlib.sha256()
+        cases = [(order, ()) for order in range(2, 1025)
+                 if len(_prime_factors(order)) == 1] + [(9, ((1, 0, 1),))]
+        for order, modulus in cases:
+            p = _prime_factors(order)[0]
+            m = round(math.log(order, p))
+            field = Field(p, m, *modulus)
+            line = f"{p} {m} {field.modulus} {field.generator._packed()} " + \
+                " ".join(map(str, field.elements()))
+            digest.update(line.encode() + b"\n")
+        assert len(cases) == 199
+        assert digest.hexdigest() == self.TABLES_DIGEST
+
+    def test_modulus_without_primitive_x(self):
+        # x^2 + 1 over GF(3) is irreducible, but x^2 = -1 gives x order 4:
+        # the generator is found by trial powers, the first packed value of
+        # order 8 (x + 1)
+        field = Field(3, 2, modulus=[1, 0, 1])
+        assert field.modulus == (1, 0, 1)
+        assert field._x_powers(field.modulus) is None
+        x = field.elements()[3]
+        assert x ** 4 == field.one and x ** 2 == -field.one
+        a = field.generator
+        assert a._packed() == 4
+        assert [k for k in range(1, 9) if a ** k == field.one] == [8]
+        elems = field.elements()
+        for u, v in itertools.product(elems, repeat=2):
+            assert u * v is elems[field._raw_mul(u._packed(), v._packed())]
+        # a unit x of too small an order on a reducible modulus is refused
+        # by the trial division: x^2 - 1 = (x - 1)(x + 1) over GF(3)
+        with pytest.raises(ValueError, match="reducible"):
+            Field(3, 2, modulus=[2, 0, 1])
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
