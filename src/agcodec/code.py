@@ -7,7 +7,8 @@ the points.
 
 The default points are listed per x-value: the equation's values at every
 y are one ``Field.axpy`` per y-degree, and only its roots are tested for
-smoothness.
+smoothness, all at once on kernel-value lists, as are the points of an
+explicit list.
 
 Construction works in R as a free F[x]-module with basis 1, y, ...,
 y^(a-1), on lists of kernel values (logs, see ``gf.py``) indexed by pole
@@ -24,11 +25,11 @@ x-value into fibers of at most a points each, which all three steps read:
   leads are its footprint (exactly n monomials).
 * Interpolation goes through the fibers.  The Lagrange function of a
   point (x0, y0) is l_x(x) * l_y(y), the univariate Lagrange polynomials
-  of x0 over the distinct x-values and of y0 over its fiber, so the
-  interpolant of a word is the sum of y^j P_j(x): each fiber's values and
-  its l_y give the y-coefficients at x0, and P_j combines those through
-  the l_x.  That sum is reduced by the basis onto the footprint, with no
-  n x n table.
+  of x0 over the distinct x-values and of y0 over its fiber (the fibers
+  of one size side by side), so the interpolant of a word is the sum of
+  y^j P_j(x): each fiber's values and its l_y give the y-coefficients at
+  x0, and P_j combines those through the l_x.  That sum is reduced by the
+  basis onto the footprint, with no n x n table.
 * Encoding is the transpose: a message function, the sum of y^j M_j(x), is
   evaluated by Horner's rule in x at the distinct x-values, then in y at
   each point, with no k x n table.
@@ -42,11 +43,10 @@ the bundled fixtures do).
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import (Callable, Collection, Iterable, Mapping, Optional,
-                    Sequence)
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .curvering import (Curve, Monomial, RingElement, Semigroup, _is_int,
-                        _prime_reduce)
+from .curvering import (Curve, Monomial, RingElement, Semigroup,
+                        _evaluate_logs, _is_int, _prime_reduce)
 from .gf import Field, FieldElement
 
 Point = tuple[FieldElement, FieldElement]
@@ -56,47 +56,64 @@ Vector = tuple[FieldElement, ...]
 def rational_points(curve: Curve) -> list[Point]:
     """All nonsingular affine rational points, in the canonical order.
 
-    For each x the equation is a polynomial in Y with coefficients C_j(x);
-    its values at every y are one ``Field.axpy`` of C_j(x) times the kernel
-    values of y^j per Y-degree j, and only its roots are tested for
-    smoothness.
+    For each x the equation is a polynomial in Y with coefficients C_j(x),
+    each evaluated at every x at once (``_evaluate_logs``); its values at
+    every y are one ``Field.axpy`` of C_j(x) times the kernel values of y^j
+    per Y-degree j, and its roots are tested for smoothness all at once
+    (``Curve.smooth_mask``).
     """
     field = curve.field
     elems = sorted(field.elements(), key=str)
     zero = field.zero_log
-    by_degree: dict[int, list[tuple[int, FieldElement]]] = {}
+    by_degree: dict[int, list[tuple[tuple[int, int], FieldElement]]] = {}
     for (i, j), c in curve.equation_terms().items():
-        by_degree.setdefault(j, []).append((i, c))
-    ys = field.logs(elems)  # and the powers y^j at every y, j <= a
-    powers = list(accumulate([[0] * len(ys)] + [ys] * curve.a, field.multiply))
-    points = []
-    for x in elems:
+        by_degree.setdefault(j, []).append(((i, 0), c))
+    logs = field.logs(elems)  # every x, and every y with its powers y^j
+    y_pows = list(accumulate([[0] * len(logs)] + [logs] * curve.a,
+                             field.multiply))
+    degrees = list(by_degree)
+    at_x = zip(*(_evaluate_logs(field, by_degree[j], logs, logs)
+                 for j in degrees))  # the C_j(x) of each x
+    roots = []
+    for x, cs in zip(elems, at_x):
         values = [zero] * len(elems)
-        for j, terms in by_degree.items():
-            cj = sum((c * x ** i for i, c in terms), field.zero)
-            if not cj.is_zero:
-                values = field.axpy(values, cj.log, powers[j])
-        points += [(x, y) for y, v in zip(elems, values)
-                   if v == zero and curve.is_smooth_at(x, y)]
-    return points
+        for j, cj in zip(degrees, cs):
+            if cj != zero:
+                values = field.axpy(values, cj, y_pows[j])
+        roots += [(x, y) for y, v in zip(elems, values) if v == zero]
+    smooth = curve.smooth_mask(field.logs(x for x, _ in roots),
+                               field.logs(y for _, y in roots))
+    return [pt for pt, ok in zip(roots, smooth) if ok]
 
 
 def checked_points(curve: Curve,
                    points: Optional[Sequence[Point]] = None) -> list[Point]:
     """The curve's rational points when points is None; otherwise the given
     points, each checked to be a nonsingular curve point over the curve's
-    field, with no point repeated."""
+    field, with no point repeated.
+
+    The first offending point, in order, raises: for a coordinate from
+    another field, then for a point off the curve, then for a singular
+    one, and a repeated point only after all of them passed.  The equation
+    and its partials are evaluated at all the points before the first
+    foreign one at once (``_evaluate_logs``, ``Curve.smooth_mask``).
+    """
     if points is None:
         return rational_points(curve)
-    out = []
-    for x, y in points:
-        if x.field != curve.field or y.field != curve.field:
-            raise ValueError("point coordinates from a different field")
-        if not curve.contains(x, y):
+    field = curve.field
+    out = list(points)
+    foreign = next((c for c, (x, y) in enumerate(out)
+                    if x.field != field or y.field != field), len(out))
+    xs = field.logs(x for x, _ in out[:foreign])
+    ys = field.logs(y for _, y in out[:foreign])
+    values = _evaluate_logs(field, curve.equation_terms().items(), xs, ys)
+    for (x, y), v, smooth in zip(out, values, curve.smooth_mask(xs, ys)):
+        if v != field.zero_log:
             raise ValueError(f"point ({x}, {y}) is not on the curve")
-        if not curve.is_smooth_at(x, y):
+        if not smooth:
             raise ValueError(f"point ({x}, {y}) is singular")
-        out.append((x, y))
+    if foreign < len(out):
+        raise ValueError("point coordinates from a different field")
     if len(set(out)) != len(out):
         raise ValueError("duplicate points")
     return out
@@ -207,28 +224,49 @@ def _ideal_generators(curve: Curve, points: Sequence[Point],
     return gens, leads
 
 
-def _lagrange_polys(field: Field, roots: Collection[FieldElement]
-                    ) -> dict[FieldElement, list[int]]:
-    """For each of the distinct roots r0, the coefficients (constant first,
-    kernel values) of the polynomial that is 1 at r0 and 0 at the other
-    roots: the quotient of the vanishing polynomial of the roots by
-    (T - r0), one synthetic division, over its value at r0.  The divisions
-    of all the roots, and the Horner evaluations of their quotients, run
-    side by side on lists indexed by root."""
-    roots = list(roots)
-    rs, width = field.logs(roots), len(roots)
-    vanishing = [0]  # constant first, monic
-    for neg_r in field.logs(-r for r in roots):
-        vanishing = _times_x_minus(field, vanishing, neg_r, 1)
-    quotient = at_root = [0] * width  # the quotient's lead is one
-    rows = [quotient]  # quotient coefficients, highest first
-    for c in reversed(vanishing[1:-1]):
-        quotient = field.axpy([c] * width, 0, field.multiply(quotient, rs))
-        at_root = field.axpy(quotient, 0, field.multiply(at_root, rs))
-        rows.append(quotient)
-    n = field.order - 1
-    return {r0: field.scale(column[::-1], -k % n)
-            for r0, k, column in zip(roots, at_root, zip(*rows))}
+def _lagrange_polys(field: Field, root_sets: Sequence[Sequence[FieldElement]]
+                    ) -> list[list[tuple[int, ...]]]:
+    """For each set of distinct roots and each root r0 of it, in order, the
+    coefficients (constant first, kernel values) of the polynomial that is
+    1 at r0 and 0 at the other roots of its set: the quotient of the
+    vanishing polynomial of the set by (T - r0), one synthetic division,
+    over its value at r0.
+
+    The sets of one size run side by side, on lists whose entry t * width +
+    g is root t of set g: the vanishing polynomials, coefficient by
+    coefficient, grow by one factor (T - root t) per step t, and the
+    divisions of all the roots, and the Horner evaluations of their
+    quotients, are one ``Field.axpy`` per coefficient."""
+    zero, n = field.zero_log, field.order - 1
+    neg_one = field.logs([-field.one])[0]
+    out: list[list[tuple[int, ...]]] = [[] for _ in root_sets]
+    by_size: dict[int, list[int]] = {}
+    for c, roots in enumerate(root_sets):
+        by_size.setdefault(len(roots), []).append(c)
+    for size, group in by_size.items():
+        width = len(group)
+        rs = field.logs(root_sets[c][t] for t in range(size) for c in group)
+        neg = field.scale(rs, neg_one)
+        vanishing = [0] * width  # coefficient k at [k * width:], monic
+        for t in range(size):
+            at = neg[t * width:(t + 1) * width] * (t + 1)
+            pad = [zero] * width
+            vanishing = field.axpy(pad + vanishing, 0,
+                                   field.multiply(at, vanishing) + pad)
+        quotient = at_root = [0] * len(rs)  # the quotient's lead is one
+        rows = [quotient]  # quotient coefficients, highest first
+        for k in reversed(range(1, size)):
+            vk = vanishing[k * width:(k + 1) * width] * size
+            quotient = field.axpy(vk, 0, field.multiply(quotient, rs))
+            at_root = field.axpy(quotient, 0, field.multiply(at_root, rs))
+            rows.append(quotient)
+        inverse = [-k % n for k in at_root]
+        for k, row in enumerate(rows):  # in place: one row more at a time
+            rows[k] = field.multiply(row, inverse)
+        columns = list(zip(*reversed(rows)))
+        for g, c in enumerate(group):
+            out[c] = columns[g::width]
+    return out
 
 
 def points_ideal_basis(
@@ -281,20 +319,20 @@ def _ideal_basis_interpolator(
     footprint = tuple(s for s in range(top)
                       if s < leads[ys[s % a]] and sg.is_nongap(s))
     width = len(fibers)
-    lx = _lagrange_polys(field, fibers)
-    ly = {x0: _lagrange_polys(field, fiber) for x0, fiber in fibers.items()}
+    lx, = _lagrange_polys(field, [list(fibers)])
+    ly = _lagrange_polys(field, [list(fiber) for fiber in fibers.values()])
     size = max(a * width + b * (a - 1), top)
 
     def interpolate(values: Sequence[int]) -> list[int]:
         polys = [[zero] * width for _ in range(a)]  # P_j, constant first
-        for x0, fiber in fibers.items():
+        for fiber, l_x, l_ys in zip(fibers.values(), lx, ly):
             cs = [zero] * len(fiber)  # c_j(x0), j < the fiber size
-            for y0, c in fiber.items():
+            for c, l_y in zip(fiber.values(), l_ys):
                 if values[c] != zero:
-                    cs = field.axpy(cs, values[c], ly[x0][y0])
+                    cs = field.axpy(cs, values[c], l_y)
             for j, cj in enumerate(cs):
                 if cj != zero:
-                    polys[j] = field.axpy(polys[j], cj, lx[x0])
+                    polys[j] = field.axpy(polys[j], cj, l_x)
         f = [zero] * size
         for j, poly in enumerate(polys):
             f[b * j:b * j + a * width:a] = poly
@@ -568,8 +606,12 @@ def curve_from_config(cfg: Mapping) -> tuple[Curve, Optional[list[Point]]]:
         raise ValueError(f'unknown code type {kind!r}')
     points = None
     if "points" in cfg:
+        entries = _list_at(cfg, "points", "[x, y] pairs")
+        if not entries:
+            raise ValueError("points: expected at least one [x, y] pair, "
+                             "got []")
         points = []
-        for idx, entry in enumerate(_list_at(cfg, "points", "[x, y] pairs")):
+        for idx, entry in enumerate(entries):
             if not (isinstance(entry, list) and len(entry) == 2):
                 raise ValueError(
                     f"points[{idx}]: expected [x, y], got {entry!r}")

@@ -149,13 +149,37 @@ class Semigroup:
         """Row barriers of the footprint of the monomials of the given pole
         orders: entry j is the first column of row j that holds a multiple,
         so the footprint is the columns left of the barriers and its size is
-        their sum."""
+        their sum.
+
+        A lead x^i y^j has multiples from column i in the rows at or above
+        j, and from column i + b in the rows below (y^a = -d x^b + lower).
+        So only the least column of each row counts, and barrier j is the
+        least column in rows 0..j, or b past the least column above j if
+        that is smaller: prefix and suffix minima, O(a + number of leads).
+        """
         a, b, ys = self.a, self.b, self.y_degrees
-        leads = [((r - b * ys[r % a]) // a, ys[r % a]) for r in lead_orders]
-        if not leads:
+        inf = math.inf
+        least = [inf] * a  # per row, the least column of a lead
+        for r in lead_orders:
+            j = ys[r % a]
+            i = (r - b * j) // a
+            if i < least[j]:
+                least[j] = i
+        barriers = [0] * a
+        wrap = inf  # b past the least column above row j
+        for j in reversed(range(a)):
+            barriers[j] = wrap
+            if least[j] + b < wrap:
+                wrap = least[j] + b
+        if wrap == inf:
             raise ValueError("footprint of the empty set is infinite")
-        return tuple(min(i if row >= j else i + b for i, j in leads)
-                     for row in range(a))
+        low = inf  # the least column in rows 0..j
+        for j in range(a):
+            if least[j] < low:
+                low = least[j]
+            if low < barriers[j]:
+                barriers[j] = low
+        return tuple(barriers)
 
     def footprint(self, lead_monomials: Iterable[Monomial]) -> frozenset[Monomial]:
         """All monomials divisible by none of the given leading monomials."""
@@ -325,6 +349,14 @@ class Curve:
         return not (_evaluate_raw(dx, x, y).is_zero
                     and _evaluate_raw(dy, x, y).is_zero)
 
+    def smooth_mask(self, xs: Sequence[int], ys: Sequence[int]) -> list[bool]:
+        """``is_smooth_at`` at every point (xs[c], ys[c]) at once, for
+        coordinates given as kernel values (``Field.logs``)."""
+        zero = self.field.zero_log
+        dx, dy = (_evaluate_logs(self.field, terms, xs, ys)
+                  for terms in self._partials)
+        return [u != zero or v != zero for u, v in zip(dx, dy)]
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Curve):
             return NotImplemented
@@ -344,6 +376,32 @@ def _evaluate_raw(terms: Iterable[tuple[tuple[int, int], FieldElement]],
     total = x.field.zero
     for (i, j), c in terms:
         total = total + c * x ** i * y ** j
+    return total
+
+
+def _evaluate_logs(field: Field,
+                   terms: Iterable[tuple[tuple[int, int], FieldElement]],
+                   xs: Sequence[int], ys: Sequence[int]) -> list[int]:
+    """``_evaluate_raw`` at every point (xs[c], ys[c]) at once, on kernel
+    values: each term is one ``Field.axpy`` of its coefficient times the
+    powers of the coordinates, taken by repeated squaring with
+    ``Field.multiply`` (0^0 = 1, as for ``FieldElement``)."""
+    ones = [0] * len(xs)
+
+    def power(vs: Sequence[int], e: int) -> Sequence[int]:
+        out = ones
+        while e:
+            if e & 1:
+                out = field.multiply(out, vs)
+            e >>= 1
+            if e:
+                vs = field.multiply(vs, vs)
+        return out
+    total = [field.zero_log] * len(xs)
+    for (i, j), c in terms:
+        if not c.is_zero:
+            total = field.axpy(total, c.log,
+                               field.multiply(power(xs, i), power(ys, j)))
     return total
 
 

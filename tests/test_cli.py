@@ -131,6 +131,8 @@ class TestCodec:
             ({**mk, "field": {"p": 7, "m": [2]}}, "field.m"),
             ({**mk, "field": {"p": 7, "modulus": 7}}, "field.modulus"),
             ({"type": "hermitian", "q": 3, "u": 16, "points": 5}, "points:"),
+            # an empty point list is refused, not read as a code with n = 0
+            ({"type": "hermitian", "q": 3, "u": 16, "points": []}, "points:"),
             # radius checks explicit points as the code does
             ({"type": "hermitian", "q": 2, "u": 4,
               "points": [["0", "0"], ["0", "0"]]}, "duplicate points"),

@@ -4,7 +4,8 @@ import random
 import pytest
 
 from agcodec.code import (Code, VectorParseError, _fibers, _ideal_generators,
-                          code_from_config, curve_from_config, format_vector,
+                          _lagrange_polys, checked_points, code_from_config,
+                          curve_from_config, format_vector,
                           hermitian_decoding_distance, parse_vector,
                           points_ideal_basis, radius_rows, rational_points)
 from agcodec.curvering import Curve, Monomial
@@ -144,8 +145,9 @@ class TestRationalPoints:
             assert curve.contains(*point) and point not in scan
 
     def test_listing_tests_only_the_roots(self, monkeypatch):
-        # q=5: 125 points among 625 pairs; each root is tested once for
-        # smoothness, and no pair is tested one by one for the equation
+        # q=5: 125 points among 625 pairs; the equation and the partials at
+        # the roots are evaluated on kernel lists, so no pair or point is
+        # tested one by one, when listing or when checking a given list
         curve = Curve.hermitian(5)
         calls = []
         for name in ("contains", "is_smooth_at"):
@@ -155,7 +157,65 @@ class TestRationalPoints:
                 calls.append(1) or method(self, x, y))
         points = rational_points(curve)
         assert len(points) == 125
-        assert len(calls) <= 2 * len(points)
+        assert checked_points(curve, points) == points
+        assert not calls
+
+    @pytest.mark.parametrize("name", ["cusp", "a3-gf7"])
+    def test_checked_points_fails_as_the_point_loop(self, name):
+        # the first offending point, in order, and its first failing check
+        # (field, then on-curve, then singular, then duplicates) give the
+        # same message as checking point by point with contains and
+        # is_smooth_at; mixed lists hold the singular point
+        curve = cusp_curve() if name == "cusp" else curve_and_points(name)[0]
+        field = curve.field
+
+        def point_by_point(points):
+            out = []
+            for x, y in points:
+                if x.field != field or y.field != field:
+                    raise ValueError(
+                        "point coordinates from a different field")
+                if not curve.contains(x, y):
+                    raise ValueError(f"point ({x}, {y}) is not on the curve")
+                if not curve.is_smooth_at(x, y):
+                    raise ValueError(f"point ({x}, {y}) is singular")
+                out.append((x, y))
+            if len(set(out)) != len(out):
+                raise ValueError("duplicate points")
+            return out
+
+        def outcome(check, *args):
+            try:
+                return check(*args)
+            except ValueError as exc:
+                return str(exc)
+
+        elems = field.elements()
+        good = rational_points(curve)
+        pools = {
+            "good": good,
+            "off": [(x, y) for x in elems for y in elems
+                    if not curve.contains(x, y)],
+            "singular": [tuple(map(field.element,
+                                   {"cusp": (0, 0), "a3-gf7": (2, 5)}[name]))],
+            "foreign": [(Field(3).one, field.one), (field.zero, Field(3).one),
+                        (Field(3).one, Field(3).zero)],
+        }
+        kinds = ("different field", "not on the curve", "singular",
+                 "duplicate")
+        rng = random.Random(name)
+        seen = set()
+        for _ in range(300):
+            points = rng.sample(good, rng.randrange(1, len(good) + 1))
+            for pool in rng.sample(sorted(pools), rng.randrange(4)):
+                for _ in range(rng.randrange(1, 3)):
+                    points.insert(rng.randrange(len(points) + 1),
+                                  rng.choice(pools[pool]))
+            expected = outcome(point_by_point, points)
+            assert outcome(checked_points, curve, points) == expected
+            seen.add(next((k for k in kinds if k in expected), None)
+                     if isinstance(expected, str) else "ok")
+        assert seen == {"ok", *kinds}
 
     @pytest.mark.parametrize("family, count", [
         ("a2-gf5", 9), ("a2-gf7", 9), ("a2-gf25", 34), ("a3-gf7", 8),
@@ -390,6 +450,41 @@ class TestLagrange:
                         and len(value) > code.curve.a
                         and all(isinstance(row, (list, tuple))
                                 and len(row) == code.n for row in value)), name
+
+    @pytest.mark.parametrize("name, shape", [
+        *[(f"hermitian-{q}", shape) for q in (2, 3, 4, 5)
+          for shape in ("full", "shortened", "shuffled")],
+        *[(family, "full") for family in sorted(MK_FAMILIES)]])
+    def test_many_sets_match_one_set_per_fiber(self, name, shape):
+        # the x-values and every fiber in one call, grouped by size, equal
+        # one call per set; each polynomial is 1 at its root and 0 at the
+        # other roots of its set
+        if name == "hermitian-5":
+            curve = Curve.hermitian(5)
+            points = rational_points(curve)
+        else:
+            curve, points = curve_and_points(name)
+        field = curve.field
+        if shape != "full":
+            random.Random(len(points)).shuffle(points)
+        if shape == "shortened":
+            points = points[:len(points) * 3 // 4]
+        fibers = _fibers(points)
+        sets = [list(fibers)] + [list(fiber) for fiber in fibers.values()]
+        if (name, shape) == ("hermitian-4", "shortened"):
+            assert len(points) == 48
+            assert len({len(fiber) for fiber in fibers.values()}) > 1
+        many = _lagrange_polys(field, sets)
+        assert len(many) == len(sets)
+        for roots, polys in zip(sets, many):
+            assert polys == _lagrange_polys(field, [roots])[0]
+            for r0, poly in zip(roots, polys):
+                coeffs = field.from_logs(poly)
+                assert len(coeffs) == len(roots)
+                for r in roots:
+                    value = sum((c * r ** i for i, c in enumerate(coeffs)),
+                                field.zero)
+                    assert value == (field.one if r == r0 else field.zero)
 
     def test_zero(self, code_q3):
         v = tuple([code_q3.field.zero] * 27)

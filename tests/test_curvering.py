@@ -378,6 +378,32 @@ class TestStaircase:
                 stair, sg.staircase(map(sg.degree, other))) == \
                 len(fp - brute_footprint(other))
 
+    @pytest.mark.parametrize("a,b", [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6),
+                                     (3, 7), (7, 8)])
+    def test_matches_the_row_by_lead_formula(self, a, b):
+        # the barrier of each row, minimised over every lead: a * L steps
+        sg = Semigroup(a, b)
+        ys = sg.y_degrees
+
+        def row_by_lead(orders):
+            leads = [((r - b * ys[r % a]) // a, ys[r % a]) for r in orders]
+            return tuple(min(i if row >= j else i + b for i, j in leads)
+                         for row in range(a))
+
+        rng = random.Random(100 * a + b)
+        nongaps = sg.nongaps(4 * a * b)
+        for _ in range(80):
+            orders = rng.choices(nongaps, k=rng.randrange(1, 3 * a + 2))
+            orders += rng.sample(orders, rng.randrange(len(orders) + 1))
+            rng.shuffle(orders)
+            expected = row_by_lead(orders)
+            assert sg.staircase(orders) == expected
+            assert sg.staircase(r for r in orders) == expected
+        for empty in ([], iter(())):
+            with pytest.raises(ValueError,
+                               match="footprint of the empty set is infinite"):
+                sg.staircase(empty)
+
     def test_non_multiples_match_the_numeric_rule(self):
         # phi(t) is a multiple of phi(s) exactly when t - s is a nongap,
         # and every non-multiple has pole order below s + a*b
