@@ -190,7 +190,7 @@ class TestRationalPoints:
             except ValueError as exc:
                 return str(exc)
 
-        elems = field.elements()
+        elems, other = field.elements(), Field(3)
         good = rational_points(curve)
         pools = {
             "good": good,
@@ -198,8 +198,8 @@ class TestRationalPoints:
                     if not curve.contains(x, y)],
             "singular": [tuple(map(field.element,
                                    {"cusp": (0, 0), "a3-gf7": (2, 5)}[name]))],
-            "foreign": [(Field(3).one, field.one), (field.zero, Field(3).one),
-                        (Field(3).one, Field(3).zero)],
+            "foreign": [(other.one, field.one), (field.zero, other.one),
+                        (other.one, other.zero)],
         }
         kinds = ("different field", "not on the curve", "singular",
                  "duplicate")
@@ -459,11 +459,7 @@ class TestLagrange:
         # the x-values and every fiber in one call, grouped by size, equal
         # one call per set; each polynomial is 1 at its root and 0 at the
         # other roots of its set
-        if name == "hermitian-5":
-            curve = Curve.hermitian(5)
-            points = rational_points(curve)
-        else:
-            curve, points = curve_and_points(name)
+        curve, points = curve_and_points(name)
         field = curve.field
         if shape != "full":
             random.Random(len(points)).shuffle(points)
