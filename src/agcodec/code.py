@@ -46,8 +46,8 @@ from itertools import accumulate
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .curvering import (Curve, Monomial, RingElement, Semigroup,
-                        _evaluate_logs, _is_int, _prime_reduce)
-from .gf import Field, FieldElement
+                        _evaluate_logs, _prime_reduce)
+from .gf import Field, FieldElement, _is_int
 
 Point = tuple[FieldElement, FieldElement]
 Vector = tuple[FieldElement, ...]
@@ -92,18 +92,21 @@ def checked_points(curve: Curve,
     points, each checked to be a nonsingular curve point over the curve's
     field, with no point repeated.
 
-    The first offending point, in order, raises: for a coordinate from
-    another field, then for a point off the curve, then for a singular
-    one, and a repeated point only after all of them passed.  The equation
-    and its partials are evaluated at all the points before the first
-    foreign one at once (``_evaluate_logs``, ``Curve.smooth_mask``).
+    The first offending point, in order, raises: for an entry that is no
+    (x, y) tuple or a coordinate that is no element of the curve's field,
+    then for a point off the curve, then for a singular one, and a
+    repeated point only after all of them passed.  The equation and its
+    partials are evaluated at all the points before the first foreign
+    entry at once (``_evaluate_logs``, ``Curve.smooth_mask``).
     """
     if points is None:
         return rational_points(curve)
     field = curve.field
     out = list(points)
-    foreign = next((c for c, (x, y) in enumerate(out)
-                    if x.field != field or y.field != field), len(out))
+    foreign = next((c for c, pt in enumerate(out) if not (
+        isinstance(pt, tuple) and len(pt) == 2 and all(
+            isinstance(e, FieldElement) and e.field == field for e in pt))),
+        len(out))
     xs = field.logs(x for x, _ in out[:foreign])
     ys = field.logs(y for _, y in out[:foreign])
     values = _evaluate_logs(field, curve.equation_terms().items(), xs, ys)
@@ -113,7 +116,10 @@ def checked_points(curve: Curve,
         if not smooth:
             raise ValueError(f"point ({x}, {y}) is singular")
     if foreign < len(out):
-        raise ValueError("point coordinates from a different field")
+        entry = out[foreign]
+        if isinstance(entry, tuple) and len(entry) == 2:
+            raise ValueError("point coordinates from a different field")
+        raise ValueError(f"point {foreign} is not an (x, y) tuple: {entry!r}")
     if len(set(out)) != len(out):
         raise ValueError("duplicate points")
     return out
@@ -362,13 +368,18 @@ class Code:
         etas, self._delta_orders, self._interpolate = \
             _ideal_basis_interpolator(curve, self.points, fibers)
         self.eta_basis = etas
-        self.delta_monomials = tuple(map(sg.phi, self._delta_orders))
         index = {x0: f for f, x0 in enumerate(fibers)}
         self._x_logs = self.field.logs(fibers)  # the distinct x-values
         self._x_index = [index[px] for px, _ in self.points]
         self._y_logs = self.field.logs(py for _, py in self.points)
         self._staircase = sg.staircase(eta.delta() for eta in etas)
         self._distance: Optional[int] = None
+
+    @property
+    def delta_monomials(self) -> tuple[Monomial, ...]:
+        """The n footprint monomials in increasing pole order, made from the
+        kept orders on each read: nu(s) counts those that phi(s) divides."""
+        return tuple(map(self.curve.semigroup.phi, self._delta_orders))
 
     # -- encoding ---------------------------------------------------------------
 
@@ -413,29 +424,31 @@ class Code:
     # -- distance bounds ----------------------------------------------------------
 
     def order_bound(self, s: int) -> int:
-        """The per-order guarantee nu(s) = |footprint(J) union
-        non-multiples(phi_s)| - s; voting at order s is reliable while
-        nu(s) > 2 * (error weight)."""
+        """nu(s), the footprint monomials that phi(s) divides (``_coverage``);
+        voting at order s is reliable while nu(s) > 2 * (error weight)."""
         sg = self.curve.semigroup
+        if not _is_int(s):
+            raise ValueError(f"order s must be an integer, got {s!r}")
         if not sg.is_nongap(s):
             raise ValueError(f"{s} is a gap")
-        return _order_bound(sg, self.n, self._staircase, s)
+        return _coverage(sg, self._staircase, s)
 
     def decoding_distance(self) -> int:
-        """d_u = min of the order bound over nongaps s <= u (>= n - u)."""
+        """d_u = min of nu(s) over nongaps s <= u (>= n - u), read at the last
+        order <= u of each row x^i y^j, as nu never rises with i: a orders."""
         if self._distance is None:
-            self._distance = min(self.order_bound(s)
-                                 for s in self.message_orders)
+            a, b, u = self.curve.a, self.curve.b, self.u
+            self._distance = min(self.order_bound(u - (u - b * j) % a)
+                                 for j in range(min(a, u // b + 1)))
         return self._distance
 
     def __repr__(self) -> str:
         return f"Code(n={self.n}, k={self.k}, u={self.u} over {self.field!r})"
 
 
-def _order_bound(sg: Semigroup, n: int, ideal_staircase: Sequence[int],
-                 s: int) -> int:
-    """nu(s) for a nongap s and the staircase of the ideal of n points."""
-    return n - s + sg.staircase_difference(sg.staircase([s]), ideal_staircase)
+def _coverage(sg: Semigroup, ideal_staircase: Sequence[int], s: int) -> int:
+    """The footprint monomials that phi(s) divides, as the vote counts."""
+    return sg.staircase_difference(ideal_staircase, sg.staircase([s]))
 
 
 def hermitian_decoding_distance(q: int, u: int) -> int:
@@ -445,8 +458,8 @@ def hermitian_decoding_distance(q: int, u: int) -> int:
     q^3 - aa*q when bb <= aa + q - q^2, and q^3 - u otherwise.
     """
     sg = Semigroup(q, q + 1)
-    if u >= q ** 3 or not sg.is_nongap(u):
-        raise ValueError(f"u must be a nongap below q^3 = {q ** 3}, got {u}")
+    if not _is_int(u) or u >= q ** 3 or not sg.is_nongap(u):
+        raise ValueError(f"u must be a nongap below q^3 = {q ** 3}, got {u!r}")
     aa, bb = divmod(u, q)
     if bb <= aa + q - q * q:
         return q ** 3 - aa * q
@@ -455,20 +468,14 @@ def hermitian_decoding_distance(q: int, u: int) -> int:
 
 def radius_rows(curve: Curve,
                 points: Optional[Sequence[Point]] = None) -> list[tuple[int, int]]:
-    """Rows (u, d_u) for every nongap u below n, by prefix minimisation of
-    the order bound.  Gap u have no voting round and are omitted."""
+    """Rows (u, d_u) for every nongap u below n: the prefix minima of nu
+    (``_coverage``) over every nongap.  Gap u have no vote and are omitted."""
     points = checked_points(curve, points)
     sg = curve.semigroup
-    n = len(points)
-    _, leads = _ideal_generators(curve, points, _fibers(points))
-    stair = sg.staircase(leads)
-    rows = []
-    best = None
-    for u in sg.nongaps(n - 1):
-        nu = _order_bound(sg, n, stair, u)
-        best = nu if best is None else min(best, nu)
-        rows.append((u, best))
-    return rows
+    stair = sg.staircase(_ideal_generators(curve, points, _fibers(points))[1])
+    orders = sg.nongaps(len(points) - 1)
+    return list(zip(orders, accumulate((_coverage(sg, stair, u)
+                                        for u in orders), min)))
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .gf import ORDER_CAP, Field, FieldElement, _prime_factors
+from .gf import ORDER_CAP, Field, FieldElement, _is_int, _prime_factors
 
 #: Largest supported curve weight a or b, checked before any per-weight
 #: table is built: the largest Hermitian weight the field cap admits
@@ -66,11 +66,6 @@ class Monomial(NamedTuple):
         elif self.j > 1:
             parts.append(f"y^{self.j}")
         return "*".join(parts) if parts else "1"
-
-
-def _is_int(value) -> bool:
-    """Whether value is an int proper (a bool is not)."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class Semigroup:
@@ -265,6 +260,8 @@ class Curve:
     @classmethod
     def hermitian(cls, q: int) -> "Curve":
         """The curve y^q + y - x^(q+1) = 0 over GF(q^2), for prime-power q."""
+        if not _is_int(q):
+            raise ValueError(f"q must be an integer, got {q!r}")
         if q * q > ORDER_CAP:  # before factoring q by trial division
             raise ValueError(f"field order {q}^2 exceeds cap {ORDER_CAP}")
         factors = _prime_factors(q)

@@ -51,6 +51,12 @@ _DEFAULT_MODULI: dict[tuple[int, int], tuple[int, ...]] = {
 }
 
 
+def _is_int(value) -> bool:
+    """Whether value is an int proper (a bool is not): the library's one
+    integer rule, for every argument that counts or indexes something."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _prime_factors(n: int) -> list[int]:
     out = []
     d = 2
@@ -114,6 +120,9 @@ class Field:
 
     def __init__(self, p: int, m: int = 1,
                  modulus: Optional[Sequence[int]] = None) -> None:
+        for name, value in (("characteristic", p), ("extension degree", m)):
+            if not _is_int(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if m <= 0:
             raise ValueError(f"extension degree must be positive, got {m}")
         # bound the order before the primality test, which is trial division
@@ -128,10 +137,14 @@ class Field:
         if modulus is None:
             modulus, powers = self._default_modulus()
         else:
-            modulus = tuple(int(c) % p for c in modulus)
+            if not (isinstance(modulus, (list, tuple))
+                    and all(map(_is_int, modulus))):
+                raise ValueError(
+                    f"modulus must be a list of integers, got {modulus!r}")
+            given, modulus = modulus, tuple(c % p for c in modulus)
             if len(modulus) != m + 1 or modulus[-1] != 1:
                 raise ValueError(
-                    f"modulus must be monic of degree {m}, got {modulus}")
+                    f"modulus must be monic of degree {m}, got {given!r}")
             powers = self._x_powers(modulus)
             if powers is None and not _is_irreducible(modulus, p):
                 raise ValueError(f"modulus {modulus} is reducible over GF({p})")

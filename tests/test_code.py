@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 
 import pytest
 
@@ -8,7 +9,7 @@ from agcodec.code import (Code, VectorParseError, _fibers, _ideal_generators,
                           curve_from_config, format_vector,
                           hermitian_decoding_distance, parse_vector,
                           points_ideal_basis, radius_rows, rational_points)
-from agcodec.curvering import Curve, Monomial
+from agcodec.curvering import Curve, Monomial, Semigroup
 from agcodec.decoder import decode
 from agcodec.gf import Field
 
@@ -216,6 +217,37 @@ class TestRationalPoints:
             seen.add(next((k for k in kinds if k in expected), None)
                      if isinstance(expected, str) else "ok")
         assert seen == {"ok", *kinds}
+
+    @pytest.mark.parametrize("entry, message", [
+        ("ints", "point coordinates from a different field"),
+        ("int-y", "point coordinates from a different field"),
+        ("none", "point 2 is not an (x, y) tuple: None"),
+        ("one-tuple", "point 2 is not an (x, y) tuple: (1,)"),
+        ("triple", "point 2 is not an (x, y) tuple: (1, 1, 1)"),
+        ("list", "point 2 is not an (x, y) tuple: [1, 1]"),
+    ])
+    def test_checked_points_refuses_entries_that_are_no_points(
+            self, curve_q3, entry, message):
+        # (1, 2) raised an AttributeError, None a TypeError and a 1-tuple
+        # an unpacking ValueError, through Code, radius_rows and
+        # points_ideal_basis alike; the points before the entry are still
+        # checked first
+        one = curve_q3.field.one
+        bad = {"ints": (1, 2), "int-y": (one, 2), "none": None,
+               "one-tuple": (one,), "triple": (one, one, one),
+               "list": [one, one]}[entry]
+        good = rational_points(curve_q3)
+        points = good[:2] + [bad] + good[2:]
+        for check in (lambda: checked_points(curve_q3, points),
+                      lambda: Code(curve_q3, 16, points),
+                      lambda: radius_rows(curve_q3, points),
+                      lambda: points_ideal_basis(curve_q3, points)):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                check()
+        off = (one, one)  # y^3 + y - x^4 = 1
+        with pytest.raises(ValueError, match=re.escape(
+                "point (1, 1) is not on the curve")):
+            checked_points(curve_q3, good[:2] + [off, bad])
 
     @pytest.mark.parametrize("family, count", [
         ("a2-gf5", 9), ("a2-gf7", 9), ("a2-gf25", 34), ("a3-gf7", 8),
@@ -639,6 +671,18 @@ class TestDistance:
         with pytest.raises(ValueError):
             code_q3.order_bound(5)
 
+    def test_arguments_must_be_integers(self, code_q3):
+        # each raised a bare TypeError
+        with pytest.raises(ValueError, match="q must be an integer, got 2.0"):
+            Curve.hermitian(2.0)
+        with pytest.raises(ValueError,
+                           match="order s must be an integer, got 16.0"):
+            code_q3.order_bound(16.0)
+        with pytest.raises(ValueError, match="nongap .* got 16.0"):
+            hermitian_decoding_distance(3, 16.0)
+        with pytest.raises(ValueError, match="got True"):
+            hermitian_decoding_distance(2, True)
+
     def test_matches_closed_form_everywhere(self, curve_q3):
         for curve in (curve_q3, *map(Curve.hermitian,
                                      (4, 5, 7, 8, 9, 11, 13, 16))):
@@ -647,6 +691,63 @@ class TestDistance:
             for u in curve.semigroup.nongaps(n - 1):
                 assert rows[u] == hermitian_decoding_distance(q, u)
                 assert rows[u] >= n - u
+
+    @pytest.mark.parametrize("name", [
+        *(f"{family}-{kind}" for family in sorted(MK_FAMILIES)
+          for kind in ("full", "shortened")),
+        *(f"hermitian-{q}" for q in range(2, 6))])
+    def test_row_ends_and_coverage_count(self, name):
+        # beyond full Hermitian sets: every MK_FAMILIES curve on its full
+        # and shortened points, and Hermitian q=2..5 on a seeded shuffle
+        # with a quarter dropped.  d_u read at the row ends is the prefix
+        # minimum over every nongap, and nu(s) is the number of footprint
+        # monomials that phi(s) divides, counted one by one
+        family, kind = name.rsplit("-", 1)
+        if family == "hermitian":
+            curve = Curve.hermitian(int(kind))
+            points = rational_points(curve)
+            random.Random(int(kind)).shuffle(points)
+            points = points[:len(points) - len(points) // 4]
+        else:
+            code = mk_code(family, 1, shortened=kind == "shortened")
+            curve, points = code.curve, code.points
+        sg, n = curve.semigroup, len(points)
+        rows = dict(radius_rows(curve, points))
+        for u in sg.nongaps(n - 1)[1:]:
+            assert Code(curve, u, points).decoding_distance() == rows[u]
+        code = Code(curve, 1, points)
+        top = max(map(sg.degree, code.delta_monomials))
+        counts = {s: sum(sg.is_nongap(sg.degree(m) - s)
+                         for m in code.delta_monomials)
+                  for s in sg.nongaps(top + curve.a)}
+        assert {s: code.order_bound(s) for s in counts} == counts
+        assert counts[0] == n and counts[top] == 1
+        assert min(counts.values()) == 0
+
+    def test_no_footprint_monomials_per_build(self, monkeypatch):
+        # a build makes no monomial of the footprint (it made 125 at q=5),
+        # and d_u builds one staircase per row end, at most a (it built
+        # one per message order, 51 here); delta_monomials made on read are
+        # phi of the footprint orders
+        curve = Curve.hermitian(5)
+        calls = {"phi": 0, "staircase": 0}
+
+        def counted(name, method):
+            def wrapper(self, *args):
+                calls[name] += 1
+                return method(self, *args)
+            return wrapper
+        for name in calls:
+            monkeypatch.setattr(Semigroup, name,
+                                counted(name, getattr(Semigroup, name)))
+        code = Code(curve, 60)
+        assert calls["phi"] == 0
+        calls["staircase"] = 0
+        assert code.decoding_distance() == 65
+        assert calls["staircase"] <= curve.a
+        assert code.delta_monomials == tuple(map(curve.semigroup.phi,
+                                                 code._delta_orders))
+        assert len(code.delta_monomials) == 125
 
     def test_hermitian_order_bound_formula(self, code_q3):
         # nu(s) = s2 * max(s1 - s2 + q + 1 - q^2, 0) + q^3 - s

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+import re
 
 import pytest
 
@@ -123,6 +124,29 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Field(2, 2, modulus=[1, 1])  # wrong degree
         assert 2 ** 17 > ORDER_CAP
+
+    @pytest.mark.parametrize("args, message", [
+        ((2.0, 2), "characteristic must be an integer, got 2.0"),
+        ((True,), "characteristic must be an integer, got True"),
+        ((5, True), "extension degree must be an integer, got True"),
+        ((3, 2.0), "extension degree must be an integer, got 2.0"),
+        ((2, 2, [1.5, 1, 1]), "modulus must be a list of integers"),
+        ((2, 2, [1, True, 1]), "modulus must be a list of integers"),
+        ((2, 2, 7), "modulus must be a list of integers, got 7"),
+        ((2, 2, "111"), "modulus must be a list of integers"),
+    ])
+    def test_arguments_must_be_integers(self, args, message):
+        # 2.0 raised a bare TypeError, m = True built GF(5) and 1.5 was
+        # truncated to 1
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Field(*args)
+
+    def test_monic_message_quotes_the_modulus_as_given(self):
+        # [1, 1, 2] over GF(2) was reported as "got (1, 1, 0)"
+        with pytest.raises(ValueError, match=re.escape(
+                "monic of degree 2, got [1, 1, 2]")):
+            Field(2, 2, [1, 1, 2])
+        assert Field(2, 2, (1, 1, 1)).modulus == (1, 1, 1)
 
 
 class TestArithmetic:
