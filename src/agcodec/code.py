@@ -292,7 +292,8 @@ def points_ideal_basis(
     columns = [interpolate([zero] * c + [0] + [zero] * (len(points) - c - 1))
                for c in range(len(points))]
     return (etas, tuple(map(curve.semigroup.phi, footprint)),
-            [list(row) for row in zip(*columns)])
+            [[col[s] if s < len(col) else zero for col in columns]
+             for s in footprint])
 
 
 def _ideal_basis_interpolator(
@@ -306,21 +307,19 @@ def _ideal_basis_interpolator(
     (``_ideal_generators``) whose lead is no other lead times a monomial,
     in increasing lead order; the footprint is the n monomials below the
     leads of their rows.  interpolate maps kernel values v_P at the points
-    to the footprint coefficients of the function with those values: the
-    sum of v_P * l_x(x) * l_y(y) (``_lagrange_polys``) is the sum of y^j
-    P_j(x), where P_j sums c_j(x0) * l_x over the fibers and c_j(x0) is a
-    fiber's values times its l_y; it is reduced by the basis (``_reduce``).
+    to the function with those values, as kernel values indexed by pole
+    order up to its last nonzero one: the sum of v_P * l_x(x) * l_y(y)
+    (``_lagrange_polys``) is the sum of y^j P_j(x), where P_j sums c_j(x0) *
+    l_x over the fibers and c_j(x0) is a fiber's values times its l_y; it is
+    reduced by the basis (``_reduce``) onto the footprint.
     """
     sg, field = curve.semigroup, curve.field
     a, b, ys = curve.a, curve.b, sg.y_degrees
     zero = field.zero_log
     gens, leads = _ideal_generators(curve, points, fibers)
     rows = sorted(range(a), key=leads.__getitem__)
-    etas = tuple(
-        RingElement(curve, {s: e for s, e in
-                            enumerate(field.from_logs(gens[j]))
-                            if not e.is_zero})
-        for j in _prime_reduce(rows, [leads[j] for j in rows], sg))
+    etas = tuple(RingElement(curve, field.from_logs(gens[j])) for j
+                 in _prime_reduce(rows, [leads[j] for j in rows], sg))
     top = max(leads)
     footprint = tuple(s for s in range(top)
                       if s < leads[ys[s % a]] and sg.is_nongap(s))
@@ -343,7 +342,10 @@ def _ideal_basis_interpolator(
         for j, poly in enumerate(polys):
             f[b * j:b * j + a * width:a] = poly
         _reduce(curve, f, gens, leads)
-        return [f[s] for s in footprint]
+        del f[top:]  # the footprint lies below the top lead
+        while f and f[-1] == zero:
+            f.pop()
+        return f
     return etas, footprint, interpolate
 
 
@@ -383,9 +385,6 @@ class Code:
 
     # -- encoding ---------------------------------------------------------------
 
-    def ev(self, f: RingElement) -> Vector:
-        return tuple(f.evaluate(px, py) for px, py in self.points)
-
     def encode(self, message: Sequence[FieldElement]) -> Vector:
         """ev(sum of w_s * phi_s) = ev(sum of y^j M_j(x)): Horner's rule in x
         at the distinct x-values, then in y at each point."""
@@ -409,9 +408,8 @@ class Code:
     def lagrange(self, v: Sequence[FieldElement]) -> RingElement:
         """The unique function supported on the footprint with ev(h) = v."""
         self._check_vector(v, self.n, "vector")
-        coeffs = self.field.from_logs(self._interpolate(self.field.logs(v)))
-        return RingElement(self.curve, {o: c for o, c in zip(
-            self._delta_orders, coeffs) if not c.is_zero})
+        return RingElement(self.curve, self.field.from_logs(
+            self._interpolate(self.field.logs(v))))
 
     def _check_vector(self, v: Sequence[FieldElement], length: int,
                       what: str) -> None:
@@ -457,6 +455,8 @@ def hermitian_decoding_distance(q: int, u: int) -> int:
     For nongap u = aa*q + bb < q^3 with 0 <= bb < q the distance is
     q^3 - aa*q when bb <= aa + q - q^2, and q^3 - u otherwise.
     """
+    if not _is_int(q):
+        raise ValueError(f"q must be an integer, got {q!r}")
     sg = Semigroup(q, q + 1)
     if not _is_int(u) or u >= q ** 3 or not sg.is_nongap(u):
         raise ValueError(f"u must be a nongap below q^3 = {q ** 3}, got {u!r}")

@@ -12,15 +12,16 @@ have pairwise distinct pole orders, so everything here names a monomial by
 its order s, with phi(s) = x^i y^j the monomial itself.  Everything
 downstream (codes, the decoder) runs on three primitives implemented here:
 
-* ring elements as a nonzero scale times a map from pole order to
-  coefficient (delta is the largest key), so negation and scalar products
-  are O(1) and change only the scale, and one kernel behind every sum,
-  difference and product, ``RingElement._plus``: self + sum(c * phi(t) *
-  e) in one dict, a term product adding its order to every key and
-  multiplying its coefficient only when its multiplier relative to the
-  result's scale is not one, y-degrees past a folded back with per-curve
-  rows of the reduced y^(a+r) = y^a * y^r (from the curve's one stored
-  rewrite of y^a, ``Curve._y_a``), and a sum that cancels deleted,
+* ring elements as a nonzero scale times a list of coefficients indexed
+  by pole order, the build's layout: zero at gaps and absent orders, the
+  last entry nonzero (delta is its index), so negation and scalar
+  products are O(1) and change only the scale, and one kernel behind
+  every sum, difference and product, ``RingElement._plus``: self +
+  sum(c * phi(t) * e) in one list, a term product adding its order to
+  every index and multiplying its coefficient only when its multiplier
+  relative to the result's scale is not one, y-degrees past a folded back
+  with per-curve rows of the reduced y^(a+r) = y^a * y^r (from the curve's
+  one stored rewrite of y^a, ``Curve._y_a``), and trailing zeros trimmed,
 * the pole-order function ``delta`` (None for zero, which has no lead),
 * divisibility on orders: phi(r) divides phi(t) exactly when t - r is a
   nongap, with quotient phi(t - r); lcms of two orders; the one
@@ -94,8 +95,6 @@ class Semigroup:
         self.b_inv = pow(b, -1, a) if a > 1 else 0
         #: y_degrees[s % a] is the y-degree of phi(s)
         self.y_degrees = tuple(self.b_inv * r % a for r in range(a))
-        #: Frobenius number: the largest gap (-1 when there are no gaps).
-        self.frobenius = a * b - a - b
 
     def is_nongap(self, s: int) -> bool:
         if s < 0:
@@ -111,10 +110,6 @@ class Semigroup:
 
     def degree(self, m: Monomial) -> int:
         return self.a * m[0] + self.b * m[1]
-
-    def gaps(self) -> tuple[int, ...]:
-        return tuple(s for s in range(self.frobenius + 1)
-                     if not self.is_nongap(s))
 
     def nongaps(self, limit: int) -> tuple[int, ...]:
         """All nongaps s with 0 <= s <= limit."""
@@ -244,8 +239,10 @@ class Curve:
         self.coeffs = clean
         # the rewrite rule y^a = -(d x^b + sum c_ij x^i y^j), its one stored
         # form; every y-degree at or above a is folded back with it
-        self._y_a = RingElement(self, {a * i + b * j: -c for (i, j), c
-                                       in [*clean.items(), ((b, 0), d)]})
+        y_a = [field.zero] * (a * b) + [-d]
+        for (i, j), c in clean.items():
+            y_a[a * i + b * j] = -c
+        self._y_a = RingElement(self, y_a)
         # r -> the reduced y^(a+r) = y^a * y^r as (offset from b*(a+r),
         # coefficient) pairs, for r < a - 1, filled on first use
         self._wrap_rows: dict[int, list[tuple[int, FieldElement]]] = {}
@@ -279,7 +276,7 @@ class Curve:
     # -- ring element construction -------------------------------------------
 
     def zero(self) -> "RingElement":
-        return RingElement(self, {})
+        return RingElement(self, [])
 
     def one(self) -> "RingElement":
         return self.monomial(0, 0)
@@ -291,9 +288,10 @@ class Curve:
         if coeff is None:
             coeff = self.field.one
         if coeff.is_zero:
-            return RingElement(self, {})
+            return RingElement(self, [])
         a, b = self.a, self.b
-        out = RingElement(self, {a * i + b * (j % a): coeff})
+        out = RingElement(self, [self.field.zero] * (a * i + b * (j % a))
+                          + [coeff])
         for _ in range(j // a):  # y^j = y^(j mod a) * (y^a)^(j div a)
             out = out * self._y_a
         return out
@@ -318,16 +316,17 @@ class Curve:
     element = reduce
 
     def _wrap_row(self, r: int) -> list[tuple[int, FieldElement]]:
-        """The reduced y^(a+r) as (pole order - b*(a+r), coefficient) pairs,
-        leading with (0, -d): x^i y^j times x^i' y^j' with j + j' = a + r is
-        the key a*(i+i') + b*(a+r) shifted by each offset.  The row is y^a
-        times y^r, whose product folds only rows below r, as the terms of
-        y^a have y-degrees below a."""
+        """The reduced y^(a+r) as (pole order - b*(a+r), coefficient) pairs
+        of its nonzero terms, ending with (0, -d): x^i y^j times x^i' y^j'
+        with j + j' = a + r is the order a*(i+i') + b*(a+r) shifted by each
+        offset.  The row is y^a times y^r, whose product folds only rows
+        below r, as the terms of y^a have y-degrees below a."""
         row = self._wrap_rows.get(r)
         if row is None:
             top = self.b * (self.a + r)
             y_a_r = self.zero()._plus((self._y_a, self.b * r, self.field.one))
-            row = [(s - top, c) for s, c in y_a_r._values().items()]
+            row = [(s - top, c) for s, c in enumerate(y_a_r._values())
+                   if not c.is_zero]
             self._wrap_rows[r] = row
         return row
 
@@ -404,39 +403,39 @@ def _evaluate_logs(field: Field,
 
 class RingElement:
     """An element of the coordinate ring: a nonzero scalar ``_scale`` times a
-    sparse map ``_terms`` from the pole order s of each reduced monomial
-    phi(s) = x^i y^j (j < a) to a coefficient, so its value is
-    _scale * sum(_terms[s] * phi(s)).
+    list ``_terms`` of coefficients indexed by pole order, entry s the
+    coefficient of the reduced monomial phi(s) = x^i y^j (j < a), so its
+    value is _scale * sum(_terms[s] * phi(s)).
 
-    Reduced monomials have pairwise distinct pole orders, so the order names
-    the monomial: delta is the largest key, and a product by the single term
-    tc * phi(t) moves every key s to s + t.  Keys whose y-degrees wrap past a
-    are folded back with the curve's reduced y^(a+r) rows.  ``Monomial``
-    appears only in the inspection API (``items``, ``coefficient``,
-    ``leading_monomial``, ``leading_term``) and in printing, and every read
-    of a coefficient applies the scale.
+    Reduced monomials have pairwise distinct pole orders, so the index
+    names the monomial: entries at gaps and at absent orders are zero, the
+    last entry is nonzero, so delta is the last index, and a product by the
+    single term tc * phi(t) moves every entry s to s + t.  Entries whose
+    y-degrees wrap past a are folded back with the curve's reduced y^(a+r)
+    rows.  ``Monomial`` appears only in the inspection API (``items``,
+    ``coefficient``, ``leading_monomial``, ``leading_term``) and in
+    printing, and every read of a coefficient applies the scale.
 
     Instances are immutable values; arithmetic returns new elements, and
-    ``-x`` and ``x * c`` for a scalar c are O(1): they share x's term map
-    and change only the scale.  The zero element has scale one and no
-    leading term, so no pole order: its ``delta`` is None.
+    ``-x`` and ``x * c`` for a scalar c are O(1): they share x's list and
+    change only the scale.  The zero element is the empty list at scale
+    one and has no leading term, so no pole order: its ``delta`` is None.
     """
 
-    __slots__ = ("curve", "_terms", "_scale", "_delta")
+    __slots__ = ("curve", "_terms", "_scale")
 
-    def __init__(self, curve: Curve, terms: dict[int, FieldElement],
+    def __init__(self, curve: Curve, terms: list[FieldElement],
                  scale: FieldElement | None = None) -> None:
         self.curve = curve
         self._terms = terms
         self._scale = curve.field.one if scale is None else scale
-        self._delta: int | None = None
 
-    def _values(self) -> dict[int, FieldElement]:
-        """The map from pole order to true coefficient, scale applied."""
+    def _values(self) -> list[FieldElement]:
+        """The coefficients by pole order, scale applied."""
         k = self._scale
         if k is self.curve.field.one:
             return self._terms
-        return {s: c * k for s, c in self._terms.items()}
+        return [c * k for c in self._terms]
 
     # -- inspection -----------------------------------------------------------
 
@@ -446,7 +445,8 @@ class RingElement:
 
     def items(self) -> Iterator[tuple[Monomial, FieldElement]]:
         phi = self.curve.semigroup.phi
-        return ((phi(s), c) for s, c in self._values().items())
+        return ((phi(s), c) for s, c in enumerate(self._values())
+                if not c.is_zero)
 
     def coefficient(self, m: tuple[int, int]) -> FieldElement:
         i, j = m
@@ -456,25 +456,24 @@ class RingElement:
 
     def coefficient_at(self, s: int) -> FieldElement:
         """The coefficient of phi(s)."""
-        c = self._terms.get(s)
-        return self.curve.field.zero if c is None else c * self._scale
+        if 0 <= s < len(self._terms) and not self._terms[s].is_zero:
+            return self._terms[s] * self._scale
+        return self.curve.field.zero
 
     def delta(self) -> int | None:
-        """Pole order at infinity: the largest key, None for zero."""
-        if self._delta is None and self._terms:
-            self._delta = max(self._terms)
-        return self._delta
+        """Pole order at infinity: the last index, None for zero."""
+        return len(self._terms) - 1 if self._terms else None
 
     def leading_monomial(self) -> Monomial:
         """phi(delta), the term of largest pole order."""
         if not self._terms:
             raise ValueError("the zero element has no leading monomial")
-        return self.curve.semigroup.phi(self.delta())
+        return self.curve.semigroup.phi(len(self._terms) - 1)
 
     def leading_coefficient(self) -> FieldElement:
         if not self._terms:
             raise ValueError("the zero element has no leading coefficient")
-        return self._terms[self.delta()] * self._scale
+        return self._terms[-1] * self._scale
 
     def leading_term(self) -> tuple[Monomial, FieldElement]:
         return self.leading_monomial(), self.leading_coefficient()
@@ -511,8 +510,9 @@ class RingElement:
         # scale goes on the result's
         if len(self._terms) < len(other._terms):
             self, other = other, self
-        out = self.curve.zero()._plus(
-            *((self, t, tc) for t, tc in other._terms.items()))
+        out = self.curve.zero()._plus(*((self, t, tc) for t, tc
+                                        in enumerate(other._terms)
+                                        if not tc.is_zero))
         if out.is_zero:
             return out
         return RingElement(out.curve, out._terms, out._scale * other._scale)
@@ -520,20 +520,24 @@ class RingElement:
     def _plus(self, *products: tuple["RingElement", int, FieldElement]
               ) -> "RingElement":
         """self + sum(tc * phi(t) * e for e, t, tc in products), for nonzero
-        tc and e on self's curve, in one dict: key s of e goes to s + t, a
-        key whose y-degree wraps past a (below t's) is folded back with the
-        reduced y^(a+r); a cancelled sum is deleted.
+        tc and e on self's curve, in one list: entry s of e goes to s + t,
+        an entry whose y-degree wraps past a (below t's) is folded back with
+        the reduced y^(a+r), whose orders lie at or below s + t, so the list
+        is extended to each product's reach; the trailing zeros of a
+        cancelled sum are trimmed once, at the end.
 
-        The result takes self's scale, or the first product's tc * e's
-        scale when self is zero, and each product's terms are multiplied by
-        tc * (e's scale) / (that scale).  A multiplier of one (the same
-        interned element as the scale) copies the terms with no field
-        product, so a spoly combination multiplies only its g side: the f
-        side is a shift of keys.  Wrap rows still multiply by their row
-        coefficient."""
+        Zero entries of e are skipped before any product, and a slot that
+        holds zero takes the new term with no field sum.  The result takes
+        self's scale, or the first product's tc * e's scale when self is
+        zero, and each product's terms are multiplied by tc * (e's scale) /
+        (that scale).  A multiplier of one (the same interned element as
+        the scale) copies the terms with no field product, so a spoly
+        combination multiplies only its g side: the f side is a shift of
+        orders.  Wrap rows still multiply by their row coefficient."""
         curve = self.curve
         a, ys, wrap_row = curve.a, curve.semigroup.y_degrees, curve._wrap_row
-        out = dict(self._terms)
+        zero = curve.field.zero
+        out = self._terms[:]
         scale = self._scale if out else None
         for e, t, tc in products:
             m = tc * e._scale
@@ -541,32 +545,23 @@ class RingElement:
                 scale = m
             m = None if m is scale else m * scale.inverse()
             jt = ys[t % a]
-            for s, c in e._terms.items():
+            out += [zero] * (len(e._terms) + t - len(out))
+            for s, c in enumerate(e._terms):
+                if c is zero:
+                    continue
                 u = s + t
                 if m is not None:
                     c = c * m
                 if jt and ys[u % a] < jt:
                     for off, rc in wrap_row(ys[u % a]):
                         k, v = u + off, c * rc
-                        prev = out.get(k)
-                        if prev is None:
-                            out[k] = v
-                        else:
-                            v = prev + v
-                            if v.is_zero:
-                                del out[k]
-                            else:
-                                out[k] = v
+                        prev = out[k]
+                        out[k] = v if prev is zero else prev + v
                     continue
-                prev = out.get(u)
-                if prev is None:
-                    out[u] = c
-                else:
-                    c = prev + c
-                    if c.is_zero:
-                        del out[u]
-                    else:
-                        out[u] = c
+                prev = out[u]
+                out[u] = c if prev is zero else prev + c
+        while out and out[-1].is_zero:
+            out.pop()
         return RingElement(curve, out, scale if out else None)
 
     def __rmul__(self, other: FieldElement) -> "RingElement":
@@ -590,10 +585,10 @@ class RingElement:
         if not self._terms:
             return "0"
         phi = self.curve.semigroup.phi
-        values = self._values()
         parts = []
-        for s in sorted(values, reverse=True):
-            c = values[s]
+        for s, c in reversed(list(enumerate(self._values()))):
+            if c.is_zero:
+                continue
             if s == 0:
                 parts.append(str(c))
             elif c == self.curve.field.one:

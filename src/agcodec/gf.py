@@ -141,10 +141,13 @@ class Field:
                     and all(map(_is_int, modulus))):
                 raise ValueError(
                     f"modulus must be a list of integers, got {modulus!r}")
-            given, modulus = modulus, tuple(c % p for c in modulus)
             if len(modulus) != m + 1 or modulus[-1] != 1:
                 raise ValueError(
-                    f"modulus must be monic of degree {m}, got {given!r}")
+                    f"modulus must be monic of degree {m}, got {modulus!r}")
+            if not all(0 <= c < p for c in modulus):
+                raise ValueError(f"modulus coefficients must lie in "
+                                 f"[0, {p}), got {modulus!r}")
+            modulus = tuple(modulus)
             powers = self._x_powers(modulus)
             if powers is None and not _is_irreducible(modulus, p):
                 raise ValueError(f"modulus {modulus} is reducible over GF({p})")

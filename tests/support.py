@@ -133,7 +133,7 @@ def reference_encode(code: Code,
     sg = code.curve.semigroup
     terms = {sg.phi(s): w for s, w in zip(code.message_orders, message)
              if not w.is_zero}
-    return code.ev(code.curve.element(terms))
+    return ev(code, code.curve.element(terms))
 
 
 def rank(vectors: Sequence[Sequence[FieldElement]]) -> int:
@@ -205,8 +205,13 @@ def lattice_divides(sg: Semigroup, r: Monomial, t: Monomial) -> bool:
     return t.i >= r.i + sg.b
 
 
+def ev(code: Code, f: RingElement) -> tuple[FieldElement, ...]:
+    """f evaluated at the code's points, in order."""
+    return tuple(f.evaluate(px, py) for px, py in code.points)
+
+
 def gaps_below(sg: Semigroup, s: int) -> tuple[int, ...]:
-    return tuple(g for g in sg.gaps() if g < s)
+    return tuple(g for g in range(s) if not sg.is_nongap(g))
 
 
 def support(f: RingElement) -> frozenset[Monomial]:
@@ -259,7 +264,7 @@ def tracked_decode(code, v):
         if record is not None and not record.chosen.is_zero:
             mono = sg.phi(s)
             shift_fn = code.curve.monomial(mono.i, mono.j, record.chosen)
-            v_cur = tuple(a - b for a, b in zip(v_cur, code.ev(shift_fn)))
+            v_cur = tuple(a - b for a, b in zip(v_cur, ev(code, shift_fn)))
 
     result = decode(code, v, watch=watch)
     return result, records

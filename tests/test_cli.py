@@ -130,6 +130,8 @@ class TestCodec:
             ({**mk, "coeffs": [[0, 1, "b"]]}, "coeffs[0]"),
             ({**mk, "field": {"p": 7, "m": [2]}}, "field.m"),
             ({**mk, "field": {"p": 7, "modulus": 7}}, "field.modulus"),
+            ({**mk, "field": {"p": 7, "m": 2, "modulus": [10, 1, 1]}},
+             "lie in [0, 7), got [10, 1, 1]"),
             ({"type": "hermitian", "q": 3, "u": 16, "points": 5}, "points:"),
             # an empty point list is refused, not read as a code with n = 0
             ({"type": "hermitian", "q": 3, "u": 16, "points": []}, "points:"),

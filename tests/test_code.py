@@ -13,9 +13,9 @@ from agcodec.curvering import Curve, Monomial, Semigroup
 from agcodec.decoder import decode
 from agcodec.gf import Field
 
-from support import (MK_FAMILIES, lattice_divides, mk_code, random_message,
-                     rank, reference_encode, reference_ideal_basis,
-                     reference_lagrange, support)
+from support import (MK_FAMILIES, ev, lattice_divides, mk_code,
+                     random_message, rank, reference_encode,
+                     reference_ideal_basis, reference_lagrange, support)
 
 # the interpolation of the bundled received vector, as (token, i, j) terms
 H_V_TERMS = [
@@ -269,7 +269,7 @@ class TestEncoding:
 
     def test_ev_of_x(self, code_q3):
         x = code_q3.curve.monomial(1, 0)
-        assert code_q3.ev(x) == tuple(px for px, _ in code_q3.points)
+        assert ev(code_q3, x) == tuple(px for px, _ in code_q3.points)
 
     def test_dimension(self, code_q3):
         assert code_q3.k == 14
@@ -312,7 +312,7 @@ class TestEncoding:
                     unit = [zero] * code.k
                     unit[idx] = one
                     words.append(code.encode(unit))
-                    assert words[-1] == code.ev(curve.monomial(*sg.phi(s)))
+                    assert words[-1] == ev(code, curve.monomial(*sg.phi(s)))
                 assert rank(words) == code.k, (name, u)
 
 
@@ -520,7 +520,7 @@ class TestLagrange:
 
     def test_monomial_roundtrip(self, code_q3):
         x = code_q3.curve.monomial(1, 0)
-        assert code_q3.lagrange(code_q3.ev(x)) == x
+        assert code_q3.lagrange(ev(code_q3, x)) == x
 
     # the shortened and MK codes put pivot columns out of point order
     @pytest.mark.parametrize("name",
@@ -533,11 +533,11 @@ class TestLagrange:
             v = tuple(elems[rng.randrange(code.field.order)]
                       for _ in range(code.n))
             h = code.lagrange(v)
-            assert code.ev(h) == v
+            assert ev(code, h) == v
             assert support(h) <= set(code.delta_monomials)
         # the table times the evaluation matrix on the footprint is I
         _, delta, table = points_ideal_basis(code.curve, code.points)
-        columns = [code.ev(code.curve.monomial(*m)) for m in delta]
+        columns = [ev(code, code.curve.monomial(*m)) for m in delta]
         zero, one = code.field.zero, code.field.one
         for k, row in enumerate(table):
             row = code.field.from_logs(row)
@@ -682,6 +682,9 @@ class TestDistance:
             hermitian_decoding_distance(3, 16.0)
         with pytest.raises(ValueError, match="got True"):
             hermitian_decoding_distance(2, True)
+        # named the weights (3.0, 4.0) that Semigroup was given
+        with pytest.raises(ValueError, match="q must be an integer, got 3.0"):
+            hermitian_decoding_distance(3.0, 16)
 
     def test_matches_closed_form_everywhere(self, curve_q3):
         for curve in (curve_q3, *map(Curve.hermitian,

@@ -248,9 +248,6 @@ class TestAgainstSchoolbook:
 
 
 class TestSemigroup:
-    def test_gaps_of_3_4(self):
-        assert Semigroup(3, 4).gaps() == (1, 2, 5)
-
     def test_phi_16(self):
         assert Semigroup(3, 4).phi(16) == Monomial(4, 1)
 

@@ -134,6 +134,10 @@ class TestConstruction:
         ((2, 2, [1, True, 1]), "modulus must be a list of integers"),
         ((2, 2, 7), "modulus must be a list of integers, got 7"),
         ((2, 2, "111"), "modulus must be a list of integers"),
+        # each built GF(4) after reducing the coefficients mod p
+        ((2, 2, [1, 1, 3]), "monic of degree 2, got [1, 1, 3]"),
+        ((2, 2, [-1, 1, 1]), "must lie in [0, 2), got [-1, 1, 1]"),
+        ((3, 2, [2, 5, 1]), "must lie in [0, 3), got [2, 5, 1]"),
     ])
     def test_arguments_must_be_integers(self, args, message):
         # 2.0 raised a bare TypeError, m = True built GF(5) and 1.5 was
