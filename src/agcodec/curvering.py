@@ -35,7 +35,10 @@ downstream (codes, the decoder) runs on three primitives implemented here:
 grammar used verbatim by the CLI trace format.  Raw polynomials with any
 y-degrees (``Curve.element``, ``Curve.reduce``) are maps from (i, j),
 summed in one ``_plus`` over their terms as ``monomial``s: x^i y^j with
-j >= a is x^i y^(j mod a) times y^a raised to j div a.
+j >= a is x^i y^(j mod a) times y^a raised to j div a.  An element is
+evaluated by its rows, ``_terms[b*j::a]`` the coefficients of x^i y^j, by
+Horner's rule in x, then in y; only the equation and its partials are
+evaluated as raw terms, on kernel-value lists (``_evaluate_logs``).
 """
 
 from __future__ import annotations
@@ -247,7 +250,7 @@ class Curve:
         # coefficient) pairs, for r < a - 1, filled on first use
         self._wrap_rows: dict[int, list[tuple[int, FieldElement]]] = {}
         # the defining polynomial and its formal partials in x and y as raw
-        # terms, built once for contains and is_smooth_at
+        # terms, built once for point listing and checks (``smooth_mask``)
         self._equation = {Monomial(0, a): field.one, Monomial(b, 0): d, **clean}
         terms, times = self._equation.items(), field.element
         self._partials = (
@@ -336,18 +339,9 @@ class Curve:
         """The defining polynomial as a raw exponent map (a new dict)."""
         return dict(self._equation)
 
-    def contains(self, x: FieldElement, y: FieldElement) -> bool:
-        return _evaluate_raw(self._equation.items(), x, y).is_zero
-
-    def is_smooth_at(self, x: FieldElement, y: FieldElement) -> bool:
-        """False when both formal partial derivatives vanish at (x, y)."""
-        dx, dy = self._partials
-        return not (_evaluate_raw(dx, x, y).is_zero
-                    and _evaluate_raw(dy, x, y).is_zero)
-
     def smooth_mask(self, xs: Sequence[int], ys: Sequence[int]) -> list[bool]:
-        """``is_smooth_at`` at every point (xs[c], ys[c]) at once, for
-        coordinates given as kernel values (``Field.logs``)."""
+        """Whether a formal partial of the equation is nonzero at each point
+        (xs[c], ys[c]), coordinates as kernel values (``Field.logs``)."""
         zero = self.field.zero_log
         dx, dy = (_evaluate_logs(self.field, terms, xs, ys)
                   for terms in self._partials)
@@ -367,20 +361,12 @@ class Curve:
         return f"Curve(a={self.a}, b={self.b} over {self.field!r})"
 
 
-def _evaluate_raw(terms: Iterable[tuple[tuple[int, int], FieldElement]],
-                  x: FieldElement, y: FieldElement) -> FieldElement:
-    total = x.field.zero
-    for (i, j), c in terms:
-        total = total + c * x ** i * y ** j
-    return total
-
-
 def _evaluate_logs(field: Field,
                    terms: Iterable[tuple[tuple[int, int], FieldElement]],
                    xs: Sequence[int], ys: Sequence[int]) -> list[int]:
-    """``_evaluate_raw`` at every point (xs[c], ys[c]) at once, on kernel
-    values: each term is one ``Field.axpy`` of its coefficient times the
-    powers of the coordinates, taken by repeated squaring with
+    """The sum of raw terms c * x^i * y^j at every point (xs[c], ys[c]) at
+    once, on kernel values: each term is one ``Field.axpy`` of its
+    coefficient times the coordinates' powers, by repeated squaring with
     ``Field.multiply`` (0^0 = 1, as for ``FieldElement``)."""
     ones = [0] * len(xs)
 
@@ -570,7 +556,19 @@ class RingElement:
         return NotImplemented
 
     def evaluate(self, x: FieldElement, y: FieldElement) -> FieldElement:
-        return _evaluate_raw(self.items(), x, y)
+        """The value at (x, y): Horner's rule in x on each row j,
+        ``_terms[b*j::a]``, then in y on the rows, times the scale."""
+        a, b, field = self.curve.a, self.curve.b, self.curve.field
+        if not all(isinstance(e, FieldElement) and e.field == field
+                   for e in (x, y)):
+            raise ValueError("point coordinates from a different field")
+        total = field.zero
+        for j in reversed(range(a)):
+            at_x = field.zero
+            for c in reversed(self._terms[b * j::a]):
+                at_x = at_x * x + c
+            total = total * y + at_x
+        return total * self._scale
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RingElement):

@@ -34,7 +34,6 @@ of the multiplicative group.
 from __future__ import annotations
 
 import itertools
-import math
 from typing import Iterable, Optional, Sequence
 
 #: Largest supported field order.  Keeps the exp/log tables small; the codes
@@ -208,17 +207,6 @@ class Field:
             digits.append(r)
         return digits
 
-    def _vec_add(self, u: int, v: int) -> int:
-        if self.m == 1:
-            return (u + v) % self.p
-        if self.p == 2:
-            return u ^ v
-        du, dv = self._unpack(u), self._unpack(v)
-        packed = 0
-        for k in range(self.m - 1, -1, -1):
-            packed = packed * self.p + (du[k] + dv[k]) % self.p
-        return packed
-
     def _raw_mul(self, u: int, v: int) -> int:
         """Product of two packed vectors, reduced by the modulus."""
         p, m = self.p, self.m
@@ -258,9 +246,9 @@ class Field:
         """The exp/log tables, the elements, and the tables ZT and NORM.
 
         The generator is the first packed value of order n = order - 1.
-        Given the powers of a primitive x (``_x_powers``), that is the
-        least x^e with e coprime to n, and its powers are read off x's by
-        index arithmetic; otherwise it is found by trial powers.
+        Given the powers of a primitive x (``_x_powers``), that is x itself:
+        the packed values below x's, p, are the prime field, whose orders
+        divide p - 1 < n.  Otherwise it is found by trial powers.
 
         With n = order - 1 and zero Z = 3n, acc + a^k * v for a multiplier k
         in [0, n) is NORM[r + ZT[3n + k + v - r]]; the index into ZT lies in
@@ -281,11 +269,7 @@ class Field:
         n = q - 1
         z = self.zero_log = 3 * n
         if powers is not None:
-            # the generator is x^e for the e coprime to n giving the least
-            # packed value
-            e = min((k for k in range(n) if math.gcd(k, n) == 1),
-                    key=powers.__getitem__)
-            exp = [powers[e * k % n] for k in range(n)]
+            exp = powers
         else:
             # the multiplicative group is cyclic, so this search succeeds
             generator = next(v for v in range(1, q)

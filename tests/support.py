@@ -205,9 +205,34 @@ def lattice_divides(sg: Semigroup, r: Monomial, t: Monomial) -> bool:
     return t.i >= r.i + sg.b
 
 
+def evaluate_raw(terms, x: FieldElement, y: FieldElement) -> FieldElement:
+    """sum(c * x^i * y^j) over raw terms ((i, j), c), term by term with
+    boxed field arithmetic: the reference for the library's evaluation by
+    rows (RingElement.evaluate) and on kernel-value lists (point listing)."""
+    total = x.field.zero
+    for (i, j), c in terms:
+        total = total + c * x ** i * y ** j
+    return total
+
+
+def contains(curve: Curve, x: FieldElement, y: FieldElement) -> bool:
+    """Whether the defining polynomial vanishes at (x, y)."""
+    return evaluate_raw(curve.equation_terms().items(), x, y).is_zero
+
+
+def is_smooth_at(curve: Curve, x: FieldElement, y: FieldElement) -> bool:
+    """False when both formal partial derivatives vanish at (x, y)."""
+    terms, times = curve.equation_terms().items(), curve.field.element
+    dx = [((i - 1, j), times(i) * c) for (i, j), c in terms if i]
+    dy = [((i, j - 1), times(j) * c) for (i, j), c in terms if j]
+    return not (evaluate_raw(dx, x, y).is_zero
+                and evaluate_raw(dy, x, y).is_zero)
+
+
 def ev(code: Code, f: RingElement) -> tuple[FieldElement, ...]:
-    """f evaluated at the code's points, in order."""
-    return tuple(f.evaluate(px, py) for px, py in code.points)
+    """f evaluated at the code's points, in order, over its items() with
+    evaluate_raw, so independent of the row slicing behind f.evaluate."""
+    return tuple(evaluate_raw(f.items(), px, py) for px, py in code.points)
 
 
 def gaps_below(sg: Semigroup, s: int) -> tuple[int, ...]:

@@ -223,6 +223,23 @@ class TestRingArithmetic:
         with pytest.raises(ValueError):
             curve_q3.one() + other.one()
 
+    @pytest.mark.parametrize("which", ["x", "y", "both"])
+    @pytest.mark.parametrize("element", ["zero", "constant", "y"])
+    def test_evaluate_refuses_a_foreign_field(self, element, which):
+        # every element checks both coordinates, the zero element too,
+        # whose value never touches them
+        curve = Curve.hermitian(2)
+        f = {"zero": curve.zero(), "constant": curve.one(),
+             "y": curve.monomial(0, 1)}[element]
+        native, foreign = curve.field.one, Field(3).one
+        x = foreign if which in ("x", "both") else native
+        y = foreign if which in ("y", "both") else native
+        with pytest.raises(ValueError, match="different field"):
+            f.evaluate(x, y)
+        # an equal field built apart is the same field
+        same = Field(2, 2).one
+        assert f.evaluate(same, same) == f.evaluate(native, native)
+
 
 class TestAgainstSchoolbook:
     """Ring products, built from single-term products and the reduced y^j

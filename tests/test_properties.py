@@ -4,33 +4,37 @@ decoder on arbitrary received words.
 Runs are derandomized and bounded, so the suite stays deterministic."""
 
 import functools
+import itertools
 import math
 import operator
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from agcodec.code import Code
+from agcodec.code import Code, rational_points
 from agcodec.curvering import Curve, RingElement
 from agcodec.decoder import STATUS_OK, decode, hamming_distance
 from agcodec.gf import Field
 
-from support import (MK_FAMILIES, add_vectors, mk_code, naive_reduce,
-                     schoolbook_mul)
+from support import (MK_FAMILIES, add_vectors, contains, evaluate_raw,
+                     mk_code, naive_reduce, schoolbook_mul)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None,
                     max_examples=60)
 
 FIELDS = {(p, m): Field(p, m) for p, m in [(2, 2), (3, 1), (3, 2), (5, 1),
                                            (7, 1)]}
+CODE_FIELDS = {(p, m): Field(p, m) for p, m in [
+    (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1), (7, 1), (11, 1),
+    (13, 1)]}
 
 
 @st.composite
-def mk_curves(draw):
+def mk_curves(draw, fields=FIELDS, top_a=4):
     """y^a + sum(c_ij x^i y^j : a*i + b*j < a*b) + d x^b = 0 with random d
-    and up to four random coefficients, a = 2..4."""
-    field = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
-    a = draw(st.integers(2, 4))
+    and up to four random coefficients, a = 2..top_a."""
+    field = fields[draw(st.sampled_from(sorted(fields)))]
+    a = draw(st.integers(2, top_a))
     b = draw(st.sampled_from([b for b in range(a + 1, a + 4)
                               if math.gcd(a, b) == 1]))
     nonzero = st.sampled_from(field.elements()[1:])
@@ -39,6 +43,20 @@ def mk_curves(draw):
     coeffs = draw(st.dictionaries(st.sampled_from(region), nonzero,
                                   max_size=4))
     return Curve(field, a, b, draw(nonzero), coeffs)
+
+
+@st.composite
+def mk_codes(draw):
+    """C_u on a random curve over GF(4), GF(8), GF(16), GF(3), GF(9),
+    GF(5), GF(7), GF(11) or GF(13) with a = 2..5, on a random shuffle of
+    its rational points with a random number of them dropped, and a random
+    0 < u < n."""
+    curve = draw(mk_curves(CODE_FIELDS, 5))
+    points = rational_points(curve)
+    assume(len(points) >= 2)
+    points = draw(st.permutations(points))
+    n = len(points) - draw(st.integers(0, len(points) - 2))
+    return Code(curve, draw(st.integers(1, n - 1)), points[:n])
 
 
 def raw_maps(curve, max_j=None, max_size=5):
@@ -195,6 +213,34 @@ class TestScaledElements:
             assert zero._terms == [] and zero._scale is one
 
 
+class TestEvaluation:
+    """RingElement.evaluate, by rows, against the boxed term-by-term
+    reference over items() (``support.evaluate_raw``)."""
+
+    @PROPERTY
+    @given(st.data())
+    def test_matches_the_term_by_term_reference(self, data):
+        # at every pair of the plane, so on the axes x = 0 and y = 0 too,
+        # on scaled elements and on zero
+        curve, (f, g) = data.draw(curve_and_elements(2))
+        c = data.draw(st.sampled_from(curve.field.elements()[1:]))
+        plane = list(itertools.product(curve.field.elements(), repeat=2))
+        for h in (f, f * c, -f, f * g, curve.zero(), f - f):
+            for x, y in plane:
+                assert h.evaluate(x, y) == evaluate_raw(h.items(), x, y)
+
+    @PROPERTY
+    @given(curve_and_elements(2))
+    def test_values_multiply_and_add_at_curve_points(self, case):
+        # at every affine zero of the equation, singular ones included
+        curve, (f, g) = case
+        for x, y in itertools.product(curve.field.elements(), repeat=2):
+            if contains(curve, x, y):
+                fv, gv = f.evaluate(x, y), g.evaluate(x, y)
+                assert (f * g).evaluate(x, y) == fv * gv
+                assert (f + g).evaluate(x, y) == fv + gv
+
+
 @functools.cache
 def code(name):
     if name == "hermitian-2":
@@ -244,3 +290,27 @@ class TestDecoderProperties:
         m1, m2 = data.draw(messages(c)), data.draw(messages(c))
         total = tuple(x + y for x, y in zip(m1, m2))
         assert c.encode(total) == add_vectors(c.encode(m1), c.encode(m2))
+
+
+class TestRandomCodes:
+    @settings(PROPERTY, max_examples=200)
+    @given(st.data())
+    def test_full_radius_decodes_on_random_curves(self, data):
+        # exactly (d_u - 1) // 2 errors; on codes with at most 512
+        # messages d_u is checked against the brute-force minimum weight
+        c = data.draw(mk_codes())
+        d_u = c.decoding_distance()
+        sent = data.draw(messages(c))
+        received = list(c.encode(sent))
+        nonzero = st.sampled_from(c.field.elements()[1:])
+        t = (d_u - 1) // 2
+        for pos in data.draw(st.lists(st.integers(0, c.n - 1), min_size=t,
+                                      max_size=t, unique=True)):
+            received[pos] = received[pos] + data.draw(nonzero)
+        result = decode(c, tuple(received))
+        assert result.status == STATUS_OK and result.message == sent
+        if c.field.order ** c.k <= 512:
+            nonzero_messages = itertools.islice(
+                itertools.product(c.field.elements(), repeat=c.k), 1, None)
+            assert d_u <= min(sum(not e.is_zero for e in c.encode(m))
+                              for m in nonzero_messages)

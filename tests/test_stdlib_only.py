@@ -68,3 +68,18 @@ def test_all_lists_exactly_the_imported_names():
     init = Path(agcodec.__file__)
     assert len(agcodec.__all__) == len(set(agcodec.__all__))
     assert set(agcodec.__all__) == _imported_names(_parse(init))
+
+
+def test_every_private_definition_is_used():
+    # a private function, method or class that no code in the package names
+    # is dead: delete it, or move it next to the tests that use it
+    trees = [_parse(path) for path in SOURCES]
+    defined = {node.name for tree in trees for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                    ast.ClassDef))
+               and node.name.startswith("_") and not node.name.endswith("__")}
+    named = {node.id if isinstance(node, ast.Name) else node.attr
+             for tree in trees for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute))}
+    unused = defined - named
+    assert not unused, f"private definitions never named {sorted(unused)}"
