@@ -28,8 +28,9 @@ x-value into fibers of at most a points each, which all three steps read:
   of x0 over the distinct x-values and of y0 over its fiber (the fibers
   of one size side by side), so the interpolant of a word is the sum of
   y^j P_j(x): each fiber's values and its l_y give the y-coefficients at
-  x0, and P_j combines those through the l_x.  That sum is reduced by the
-  basis onto the footprint, with no n x n table.
+  x0 (again the fibers of one size side by side), and P_j combines those
+  through the l_x.  That sum is reduced by the basis onto the footprint,
+  with no n x n table.
 * Encoding is the transpose: a message function, the sum of y^j M_j(x), is
   evaluated by Horner's rule in x at the distinct x-values, then in y at
   each point, with no k x n table.
@@ -311,14 +312,17 @@ def _ideal_basis_interpolator(
     order up to its last nonzero one: the sum of v_P * l_x(x) * l_y(y)
     (``_lagrange_polys``) is the sum of y^j P_j(x), where P_j sums c_j(x0) *
     l_x over the fibers and c_j(x0) is a fiber's values times its l_y; it is
-    reduced by the basis (``_reduce``) onto the footprint.
+    reduced by the basis (``_reduce``) onto the footprint.  The c_j of the
+    fibers of one size are computed side by side, as in ``_lagrange_polys``:
+    one ``Field.multiply`` of the values by the l_y coefficients j of all
+    their points, then one ``Field.axpy`` per point of a fiber to sum them.
     """
     sg, field = curve.semigroup, curve.field
     a, b, ys = curve.a, curve.b, sg.y_degrees
     zero = field.zero_log
     gens, leads = _ideal_generators(curve, points, fibers)
     rows = sorted(range(a), key=leads.__getitem__)
-    etas = tuple(RingElement(curve, field.from_logs(gens[j])) for j
+    etas = tuple(RingElement(curve, gens[j]) for j
                  in _prime_reduce(rows, [leads[j] for j in rows], sg))
     top = max(leads)
     footprint = tuple(s for s in range(top)
@@ -327,19 +331,38 @@ def _ideal_basis_interpolator(
     lx, = _lagrange_polys(field, [list(fibers)])
     ly = _lagrange_polys(field, [list(fiber) for fiber in fibers.values()])
     size = max(a * width + b * (a - 1), top)
+    fiber_points = [list(fiber.values()) for fiber in fibers.values()]
+    by_size: dict[int, list[int]] = {}
+    for x, at_x in enumerate(fiber_points):
+        by_size.setdefault(len(at_x), []).append(x)
+
+    def side_by_side(per_fiber: Iterable[Sequence]) -> list:
+        """Entry t * len(group) + g is item t of fiber group[g]."""
+        return [item for at_t in zip(*per_fiber) for item in at_t]
+    # per group of fibers of one size: its points, and per y-degree j the
+    # l_y coefficients j of those points
+    batches = [(group, side_by_side(fiber_points[x] for x in group),
+                list(zip(*side_by_side(ly[x] for x in group))))
+               for group in by_size.values()]
 
     def interpolate(values: Sequence[int]) -> list[int]:
-        polys = [[zero] * width for _ in range(a)]  # P_j, constant first
-        for fiber, l_x, l_ys in zip(fibers.values(), lx, ly):
-            cs = [zero] * len(fiber)  # c_j(x0), j < the fiber size
-            for c, l_y in zip(fiber.values(), l_ys):
-                if values[c] != zero:
-                    cs = field.axpy(cs, values[c], l_y)
-            for j, cj in enumerate(cs):
-                if cj != zero:
-                    polys[j] = field.axpy(polys[j], cj, l_x)
+        cs = [[zero] * width for _ in range(a)]  # c_j(x0) over the fibers
+        for group, points_at, l_ys in batches:
+            w = len(group)
+            at = [values[c] for c in points_at]
+            for j, l_y in enumerate(l_ys):
+                products = field.multiply(at, l_y)
+                cj = products[:w]
+                for t in range(w, len(products), w):
+                    cj = field.axpy(cj, 0, products[t:t + w])
+                for x, c in zip(group, cj):
+                    cs[j][x] = c
         f = [zero] * size
-        for j, poly in enumerate(polys):
+        for j, row in enumerate(cs):
+            poly = [zero] * width  # P_j, constant first
+            for c, l_x in zip(row, lx):
+                if c != zero:
+                    poly = field.axpy(poly, c, l_x)
             f[b * j:b * j + a * width:a] = poly
         _reduce(curve, f, gens, leads)
         del f[top:]  # the footprint lies below the top lead
@@ -408,8 +431,7 @@ class Code:
     def lagrange(self, v: Sequence[FieldElement]) -> RingElement:
         """The unique function supported on the footprint with ev(h) = v."""
         self._check_vector(v, self.n, "vector")
-        return RingElement(self.curve, self.field.from_logs(
-            self._interpolate(self.field.logs(v))))
+        return RingElement(self.curve, self._interpolate(self.field.logs(v)))
 
     def _check_vector(self, v: Sequence[FieldElement], length: int,
                       what: str) -> None:

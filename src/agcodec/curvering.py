@@ -12,16 +12,19 @@ have pairwise distinct pole orders, so everything here names a monomial by
 its order s, with phi(s) = x^i y^j the monomial itself.  Everything
 downstream (codes, the decoder) runs on three primitives implemented here:
 
-* ring elements as a nonzero scale times a list of coefficients indexed
-  by pole order, the build's layout: zero at gaps and absent orders, the
-  last entry nonzero (delta is its index), so negation and scalar
-  products are O(1) and change only the scale, and one kernel behind
-  every sum, difference and product, ``RingElement._plus``: self +
+* ring elements as a nonzero scale times a list of kernel values
+  (``Field.logs``) indexed by pole order, the build's layout: zero at gaps
+  and absent orders, the last entry nonzero (delta is its index), so
+  negation and scalar products are O(1) and change only the scale, and
+  entries are boxed into ``FieldElement``s only when read; and one kernel
+  behind every sum, difference and product, ``RingElement._plus``: self +
   sum(c * phi(t) * e) in one list, a term product adding its order to
-  every index and multiplying its coefficient only when its multiplier
-  relative to the result's scale is not one, y-degrees past a folded back
-  with per-curve rows of the reduced y^(a+r) = y^a * y^r (from the curve's
-  one stored rewrite of y^a, ``Curve._y_a``), and trailing zeros trimmed,
+  every index in ``Field`` list passes (a copy or ``Field.scale`` into an
+  empty region, ``Field.axpy`` over the shifted range, or entry by entry
+  with ``Field.axpy_value`` for a short product), y-degrees past a folded
+  back with per-curve corrections, the reduced y^(a+r) = y^a * y^r (from
+  the curve's one stored rewrite of y^a, ``Curve._y_a``) minus its unit
+  term, and trailing zeros trimmed,
 * the pole-order function ``delta`` (None for zero, which has no lead),
 * divisibility on orders: phi(r) divides phi(t) exactly when t - r is a
   nongap, with quotient phi(t - r); lcms of two orders; the one
@@ -47,6 +50,12 @@ import math
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .gf import ORDER_CAP, Field, FieldElement, _is_int, _prime_factors
+
+#: A wrap correction, as (offset, coefficient) pairs, and the value of
+#: ``Curve._wrap_fix``: each row's correction, and the rows that share each
+Correction = tuple[tuple[int, FieldElement], ...]
+WrapFix = tuple[tuple[Correction, ...],
+                tuple[tuple[tuple[int, ...], Correction], ...]]
 
 #: Largest supported curve weight a or b, checked before any per-weight
 #: table is built: the largest Hermitian weight the field cap admits
@@ -242,13 +251,13 @@ class Curve:
         self.coeffs = clean
         # the rewrite rule y^a = -(d x^b + sum c_ij x^i y^j), its one stored
         # form; every y-degree at or above a is folded back with it
-        y_a = [field.zero] * (a * b) + [-d]
+        y_a = [field.zero_log] * (a * b) + [(-d).log]
         for (i, j), c in clean.items():
-            y_a[a * i + b * j] = -c
+            y_a[a * i + b * j] = (-c).log
         self._y_a = RingElement(self, y_a)
-        # r -> the reduced y^(a+r) = y^a * y^r as (offset from b*(a+r),
-        # coefficient) pairs, for r < a - 1, filled on first use
-        self._wrap_rows: dict[int, list[tuple[int, FieldElement]]] = {}
+        # entry jt: the wrap corrections of a product by a term of y-degree
+        # jt (``_wrap_fix``), filled on first use; nothing wraps at jt = 0
+        self._wrap_fixes: list[WrapFix] = [(((),) * a, ())]
         # the defining polynomial and its formal partials in x and y as raw
         # terms, built once for point listing and checks (``smooth_mask``)
         self._equation = {Monomial(0, a): field.one, Monomial(b, 0): d, **clean}
@@ -293,8 +302,8 @@ class Curve:
         if coeff.is_zero:
             return RingElement(self, [])
         a, b = self.a, self.b
-        out = RingElement(self, [self.field.zero] * (a * i + b * (j % a))
-                          + [coeff])
+        out = RingElement(self, [self.field.zero_log] * (a * i + b * (j % a))
+                          + [0], coeff)
         for _ in range(j // a):  # y^j = y^(j mod a) * (y^a)^(j div a)
             out = out * self._y_a
         return out
@@ -318,20 +327,38 @@ class Curve:
 
     element = reduce
 
-    def _wrap_row(self, r: int) -> list[tuple[int, FieldElement]]:
-        """The reduced y^(a+r) as (pole order - b*(a+r), coefficient) pairs
-        of its nonzero terms, ending with (0, -d): x^i y^j times x^i' y^j'
-        with j + j' = a + r is the order a*(i+i') + b*(a+r) shifted by each
-        offset.  The row is y^a times y^r, whose product folds only rows
-        below r, as the terms of y^a have y-degrees below a."""
-        row = self._wrap_rows.get(r)
-        if row is None:
-            top = self.b * (self.a + r)
-            y_a_r = self.zero()._plus((self._y_a, self.b * r, self.field.one))
-            row = [(s - top, c) for s, c in enumerate(y_a_r._values())
-                   if not c.is_zero]
-            self._wrap_rows[r] = row
-        return row
+    def _wrap_fix(self, jt: int) -> WrapFix:
+        """The wrap corrections of a product by a term of y-degree jt: by
+        row (residue mod a) the correction of its entries, empty for a row
+        that does not wrap, and the (residues, correction) pairs of the rows
+        that share a nonempty correction.
+
+        An entry at order u whose y-degree r = y_degrees[u % a] lies below
+        jt is x^i y^(a+r), and its reduced form is the wrap row y^a * y^r at
+        orders u + offset, ending with -d at offset 0.  ``_plus`` adds every
+        entry at u as if nothing wrapped, so the correction is the wrap row
+        minus that unit term: (offset, coefficient) pairs below offset 0,
+        and -d - 1 at offset 0 unless d = -1.  Row r is the product of y^a
+        by y^r, a term of y-degree r, so it needs only the rows below r,
+        which the entries before jt hold.
+        """
+        fixes = self._wrap_fixes
+        while len(fixes) <= jt:
+            a, b, r = self.a, self.b, len(fixes) - 1
+            unit = -self.d - self.field.one
+            row = self.zero()._plus((self._y_a, b * r, self.field.one))
+            fix = tuple((s - b * (a + r), c) for s, c in row._nonzero()
+                        if s < b * (a + r))
+            if not unit.is_zero:
+                fix += ((0, unit),)
+            by_row, shared = fixes[-1]
+            u = b * r % a  # the row of y-degree r
+            groups = {f: rows for rows, f in shared}
+            if fix:
+                groups[fix] = groups.get(fix, ()) + (u,)
+            fixes.append((by_row[:u] + (fix,) + by_row[u + 1:],
+                          tuple((rows, f) for f, rows in groups.items())))
+        return fixes[jt]
 
     # -- geometry -------------------------------------------------------------
 
@@ -389,18 +416,22 @@ def _evaluate_logs(field: Field,
 
 class RingElement:
     """An element of the coordinate ring: a nonzero scalar ``_scale`` times a
-    list ``_terms`` of coefficients indexed by pole order, entry s the
-    coefficient of the reduced monomial phi(s) = x^i y^j (j < a), so its
-    value is _scale * sum(_terms[s] * phi(s)).
+    list ``_terms`` of kernel values (``Field.logs``: logs, ``zero_log`` for
+    zero) indexed by pole order, entry s the coefficient of the reduced
+    monomial phi(s) = x^i y^j (j < a), so its value is _scale *
+    sum(_terms[s] * phi(s)).
 
     Reduced monomials have pairwise distinct pole orders, so the index
     names the monomial: entries at gaps and at absent orders are zero, the
     last entry is nonzero, so delta is the last index, and a product by the
     single term tc * phi(t) moves every entry s to s + t.  Entries whose
-    y-degrees wrap past a are folded back with the curve's reduced y^(a+r)
-    rows.  ``Monomial`` appears only in the inspection API (``items``,
-    ``coefficient``, ``leading_monomial``, ``leading_term``) and in
-    printing, and every read of a coefficient applies the scale.
+    y-degrees wrap past a are folded back with the curve's wrap
+    corrections (``Curve._wrap_fix``).  Entries are boxed into
+    ``FieldElement``s only at the API edge: ``coefficient_at``,
+    ``leading_coefficient``, ``items``, printing and ``evaluate``, and
+    every read of a coefficient applies the scale.  ``Monomial`` appears
+    only in the inspection API (``items``, ``coefficient``,
+    ``leading_monomial``, ``leading_term``) and in printing.
 
     Instances are immutable values; arithmetic returns new elements, and
     ``-x`` and ``x * c`` for a scalar c are O(1): they share x's list and
@@ -410,18 +441,24 @@ class RingElement:
 
     __slots__ = ("curve", "_terms", "_scale")
 
-    def __init__(self, curve: Curve, terms: list[FieldElement],
+    def __init__(self, curve: Curve, terms: list[int],
                  scale: FieldElement | None = None) -> None:
         self.curve = curve
         self._terms = terms
         self._scale = curve.field.one if scale is None else scale
 
-    def _values(self) -> list[FieldElement]:
-        """The coefficients by pole order, scale applied."""
+    def _values(self) -> list[int]:
+        """The kernel values by pole order, scale applied."""
         k = self._scale
         if k is self.curve.field.one:
             return self._terms
-        return [c * k for c in self._terms]
+        return self.curve.field.scale(self._terms, k.log)
+
+    def _nonzero(self) -> Iterator[tuple[int, FieldElement]]:
+        """(pole order, coefficient) of each nonzero entry, scale applied."""
+        return ((s, c) for s, c
+                in enumerate(self.curve.field.from_logs(self._values()))
+                if not c.is_zero)
 
     # -- inspection -----------------------------------------------------------
 
@@ -431,8 +468,7 @@ class RingElement:
 
     def items(self) -> Iterator[tuple[Monomial, FieldElement]]:
         phi = self.curve.semigroup.phi
-        return ((phi(s), c) for s, c in enumerate(self._values())
-                if not c.is_zero)
+        return ((phi(s), c) for s, c in self._nonzero())
 
     def coefficient(self, m: tuple[int, int]) -> FieldElement:
         i, j = m
@@ -442,9 +478,10 @@ class RingElement:
 
     def coefficient_at(self, s: int) -> FieldElement:
         """The coefficient of phi(s)."""
-        if 0 <= s < len(self._terms) and not self._terms[s].is_zero:
-            return self._terms[s] * self._scale
-        return self.curve.field.zero
+        field = self.curve.field
+        if 0 <= s < len(self._terms) and self._terms[s] != field.zero_log:
+            return field.from_log(self._terms[s]) * self._scale
+        return field.zero
 
     def delta(self) -> int | None:
         """Pole order at infinity: the last index, None for zero."""
@@ -459,7 +496,7 @@ class RingElement:
     def leading_coefficient(self) -> FieldElement:
         if not self._terms:
             raise ValueError("the zero element has no leading coefficient")
-        return self._terms[-1] * self._scale
+        return self.curve.field.from_log(self._terms[-1]) * self._scale
 
     def leading_term(self) -> tuple[Monomial, FieldElement]:
         return self.leading_monomial(), self.leading_coefficient()
@@ -496,9 +533,10 @@ class RingElement:
         # scale goes on the result's
         if len(self._terms) < len(other._terms):
             self, other = other, self
-        out = self.curve.zero()._plus(*((self, t, tc) for t, tc
-                                        in enumerate(other._terms)
-                                        if not tc.is_zero))
+        out = self.curve.zero()._plus(*(
+            (self, t, tc) for t, tc
+            in enumerate(self.curve.field.from_logs(other._terms))
+            if not tc.is_zero))
         if out.is_zero:
             return out
         return RingElement(out.curve, out._terms, out._scale * other._scale)
@@ -506,47 +544,75 @@ class RingElement:
     def _plus(self, *products: tuple["RingElement", int, FieldElement]
               ) -> "RingElement":
         """self + sum(tc * phi(t) * e for e, t, tc in products), for nonzero
-        tc and e on self's curve, in one list: entry s of e goes to s + t,
-        an entry whose y-degree wraps past a (below t's) is folded back with
-        the reduced y^(a+r), whose orders lie at or below s + t, so the list
-        is extended to each product's reach; the trailing zeros of a
-        cancelled sum are trimmed once, at the end.
+        tc and e on self's curve, in one list of kernel values.
 
-        Zero entries of e are skipped before any product, and a slot that
-        holds zero takes the new term with no field sum.  The result takes
-        self's scale, or the first product's tc * e's scale when self is
-        zero, and each product's terms are multiplied by tc * (e's scale) /
-        (that scale).  A multiplier of one (the same interned element as
-        the scale) copies the terms with no field product, so a spoly
-        combination multiplies only its g side: the f side is a shift of
-        orders.  Wrap rows still multiply by their row coefficient."""
+        The result takes self's scale, or the first product's tc * e's scale
+        when self is zero.  A product's multiplier m is tc * (e's scale) /
+        (that scale), a boxed scalar, as is m times each correction
+        coefficient; a multiplier that is the scale itself is one, kernel
+        value 0.  Entry s of e goes to s + t as if no y-degree wrapped past
+        a.  For a term t of y-degree jt > 0, the entries in the rows
+        (residues mod a) of y-degree below jt wrap, and the curve's
+        correction of their row (``Curve._wrap_fix``) adds each of them once
+        more per correction term, times its coefficient, at its offset.  The
+        path is chosen from e's length and number of nonzero entries:
+
+        * into an empty region, past the end of the list, the entries are a
+          copy, or one ``Field.scale``;
+        * a short product, with fewer nonzero entries than four plus half
+          its length, goes entry by entry, one ``Field.axpy_value`` per
+          nonzero entry and per correction term of a wrapped one, as a pass
+          has a fixed cost and a cost for every entry it crosses;
+        * otherwise the entries are one ``Field.axpy`` over the shifted
+          range, and each group of rows that share a correction takes one
+          masked pass per correction term: its rows' entries, the others
+          set to zero.
+
+        Corrections land at or below their entry's order, so the list is
+        extended to each product's reach, and the trailing zeros of a
+        cancelled sum are trimmed once, at the end.
+        """
         curve = self.curve
-        a, ys, wrap_row = curve.a, curve.semigroup.y_degrees, curve._wrap_row
-        zero = curve.field.zero
+        field, a, ys = curve.field, curve.a, curve.semigroup.y_degrees
+        zero, one, add = field.zero_log, field.one, field.axpy_value
         out = self._terms[:]
         scale = self._scale if out else None
         for e, t, tc in products:
             m = tc * e._scale
             if scale is None:
                 scale = m
-            m = None if m is scale else m * scale.inverse()
-            jt = ys[t % a]
-            out += [zero] * (len(e._terms) + t - len(out))
-            for s, c in enumerate(e._terms):
-                if c is zero:
-                    continue
-                u = s + t
-                if m is not None:
-                    c = c * m
-                if jt and ys[u % a] < jt:
-                    for off, rc in wrap_row(ys[u % a]):
-                        k, v = u + off, c * rc
-                        prev = out[k]
-                        out[k] = v if prev is zero else prev + v
-                    continue
-                prev = out[u]
-                out[u] = c if prev is zero else prev + c
-        while out and out[-1].is_zero:
+            m = one if m is scale else m * scale.inverse()
+            k, terms = m.log, e._terms
+            size, have = len(terms), len(out)
+            end = t + size
+            by_row, shared = curve._wrap_fix(ys[t % a])
+            copied = have <= t
+            if copied:  # into an empty region
+                out += [zero] * (t - have)
+                out += terms if m is one else field.scale(terms, k)
+            elif have < end:
+                out += [zero] * (end - have)
+            if 2 * (size - terms.count(zero)) < size + 8:
+                for s, v in enumerate(terms, t):
+                    if v != zero:
+                        if not copied:
+                            out[s] = add(out[s], k, v)
+                        for off, rc in by_row[s % a]:
+                            out[s + off] = add(out[s + off], (m * rc).log, v)
+                continue
+            if not copied:
+                out[t:end] = field.axpy(out[t:end], k, terms)
+            for residues, fix in shared:
+                masked = [zero] * size
+                for u in residues:
+                    masked[(u - t) % a::a] = terms[(u - t) % a::a]
+                for off, rc in fix:
+                    if end + off > 0:
+                        lo = max(0, -t - off)  # the entries below are masked
+                        out[t + off + lo:end + off] = field.axpy(
+                            out[t + off + lo:end + off], (m * rc).log,
+                            masked[lo:])
+        while out and out[-1] == zero:
             out.pop()
         return RingElement(curve, out, scale if out else None)
 
@@ -565,7 +631,7 @@ class RingElement:
         total = field.zero
         for j in reversed(range(a)):
             at_x = field.zero
-            for c in reversed(self._terms[b * j::a]):
+            for c in reversed(field.from_logs(self._terms[b * j::a])):
                 at_x = at_x * x + c
             total = total * y + at_x
         return total * self._scale
@@ -584,9 +650,7 @@ class RingElement:
             return "0"
         phi = self.curve.semigroup.phi
         parts = []
-        for s, c in reversed(list(enumerate(self._values()))):
-            if c.is_zero:
-                continue
+        for s, c in reversed(list(self._nonzero())):
             if s == 0:
                 parts.append(str(c))
             elif c == self.curve.field.one:

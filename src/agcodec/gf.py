@@ -11,11 +11,14 @@ branch and no per-order special case, so one rule covers every order up to
 a^i + a^j = a^(i + Z(j - i)).
 
 The code's linear algebra (the build of the ideal of the points and its
-Lagrange functions, interpolation, encoding) runs on lists of kernel
-values: ``Field.logs`` and ``Field.from_logs`` convert, and ``Field.axpy``
-(acc + c * vec), ``Field.scale`` (c * vec) and ``Field.multiply`` (u * v
-entrywise) are the same lookups as the element operators, one list
-comprehension each.
+Lagrange functions, interpolation, encoding) and the coordinate ring's
+arithmetic (a ``curvering.RingElement`` is a list of kernel values) run on
+lists of kernel values: ``Field.logs`` and ``Field.from_logs`` convert
+(``Field.from_log`` one value), and ``Field.axpy`` (acc + c * vec),
+``Field.scale`` (c * vec) and ``Field.multiply`` (u * v entrywise) are the
+same lookups as the element operators, one list comprehension each;
+``Field.axpy_value`` is one entry of ``axpy``, for the ring's products of
+few terms.
 
 Textual form of an element, used by all vector files and traces:
 
@@ -323,12 +326,21 @@ class Field:
         by_log = self._by_log
         return [by_log[k] for k in values]
 
+    def from_log(self, k: int) -> "FieldElement":
+        """The element of one kernel value, ``zero_log`` giving zero."""
+        return self._by_log[k]
+
     def axpy(self, acc: Sequence[int], k: int, vec: Sequence[int]) -> list[int]:
         """acc + a^k * vec on kernel values, for a nonzero multiplier a^k
         (k in [0, n)): the caller skips zero multipliers."""
         zt, norm = self._zt, self._norm
         base = self.zero_log + k
         return [norm[r + zt[base + v - r]] for r, v in zip(acc, vec)]
+
+    def axpy_value(self, r: int, k: int, v: int) -> int:
+        """r + a^k * v for single kernel values and k in [0, n): one entry
+        of ``axpy``."""
+        return self._norm[r + self._zt[self.zero_log + k + v - r]]
 
     def scale(self, vec: Sequence[int], k: int) -> list[int]:
         """a^k * vec on kernel values, for k in [0, n)."""

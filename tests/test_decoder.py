@@ -8,11 +8,11 @@ import pytest
 from agcodec.cli import trace_lines
 from agcodec.code import (Code, code_from_config, curve_from_config,
                           format_vector, radius_rows, rational_points)
-from agcodec.curvering import Curve, Monomial
+from agcodec.curvering import Curve, Monomial, RingElement
 from agcodec.decoder import (DOWN, STATUS_FAILED, STATUS_LOW_CONFIDENCE,
                              STATUS_OK, UP, ModulePair, _prime_reduce, decode,
                              initial_basis, leading, shift, spoly, step, vote)
-from agcodec.gf import FieldElement
+from agcodec.gf import Field, FieldElement
 from agcodec.oracle import check_gb
 
 from conftest import FIXTURES
@@ -21,15 +21,45 @@ from support import (MK_FAMILIES, add_vectors, lattice_divides, mk_code,
 
 
 def decode_counting_products(code, received, monkeypatch):
-    """(decode(code, received), the FieldElement products it made)."""
-    plain, count = FieldElement.__mul__, [0]
+    """(decode(code, received), its boxed FieldElement products, the ring
+    kernel's products of a nonzero entry by a multiplier other than one).
 
-    def counted(x, y):
-        count[0] += 1
-        return plain(x, y)
+    The kernel's products are those of the ``Field`` list methods while
+    ``RingElement._plus`` runs: per call, the nonzero entries of the vector
+    of ``axpy`` or ``scale``, or the one value of ``axpy_value``, when the
+    multiplier's kernel value is not 0."""
+    zero, boxed, kernel, depth = code.field.zero_log, [0], [0], [0]
+    plain_mul, plain_plus = FieldElement.__mul__, RingElement._plus
 
-    monkeypatch.setattr(FieldElement, "__mul__", counted)
-    return decode(code, received), count[0]
+    def mul(x, y):
+        boxed[0] += 1
+        return plain_mul(x, y)
+
+    def plus(self, *products):
+        depth[0] += 1
+        try:
+            return plain_plus(self, *products)
+        finally:
+            depth[0] -= 1
+
+    def counting(name, products):
+        plain = getattr(Field, name)
+
+        def counted(field, *args):
+            if depth[0]:
+                kernel[0] += products(*args)
+            return plain(field, *args)
+        monkeypatch.setattr(Field, name, counted)
+
+    def nonzero(vec, k):
+        return (len(vec) - vec.count(zero)) if k else 0
+
+    counting("axpy", lambda acc, k, vec: nonzero(vec, k))
+    counting("scale", nonzero)
+    counting("axpy_value", lambda r, k, v: nonzero([v], k))
+    monkeypatch.setattr(FieldElement, "__mul__", mul)
+    monkeypatch.setattr(RingElement, "_plus", plus)
+    return decode(code, received), boxed[0], kernel[0]
 
 
 @pytest.fixture(scope="module")
@@ -533,33 +563,40 @@ class TestDecode:
 
     def test_field_products_pinned(self, received_q3, monkeypatch):
         # the bundled decode on a fresh code (no wrap row cached yet) makes
-        # 681 FieldElement products (1,326 before a unit multiplier in the
-        # ring kernel skipped its products; 821 before step stopped
-        # building the spoly outputs that pruning drops, and shift stopped
-        # passing zero-up pairs through the kernel); a change to the ring
-        # glue around the arithmetic keeps that count, and the products
-        # stay on __mul__
+        # 363 boxed products (the scalars: multipliers, lead coefficients,
+        # the vote) and 308 ring kernel products, 295 of entries by their
+        # product's multiplier and 13 of wrapped entries by a correction;
+        # when the ring's entries were FieldElements it made 681 boxed
+        # products, the same 295, 26 on wrapped entries (one per wrap-row
+        # term, the unit term included) and 360 scalars (1,326 before a unit
+        # multiplier in the ring kernel skipped its products; 821 before
+        # step stopped building the spoly outputs that pruning drops, and
+        # shift stopped passing zero-up pairs through the kernel)
         code = code_from_config(json.loads(
             (FIXTURES / "hermitian_q3_u16.json").read_text(encoding="utf-8")))
-        result, count = decode_counting_products(code, received_q3,
-                                                 monkeypatch)
+        result, boxed, kernel = decode_counting_products(code, received_q3,
+                                                         monkeypatch)
         assert result.status == STATUS_OK
-        assert count == 681
+        assert (boxed, kernel) == (363, 308)
 
     def test_field_products_pinned_q4(self, monkeypatch):
         # one seeded word at the full radius t=16 of Hermitian q=4, u=30 on
-        # a fresh code: the spoly combinations' f sides cost no product
-        # (12,144 before step stopped building the spoly outputs that
-        # pruning drops, and shift stopped passing zero-up pairs through
-        # the kernel)
+        # a fresh code: the spoly combinations' f sides cost no product;
+        # 2,205 boxed products and 8,461 kernel products, 7,900 of entries
+        # by their multiplier and 561 of wrapped entries by a correction
+        # (11,143 boxed products when the ring's entries were FieldElements:
+        # the same 7,900, 1,230 on wrapped entries and 2,013 scalars; 12,144
+        # before step stopped building the spoly outputs that pruning drops,
+        # and shift stopped passing zero-up pairs through the kernel)
         code = Code(Curve.hermitian(4), 30)
         rng = random.Random(4030)
         message = random_message(code, rng)
         received = add_vectors(code.encode(message),
                                random_error(code, rng, 16))
-        result, count = decode_counting_products(code, received, monkeypatch)
+        result, boxed, kernel = decode_counting_products(code, received,
+                                                         monkeypatch)
         assert result.message == message
-        assert count == 11143
+        assert (boxed, kernel) == (2205, 8461)
 
     def test_q4_guarantee_at_full_radius(self):
         # Hermitian q=4, u=30: n=64, d=34, so t=16 is the full radius

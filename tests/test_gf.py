@@ -289,7 +289,7 @@ class TestArithmetic:
 
 class TestKernel:
     """Field.axpy and Field.scale on kernel values against FieldElement
-    arithmetic."""
+    arithmetic, and the single-value methods against them."""
 
     @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (7, 1), (2, 3),
                                      (3, 2), (2, 4), (5, 2), (3, 3), (7, 2)])
@@ -306,6 +306,20 @@ class TestKernel:
                 [r + a * v for r, v in pairs]
             assert field.from_logs(field.scale(vec, k)) == \
                 [a * v for _, v in pairs]
+
+    @pytest.mark.parametrize("p,m", [(2, 2), (3, 2), (5, 2)])
+    def test_single_value_methods_match_the_list_methods(self, p, m):
+        # on every kernel value, zero_log included: zero stays zero, with no
+        # reduction mod n that would turn it into a power of a
+        field = Field(p, m)
+        n = field.order - 1
+        values = [*range(n), field.zero_log]
+        assert [field.from_log(v) for v in values] == field.from_logs(values)
+        assert field.from_log(field.zero_log) == field.zero
+        for r, k, v in itertools.product(values, range(n), values):
+            assert field.axpy_value(r, k, v) == field.axpy([r], k, [v])[0]
+        assert field.axpy_value(field.zero_log, 0, field.zero_log) == \
+            field.zero_log
 
     @pytest.mark.parametrize("order", [289, 512, 65519])
     def test_axpy_random_large_orders(self, order, request):

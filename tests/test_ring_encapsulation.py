@@ -3,9 +3,10 @@ from pathlib import Path
 
 import agcodec
 
-#: A ring element's value is _scale times its term map, so a raw read of
-#: either outside curvering.py would miss the other
-REPRESENTATION = {"_terms", "_scale"}
+#: A ring element's value is _scale times its list of kernel values, so a
+#: raw read of either outside curvering.py would miss the other; the curve's
+#: wrap corrections (Curve._wrap_fix and its cache) serve only RingElement
+REPRESENTATION = {"_terms", "_scale", "_wrap_fix", "_wrap_fixes"}
 
 
 def test_ring_representation_stays_in_curvering():
