@@ -22,9 +22,9 @@ downstream (codes, the decoder) runs on three primitives implemented here:
   every index in ``Field`` list passes (a copy or ``Field.scale`` into an
   empty region, ``Field.axpy`` over the shifted range, or entry by entry
   with ``Field.axpy_value`` for a short product), y-degrees past a folded
-  back with per-curve corrections, the reduced y^(a+r) = y^a * y^r (from
-  the curve's one stored rewrite of y^a, ``Curve._y_a``) minus its unit
-  term, and trailing zeros trimmed,
+  back entry by entry with per-curve corrections, the reduced y^(a+r) =
+  y^a * y^r (from the curve's one stored rewrite of y^a, ``Curve._y_a``)
+  minus its unit term, and trailing zeros trimmed,
 * the pole-order function ``delta`` (None for zero, which has no lead),
 * divisibility on orders: phi(r) divides phi(t) exactly when t - r is a
   nongap, with quotient phi(t - r); lcms of two orders; the one
@@ -52,10 +52,10 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 from .gf import ORDER_CAP, Field, FieldElement, _is_int, _prime_factors
 
 #: A wrap correction, as (offset, coefficient) pairs, and the value of
-#: ``Curve._wrap_fix``: each row's correction, and the rows that share each
+#: ``Curve._wrap_fix``: each row's correction, empty for a row that does not
+#: wrap
 Correction = tuple[tuple[int, FieldElement], ...]
-WrapFix = tuple[tuple[Correction, ...],
-                tuple[tuple[tuple[int, ...], Correction], ...]]
+WrapFix = tuple[Correction, ...]
 
 #: Largest supported curve weight a or b, checked before any per-weight
 #: table is built: the largest Hermitian weight the field cap admits
@@ -257,7 +257,7 @@ class Curve:
         self._y_a = RingElement(self, y_a)
         # entry jt: the wrap corrections of a product by a term of y-degree
         # jt (``_wrap_fix``), filled on first use; nothing wraps at jt = 0
-        self._wrap_fixes: list[WrapFix] = [(((),) * a, ())]
+        self._wrap_fixes: list[WrapFix] = [((),) * a]
         # the defining polynomial and its formal partials in x and y as raw
         # terms, built once for point listing and checks (``smooth_mask``)
         self._equation = {Monomial(0, a): field.one, Monomial(b, 0): d, **clean}
@@ -330,8 +330,7 @@ class Curve:
     def _wrap_fix(self, jt: int) -> WrapFix:
         """The wrap corrections of a product by a term of y-degree jt: by
         row (residue mod a) the correction of its entries, empty for a row
-        that does not wrap, and the (residues, correction) pairs of the rows
-        that share a nonempty correction.
+        that does not wrap.
 
         An entry at order u whose y-degree r = y_degrees[u % a] lies below
         jt is x^i y^(a+r), and its reduced form is the wrap row y^a * y^r at
@@ -351,13 +350,8 @@ class Curve:
                         if s < b * (a + r))
             if not unit.is_zero:
                 fix += ((0, unit),)
-            by_row, shared = fixes[-1]
             u = b * r % a  # the row of y-degree r
-            groups = {f: rows for rows, f in shared}
-            if fix:
-                groups[fix] = groups.get(fix, ()) + (u,)
-            fixes.append((by_row[:u] + (fix,) + by_row[u + 1:],
-                          tuple((rows, f) for f, rows in groups.items())))
+            fixes.append(fixes[-1][:u] + (fix,) + fixes[-1][u + 1:])
         return fixes[jt]
 
     # -- geometry -------------------------------------------------------------
@@ -533,10 +527,10 @@ class RingElement:
         # scale goes on the result's
         if len(self._terms) < len(other._terms):
             self, other = other, self
+        field = self.curve.field
         out = self.curve.zero()._plus(*(
-            (self, t, tc) for t, tc
-            in enumerate(self.curve.field.from_logs(other._terms))
-            if not tc.is_zero))
+            (self, t, field.from_log(v)) for t, v in enumerate(other._terms)
+            if v != field.zero_log))
         if out.is_zero:
             return out
         return RingElement(out.curve, out._terms, out._scale * other._scale)
@@ -555,19 +549,20 @@ class RingElement:
         (residues mod a) of y-degree below jt wrap, and the curve's
         correction of their row (``Curve._wrap_fix``) adds each of them once
         more per correction term, times its coefficient, at its offset.  The
-        path is chosen from e's length and number of nonzero entries:
+        entries go in one of three ways, chosen from where e lands and its
+        number of nonzero entries:
 
-        * into an empty region, past the end of the list, the entries are a
-          copy, or one ``Field.scale``;
-        * a short product, with fewer nonzero entries than four plus half
-          its length, goes entry by entry, one ``Field.axpy_value`` per
-          nonzero entry and per correction term of a wrapped one, as a pass
-          has a fixed cost and a cost for every entry it crosses;
-        * otherwise the entries are one ``Field.axpy`` over the shifted
-          range, and each group of rows that share a correction takes one
-          masked pass per correction term: its rows' entries, the others
-          set to zero.
+        * into an empty region, past the end of the list, as a copy, or one
+          ``Field.scale``;
+        * for a short product, with fewer than eight nonzero entries, entry
+          by entry, one ``Field.axpy_value`` per nonzero entry, as a pass
+          has a fixed cost and a cost for every entry it crosses (cut points
+          of four and sixteen decoded as fast, CHANGES.md);
+        * otherwise as one ``Field.axpy`` over the shifted range.
 
+        The corrections then go entry by entry in every case, one
+        ``Field.axpy_value`` per correction term of each nonzero entry in
+        a row that wraps, in the same loop as a short product's entries.
         Corrections land at or below their entry's order, so the list is
         extended to each product's reach, and the trailing zeros of a
         cancelled sum are trimmed once, at the end.
@@ -585,33 +580,24 @@ class RingElement:
             k, terms = m.log, e._terms
             size, have = len(terms), len(out)
             end = t + size
-            by_row, shared = curve._wrap_fix(ys[t % a])
-            copied = have <= t
-            if copied:  # into an empty region
+            jt, short = ys[t % a], False
+            if have <= t:  # into an empty region
                 out += [zero] * (t - have)
                 out += terms if m is one else field.scale(terms, k)
-            elif have < end:
-                out += [zero] * (end - have)
-            if 2 * (size - terms.count(zero)) < size + 8:
+            else:
+                if have < end:
+                    out += [zero] * (end - have)
+                short = size - terms.count(zero) < 8
+                if not short:
+                    out[t:end] = field.axpy(out[t:end], k, terms)
+            if short or jt:
+                by_row = curve._wrap_fix(jt)
                 for s, v in enumerate(terms, t):
                     if v != zero:
-                        if not copied:
+                        if short:
                             out[s] = add(out[s], k, v)
                         for off, rc in by_row[s % a]:
                             out[s + off] = add(out[s + off], (m * rc).log, v)
-                continue
-            if not copied:
-                out[t:end] = field.axpy(out[t:end], k, terms)
-            for residues, fix in shared:
-                masked = [zero] * size
-                for u in residues:
-                    masked[(u - t) % a::a] = terms[(u - t) % a::a]
-                for off, rc in fix:
-                    if end + off > 0:
-                        lo = max(0, -t - off)  # the entries below are masked
-                        out[t + off + lo:end + off] = field.axpy(
-                            out[t + off + lo:end + off], (m * rc).log,
-                            masked[lo:])
         while out and out[-1] == zero:
             out.pop()
         return RingElement(curve, out, scale if out else None)

@@ -563,29 +563,33 @@ class TestDecode:
 
     def test_field_products_pinned(self, received_q3, monkeypatch):
         # the bundled decode on a fresh code (no wrap row cached yet) makes
-        # 363 boxed products (the scalars: multipliers, lead coefficients,
-        # the vote) and 308 ring kernel products, 295 of entries by their
-        # product's multiplier and 13 of wrapped entries by a correction;
-        # when the ring's entries were FieldElements it made 681 boxed
-        # products, the same 295, 26 on wrapped entries (one per wrap-row
-        # term, the unit term included) and 360 scalars (1,326 before a unit
-        # multiplier in the ring kernel skipped its products; 821 before
-        # step stopped building the spoly outputs that pruning drops, and
-        # shift stopped passing zero-up pairs through the kernel)
+        # 374 boxed products, 361 scalars (multipliers, lead coefficients,
+        # the vote) and 13 multipliers times a correction coefficient, one
+        # per wrapped nonzero entry and correction term, and 308 ring kernel
+        # products, 295 of entries by their product's multiplier and 13 of
+        # wrapped entries by a correction; when the ring's entries were
+        # FieldElements it made 681 boxed products, the same 295, 26 on
+        # wrapped entries (one per wrap-row term, the unit term included)
+        # and 360 scalars (1,326 before a unit multiplier in the ring kernel
+        # skipped its products; 821 before step stopped building the spoly
+        # outputs that pruning drops, and shift stopped passing zero-up
+        # pairs through the kernel)
         code = code_from_config(json.loads(
             (FIXTURES / "hermitian_q3_u16.json").read_text(encoding="utf-8")))
         result, boxed, kernel = decode_counting_products(code, received_q3,
                                                          monkeypatch)
         assert result.status == STATUS_OK
-        assert (boxed, kernel) == (363, 308)
+        assert (boxed, kernel) == (374, 308)
 
     def test_field_products_pinned_q4(self, monkeypatch):
         # one seeded word at the full radius t=16 of Hermitian q=4, u=30 on
         # a fresh code: the spoly combinations' f sides cost no product;
-        # 2,205 boxed products and 8,461 kernel products, 7,900 of entries
-        # by their multiplier and 561 of wrapped entries by a correction
-        # (11,143 boxed products when the ring's entries were FieldElements:
-        # the same 7,900, 1,230 on wrapped entries and 2,013 scalars; 12,144
+        # 2,628 boxed products, 2,013 scalars and 615 multipliers times a
+        # correction coefficient (one per wrapped nonzero entry, 54 of them
+        # one), and 8,461 kernel products, 7,900 of entries by their
+        # multiplier and 561 of wrapped entries by a correction (11,143
+        # boxed products when the ring's entries were FieldElements: the
+        # same 7,900, 1,230 on wrapped entries and 2,013 scalars; 12,144
         # before step stopped building the spoly outputs that pruning drops,
         # and shift stopped passing zero-up pairs through the kernel)
         code = Code(Curve.hermitian(4), 30)
@@ -596,7 +600,7 @@ class TestDecode:
         result, boxed, kernel = decode_counting_products(code, received,
                                                          monkeypatch)
         assert result.message == message
-        assert (boxed, kernel) == (2205, 8461)
+        assert (boxed, kernel) == (2628, 8461)
 
     def test_q4_guarantee_at_full_radius(self):
         # Hermitian q=4, u=30: n=64, d=34, so t=16 is the full radius

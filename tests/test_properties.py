@@ -145,11 +145,11 @@ class TestRingProperties:
     @given(st.data())
     def test_plus_matches_products_of_items(self, data):
         # every path of the private kernel (a copy into an empty region,
-        # entry by entry for few nonzero entries, passes with masked wrap
-        # corrections otherwise) on sparse and dense operands, against
-        # schoolbook products of items() summed with boxed field sums;
-        # mk_curves draws d and the coefficients, so it draws d != -1 and
-        # wrap rows that do and do not share a correction
+        # entry by entry for few nonzero entries, one pass otherwise, and
+        # the wrap corrections after each) on sparse and dense operands,
+        # against schoolbook products of items() summed with boxed field
+        # sums; mk_curves draws d and the coefficients, so it draws d != -1
+        # and wrap rows with one and with several correction terms
         curve = data.draw(mk_curves())
         sg, zero = curve.semigroup, curve.field.zero
         nonzero = st.sampled_from(curve.field.elements()[1:])
