@@ -25,9 +25,9 @@ import sys
 import time
 from typing import Optional, Sequence
 
-from .code import (Code, VectorParseError, code_from_config,
-                   curve_from_config, format_vector, parse_vector,
-                   radius_rows, rational_points)
+from .code import (Code, VectorParseError, _checked_u, _required,
+                   code_from_config, curve_from_config, format_vector,
+                   parse_vector, radius_rows, rational_points)
 from .decoder import (STATUS_FAILED, STATUS_LOW_CONFIDENCE, GBState, Lead,
                       UP, VoteRecord, decode)
 
@@ -197,10 +197,13 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_radius(args: argparse.Namespace) -> int:
-    curve, points = curve_from_config(_load_config(args))
+    cfg = _load_config(args)
+    curve, points = curve_from_config(cfg)
     if points is None:
         points = rational_points(curve)
     rows = radius_rows(curve, points)
+    if "u" in cfg:  # the table ignores u, but a given u is checked as a code's
+        _checked_u(_required(cfg, "u"), len(points))
     lines = [RADIUS_FORMAT,
              "# rows cover nongap u < n only; gap u have no voting round",
              f"# code: n={len(points)}"]

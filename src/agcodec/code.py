@@ -383,10 +383,7 @@ class Code:
         sg = curve.semigroup
         self.points: tuple[Point, ...] = tuple(checked_points(curve, points))
         self.n = len(self.points)
-        if not (_is_int(u) and 0 < u < self.n):
-            raise ValueError(
-                f"u must be an integer with 0 < u < n = {self.n}, got {u!r}")
-        self.u = u
+        self.u = _checked_u(u, self.n)
         self.message_orders: tuple[int, ...] = sg.nongaps(u)
         self.k = len(self.message_orders)
         fibers = _fibers(self.points)
@@ -647,6 +644,15 @@ def curve_from_config(cfg: Mapping) -> tuple[Curve, Optional[list[Point]]]:
             points.append((_parse_at(curve.field, entry[0], f"points[{idx}]"),
                            _parse_at(curve.field, entry[1], f"points[{idx}]")))
     return curve, points
+
+
+def _checked_u(u, n: int) -> int:
+    """u itself when it is an integer with 0 < u < n, as a code on n points
+    needs."""
+    if not (_is_int(u) and 0 < u < n):
+        raise ValueError(
+            f"u must be an integer with 0 < u < n = {n}, got {u!r}")
+    return u
 
 
 def code_from_config(cfg: Mapping) -> Code:

@@ -137,15 +137,17 @@ class Semigroup:
         With phi(r) the one of larger y-degree, they are x^(t's i) y^(r's j)
         and x^(r's i + b) y^(t's j).
         """
-        if self.is_nongap(t - r):
+        a, b, ys = self.a, self.b, self.y_degrees
+        d = t - r  # a nongap when phi(r) divides phi(t)
+        if d >= 0 and b * ys[d % a] <= d:
             return (t,)
-        if self.is_nongap(r - t):
+        if d <= 0 and b * ys[-d % a] <= -d:
             return (r,)
-        ys = self.y_degrees
-        rise = self.b * (ys[r % self.a] - ys[t % self.a])
+        rise = b * (ys[r % a] - ys[t % a])
         if rise < 0:
             r, t, rise = t, r, -rise
-        return tuple(sorted((t + rise, r + self.a * self.b - rise)))
+        low, high = t + rise, r + a * b - rise
+        return (low, high) if low < high else (high, low)
 
     def staircase(self, lead_orders: Iterable[int]) -> tuple[int, ...]:
         """Row barriers of the footprint of the monomials of the given pole
@@ -207,17 +209,45 @@ def _prime_reduce(items: list, orders: list[int], sg: Semigroup) -> list:
     monomials given by their pole orders.
 
     Equal monomials keep the earlier item; output order follows input order.
+    The rule is by rows, as in ``Semigroup.staircase``: x^c y^k divides
+    x^i y^j when c <= i in a row k <= j, or c + b <= i in a row k > j.  So
+    an item survives exactly when it is the first item to hold the least
+    column of its row, that column is below the least column of every lower
+    row, and it is below b past the least column of every upper row: one
+    pass over the items and one over the a rows (columns are kept times a,
+    as an order minus b times its row).  A row that fails against the upper
+    rows can be left out of the lower-row test: what it divides, the row
+    that divides it divides too.
     """
     a, b, ys = sg.a, sg.b, sg.y_degrees
+    inf = math.inf
+    least = [inf] * a  # per row, a times the least column
+    first = [0] * a  # and the first item that holds it
+    n = 0
+    for r in orders:
+        j = ys[r % a]
+        i = r - b * j
+        if i < least[j]:
+            least[j] = i
+            first[j] = n
+        n += 1
+    ab = a * b
+    rows = []  # rows below b past every upper row's least column, descending
+    wrap = inf
+    for j in range(a - 1, -1, -1):
+        i = least[j]
+        if i < wrap:
+            rows.append(j)
+            if i + ab < wrap:
+                wrap = i + ab
     kept = []
-    for i, m in enumerate(orders):
-        for j, other in enumerate(orders):
-            d = m - other  # phi(other) divides phi(m): d is a nongap
-            if j != i and d >= 0 and b * ys[d % a] <= d and (d or j < i):
-                break
-        else:
-            kept.append(items[i])
-    return kept
+    low = inf  # the least column of the rows below
+    for j in reversed(rows):
+        if least[j] < low:
+            low = least[j]
+            kept.append(first[j])
+    kept.sort()
+    return [items[n] for n in kept]
 
 
 class Curve:

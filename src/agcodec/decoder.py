@@ -16,15 +16,17 @@ its upstairs cone covers; the winner is subtracted by substituting
 z -> z + w * phi_s.  The basis is then converted from weight s to s - 1 by
 the spoly combinations, followed by removal of elements whose leading term
 another element's leading term divides (within the G part and the F part
-separately).  A weight costs only what changes: the basis changes only where
-an F element's lead moves downstairs, so a weight at which none moves keeps
-both parts as they are, the combinations are pruned by the leads they are
-known to have before any is built, and a shift leaves a pair with a zero up
-part untouched.  The split is kept at every weight, so leads are read off the
-basis: a G element leads with its down part, an F element with its up
-part, and the one test left is whether an F element still leads upstairs
-at s - 1.  ``leading`` and ``Lead`` are the inspection form of a lead, for
-traces and checks.
+separately: one ``_prime_reduce`` per part, which decides by the rows of the
+leads in one pass).  A weight costs only what changes: the basis changes only
+where an F element's lead moves downstairs, so a weight at which none moves
+keeps both parts as they are, the combinations of all F elements are planned
+with the leads they are known to have and pruned together before any is
+built, and a shift leaves a pair with a zero up part untouched.  Planning
+and pruning are integer work on pole orders, with no field arithmetic.  The
+split is kept at every weight, so leads are read off the basis: a G element
+leads with its down part, an F element with its up part, and the one test
+left is whether an F element still leads upstairs at s - 1.  ``leading``
+and ``Lead`` are the inspection form of a lead, for traces and checks.
 
 The guarantee: if the error weight t satisfies 2*t < d_u (the code's
 decoding distance), every vote picks the sent coordinate.  Decoding never
@@ -38,7 +40,8 @@ import dataclasses
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .code import Code, Vector
-from .curvering import Curve, Monomial, RingElement, _prime_reduce
+from .curvering import (Curve, Monomial, RingElement, Semigroup,
+                         _prime_reduce)
 from .gf import FieldElement, canonical_key
 
 UP = "up"
@@ -199,33 +202,40 @@ def spoly(s: int, pair: ModulePair, g_part: Sequence[ModulePair]) -> list[Module
     are pole orders, read from the basis invariants: a G lead of order r =
     delta(g.down) divides mu exactly when mu - r is a nongap.
 
-    The outputs are planned (``_planned``) before they are built
-    (``_combine``), so ``step`` prunes the plans of all F elements together
-    and builds only the survivors.
+    The outputs are planned (``_planned``), pruned by their planned leads
+    (``_prime_reduce``) and built (``_combine``).  ``step`` does not call
+    this: it prunes the plans of all F elements in one call.
     """
-    return [_combine(*plan[1:]) for plan in _planned(s, pair, g_part)]
-
-
-def _planned(s: int, pair: ModulePair, g_part: Sequence[ModulePair]) -> list[tuple]:
-    """spoly's outputs before they are built, in its order: (up lead at
-    weight s - 1, pair, g, psi, lc) each, g None for the pair itself.
-
-    The lead of an lcm psi's combination is delta(pair.up) + psi - mu (see
-    ``spoly``); lc is the pair's downstairs leading coefficient."""
     if pair.up.is_zero or not _leads_up(s, pair):
         raise ValueError("spoly needs a pair leading upstairs at weight s")
-    du = pair.up.delta()
-    if _leads_up(s - 1, pair):
-        return [(du, pair, None, 0, None)]
     sg = pair.up.curve.semigroup
-    mu = pair.down.delta()
+    plans = _planned(s, pair, pair.up.delta(), pair.down.delta(),
+                     [(g, g.down.delta()) for g in g_part], sg)
+    return [_combine(*plan[1:]) for plan
+            in _prime_reduce(plans, [plan[0] for plan in plans], sg)]
+
+
+def _planned(s: int, pair: ModulePair, du: int, mu: Optional[int],
+             g_leads: Sequence[tuple[ModulePair, int]],
+             sg: Semigroup) -> list[tuple]:
+    """spoly's outputs before they are pruned and built, in its order: (up
+    lead at weight s - 1, then ``_combine``'s arguments) each, g None for
+    the pair itself.  du and mu are the leads of the pair's up and down
+    parts, g_leads the G elements with their down leads.
+
+    The lead of an lcm psi's combination is du + psi - mu (see ``spoly``).
+    Every lcm is planned: a plan that another plan of the same pair would
+    prune is pruned as well among the plans of all F elements, since
+    divisibility is transitive and the order is kept."""
+    if mu is None or du + s > mu:
+        return [(du, pair, None, None, None, 0, None)]
     lc = pair.down.leading_coefficient()
-    lcms = [(g, psi) for g in g_part for psi in sg.lcms(mu, g.down.delta())]
-    return [(du + psi - mu, pair, g, psi, lc)
-            for g, psi in _prime_reduce(lcms, [psi for _, psi in lcms], sg)]
+    return [(du + psi - mu, pair, mu, g, r, psi, lc)
+            for g, r in g_leads for psi in sg.lcms(mu, r)]
 
 
-def _combine(pair: ModulePair, g: Optional[ModulePair], psi: int,
+def _combine(pair: ModulePair, mu: Optional[int], g: Optional[ModulePair],
+             r: Optional[int], psi: int,
              lc: Optional[FieldElement]) -> ModulePair:
     """The planned spoly output: the pair itself when g is None, else
     cf * phi(psi - mu) * pair + cg * phi(psi - r) * g with both products
@@ -233,7 +243,6 @@ def _combine(pair: ModulePair, g: Optional[ModulePair], psi: int,
     if g is None:
         return pair
     curve = pair.up.curve
-    mu, r = pair.down.delta(), g.down.delta()
     qf, qg = psi - mu, psi - r
     cf = _monic(curve, qf, mu, lc)
     cg = -_monic(curve, qg, r, g.down.leading_coefficient())
@@ -260,19 +269,25 @@ def step(state: GBState) -> GBState:
     Only what changes is built.  With nothing moved the state at s - 1 has
     the same g and f tuples: both parts are already pairwise non-divisible,
     a G lead does not depend on the weight, and an F element still leading
-    upstairs keeps its lead.  Otherwise the spoly outputs are pruned by
-    their planned leads, which are the leads they would be built with, so
-    the combinations that pruning drops are never formed.
+    upstairs keeps its lead.  Otherwise each element's leads are read once,
+    the unpruned plans of all F elements (``_planned``) are pruned by one
+    ``_prime_reduce`` on their planned leads, which are the leads they would
+    be built with, and only the survivors are built.
     """
     s = state.weight
-    moved = [p for p in state.f if not _leads_up(s - 1, p)]
+    f_leads = [(p, p.up.delta(), p.down.delta()) for p in state.f]
+    # an F element leads downstairs at s - 1 when du + s - 1 < mu
+    moved = [(p, mu) for p, du, mu in f_leads
+             if mu is not None and du + s <= mu]
     if not moved:
         return GBState(s - 1, state.g, state.f, state.curve)
     sg = state.curve.semigroup
+    g_leads = [(g, g.down.delta()) for g in state.g]
     # every element of new_g leads downstairs, of new_f upstairs, at s - 1
-    new_g = [*state.g, *moved]
-    new_g = _prime_reduce(new_g, [p.down.delta() for p in new_g], sg)
-    plans = [plan for p in state.f for plan in _planned(s, p, state.g)]
+    new_g = [*g_leads, *moved]
+    new_g = _prime_reduce([g for g, _ in new_g], [r for _, r in new_g], sg)
+    plans = [plan for p, du, mu in f_leads
+             for plan in _planned(s, p, du, mu, g_leads, sg)]
     new_f = [_combine(*plan[1:]) for plan
              in _prime_reduce(plans, [plan[0] for plan in plans], sg)]
     return GBState(s - 1, tuple(new_g), tuple(new_f), state.curve)

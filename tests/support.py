@@ -205,6 +205,38 @@ def lattice_divides(sg: Semigroup, r: Monomial, t: Monomial) -> bool:
     return t.i >= r.i + sg.b
 
 
+def reference_prime_reduce(items: list, orders: Sequence[int],
+                           sg: Semigroup) -> list:
+    """The items whose pole order no other item's divides, tested pair by
+    pair: the quadratic reference for the library's rule by rows
+    (``_prime_reduce``).  Equal orders keep the earlier item; output order
+    follows input order."""
+    kept = []
+    for i, m in enumerate(orders):
+        for j, other in enumerate(orders):
+            d = m - other  # phi(other) divides phi(m): d is a nongap
+            if j != i and sg.is_nongap(d) and (d or j < i):
+                break
+        else:
+            kept.append(items[i])
+    return kept
+
+
+def reference_lcms(sg: Semigroup, r: int, t: int) -> tuple[int, ...]:
+    """The lcm orders of phi(r) and phi(t) by the written-out formula: t or
+    r when one divides the other, else, with phi(r) the one of larger
+    y-degree, x^(t's i) y^(r's j) and x^(r's i + b) y^(t's j), ascending."""
+    if sg.is_nongap(t - r):
+        return (t,)
+    if sg.is_nongap(r - t):
+        return (r,)
+    (ri, rj), (ti, tj) = sg.phi(r), sg.phi(t)
+    if rj < tj:
+        (ri, rj), (ti, tj) = (ti, tj), (ri, rj)
+    return tuple(sorted((sg.degree(Monomial(ti, rj)),
+                         sg.degree(Monomial(ri + sg.b, tj)))))
+
+
 def evaluate_raw(terms, x: FieldElement, y: FieldElement) -> FieldElement:
     """sum(c * x^i * y^j) over raw terms ((i, j), c), term by term with
     boxed field arithmetic: the reference for the library's evaluation by

@@ -146,6 +146,15 @@ class TestCodec:
             # a repeated term would overwrite the earlier one
             ({**mk, "coeffs": [[0, 0, "1"], [0, 0, "2"]]},
              "coeffs[1]: duplicate term (0, 0)"),
+            # radius checks a given u as the code does, though its table
+            # does not depend on u
+            ({"type": "hermitian", "q": 3, "u": "abc"},
+             "u: expected an integer, got 'abc'"),
+            ({"type": "hermitian", "q": 3, "u": [1]},
+             "u: expected an integer, got [1]"),
+            ({"type": "hermitian", "q": 3, "u": 1000},
+             "u must be an integer with 0 < u < n = 27, got 1000"),
+            ({**mk, "u": 0}, "u must be an integer with 0 < u < n = 6, got 0"),
         ] + [({k: v for k, v in mk.items() if k != key}, f'"{key}"')
              for key in ("a", "b", "d")]
         cfg = tmp_path / "code.json"
@@ -276,6 +285,20 @@ class TestRadius:
                     for ln in lines if not ln.startswith("#"))
         assert rows[16] == 11
         assert all(d >= 27 - u for u, d in rows.items())
+
+    def test_inline_u_checked(self, capsys):
+        # a valid u leaves the table as it is without one; an invalid one is
+        # refused with the message encode gives
+        main(["radius", "--hermitian-q", "3"])
+        table = capsys.readouterr().out
+        assert main(["radius", "--hermitian-q", "3", "--u", "16"]) == 0
+        assert capsys.readouterr().out == table
+        for u in ("-5", "0", "27"):
+            assert main(["radius", "--hermitian-q", "3", "--u", u]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == ("agcodec: error: u must be an integer "
+                                    f"with 0 < u < n = 27, got {u}\n")
 
     def test_nongap_note_in_header(self, capsys):
         main(["radius", "--hermitian-q", "3"])

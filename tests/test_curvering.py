@@ -3,11 +3,17 @@ import random
 import pytest
 
 from agcodec.code import curve_from_config, rational_points
-from agcodec.curvering import WEIGHT_CAP, Curve, Monomial, Semigroup
+from agcodec.curvering import (WEIGHT_CAP, Curve, Monomial, Semigroup,
+                               _prime_reduce)
 from agcodec.gf import Field
 
 from support import (MK_FAMILIES, gaps_below, lattice_divides, naive_reduce,
-                     random_ring_element, schoolbook_mul)
+                     random_ring_element, reference_lcms,
+                     reference_prime_reduce, schoolbook_mul)
+
+#: semigroups <a, b> the divisibility rules are checked on: Hermitian
+#: (a, a + 1) weights, and two with b more than one past a
+DIVISIBILITY_SEMIGROUPS = [(2, 3), (3, 4), (4, 5), (5, 6), (3, 7), (7, 8)]
 
 
 class TestCurveConstruction:
@@ -334,11 +340,47 @@ class TestSemigroup:
                     if divides(sg, s, c) and divides(sg, t, c):
                         assert any(divides(sg, l, c) for l in lcms)
 
+    @pytest.mark.parametrize("a, b", DIVISIBILITY_SEMIGROUPS)
+    def test_lcms_match_the_formula(self, a, b):
+        sg = Semigroup(a, b)
+        nongaps = sg.nongaps(3 * a * b - 1)
+        for r in nongaps:
+            for t in nongaps:
+                assert sg.lcms(r, t) == reference_lcms(sg, r, t)
+
     def test_non_multiples_size(self):
         for a, b in [(3, 4), (4, 5)]:
             sg = Semigroup(a, b)
             for s in sg.nongaps(40):
                 assert len(sg.non_multiples(s)) == s
+
+
+class TestPrimeReduce:
+    @pytest.mark.parametrize("a, b", DIVISIBILITY_SEMIGROUPS)
+    def test_matches_pairwise_reference(self, a, b):
+        # seeded lists of nongap orders, some drawn from a narrow window so
+        # that leads share rows and divide each other, with repeats; the
+        # items are their positions, so the earlier of equal leads shows
+        sg = Semigroup(a, b)
+        rng = random.Random(100 * a + b)
+        nongaps = sg.nongaps(3 * a * b)
+        repeats = kept = 0
+        for _ in range(400):
+            low = rng.randrange(len(nongaps))
+            pool = nongaps[low:low + rng.choice([a, 3 * a, len(nongaps)])]
+            orders = [rng.choice(pool) for _ in range(rng.randrange(13))]
+            if orders and rng.random() < 0.3:
+                orders.insert(rng.randrange(len(orders) + 1),
+                              rng.choice(orders))
+            repeats += len(set(orders)) < len(orders)
+            items = list(range(len(orders)))
+            want = reference_prime_reduce(items, orders, sg)
+            assert _prime_reduce(items, orders, sg) == want
+            kept += len(want) > 1
+        assert repeats > 50 and kept > 50
+
+    def test_empty(self):
+        assert _prime_reduce([], [], Semigroup(3, 4)) == []
 
 
 class TestFootprint:

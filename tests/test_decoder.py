@@ -9,15 +9,17 @@ from agcodec.cli import trace_lines
 from agcodec.code import (Code, code_from_config, curve_from_config,
                           format_vector, radius_rows, rational_points)
 from agcodec.curvering import Curve, Monomial, RingElement
+from agcodec import decoder
 from agcodec.decoder import (DOWN, STATUS_FAILED, STATUS_LOW_CONFIDENCE,
-                             STATUS_OK, UP, ModulePair, _prime_reduce, decode,
-                             initial_basis, leading, shift, spoly, step, vote)
+                             STATUS_OK, UP, ModulePair, decode, initial_basis,
+                             leading, shift, spoly, step, vote)
 from agcodec.gf import Field, FieldElement
 from agcodec.oracle import check_gb
 
 from conftest import FIXTURES
 from support import (MK_FAMILIES, add_vectors, lattice_divides, mk_code,
-                     random_error, random_message, tracked_decode)
+                     random_error, random_message, reference_prime_reduce,
+                     tracked_decode)
 
 
 def decode_counting_products(code, received, monkeypatch):
@@ -278,7 +280,7 @@ class TestSpoly:
                         lcms = [(g, psi) for g in state.g for psi in
                                 sg.lcms(mu.order, leading(s, g).order)]
                         want = []
-                        for g, psi in _prime_reduce(
+                        for g, psi in reference_prime_reduce(
                                 lcms, [psi for _, psi in lcms], sg):
                             qf = sg.phi(psi - mu.order)
                             qg = sg.phi(psi - leading(s, g).order)
@@ -308,35 +310,38 @@ class TestSpoly:
 def reference_step(state):
     """(g, f) at weight s - 1 written out from the public spoly: the old G
     part plus the F elements leading downstairs at s - 1, every F element's
-    spoly outputs, each part pruned by divisibility of its leads."""
+    spoly outputs, each part pruned pair by pair by divisibility of its
+    leads."""
     s, sg = state.weight, state.curve.semigroup
     new_g = [*state.g, *(p for p in state.f
                          if leading(s - 1, p).location is DOWN)]
     new_f = [out for p in state.f for out in spoly(s, p, state.g)]
-    return tuple(_prime_reduce(part, [leading(s - 1, p).order for p in part],
-                               sg) for part in (new_g, new_f))
+    return tuple(reference_prime_reduce(
+        part, [leading(s - 1, p).order for p in part], sg)
+        for part in (new_g, new_f))
 
 
 class TestStep:
     @staticmethod
     def equivalence_words(code_q3, received_q3):
         """(code, received word) pairs: the bundled q=3 decode, the pinned
-        q=4 word and a q=4 word at 4 errors (G elements with a zero up part
-        are left at the votes), and words at full radius on a curve with
-        d != -1 and on a shortened Hermitian q=4 point set."""
+        q=4 word, q=4 words at 20 errors (past the radius) and at 4 errors
+        (G elements with a zero up part are left at the votes), and words
+        at full radius on two curves with d != -1, one with a = 4, and on a
+        shortened Hermitian q=4 point set."""
         words = [(code_q3, received_q3)]
         curve = Curve.hermitian(4)
         code = Code(curve, 30)
-        for seed, t in [(4030, 16), (404, 4)]:
+        for seed, t in [(4030, 16), (4020, 20), (404, 4)]:
             rng = random.Random(seed)
             words.append((code, add_vectors(
                 code.encode(random_message(code, rng)),
                 random_error(code, rng, t))))
-        mk = mk_code("a2-gf25", 10)
-        assert mk.curve.d != -mk.field.one
+        mks = [mk_code("a2-gf25", 10), mk_code("a4-gf7", 4)]
+        assert all(mk.curve.d != -mk.field.one for mk in mks)
         points = rational_points(curve)
         random.Random(1).shuffle(points)
-        for code in [mk, Code(curve, 20, points[:48])]:
+        for code in [*mks, Code(curve, 20, points[:48])]:
             rng = random.Random(code.n)
             t = (code.decoding_distance() - 1) // 2
             words.append((code, add_vectors(
@@ -348,9 +353,13 @@ class TestStep:
         # step builds only what changes: the same pairs in the same order
         # as spoly on every F element followed by pruning, the same tuples
         # when no F element changes side, and shift passes a pair with a
-        # zero up part through as the same object
+        # zero up part through as the same object; a moved lead and a G
+        # lead that divide neither way have two lcms, one past a wrap of
+        # y^a, and these are met on the a = 4 curve with d != -1 too
         unchanged = changed = passed_through = 0
+        two_lcms = set()
         for code, v in self.equivalence_words(code_q3, received_q3):
+            sg = code.curve.semigroup
             for s, state, record, _ in tracked_decode(code, v)[1]:
                 if s < 0:
                     continue
@@ -376,7 +385,38 @@ class TestStep:
                         unchanged += 1
                     else:
                         changed += 1
+                    moved = [p.down.delta() for p in st.f
+                             if leading(s - 1, p).location is DOWN]
+                    if any(len(sg.lcms(mu, g.down.delta())) == 2
+                           for mu in moved for g in st.g):
+                        two_lcms.add((sg.a, code.n))
         assert unchanged > 0 and changed > 0 and passed_through > 0
+        assert {(3, 27), (4, 64), (4, 11)} <= two_lcms  # (4, 11): a4-gf7
+
+    def test_one_prune_per_part_at_each_moving_weight(self, code_q3,
+                                                      received_q3,
+                                                      monkeypatch):
+        # a decode prunes only in step, and only where an F element moves
+        # downstairs: one _prime_reduce call on the G part and one on the
+        # plans of all F elements together, never one per F element
+        parts = []
+        plain = decoder._prime_reduce
+
+        def counted(items, orders, sg):
+            parts.append("g" if isinstance(items[0], ModulePair) else "f")
+            return plain(items, orders, sg)
+
+        moving = []
+
+        def watch(s, state, record):
+            if s >= 0 and any(leading(s - 1, p).location is DOWN
+                              for p in state.f):
+                moving.append(s)
+
+        monkeypatch.setattr(decoder, "_prime_reduce", counted)
+        decode(code_q3, received_q3, watch)
+        assert len(moving) > 0
+        assert parts == ["g", "f"] * len(moving)
 
     def test_no_change_rounds(self, bundled_states):
         _, states = bundled_states
@@ -620,11 +660,13 @@ class TestDecode:
 
     def test_q7_guarantee_at_full_radius(self):
         # Hermitian q=7, u=150: n=343, d=193, so t=96 is the full radius;
-        # Hermitian q=8, u=200: n=512, d=312, so t=155 is; and
-        # Hermitian q=9, u=300: n=729, d=429, so t=214 is
+        # Hermitian q=8, u=200: n=512, d=312, so t=155 is;
+        # Hermitian q=9, u=300: n=729, d=429, so t=214 is; and
+        # Hermitian q=11, u=600: n=1331, d=731, so t=365 is
         for q, u, (n, k, d), words in [(7, 150, (343, 130, 193), 2),
                                        (8, 200, (512, 173, 312), 1),
-                                       (9, 300, (729, 265, 429), 1)]:
+                                       (9, 300, (729, 265, 429), 1),
+                                       (11, 600, (1331, 546, 731), 1)]:
             code = Code(Curve.hermitian(q), u)
             assert (code.n, code.k, code.decoding_distance()) == (n, k, d)
             t = (d - 1) // 2
