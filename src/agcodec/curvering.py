@@ -18,13 +18,17 @@ downstream (codes, the decoder) runs on three primitives implemented here:
   negation and scalar products are O(1) and change only the scale, and
   entries are boxed into ``FieldElement``s only when read; and one kernel
   behind every sum, difference and product, ``RingElement._plus``: self +
-  sum(c * phi(t) * e) in one list, a term product adding its order to
-  every index in ``Field`` list passes (a copy or ``Field.scale`` into an
-  empty region, ``Field.axpy`` over the shifted range, or entry by entry
-  with ``Field.axpy_value`` for a short product), y-degrees past a folded
-  back entry by entry with per-curve corrections, the reduced y^(a+r) =
-  y^a * y^r (from the curve's one stored rewrite of y^a, ``Curve._y_a``)
-  minus its unit term, and trailing zeros trimmed,
+  sum(c * phi(t) * e) in one list, a product by x^i y^j placing e's
+  multiple y^j * e shifted by a*i in ``Field`` list passes (a copy or
+  ``Field.scale`` into an empty region, ``Field.axpy`` over the shifted
+  range, or entry by entry with ``Field.axpy_value`` for a short product),
+  and trailing zeros trimmed.  The multiples y^j * e, 0 < j < a, are built
+  once per element, on first need, and kept as long as it lives
+  (``RingElement._times_y``), so the products by the etas of a ``Code``
+  reuse theirs across decodes; each is y times the one below it
+  (``RingElement._y_step``), and only there do y-degrees pass a: the row
+  x^i y^(a-1) moves to x^i y^a and takes the curve's one correction row,
+  its stored rewrite of y^a (``Curve._y_a``) minus the unit term,
 * the pole-order function ``delta`` (None for zero, which has no lead),
 * divisibility on orders: phi(r) divides phi(t) exactly when t - r is a
   nongap, with quotient phi(t - r); lcms of two orders; the one
@@ -50,12 +54,6 @@ import math
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .gf import ORDER_CAP, Field, FieldElement, _is_int, _prime_factors
-
-#: A wrap correction, as (offset, coefficient) pairs, and the value of
-#: ``Curve._wrap_fix``: each row's correction, empty for a row that does not
-#: wrap
-Correction = tuple[tuple[int, FieldElement], ...]
-WrapFix = tuple[Correction, ...]
 
 #: Largest supported curve weight a or b, checked before any per-weight
 #: table is built: the largest Hermitian weight the field cap admits
@@ -285,9 +283,15 @@ class Curve:
         for (i, j), c in clean.items():
             y_a[a * i + b * j] = (-c).log
         self._y_a = RingElement(self, y_a)
-        # entry jt: the wrap corrections of a product by a term of y-degree
-        # jt (``_wrap_fix``), filled on first use; nothing wraps at jt = 0
-        self._wrap_fixes: list[WrapFix] = [((),) * a]
+        # the correction of an entry x^i y^(a-1) moved up by b to x^i y^a
+        # (``RingElement._y_step``): the rewrite of y^a minus its unit term,
+        # as (offset, kernel value) pairs, every offset at or below 0
+        ab, zero = a * b, field.zero_log
+        self._y_a_fix = [(s - ab, v) for s, v in enumerate(y_a[:ab])
+                         if v != zero]
+        unit = -d - field.one
+        if not unit.is_zero:
+            self._y_a_fix.append((0, unit.log))
         # the defining polynomial and its formal partials in x and y as raw
         # terms, built once for point listing and checks (``smooth_mask``)
         self._equation = {Monomial(0, a): field.one, Monomial(b, 0): d, **clean}
@@ -357,33 +361,6 @@ class Curve:
 
     element = reduce
 
-    def _wrap_fix(self, jt: int) -> WrapFix:
-        """The wrap corrections of a product by a term of y-degree jt: by
-        row (residue mod a) the correction of its entries, empty for a row
-        that does not wrap.
-
-        An entry at order u whose y-degree r = y_degrees[u % a] lies below
-        jt is x^i y^(a+r), and its reduced form is the wrap row y^a * y^r at
-        orders u + offset, ending with -d at offset 0.  ``_plus`` adds every
-        entry at u as if nothing wrapped, so the correction is the wrap row
-        minus that unit term: (offset, coefficient) pairs below offset 0,
-        and -d - 1 at offset 0 unless d = -1.  Row r is the product of y^a
-        by y^r, a term of y-degree r, so it needs only the rows below r,
-        which the entries before jt hold.
-        """
-        fixes = self._wrap_fixes
-        while len(fixes) <= jt:
-            a, b, r = self.a, self.b, len(fixes) - 1
-            unit = -self.d - self.field.one
-            row = self.zero()._plus((self._y_a, b * r, self.field.one))
-            fix = tuple((s - b * (a + r), c) for s, c in row._nonzero()
-                        if s < b * (a + r))
-            if not unit.is_zero:
-                fix += ((0, unit),)
-            u = b * r % a  # the row of y-degree r
-            fixes.append(fixes[-1][:u] + (fix,) + fixes[-1][u + 1:])
-        return fixes[jt]
-
     # -- geometry -------------------------------------------------------------
 
     def equation_terms(self) -> dict[Monomial, FieldElement]:
@@ -448,28 +425,31 @@ class RingElement:
     Reduced monomials have pairwise distinct pole orders, so the index
     names the monomial: entries at gaps and at absent orders are zero, the
     last entry is nonzero, so delta is the last index, and a product by the
-    single term tc * phi(t) moves every entry s to s + t.  Entries whose
-    y-degrees wrap past a are folded back with the curve's wrap
-    corrections (``Curve._wrap_fix``).  Entries are boxed into
-    ``FieldElement``s only at the API edge: ``coefficient_at``,
-    ``leading_coefficient``, ``items``, printing and ``evaluate``, and
-    every read of a coefficient applies the scale.  ``Monomial`` appears
-    only in the inspection API (``items``, ``coefficient``,
-    ``leading_monomial``, ``leading_term``) and in printing.
+    power x^i moves every entry s to s + a*i; a product by y^j is the
+    multiple that ``_times_y`` builds once and keeps in ``_by_y``, and
+    ``_y_step``, which builds each, is the one place an entry wraps past a.
+    Entries are boxed into ``FieldElement``s only at the API edge:
+    ``coefficient_at``, ``leading_coefficient``, ``items``, printing and
+    ``evaluate``, and every read of a coefficient applies the scale.
+    ``Monomial`` appears only in the inspection API (``items``,
+    ``coefficient``, ``leading_monomial``, ``leading_term``) and in
+    printing.
 
     Instances are immutable values; arithmetic returns new elements, and
-    ``-x`` and ``x * c`` for a scalar c are O(1): they share x's list and
-    change only the scale.  The zero element is the empty list at scale
-    one and has no leading term, so no pole order: its ``delta`` is None.
+    ``-x`` and ``x * c`` for a scalar c are O(1): they share x's list, not
+    its multiples, and change only the scale.  The zero element is the
+    empty list at scale one and has no leading term, so no pole order: its
+    ``delta`` is None.
     """
 
-    __slots__ = ("curve", "_terms", "_scale")
+    __slots__ = ("curve", "_terms", "_scale", "_by_y")
 
     def __init__(self, curve: Curve, terms: list[int],
                  scale: FieldElement | None = None) -> None:
         self.curve = curve
         self._terms = terms
         self._scale = curve.field.one if scale is None else scale
+        self._by_y: dict[int, RingElement] | None = None
 
     def _values(self) -> list[int]:
         """The kernel values by pole order, scale applied."""
@@ -572,15 +552,12 @@ class RingElement:
 
         The result takes self's scale, or the first product's tc * e's scale
         when self is zero.  A product's multiplier m is tc * (e's scale) /
-        (that scale), a boxed scalar, as is m times each correction
-        coefficient; a multiplier that is the scale itself is one, kernel
-        value 0.  Entry s of e goes to s + t as if no y-degree wrapped past
-        a.  For a term t of y-degree jt > 0, the entries in the rows
-        (residues mod a) of y-degree below jt wrap, and the curve's
-        correction of their row (``Curve._wrap_fix``) adds each of them once
-        more per correction term, times its coefficient, at its offset.  The
-        entries go in one of three ways, chosen from where e lands and its
-        number of nonzero entries:
+        (that scale), a boxed scalar; a multiplier that is the scale itself
+        is one, kernel value 0.  A term phi(t) = x^i y^jt is x^i times y^jt,
+        so the product places e's cached multiple y^jt * e (``_times_y``)
+        at x^i, and a product by a power of x moves entry s to s + a*i with
+        no y-degree past a.  The entries go in one of three ways, chosen
+        from where they land and their number of nonzero entries:
 
         * into an empty region, past the end of the list, as a copy, or one
           ``Field.scale``;
@@ -590,12 +567,8 @@ class RingElement:
           of four and sixteen decoded as fast, CHANGES.md);
         * otherwise as one ``Field.axpy`` over the shifted range.
 
-        The corrections then go entry by entry in every case, one
-        ``Field.axpy_value`` per correction term of each nonzero entry in
-        a row that wraps, in the same loop as a short product's entries.
-        Corrections land at or below their entry's order, so the list is
-        extended to each product's reach, and the trailing zeros of a
-        cancelled sum are trimmed once, at the end.
+        The list is extended to each product's reach, and the trailing zeros
+        of a cancelled sum are trimmed once, at the end.
         """
         curve = self.curve
         field, a, ys = curve.field, curve.a, curve.semigroup.y_degrees
@@ -607,30 +580,57 @@ class RingElement:
             if scale is None:
                 scale = m
             m = one if m is scale else m * scale.inverse()
+            jt = ys[t % a]
+            if jt:
+                e, t = e._times_y(jt), t - curve.b * jt
             k, terms = m.log, e._terms
             size, have = len(terms), len(out)
             end = t + size
-            jt, short = ys[t % a], False
             if have <= t:  # into an empty region
                 out += [zero] * (t - have)
                 out += terms if m is one else field.scale(terms, k)
-            else:
-                if have < end:
-                    out += [zero] * (end - have)
-                short = size - terms.count(zero) < 8
-                if not short:
-                    out[t:end] = field.axpy(out[t:end], k, terms)
-            if short or jt:
-                by_row = curve._wrap_fix(jt)
+                continue
+            if have < end:
+                out += [zero] * (end - have)
+            if size - terms.count(zero) < 8:
                 for s, v in enumerate(terms, t):
                     if v != zero:
-                        if short:
-                            out[s] = add(out[s], k, v)
-                        for off, rc in by_row[s % a]:
-                            out[s + off] = add(out[s + off], (m * rc).log, v)
+                        out[s] = add(out[s], k, v)
+            else:
+                out[t:end] = field.axpy(out[t:end], k, terms)
         while out and out[-1] == zero:
             out.pop()
         return RingElement(curve, out, scale if out else None)
+
+    def _times_y(self, j: int) -> "RingElement":
+        """y^j * self for 0 < j < a, at self's scale: built on first need
+        from y^(j-1) * self by ``_y_step`` and kept in ``_by_y`` as long as
+        self.  Keyed by j, the cache holds no self, so makes no cycle, and
+        threads that race for a multiple may build it twice, never wrong."""
+        by_y = self._by_y
+        if by_y is None:
+            by_y = self._by_y = {}
+        out = by_y.get(j)
+        if out is None:
+            out = by_y[j] = (self._times_y(j - 1) if j > 1
+                             else self)._y_step()
+        return out
+
+    def _y_step(self) -> "RingElement":
+        """y * self, at self's scale: every entry moves up by b, and the row
+        of y-degree a - 1, now x^i y^a, takes the curve's correction row
+        (``Curve._y_a_fix``) in one strided ``Field.axpy`` per term, from
+        the row's first nongap b(a - 1), so none lands below 0.  The unit
+        term turns a lead x^i y^a into -d x^(i+b), so it stays nonzero."""
+        curve = self.curve
+        a, b, terms = curve.a, curve.b, self._terms
+        out = [curve.field.zero_log] * b + terms
+        row = terms[b * (a - 1)::a]
+        for off, k in curve._y_a_fix:
+            lo = a * b + off
+            hi = lo + a * len(row)
+            out[lo:hi:a] = curve.field.axpy(out[lo:hi:a], k, row)
+        return RingElement(curve, out, self._scale)
 
     def __rmul__(self, other: FieldElement) -> "RingElement":
         if isinstance(other, FieldElement):

@@ -34,10 +34,27 @@ MK_FAMILIES = {
 }
 
 
+#: Large Miura-Kamiya curves over GF(16), kept apart from MK_FAMILIES, whose
+#: small codes the decode sweep digest covers.
+LARGE_MK_FAMILIES = {
+    # y^4 + y + a^5 x^5 = 0: the Hermitian curve twisted to d = a^5 in
+    # GF(4), so d != -1 and a wrap past y^4 keeps a unit term; 64 points
+    "twisted-hermitian-gf16": {"type": "mk", "field": {"p": 2, "m": 4},
+                               "a": 4, "b": 5, "d": "a^5",
+                               "coeffs": [[0, 1, "1"]]},
+    # y^8 + y^4 + y^2 + y + x^15 = 0: the norm-trace curve, three y-terms
+    # in the rewrite of y^8; 128 points
+    "norm-trace-gf16": {"type": "mk", "field": {"p": 2, "m": 4}, "a": 8,
+                        "b": 15, "d": "1",
+                        "coeffs": [[0, 4, "1"], [0, 2, "1"], [0, 1, "1"]]},
+}
+
+
 def mk_code(family: str, u: int, shortened: bool = False) -> Code:
-    """The code C_u of an MK_FAMILIES curve on all its rational points, or
-    on a seeded shuffle of them with a quarter dropped."""
-    curve, _ = curve_from_config(MK_FAMILIES[family])
+    """The code C_u of an MK_FAMILIES or LARGE_MK_FAMILIES curve on all its
+    rational points, or on a seeded shuffle of them with a quarter
+    dropped."""
+    curve, _ = curve_from_config((MK_FAMILIES | LARGE_MK_FAMILIES)[family])
     points = rational_points(curve)
     if shortened:
         random.Random(1).shuffle(points)

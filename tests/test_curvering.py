@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 
 import pytest
 
@@ -223,6 +225,37 @@ class TestRingArithmetic:
                                          curve.monomial(*t))
                 assert product.leading_coefficient() == \
                     curve.lead_factor(sg.degree(r), sg.degree(t))
+
+    def test_threads_racing_for_a_multiple_keep_one_value(self):
+        # an element builds each multiple y^j * e on first need and keeps
+        # it, and decodes in threads share a code's etas: threads that race
+        # to build a multiple may each build it, but must all get y^j * e
+        curve = Curve.hermitian(4)
+        rng = random.Random(44)
+        raw = {(i, j): curve.field.elements()[rng.randrange(1, 16)]
+               for i in range(300) for j in range(4)}
+        want = [curve.element(raw) * curve.monomial(0, j) for j in (1, 2, 3)]
+        shared = curve.element(raw)
+        orders = [(3, 1, 2), (1, 2, 3), (2, 3, 1)] * 3
+        got = [[] for _ in orders]
+        start = threading.Barrier(len(got))
+
+        def work(out, degrees):
+            start.wait(timeout=60)
+            out.extend(shared * curve.monomial(0, j) for j in degrees)
+        threads = [threading.Thread(target=work, args=args)
+                   for args in zip(got, orders)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == [[want[j - 1] for j in degrees] for degrees in orders]
 
     def test_mixed_curves_rejected(self, curve_q3):
         other = Curve.hermitian(2)

@@ -602,36 +602,41 @@ class TestDecode:
                 assert decode(code, received).message == message
 
     def test_field_products_pinned(self, received_q3, monkeypatch):
-        # the bundled decode on a fresh code (no wrap row cached yet) makes
-        # 374 boxed products, 361 scalars (multipliers, lead coefficients,
-        # the vote) and 13 multipliers times a correction coefficient, one
-        # per wrapped nonzero entry and correction term, and 308 ring kernel
-        # products, 295 of entries by their product's multiplier and 13 of
-        # wrapped entries by a correction; when the ring's entries were
-        # FieldElements it made 681 boxed products, the same 295, 26 on
-        # wrapped entries (one per wrap-row term, the unit term included)
-        # and 360 scalars (1,326 before a unit multiplier in the ring kernel
-        # skipped its products; 821 before step stopped building the spoly
-        # outputs that pruning drops, and shift stopped passing zero-up
-        # pairs through the kernel)
+        # the bundled decode on a fresh code makes 359 boxed products, all
+        # scalars (multipliers, lead coefficients, the vote), and 308 ring
+        # kernel products, 295 of entries by their product's multiplier and
+        # 13 of the row x^i y^2 by the curve's one correction term, in the
+        # 8 multiples y^j * e that products build once per element; the 13
+        # boxed multiplier-times-correction products of per-product wrap
+        # corrections are gone, and so are 2 scalars, the products of the
+        # wrap rows a fresh curve built through _plus (374 boxed before;
+        # 681 when the ring's entries were FieldElements, the same 295, 26
+        # on wrapped entries and 360 scalars; 1,326 before a unit
+        # multiplier in the ring kernel skipped its products; 821 before
+        # step stopped building the spoly outputs that pruning drops, and
+        # shift stopped passing zero-up pairs through the kernel)
         code = code_from_config(json.loads(
             (FIXTURES / "hermitian_q3_u16.json").read_text(encoding="utf-8")))
         result, boxed, kernel = decode_counting_products(code, received_q3,
                                                          monkeypatch)
         assert result.status == STATUS_OK
-        assert (boxed, kernel) == (374, 308)
+        assert (boxed, kernel) == (359, 308)
 
     def test_field_products_pinned_q4(self, monkeypatch):
         # one seeded word at the full radius t=16 of Hermitian q=4, u=30 on
         # a fresh code: the spoly combinations' f sides cost no product;
-        # 2,628 boxed products, 2,013 scalars and 615 multipliers times a
-        # correction coefficient (one per wrapped nonzero entry, 54 of them
-        # one), and 8,461 kernel products, 7,900 of entries by their
-        # multiplier and 561 of wrapped entries by a correction (11,143
-        # boxed products when the ring's entries were FieldElements: the
-        # same 7,900, 1,230 on wrapped entries and 2,013 scalars; 12,144
-        # before step stopped building the spoly outputs that pruning drops,
-        # and shift stopped passing zero-up pairs through the kernel)
+        # 2,010 boxed products, all scalars, and 8,201 kernel products, all
+        # of entries by their multiplier; the 40 multiples y^j * e built
+        # once per element cost none, as the curve's one correction term
+        # is one in characteristic 2.  Against 2,628 and 8,461 before: the
+        # 615 boxed multiplier-times-correction products are gone, and so
+        # are 3 scalars, the products of the wrap rows a fresh curve built
+        # through _plus; a multiple holds its corrections as entries, so
+        # placing it makes what were 7,900 products of entries and 561 of
+        # corrections per product (11,143 boxed products when the
+        # ring's entries were FieldElements; 12,144 before step stopped
+        # building the spoly outputs that pruning drops, and shift stopped
+        # passing zero-up pairs through the kernel)
         code = Code(Curve.hermitian(4), 30)
         rng = random.Random(4030)
         message = random_message(code, rng)
@@ -640,7 +645,7 @@ class TestDecode:
         result, boxed, kernel = decode_counting_products(code, received,
                                                          monkeypatch)
         assert result.message == message
-        assert (boxed, kernel) == (2628, 8461)
+        assert (boxed, kernel) == (2010, 8201)
 
     def test_q4_guarantee_at_full_radius(self):
         # Hermitian q=4, u=30: n=64, d=34, so t=16 is the full radius
@@ -679,6 +684,33 @@ class TestDecode:
                 assert result.message == message
                 assert result.status == STATUS_OK
                 assert result.distance == t
+
+
+class TestLargeFamilies:
+    """2t < d_u brings the sent message back on large non-Hermitian codes:
+    a Hermitian curve twisted to d != -1 (n = 64) and a norm-trace curve
+    whose rewrite of y^a has three y-terms (n = 128)."""
+
+    # (family, u, n): u = 11 is a gap of <4, 5> and u = 89 one of <8, 15>
+    CASES = [("twisted-hermitian-gf16", 11, 64),
+             ("twisted-hermitian-gf16", 32, 64),
+             ("norm-trace-gf16", 64, 128), ("norm-trace-gf16", 89, 128)]
+
+    @pytest.mark.parametrize("shortened", [False, True])
+    @pytest.mark.parametrize("family,u,n", CASES)
+    def test_guarantee_at_full_radius(self, family, u, n, shortened):
+        code = mk_code(family, u, shortened)
+        assert code.n == (n - n // 4 if shortened else n)
+        t = (code.decoding_distance() - 1) // 2
+        rng = random.Random(code.n + u)
+        for _ in range(5):
+            message = random_message(code, rng)
+            received = add_vectors(code.encode(message),
+                                   random_error(code, rng, t))
+            result = decode(code, received)
+            assert result.message == message
+            assert result.status == STATUS_OK
+            assert result.distance == t
 
 
 class TestGuaranteeAcrossFamilies:

@@ -178,6 +178,46 @@ class TestRingProperties:
         assert not got._terms or got._terms[-1] != curve.field.zero_log
 
     @PROPERTY
+    @given(st.data())
+    def test_products_place_cached_multiples(self, data):
+        # one element times terms of every y-degree, each y-degree more
+        # than once and every term twice, so most products find the
+        # multiple y^j * e built (RingElement._y_step) by an earlier one;
+        # also through the -x and x * c views that share its list; against
+        # schoolbook products, with mk_curves drawing d != -1 and rewrites
+        # of y^a with several terms.  Each element builds its a - 1
+        # multiples once: a later product at the same y-degree builds none
+        curve = data.draw(mk_curves())
+        sg, a, b = curve.semigroup, curve.a, curve.b
+        nonzero = st.sampled_from(curve.field.elements()[1:])
+        x = curve.element({sg.phi(s): c for s, c in data.draw(
+            st.dictionaries(st.sampled_from(sg.nongaps(3 * a * b)), nonzero,
+                            min_size=1, max_size=12)).items()})
+        items = dict(x.items())
+        views = [x, -x, x * data.draw(nonzero)]
+        terms = [(a * data.draw(st.integers(0, 3)) + b * j, data.draw(nonzero))
+                 for j in range(a) for _ in range(2)]
+        wants = [[dict(schoolbook_mul(view, curve.monomial(*sg.phi(t), tc)
+                                      ).items()) for t, tc in terms]
+                 for view in views]
+        built = []
+        y_step = RingElement._y_step
+
+        def counted(self):
+            built.append(self)
+            return y_step(self)
+        RingElement._y_step = counted
+        try:
+            for view, want in zip(views, wants):
+                for _ in range(2):
+                    assert [dict(curve.zero()._plus((view, t, tc)).items())
+                            for t, tc in terms] == want
+        finally:
+            RingElement._y_step = y_step
+        assert len(built) == len(views) * (a - 1)
+        assert dict(x.items()) == items
+
+    @PROPERTY
     @given(curve_and_elements(2))
     def test_delta_is_additive(self, case):
         _, (f, g) = case

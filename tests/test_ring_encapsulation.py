@@ -4,9 +4,11 @@ from pathlib import Path
 import agcodec
 
 #: A ring element's value is _scale times its list of kernel values, so a
-#: raw read of either outside curvering.py would miss the other; the curve's
-#: wrap corrections (Curve._wrap_fix and its cache) serve only RingElement
-REPRESENTATION = {"_terms", "_scale", "_wrap_fix", "_wrap_fixes"}
+#: raw read of either outside curvering.py would miss the other; an
+#: element's cached multiples y^j * e (RingElement._by_y) and the curve's
+#: correction row they are built with (Curve._y_a_fix) serve only
+#: RingElement
+REPRESENTATION = {"_terms", "_scale", "_by_y", "_y_a_fix"}
 
 
 def test_ring_representation_stays_in_curvering():
