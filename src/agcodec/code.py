@@ -158,8 +158,8 @@ def _times_x_minus(field: Field, g: list[int], neg_x: int,
 
 
 def _fibers(points: Sequence[Point]) -> dict[FieldElement, dict[FieldElement, int]]:
-    """The points grouped by x-value: x0 -> {y0: index of (x0, y0)}, both
-    in first-seen order; a repeated point keeps its last index."""
+    """The distinct points (``checked_points``) grouped by x-value:
+    x0 -> {y0: index of (x0, y0)}, both in first-seen order."""
     fibers: dict[FieldElement, dict[FieldElement, int]] = {}
     for c, (px, py) in enumerate(points):
         fibers.setdefault(px, {})[py] = c
@@ -169,7 +169,8 @@ def _fibers(points: Sequence[Point]) -> dict[FieldElement, dict[FieldElement, in
 def _ideal_generators(curve: Curve, points: Sequence[Point],
                       fibers: Mapping[FieldElement, Mapping[FieldElement, int]]
                       ) -> tuple[list[list[int]], list[int]]:
-    """The reduced F[x]-basis of the ideal of the points, and its leads.
+    """The reduced F[x]-basis of the ideal of the distinct points
+    (``checked_points``) and its leads.
 
     R is free over F[x] with basis 1, y, ..., y^(a-1), and so is the ideal:
     generator j is a list of kernel values indexed by pole order that ends
@@ -183,6 +184,7 @@ def _ideal_generators(curve: Curve, points: Sequence[Point],
     come: at point P the generator g* of least lead that does not vanish at
     P is eliminated from the others, which keeps their leads, and is then
     multiplied by (x - x_P), which raises its lead by x and keeps it monic.
+    Some generator does not vanish at P, as P repeats no earlier point.
     With no full fiber, V = 1 and the update runs over every point.  After
     the last point each generator is reduced by those of smaller lead, in
     increasing lead order, so every term but its lead lies in the
@@ -211,8 +213,6 @@ def _ideal_generators(curve: Curve, points: Sequence[Point],
     for p in reversed(range(len(rest))):  # last first: pop() drops P
         at_p = [vals.pop() for vals in values]
         live = [j for j in range(a) if at_p[j] != zero]
-        if not live:  # the ideal so far vanishes at P: P came before
-            raise ValueError(f"duplicate point {rest[p]}")
         star = min(live, key=leads.__getitem__)
         g = gens[star]
         for j in live:

@@ -10,23 +10,26 @@ reduced Groebner basis of the interpolation module splits into
 
 Decoding starts from {eta_i} plus z - h_v (h_v interpolating v) at weight
 N = delta(h_v) and walks the weight down to 0.  At each nongap weight
-s <= u it tallies votes for the message coordinate w_s: every F element
-nominates one field value, weighted by how much of the downstairs footprint
-its upstairs cone covers; the winner is subtracted by substituting
-z -> z + w * phi_s.  The basis is then converted from weight s to s - 1 by
-the spoly combinations, followed by removal of elements whose leading term
-another element's leading term divides (within the G part and the F part
-separately: one ``_prime_reduce`` per part, which decides by the rows of the
-leads in one pass).  A weight costs only what changes: the basis changes only
-where an F element's lead moves downstairs, so a weight at which none moves
-keeps both parts as they are, the combinations of all F elements are planned
-with the leads they are known to have and pruned together before any is
-built, and a shift leaves a pair with a zero up part untouched.  Planning
-and pruning are integer work on pole orders, with no field arithmetic.  The
-split is kept at every weight, so leads are read off the basis: a G element
-leads with its down part, an F element with its up part, and the one test
-left is whether an F element still leads upstairs at s - 1.  ``leading``
-and ``Lead`` are the inspection form of a lead, for traces and checks.
+s <= u ``vote`` tallies votes for the message coordinate w_s: every F
+element nominates one field value, weighted by how much of the downstairs
+footprint its upstairs cone covers; the winner is subtracted by
+substituting z -> z + w * phi_s (``shift``).  ``step`` then converts the
+basis from weight s to s - 1 (``spoly`` is ``step`` on a one-element F
+part): the combinations (``_planned``, ``_combine``; ``_monic`` scales a
+lead to one there and in a nomination), then removal of elements whose
+leading term another element's leading term divides (within the G part and
+the F part separately: one ``_prime_reduce`` per part, which decides by the
+rows of the leads in one pass).  A weight costs only what changes: the
+basis changes only where an F element's lead moves downstairs, so a weight
+at which none moves keeps both parts as they are, the combinations of all F
+elements are planned with the leads they are known to have and pruned
+together before any is built, and a shift leaves a pair with a zero up part
+untouched.  Planning and pruning are integer work on pole orders, with no
+field arithmetic.  The split is kept at every weight, so leads are read off
+the basis: a G element leads with its down part, an F element with its up
+part, and the one test left is whether an F element still leads upstairs at
+s - 1.  ``leading`` and ``Lead`` are the inspection form of a lead, for
+traces and checks.
 
 The guarantee: if the error weight t satisfies 2*t < d_u (the code's
 decoding distance), every vote picks the sent coordinate.  Decoding never
@@ -157,8 +160,7 @@ def vote(code: Code, s: int, state: GBState) -> VoteRecord:
         du = pair.up.delta()
         target = du + s  # pole order of the leading monomial of up * phi_s
         d = pair.down.coefficient_at(target)
-        lc = pair.up.leading_coefficient() * curve.lead_factor(du, s)
-        w_j = -(d / lc)
+        w_j = -(d * _monic(curve, s, du, pair.up.leading_coefficient()))
         nominations.setdefault(w_j, []).append(target)
 
     # a candidate weighs the part of the G footprint its targets' cones cover
@@ -188,45 +190,40 @@ def shift(state: GBState, w: FieldElement, s: int) -> GBState:
 
 
 def spoly(s: int, pair: ModulePair, g_part: Sequence[ModulePair]) -> list[ModulePair]:
-    """Combinations converting one F element from weight s to weight s - 1.
+    """Combinations converting one F element from weight s to weight s - 1:
+    ``step`` on a one-element F part, whose new F part is returned.
 
-    Two cases on the weight-(s-1) leading term of the pair: still upstairs
-    -> the pair itself; downstairs at order mu -> one elimination per
-    minimal lcm of mu with the G leading monomials (a single one, against
-    the first such G, when G leads divide mu: mu is then the one minimal
-    lcm).  Every output leads upstairs at weight s - 1: an lcm psi's
-    combination leads with pair.up times psi / mu, as the G side's up part
-    is strictly lower.  Divisibility of monomials depends only on their
-    difference of pole order, so the outputs whose lead no other output's
-    divides are those of the minimal lcms, and only those are built.  Leads
-    are pole orders, read from the basis invariants: a G lead of order r =
-    delta(g.down) divides mu exactly when mu - r is a nongap.
-
-    The outputs are planned (``_planned``), pruned by their planned leads
-    (``_prime_reduce``) and built (``_combine``).  ``step`` does not call
-    this: it prunes the plans of all F elements in one call.
+    The pair must lead upstairs at weight s; the combinations are those
+    ``_planned`` describes, pruned to the minimal leads.
     """
     if pair.up.is_zero or not _leads_up(s, pair):
         raise ValueError("spoly needs a pair leading upstairs at weight s")
-    sg = pair.up.curve.semigroup
-    plans = _planned(s, pair, pair.up.delta(), pair.down.delta(),
-                     [(g, g.down.delta()) for g in g_part], sg)
-    return [_combine(*plan[1:]) for plan
-            in _prime_reduce(plans, [plan[0] for plan in plans], sg)]
+    return list(step(GBState(s, tuple(g_part), (pair,), pair.up.curve)).f)
 
 
 def _planned(s: int, pair: ModulePair, du: int, mu: Optional[int],
              g_leads: Sequence[tuple[ModulePair, int]],
              sg: Semigroup) -> list[tuple]:
-    """spoly's outputs before they are pruned and built, in its order: (up
-    lead at weight s - 1, then ``_combine``'s arguments) each, g None for
-    the pair itself.  du and mu are the leads of the pair's up and down
-    parts, g_leads the G elements with their down leads.
+    """The combinations converting one F element from weight s to s - 1,
+    before they are pruned and built: (up lead at weight s - 1, then
+    ``_combine``'s arguments) each, g None for the pair itself.  du and mu
+    are the leads of the pair's up and down parts, g_leads the G elements
+    with their down leads.
 
-    The lead of an lcm psi's combination is du + psi - mu (see ``spoly``).
-    Every lcm is planned: a plan that another plan of the same pair would
-    prune is pruned as well among the plans of all F elements, since
-    divisibility is transitive and the order is kept."""
+    Two cases on the weight-(s-1) leading term of the pair: still upstairs
+    -> the pair itself; downstairs at order mu -> one elimination per lcm
+    psi of mu with a G lead r.  Every combination leads upstairs at weight
+    s - 1, at du + psi - mu (pair.up times psi / mu), as the G side's up
+    part is strictly lower.  Leads are pole orders, read from the basis
+    invariants: a G lead of order r = delta(g.down) divides mu exactly when
+    mu - r is a nongap, and then mu is the one minimal lcm.  Divisibility
+    of monomials depends only on their difference of pole order, so the
+    combinations whose lead no other one divides are those of the minimal
+    lcms (against the first G for an equal psi), and pruning the plans by
+    their planned leads (``_prime_reduce``) keeps exactly those.  Every lcm
+    is planned: a plan that another plan of the same pair would prune is
+    pruned as well among the plans of all F elements, since divisibility is
+    transitive and the order is kept."""
     if mu is None or du + s > mu:
         return [(du, pair, None, None, None, 0, None)]
     lc = pair.down.leading_coefficient()
@@ -237,7 +234,7 @@ def _planned(s: int, pair: ModulePair, du: int, mu: Optional[int],
 def _combine(pair: ModulePair, mu: Optional[int], g: Optional[ModulePair],
              r: Optional[int], psi: int,
              lc: Optional[FieldElement]) -> ModulePair:
-    """The planned spoly output: the pair itself when g is None, else
+    """A planned combination: the pair itself when g is None, else
     cf * phi(psi - mu) * pair + cg * phi(psi - r) * g with both products
     monic at psi (mu, r the downstairs leads, lc the pair's coefficient)."""
     if g is None:
@@ -261,18 +258,19 @@ def step(state: GBState) -> GBState:
     """Convert a basis at weight s into the reduced basis at weight s - 1.
 
     The new G part is the old one plus the F elements that lead downstairs
-    at weight s - 1 (``moved``); the new F part collects the spoly outputs;
-    both parts are then pruned by divisibility of leading terms within the
-    part, which drops every moved F element whose lead falls outside the
-    old G footprint (an equal lead keeps the old G element).
+    at weight s - 1 (``moved``); the new F part collects every F element's
+    combinations (``_planned``); both parts are then pruned by divisibility
+    of leading terms within the part, which drops every moved F element
+    whose lead falls outside the old G footprint (an equal lead keeps the
+    old G element).
 
     Only what changes is built.  With nothing moved the state at s - 1 has
     the same g and f tuples: both parts are already pairwise non-divisible,
     a G lead does not depend on the weight, and an F element still leading
     upstairs keeps its lead.  Otherwise each element's leads are read once,
-    the unpruned plans of all F elements (``_planned``) are pruned by one
-    ``_prime_reduce`` on their planned leads, which are the leads they would
-    be built with, and only the survivors are built.
+    the plans of all F elements are pruned by one ``_prime_reduce`` on their
+    planned leads, which are the leads they would be built with, and only
+    the survivors are built (``_combine``).
     """
     s = state.weight
     f_leads = [(p, p.up.delta(), p.down.delta()) for p in state.f]
@@ -311,13 +309,11 @@ def decode(code: Code, v: Sequence[FieldElement],
     field = code.field
     state = initial_basis(code, v)
     votes: list[VoteRecord] = []
-    chosen: dict[int, FieldElement] = {}
     for s in range(state.weight, -1, -1):
         record = None
         if s <= code.u and sg.is_nongap(s):
             record = vote(code, s, state)
             votes.append(record)
-            chosen[s] = record.chosen
         if watch is not None:
             watch(s, state, record)
         shifted = shift(state, record.chosen, s) if record is not None else state
@@ -325,6 +321,7 @@ def decode(code: Code, v: Sequence[FieldElement],
     if watch is not None:
         watch(-1, state, None)
 
+    chosen = {r.s: r.chosen for r in votes}
     message = tuple(chosen.get(s, field.zero) for s in code.message_orders)
     distance = hamming_distance(code.encode(message), v)
     if distance > (code.decoding_distance() - 1) // 2:

@@ -47,6 +47,11 @@ LARGE_MK_FAMILIES = {
     "norm-trace-gf16": {"type": "mk", "field": {"p": 2, "m": 4}, "a": 8,
                         "b": 15, "d": "1",
                         "coeffs": [[0, 4, "1"], [0, 2, "1"], [0, 1, "1"]]},
+    # y^4 + y^2 + y + x^7 = 0: the norm-trace curve over GF(8), two y-terms
+    # in the rewrite of y^4; 32 points, few enough messages at small u to
+    # find the minimum weight by brute force
+    "norm-trace-gf8": {"type": "mk", "field": {"p": 2, "m": 3}, "a": 4,
+                       "b": 7, "d": "1", "coeffs": [[0, 2, "1"], [0, 1, "1"]]},
 }
 
 

@@ -351,6 +351,20 @@ class TestSimulate:
         assert rc == 1
         capsys.readouterr()
 
+    def test_counts_failures_beyond_the_radius(self, capsys):
+        # weight 6 is past t = 5 on Hermitian q=3, u=16: most trials fail,
+        # and a failed trial still exits 0
+        rc = main(["simulate", "--hermitian-q", "3", "--u", "16",
+                   "--trials", "40", "--weight", "6", "--seed", "7"])
+        assert rc == 0
+        assert "successes=3 failures=37 low_confidence=0" in \
+            capsys.readouterr().out
+
+    def test_zero_trials_exit_1(self, capsys):
+        rc = main(["simulate", *CODE_ARGS, "--trials", "0", "--weight", "1"])
+        assert rc == 1
+        assert "trials must be >= 1" in capsys.readouterr().err
+
 
 class TestSharedParser:
     def test_calls_in_sequence_match_fresh_calls(self, tmp_path, capsys):

@@ -282,6 +282,12 @@ class TestEncoding:
         with pytest.raises(ValueError):
             code_q3.encode([code_q3.field.zero] * 3)
 
+    def test_refuses_entry_from_another_field(self, code_q3):
+        message = [Field(3).one] + [code_q3.field.zero] * (code_q3.k - 1)
+        with pytest.raises(ValueError,
+                           match="message entry from a different field"):
+            code_q3.encode(message)
+
     @pytest.mark.parametrize("u", [True, 2.5, "3"])
     def test_u_must_be_an_integer(self, code_q2, u):
         with pytest.raises(ValueError, match="u must be an integer"):
@@ -342,25 +348,28 @@ class TestIdealBasis:
         assert {e.leading_monomial() for e in etas} == \
             {Monomial(1, 0), Monomial(0, 1)}
 
+    def test_empty_point_set(self, curve_q3):
+        # no point: the ideal is all of R, with an empty footprint and table
+        assert points_ideal_basis(curve_q3, []) == ((curve_q3.one(),), (), [])
+        assert radius_rows(curve_q3, []) == []
+        with pytest.raises(ValueError, match=re.escape(
+                "u must be an integer with 0 < u < n = 0, got 1")):
+            Code(curve_q3, 1, [])
+
     def test_rejects_repeated_point(self, curve_q3):
         pts = rational_points(curve_q3)[:3]
         pts.append(pts[1])
         with pytest.raises(ValueError, match="duplicate point"):
             points_ideal_basis(curve_q3, pts)
-        # the update's own check, behind checked_points
-        with pytest.raises(ValueError, match="duplicate point"):
-            _ideal_generators(curve_q3, pts, _fibers(pts))
 
     def test_repeat_in_full_fiber_is_duplicate(self, curve_q3):
-        # every fiber of the 27 points is full, so the repeat is the only
-        # point the update sees, and the seed already vanishes there
+        # every fiber of the 27 points is full, and the repeat adds no
+        # y-value to its fiber, so only checked_points sees it
         pts = rational_points(curve_q3)
         assert all(len(fiber) == 3 for fiber in _fibers(pts).values())
         pts.append(pts[4])
         with pytest.raises(ValueError, match="duplicate point"):
             points_ideal_basis(curve_q3, pts)
-        with pytest.raises(ValueError, match="duplicate point"):
-            _ideal_generators(curve_q3, pts, _fibers(pts))
 
     def test_rejects_point_off_the_curve(self, code_q2):
         one = code_q2.field.one
@@ -783,6 +792,11 @@ class TestVectorIO:
     def test_length_check(self, field9):
         with pytest.raises(VectorParseError):
             parse_vector(field9, "0,1", expect_length=3)
+
+    def test_blank_input_rejected(self, field9):
+        with pytest.raises(VectorParseError,
+                           match="line 1, column 1: empty input"):
+            parse_vector(field9, "  \n\n")
 
     def test_multiple_lines_rejected(self, field9):
         with pytest.raises(VectorParseError) as err:

@@ -688,13 +688,30 @@ class TestDecode:
 
 class TestLargeFamilies:
     """2t < d_u brings the sent message back on large non-Hermitian codes:
-    a Hermitian curve twisted to d != -1 (n = 64) and a norm-trace curve
-    whose rewrite of y^a has three y-terms (n = 128)."""
+    a Hermitian curve twisted to d != -1 (n = 64) and norm-trace curves
+    whose rewrite of y^a has three y-terms (n = 128) and two (n = 32)."""
 
-    # (family, u, n): u = 11 is a gap of <4, 5> and u = 89 one of <8, 15>
+    # (family, u, n): u = 11 is a gap of <4, 5>, u = 89 one of <8, 15> and
+    # u = 13 one of <4, 7>
     CASES = [("twisted-hermitian-gf16", 11, 64),
              ("twisted-hermitian-gf16", 32, 64),
-             ("norm-trace-gf16", 64, 128), ("norm-trace-gf16", 89, 128)]
+             ("norm-trace-gf16", 64, 128), ("norm-trace-gf16", 89, 128),
+             ("norm-trace-gf8", 8, 32), ("norm-trace-gf8", 13, 32)]
+
+    @pytest.mark.parametrize("shortened", [False, True])
+    @pytest.mark.parametrize("u", [4, 7, 8])
+    def test_distance_bounds_the_minimum_weight(self, u, shortened):
+        # k = 2, 3 and 4 over GF(8), every codeword up to a scalar: d_u
+        # equals the minimum weight on the 32 points (28, 25, 24) and on the
+        # 24 shortened ones (20, 16) but at u = 7 (17 against 18)
+        code = mk_code("norm-trace-gf8", u, shortened)
+        one = code.field.one
+        weights = [sum(not e.is_zero for e in code.encode(m))
+                   for m in itertools.product(code.field.elements(),
+                                              repeat=code.k)
+                   if next((e for e in m if not e.is_zero), None) == one]
+        assert len(weights) == (8 ** code.k - 1) // 7
+        assert code.decoding_distance() <= min(weights)
 
     @pytest.mark.parametrize("shortened", [False, True])
     @pytest.mark.parametrize("family,u,n", CASES)
