@@ -25,12 +25,12 @@ x-value into fibers of at most a points each, which all three steps read:
   leads are its footprint (exactly n monomials).
 * Interpolation goes through the fibers.  The Lagrange function of a
   point (x0, y0) is l_x(x) * l_y(y), the univariate Lagrange polynomials
-  of x0 over the distinct x-values and of y0 over its fiber (the fibers
-  of one size side by side), so the interpolant of a word is the sum of
-  y^j P_j(x): each fiber's values and its l_y give the y-coefficients at
-  x0 (again the fibers of one size side by side), and P_j combines those
-  through the l_x.  That sum is reduced by the basis onto the footprint,
-  with no n x n table.
+  of x0 over the distinct x-values and of y0 over its fiber, so the
+  interpolant of a word is the sum of y^j P_j(x): each fiber's values and
+  its l_y give the y-coefficients c_j(x0), and P_j adds up c_j(x0) * l_x0.
+  The l_y of the fibers of one size are built side by side, and the c_j
+  are formed in that same layout.  The sum is reduced by the basis onto
+  the footprint, with no n x n table.
 * Encoding is the transpose: a message function, the sum of y^j M_j(x), is
   evaluated by Horner's rule in x at the distinct x-values, then in y at
   each point, with no k x n table.
@@ -232,24 +232,25 @@ def _ideal_generators(curve: Curve, points: Sequence[Point],
 
 
 def _lagrange_polys(field: Field, root_sets: Sequence[Sequence[FieldElement]]
-                    ) -> list[list[tuple[int, ...]]]:
-    """For each set of distinct roots and each root r0 of it, in order, the
-    coefficients (constant first, kernel values) of the polynomial that is
-    1 at r0 and 0 at the other roots of its set: the quotient of the
-    vanishing polynomial of the set by (T - r0), one synthetic division,
-    over its value at r0.
+                    ) -> list[tuple[list[int], list[list[int]]]]:
+    """The Lagrange polynomials of the sets of distinct roots, one (group,
+    rows) per set size: group lists the indices of the sets of that size,
+    and rows[k] holds the coefficients k (kernel values) of their
+    polynomials side by side, entry t * len(group) + g for root t of set
+    group[g].  The polynomial of a root r0 is 1 at r0 and 0 at the other
+    roots of its set: the quotient of the vanishing polynomial of the set by
+    (T - r0), one synthetic division, over its value at r0.
 
-    The sets of one size run side by side, on lists whose entry t * width +
-    g is root t of set g: the vanishing polynomials, coefficient by
+    On the same side-by-side lists the vanishing polynomials, coefficient by
     coefficient, grow by one factor (T - root t) per step t, and the
     divisions of all the roots, and the Horner evaluations of their
     quotients, are one ``Field.axpy`` per coefficient."""
     zero, n = field.zero_log, field.order - 1
     neg_one = field.logs([-field.one])[0]
-    out: list[list[tuple[int, ...]]] = [[] for _ in root_sets]
     by_size: dict[int, list[int]] = {}
     for c, roots in enumerate(root_sets):
         by_size.setdefault(len(roots), []).append(c)
+    out = []
     for size, group in by_size.items():
         width = len(group)
         rs = field.logs(root_sets[c][t] for t in range(size) for c in group)
@@ -268,11 +269,8 @@ def _lagrange_polys(field: Field, root_sets: Sequence[Sequence[FieldElement]]
             at_root = field.axpy(quotient, 0, field.multiply(at_root, rs))
             rows.append(quotient)
         inverse = [-k % n for k in at_root]
-        for k, row in enumerate(rows):  # in place: one row more at a time
-            rows[k] = field.multiply(row, inverse)
-        columns = list(zip(*reversed(rows)))
-        for g, c in enumerate(group):
-            out[c] = columns[g::width]
+        out.append((group, [field.multiply(row, inverse)
+                            for row in reversed(rows)]))
     return out
 
 
@@ -311,11 +309,12 @@ def _ideal_basis_interpolator(
     to the function with those values, as kernel values indexed by pole
     order up to its last nonzero one: the sum of v_P * l_x(x) * l_y(y)
     (``_lagrange_polys``) is the sum of y^j P_j(x), where P_j sums c_j(x0) *
-    l_x over the fibers and c_j(x0) is a fiber's values times its l_y; it is
-    reduced by the basis (``_reduce``) onto the footprint.  The c_j of the
-    fibers of one size are computed side by side, as in ``_lagrange_polys``:
-    one ``Field.multiply`` of the values by the l_y coefficients j of all
-    their points, then one ``Field.axpy`` per point of a fiber to sum them.
+    l_x0 over the fibers and c_j(x0) is a fiber's values times its l_y; it
+    is reduced by the basis (``_reduce``) onto the footprint.  The l_y come
+    side by side for the fibers of one size, and so are their c_j: one
+    ``Field.multiply`` of the values, laid out as the l_y rows, by the l_y
+    coefficients j, then one ``Field.axpy`` per point of a fiber to sum
+    them, and each c_j(x0) goes into P_j as soon as it is formed.
     """
     sg, field = curve.semigroup, curve.field
     a, b, ys = curve.a, curve.b, sg.y_degrees
@@ -328,25 +327,18 @@ def _ideal_basis_interpolator(
     footprint = tuple(s for s in range(top)
                       if s < leads[ys[s % a]] and sg.is_nongap(s))
     width = len(fibers)
-    lx, = _lagrange_polys(field, [list(fibers)])
-    ly = _lagrange_polys(field, [list(fiber) for fiber in fibers.values()])
+    (_, lx_rows), = _lagrange_polys(field, [list(fibers)])
+    lx = list(zip(*lx_rows))  # per x-value, constant first
     size = max(a * width + b * (a - 1), top)
     fiber_points = [list(fiber.values()) for fiber in fibers.values()]
-    by_size: dict[int, list[int]] = {}
-    for x, at_x in enumerate(fiber_points):
-        by_size.setdefault(len(at_x), []).append(x)
-
-    def side_by_side(per_fiber: Iterable[Sequence]) -> list:
-        """Entry t * len(group) + g is item t of fiber group[g]."""
-        return [item for at_t in zip(*per_fiber) for item in at_t]
-    # per group of fibers of one size: its points, and per y-degree j the
-    # l_y coefficients j of those points
-    batches = [(group, side_by_side(fiber_points[x] for x in group),
-                list(zip(*side_by_side(ly[x] for x in group))))
-               for group in by_size.values()]
+    # per group of fibers of one size: its points laid out as its l_y rows
+    batches = [(group, [fiber_points[x][t] for t in range(len(l_ys))
+                        for x in group], l_ys)
+               for group, l_ys in _lagrange_polys(
+                   field, [list(fiber) for fiber in fibers.values()])]
 
     def interpolate(values: Sequence[int]) -> list[int]:
-        cs = [[zero] * width for _ in range(a)]  # c_j(x0) over the fibers
+        polys = [[zero] * width for _ in range(a)]  # P_j, constant first
         for group, points_at, l_ys in batches:
             w = len(group)
             at = [values[c] for c in points_at]
@@ -356,13 +348,10 @@ def _ideal_basis_interpolator(
                 for t in range(w, len(products), w):
                     cj = field.axpy(cj, 0, products[t:t + w])
                 for x, c in zip(group, cj):
-                    cs[j][x] = c
+                    if c != zero:
+                        polys[j] = field.axpy(polys[j], c, lx[x])
         f = [zero] * size
-        for j, row in enumerate(cs):
-            poly = [zero] * width  # P_j, constant first
-            for c, l_x in zip(row, lx):
-                if c != zero:
-                    poly = field.axpy(poly, c, l_x)
+        for j, poly in enumerate(polys):
             f[b * j:b * j + a * width:a] = poly
         _reduce(curve, f, gens, leads)
         del f[top:]  # the footprint lies below the top lead

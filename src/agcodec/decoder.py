@@ -201,14 +201,14 @@ def spoly(s: int, pair: ModulePair, g_part: Sequence[ModulePair]) -> list[Module
     return list(step(GBState(s, tuple(g_part), (pair,), pair.up.curve)).f)
 
 
-def _planned(s: int, pair: ModulePair, du: int, mu: Optional[int],
+def _planned(s: int, pair: ModulePair,
              g_leads: Sequence[tuple[ModulePair, int]],
              sg: Semigroup) -> list[tuple]:
     """The combinations converting one F element from weight s to s - 1,
     before they are pruned and built: (up lead at weight s - 1, then
-    ``_combine``'s arguments) each, g None for the pair itself.  du and mu
-    are the leads of the pair's up and down parts, g_leads the G elements
-    with their down leads.
+    ``_combine``'s arguments) each, g None for the pair itself.  g_leads
+    are the G elements with their down leads; du and mu below are the
+    leads of the pair's up and down parts.
 
     Two cases on the weight-(s-1) leading term of the pair: still upstairs
     -> the pair itself; downstairs at order mu -> one elimination per lcm
@@ -224,7 +224,8 @@ def _planned(s: int, pair: ModulePair, du: int, mu: Optional[int],
     is planned: a plan that another plan of the same pair would prune is
     pruned as well among the plans of all F elements, since divisibility is
     transitive and the order is kept."""
-    if mu is None or du + s > mu:
+    du, mu = pair.up.delta(), pair.down.delta()
+    if _leads_up(s - 1, pair):
         return [(du, pair, None, None, None, 0, None)]
     lc = pair.down.leading_coefficient()
     return [(du + psi - mu, pair, mu, g, r, psi, lc)
@@ -267,25 +268,21 @@ def step(state: GBState) -> GBState:
     Only what changes is built.  With nothing moved the state at s - 1 has
     the same g and f tuples: both parts are already pairwise non-divisible,
     a G lead does not depend on the weight, and an F element still leading
-    upstairs keeps its lead.  Otherwise each element's leads are read once,
-    the plans of all F elements are pruned by one ``_prime_reduce`` on their
-    planned leads, which are the leads they would be built with, and only
-    the survivors are built (``_combine``).
+    upstairs keeps its lead, so ``_leads_up`` at s - 1 is all that is
+    tested then.  Otherwise the plans of all F elements are pruned by
+    one ``_prime_reduce`` on their planned leads, which are the leads they
+    would be built with, and only the survivors are built (``_combine``).
     """
     s = state.weight
-    f_leads = [(p, p.up.delta(), p.down.delta()) for p in state.f]
-    # an F element leads downstairs at s - 1 when du + s - 1 < mu
-    moved = [(p, mu) for p, du, mu in f_leads
-             if mu is not None and du + s <= mu]
+    moved = [p for p in state.f if not _leads_up(s - 1, p)]
     if not moved:
         return GBState(s - 1, state.g, state.f, state.curve)
     sg = state.curve.semigroup
     g_leads = [(g, g.down.delta()) for g in state.g]
     # every element of new_g leads downstairs, of new_f upstairs, at s - 1
-    new_g = [*g_leads, *moved]
-    new_g = _prime_reduce([g for g, _ in new_g], [r for _, r in new_g], sg)
-    plans = [plan for p, du, mu in f_leads
-             for plan in _planned(s, p, du, mu, g_leads, sg)]
+    new_g = [*state.g, *moved]
+    new_g = _prime_reduce(new_g, [g.down.delta() for g in new_g], sg)
+    plans = [plan for p in state.f for plan in _planned(s, p, g_leads, sg)]
     new_f = [_combine(*plan[1:]) for plan
              in _prime_reduce(plans, [plan[0] for plan in plans], sg)]
     return GBState(s - 1, tuple(new_g), tuple(new_f), state.curve)
@@ -304,6 +301,13 @@ def decode(code: Code, v: Sequence[FieldElement],
     is below the decoding distance the output message is the sent one.
     ``watch`` is called as watch(s, basis entering weight s, vote or None)
     for every s, and once more with the final basis at weight -1.
+
+    The status is ``failed-verification`` when the output re-encodes more
+    than the radius (d_u - 1) // 2 away from v.  An output within the
+    radius is the unique codeword there, so v is it plus at most that many
+    errors and the guarantee applies to it: every vote was a strict
+    majority, and the status is ``ok``.  The ``low-confidence`` status of a
+    margin-0 vote is therefore not reached within the radius.
     """
     sg = code.curve.semigroup
     field = code.field

@@ -114,7 +114,8 @@ class Field:
     after construction, so a Field and its elements can be shared freely
     across threads.  Two Fields with the same p, m and modulus are equal and
     their elements mix freely; the identity test comes first, so elements of
-    one Field object pay no comparison of moduli.
+    one Field object pay no comparison of moduli.  Every GF(p) has the
+    modulus (0, 1), whichever degree-one modulus it was given.
     """
 
     __slots__ = ("p", "m", "order", "modulus", "zero_log", "_exp", "_log",
@@ -153,7 +154,8 @@ class Field:
             powers = self._x_powers(modulus)
             if powers is None and not _is_irreducible(modulus, p):
                 raise ValueError(f"modulus {modulus} is reducible over GF({p})")
-        self.modulus = modulus
+        # every degree-one modulus gives GF(p) itself, stored as the default
+        self.modulus = modulus if m > 1 else (0, 1)
         self._build_tables(powers)
 
     # -- construction internals --------------------------------------------

@@ -34,8 +34,8 @@ MK_FAMILIES = {
 }
 
 
-#: Large Miura-Kamiya curves over GF(16), kept apart from MK_FAMILIES, whose
-#: small codes the decode sweep digest covers.
+#: Large Miura-Kamiya curves over GF(8), GF(16) and GF(27), kept apart from
+#: MK_FAMILIES, whose small codes the decode sweep digest covers.
 LARGE_MK_FAMILIES = {
     # y^4 + y + a^5 x^5 = 0: the Hermitian curve twisted to d = a^5 in
     # GF(4), so d != -1 and a wrap past y^4 keeps a unit term; 64 points
@@ -52,6 +52,11 @@ LARGE_MK_FAMILIES = {
     # find the minimum weight by brute force
     "norm-trace-gf8": {"type": "mk", "field": {"p": 2, "m": 3}, "a": 4,
                        "b": 7, "d": "1", "coeffs": [[0, 2, "1"], [0, 1, "1"]]},
+    # y^9 + y^3 + y = x^13: the norm-trace curve over GF(27), two y-terms in
+    # the rewrite of y^9 in odd characteristic (d = 2 = -1); 243 points
+    "norm-trace-gf27": {"type": "mk", "field": {"p": 3, "m": 3}, "a": 9,
+                        "b": 13, "d": "2",
+                        "coeffs": [[0, 3, "1"], [0, 1, "1"]]},
 }
 
 

@@ -501,8 +501,9 @@ class TestLagrange:
         *[(family, "full") for family in sorted(MK_FAMILIES)]])
     def test_many_sets_match_one_set_per_fiber(self, name, shape):
         # the x-values and every fiber in one call, grouped by size, equal
-        # one call per set; each polynomial is 1 at its root and 0 at the
-        # other roots of its set
+        # one call per set: set group[g]'s coefficients k are entries g,
+        # g + len(group), ... of rows[k]; each polynomial is 1 at its root
+        # and 0 at the other roots of its set
         curve, points = curve_and_points(name)
         field = curve.field
         if shape != "full":
@@ -515,16 +516,22 @@ class TestLagrange:
             assert len(points) == 48
             assert len({len(fiber) for fiber in fibers.values()}) > 1
         many = _lagrange_polys(field, sets)
-        assert len(many) == len(sets)
-        for roots, polys in zip(sets, many):
-            assert polys == _lagrange_polys(field, [roots])[0]
-            for r0, poly in zip(roots, polys):
-                coeffs = field.from_logs(poly)
-                assert len(coeffs) == len(roots)
-                for r in roots:
-                    value = sum((c * r ** i for i, c in enumerate(coeffs)),
-                                field.zero)
-                    assert value == (field.one if r == r0 else field.zero)
+        assert sorted(c for group, _ in many for c in group) == \
+            list(range(len(sets)))
+        for group, rows in many:
+            for g, index in enumerate(group):
+                roots = sets[index]
+                alone = [row[g::len(group)] for row in rows]
+                assert _lagrange_polys(field, [roots]) == [([0], alone)]
+                for r0, poly in zip(roots, zip(*alone)):
+                    coeffs = field.from_logs(poly)
+                    assert len(coeffs) == len(roots)
+                    for r in roots:
+                        value = sum((c * r ** i
+                                     for i, c in enumerate(coeffs)),
+                                    field.zero)
+                        assert value == (field.one if r == r0
+                                         else field.zero)
 
     def test_zero(self, code_q3):
         v = tuple([code_q3.field.zero] * 27)
@@ -823,6 +830,15 @@ class TestConfig:
         code = code_from_config(cfg)
         assert code.points == code_q2.points
         assert code.eta_basis == code_q2.eta_basis
+
+    def test_degree_one_modulus_builds_the_same_curve(self):
+        # a2-gf5 with "modulus": [1, 1] built a curve over a second GF(5)
+        plain = MK_FAMILIES["a2-gf5"]
+        curve, _ = curve_from_config(plain)
+        other, _ = curve_from_config(
+            {**plain, "field": {"p": 5, "modulus": [1, 1]}})
+        assert other == curve and hash(other) == hash(curve)
+        assert Code(other, 3).eta_basis == Code(curve, 3).eta_basis
 
     def test_point_override_order(self, code_q3):
         # the bundled fixture carries its own point order

@@ -10,9 +10,9 @@ from agcodec.code import (Code, code_from_config, curve_from_config,
                           format_vector, radius_rows, rational_points)
 from agcodec.curvering import Curve, Monomial, RingElement
 from agcodec import decoder
-from agcodec.decoder import (DOWN, STATUS_FAILED, STATUS_LOW_CONFIDENCE,
-                             STATUS_OK, UP, ModulePair, decode, initial_basis,
-                             leading, shift, spoly, step, vote)
+from agcodec.decoder import (DOWN, STATUS_FAILED, STATUS_OK, UP, ModulePair,
+                             decode, initial_basis, leading, shift, spoly,
+                             step, vote)
 from agcodec.gf import Field, FieldElement
 from agcodec.oracle import check_gb
 
@@ -535,7 +535,10 @@ class TestVote:
         record, at_top = tied
         assert record.margin == 0
         assert record.chosen == min(at_top, key=canonical_key)
-        assert result.status != STATUS_OK  # margin-0 votes are flagged
+        # the output re-encodes 26 away against a radius of 5, so the
+        # re-encoding distance flags it: within the radius no vote ties
+        assert result.distance == 26
+        assert result.status == STATUS_FAILED
 
     def test_all_empty_tallies_choose_zero(self, code_q2):
         from agcodec.code import parse_vector
@@ -689,14 +692,28 @@ class TestDecode:
 class TestLargeFamilies:
     """2t < d_u brings the sent message back on large non-Hermitian codes:
     a Hermitian curve twisted to d != -1 (n = 64) and norm-trace curves
-    whose rewrite of y^a has three y-terms (n = 128) and two (n = 32)."""
+    whose rewrite of y^a has three y-terms (n = 128) and two (n = 32, and
+    n = 243 over GF(27))."""
 
-    # (family, u, n): u = 11 is a gap of <4, 5>, u = 89 one of <8, 15> and
-    # u = 13 one of <4, 7>
+    # (family, u, n): u = 11 is a gap of <4, 5>, u = 89 one of <8, 15>,
+    # u = 13 one of <4, 7> and u = 41 one of <9, 13>
     CASES = [("twisted-hermitian-gf16", 11, 64),
              ("twisted-hermitian-gf16", 32, 64),
              ("norm-trace-gf16", 64, 128), ("norm-trace-gf16", 89, 128),
-             ("norm-trace-gf8", 8, 32), ("norm-trace-gf8", 13, 32)]
+             ("norm-trace-gf8", 8, 32), ("norm-trace-gf8", 13, 32),
+             ("norm-trace-gf27", 41, 243), ("norm-trace-gf27", 100, 243)]
+
+    @staticmethod
+    def codeword_weights(code) -> list[int]:
+        """The weight of every nonzero codeword up to a scalar: of every
+        message whose first nonzero entry is one."""
+        one, q = code.field.one, code.field.order
+        weights = [sum(not e.is_zero for e in code.encode(m))
+                   for m in itertools.product(code.field.elements(),
+                                              repeat=code.k)
+                   if next((e for e in m if not e.is_zero), None) == one]
+        assert len(weights) == (q ** code.k - 1) // (q - 1)
+        return weights
 
     @pytest.mark.parametrize("shortened", [False, True])
     @pytest.mark.parametrize("u", [4, 7, 8])
@@ -705,13 +722,18 @@ class TestLargeFamilies:
         # equals the minimum weight on the 32 points (28, 25, 24) and on the
         # 24 shortened ones (20, 16) but at u = 7 (17 against 18)
         code = mk_code("norm-trace-gf8", u, shortened)
-        one = code.field.one
-        weights = [sum(not e.is_zero for e in code.encode(m))
-                   for m in itertools.product(code.field.elements(),
-                                              repeat=code.k)
-                   if next((e for e in m if not e.is_zero), None) == one]
-        assert len(weights) == (8 ** code.k - 1) // 7
-        assert code.decoding_distance() <= min(weights)
+        assert code.decoding_distance() <= min(self.codeword_weights(code))
+
+    # (u, shortened): the minimum weight at k = 2 and 3 over GF(27), on the
+    # 243 points and on the 183 shortened ones
+    GF27_MINIMA = {(9, False): 234, (13, False): 230,
+                   (9, True): 174, (13, True): 170}
+
+    @pytest.mark.parametrize("u,shortened", sorted(GF27_MINIMA))
+    def test_distance_is_the_minimum_weight_over_gf27(self, u, shortened):
+        code = mk_code("norm-trace-gf27", u, shortened)
+        assert code.decoding_distance() == min(self.codeword_weights(code)) \
+            == self.GF27_MINIMA[u, shortened]
 
     @pytest.mark.parametrize("shortened", [False, True])
     @pytest.mark.parametrize("family,u,n", CASES)
@@ -727,6 +749,7 @@ class TestLargeFamilies:
             result = decode(code, received)
             assert result.message == message
             assert result.status == STATUS_OK
+            assert all(r.margin >= 1 for r in result.votes)
             assert result.distance == t
 
 
@@ -755,6 +778,7 @@ class TestGuaranteeAcrossFamilies:
                 result = decode(code, received)
                 assert result.message == message, (weight, result.votes)
                 assert result.status == STATUS_OK
+                assert all(r.margin >= 1 for r in result.votes)
 
     # error patterns of weight 1..t (t = 2) on full point sets at u = 3,
     # and on the shortened a4-gf7 set (n = 9, k = 3) at the gap u = 6
@@ -782,8 +806,8 @@ class TestGuaranteeAcrossFamilies:
                             received[pos] = received[pos] + e
                         result = decode(code, tuple(received))
                         assert result.message == message, (support, values)
-                        assert result.status in (STATUS_OK,
-                                                 STATUS_LOW_CONFIDENCE)
+                        assert result.status == STATUS_OK
+                        assert all(r.margin >= 1 for r in result.votes)
                         count += 1
             assert count == self.PATTERNS[family, shortened, u]
 

@@ -155,6 +155,23 @@ class TestConstruction:
         with pytest.raises(ValueError, match=re.escape(message)):
             Field(*args)
 
+    def test_degree_one_modulus_is_the_prime_field(self):
+        # Field(5, 1, [1, 1]) printed as GF(5) but compared unequal to it,
+        # and mixing their elements raised "operands from different fields"
+        plain = Field(5)
+        for modulus in ([1, 1], [0, 1], (4, 1)):
+            field = Field(5, 1, modulus)
+            assert field.modulus == (0, 1)
+            assert field == plain and hash(field) == hash(plain)
+            assert field.one + plain.one == plain.element(2)
+            assert field.element(3) * plain.element(4) == plain.element(2)
+        with pytest.raises(ValueError, match=re.escape(
+                "monic of degree 1, got [1, 2]")):
+            Field(5, 1, [1, 2])
+        with pytest.raises(ValueError, match=re.escape(
+                "monic of degree 1, got [1, 0, 1]")):
+            Field(5, 1, [1, 0, 1])
+
     def test_monic_message_quotes_the_modulus_as_given(self):
         # [1, 1, 2] over GF(2) was reported as "got (1, 1, 0)"
         with pytest.raises(ValueError, match=re.escape(
