@@ -15,18 +15,17 @@ element nominates one field value, weighted by how much of the downstairs
 footprint its upstairs cone covers; the winner is subtracted by
 substituting z -> z + w * phi_s (``shift``).  ``step`` then converts the
 basis from weight s to s - 1 (``spoly`` is ``step`` on a one-element F
-part): the combinations (``_planned``, ``_combine``; ``_monic`` scales a
-lead to one there and in a nomination), then removal of elements whose
-leading term another element's leading term divides (within the G part and
-the F part separately: one ``_prime_reduce`` per part, which decides by the
-rows of the leads in one pass).  A weight costs only what changes: the
-basis changes only where an F element's lead moves downstairs, so a weight
-at which none moves keeps both parts as they are, the combinations of all F
-elements are planned with the leads they are known to have and pruned
-together before any is built, and a shift leaves a pair with a zero up part
-untouched.  Planning and pruning are integer work on pole orders, with no
-field arithmetic.  The split is kept at every weight, so leads are read off
-the basis: a G element leads with its down part, an F element with its up
+part).  An F element whose lead moves downstairs, to mu, is reduced once
+by the first G element whose lead divides mu: a row operation of the
+F[x]-module view (Lee and O'Sullivan, 2009).  Only where no G lead divides
+mu, so that the G footprint grows, is it combined with every G element at
+each lcm and are both parts pruned to the leads no other lead divides (one
+``_prime_reduce`` each, by rows in one pass).  ``_planned`` plans on pole
+orders, with no field arithmetic, before ``_combine`` builds; ``_monic``
+scales a lead to one there and in a nomination.  A weight at which no
+lead moves keeps both parts, and a shift leaves a pair with a zero up part
+untouched.  The split is kept at every weight, so leads are read off the
+basis: a G element leads with its down part, an F element with its up
 part, and the one test left is whether an F element still leads upstairs at
 s - 1.  ``leading`` and ``Lead`` are the inspection form of a lead, for
 traces and checks.
@@ -193,8 +192,8 @@ def spoly(s: int, pair: ModulePair, g_part: Sequence[ModulePair]) -> list[Module
     """Combinations converting one F element from weight s to weight s - 1:
     ``step`` on a one-element F part, whose new F part is returned.
 
-    The pair must lead upstairs at weight s; the combinations are those
-    ``_planned`` describes, pruned to the minimal leads.
+    The pair must lead upstairs at weight s; the result is the pair, its
+    one reduction by a dividing G lead, or its minimal lcm combinations.
     """
     if pair.up.is_zero or not _leads_up(s, pair):
         raise ValueError("spoly needs a pair leading upstairs at weight s")
@@ -205,29 +204,29 @@ def _planned(s: int, pair: ModulePair,
              g_leads: Sequence[tuple[ModulePair, int]],
              sg: Semigroup) -> list[tuple]:
     """The combinations converting one F element from weight s to s - 1,
-    before they are pruned and built: (up lead at weight s - 1, then
-    ``_combine``'s arguments) each, g None for the pair itself.  g_leads
-    are the G elements with their down leads; du and mu below are the
-    leads of the pair's up and down parts.
+    before they are built: (up lead at weight s - 1, then ``_combine``'s
+    arguments) each, g None for the pair itself.  g_leads are the G
+    elements with their down leads; du and mu below are the leads of the
+    pair's up and down parts.
 
-    Two cases on the weight-(s-1) leading term of the pair: still upstairs
-    -> the pair itself; downstairs at order mu -> one elimination per lcm
-    psi of mu with a G lead r.  Every combination leads upstairs at weight
-    s - 1, at du + psi - mu (pair.up times psi / mu), as the G side's up
-    part is strictly lower.  Leads are pole orders, read from the basis
-    invariants: a G lead of order r = delta(g.down) divides mu exactly when
-    mu - r is a nongap, and then mu is the one minimal lcm.  Divisibility
-    of monomials depends only on their difference of pole order, so the
-    combinations whose lead no other one divides are those of the minimal
-    lcms (against the first G for an equal psi), and pruning the plans by
-    their planned leads (``_prime_reduce``) keeps exactly those.  Every lcm
-    is planned: a plan that another plan of the same pair would prune is
-    pruned as well among the plans of all F elements, since divisibility is
-    transitive and the order is kept."""
+    Three cases on the weight-(s-1) leading term of the pair: upstairs ->
+    the pair itself; downstairs at an order mu that a G lead of order
+    r = delta(g.down) divides (mu - r a nongap) -> one reduction by the
+    first such g, psi = mu; downstairs in the G footprint -> one
+    elimination per lcm psi of mu with each G lead.  Every combination
+    leads upstairs at weight s - 1, at du + psi - mu (pair.up times
+    psi / mu), as the G side's up part is strictly lower.  Divisibility of
+    monomials depends only on their difference of pole order, so a
+    reduction is the pair's one minimal combination (every other plan is a
+    multiple of it), and in the last case the minimal ones, those of the
+    minimal lcms, are what ``_prime_reduce`` on the planned leads keeps."""
     du, mu = pair.up.delta(), pair.down.delta()
     if _leads_up(s - 1, pair):
         return [(du, pair, None, None, None, 0, None)]
     lc = pair.down.leading_coefficient()
+    for g, r in g_leads:
+        if sg.is_nongap(mu - r):
+            return [(du, pair, mu, g, r, mu, lc)]
     return [(du + psi - mu, pair, mu, g, r, psi, lc)
             for g, r in g_leads for psi in sg.lcms(mu, r)]
 
@@ -265,13 +264,13 @@ def step(state: GBState) -> GBState:
     whose lead falls outside the old G footprint (an equal lead keeps the
     old G element).
 
-    Only what changes is built.  With nothing moved the state at s - 1 has
-    the same g and f tuples: both parts are already pairwise non-divisible,
-    a G lead does not depend on the weight, and an F element still leading
-    upstairs keeps its lead, so ``_leads_up`` at s - 1 is all that is
-    tested then.  Otherwise the plans of all F elements are pruned by
-    one ``_prime_reduce`` on their planned leads, which are the leads they
-    would be built with, and only the survivors are built (``_combine``).
+    Only what changes is built and pruned.  Where nothing moves, or a G
+    lead divides every moved down lead, the G part is the same tuple (a G
+    lead does not depend on the weight) and each F element has one plan,
+    leading at its own up lead, so no plan divides another; with nothing
+    moved f is the same tuple too.  Only where the G footprint grows (some
+    plan leads higher) is each part pruned by one ``_prime_reduce``, the
+    plans on the leads they would be built with, before any is built.
     """
     s = state.weight
     moved = [p for p in state.f if not _leads_up(s - 1, p)]
@@ -279,13 +278,14 @@ def step(state: GBState) -> GBState:
         return GBState(s - 1, state.g, state.f, state.curve)
     sg = state.curve.semigroup
     g_leads = [(g, g.down.delta()) for g in state.g]
-    # every element of new_g leads downstairs, of new_f upstairs, at s - 1
-    new_g = [*state.g, *moved]
-    new_g = _prime_reduce(new_g, [g.down.delta() for g in new_g], sg)
     plans = [plan for p in state.f for plan in _planned(s, p, g_leads, sg)]
-    new_f = [_combine(*plan[1:]) for plan
-             in _prime_reduce(plans, [plan[0] for plan in plans], sg)]
-    return GBState(s - 1, tuple(new_g), tuple(new_f), state.curve)
+    new_g = state.g
+    if any(plan[0] != plan[1].up.delta() for plan in plans):  # the G footprint grows
+        new_g = (*state.g, *moved)
+        new_g = tuple(_prime_reduce(new_g, [g.down.delta() for g in new_g], sg))
+        plans = _prime_reduce(plans, [plan[0] for plan in plans], sg)
+    new_f = tuple(_combine(*plan[1:]) for plan in plans)
+    return GBState(s - 1, new_g, new_f, state.curve)
 
 
 def hamming_distance(v: Sequence[FieldElement], w: Sequence[FieldElement]) -> int:

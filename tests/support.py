@@ -34,8 +34,8 @@ MK_FAMILIES = {
 }
 
 
-#: Large Miura-Kamiya curves over GF(8), GF(16) and GF(27), kept apart from
-#: MK_FAMILIES, whose small codes the decode sweep digest covers.
+#: Large Miura-Kamiya curves over GF(8), GF(16), GF(27) and GF(32), kept
+#: apart from MK_FAMILIES, whose small codes the decode sweep digest covers.
 LARGE_MK_FAMILIES = {
     # y^4 + y + a^5 x^5 = 0: the Hermitian curve twisted to d = a^5 in
     # GF(4), so d != -1 and a wrap past y^4 keeps a unit term; 64 points
@@ -57,6 +57,12 @@ LARGE_MK_FAMILIES = {
     "norm-trace-gf27": {"type": "mk", "field": {"p": 3, "m": 3}, "a": 9,
                         "b": 13, "d": "2",
                         "coeffs": [[0, 3, "1"], [0, 1, "1"]]},
+    # y^16 + y^8 + y^4 + y^2 + y + x^31 = 0: the norm-trace curve over
+    # GF(32), four y-terms in the rewrite of y^16 and a = 16; 512 points
+    "norm-trace-gf32": {"type": "mk", "field": {"p": 2, "m": 5}, "a": 16,
+                        "b": 31, "d": "1",
+                        "coeffs": [[0, 8, "1"], [0, 4, "1"], [0, 2, "1"],
+                                   [0, 1, "1"]]},
 }
 
 

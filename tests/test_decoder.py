@@ -8,7 +8,7 @@ import pytest
 from agcodec.cli import trace_lines
 from agcodec.code import (Code, code_from_config, curve_from_config,
                           format_vector, radius_rows, rational_points)
-from agcodec.curvering import Curve, Monomial, RingElement
+from agcodec.curvering import Curve, Monomial, RingElement, Semigroup
 from agcodec import decoder
 from agcodec.decoder import (DOWN, STATUS_FAILED, STATUS_OK, UP, ModulePair,
                              decode, initial_basis, leading, shift, spoly,
@@ -307,15 +307,42 @@ class TestSpoly:
             spoly(32, zero, state.g)
 
 
+def written_out_combinations(s, pair, g_part):
+    """The combinations converting one F element from weight s to s - 1,
+    written out: the pair itself while it leads upstairs at s - 1, else,
+    for every lcm psi of its down lead mu with a G lead r that no other
+    such lcm divides (the first G for an equal psi), pair * cf phi(psi - mu)
+    + g * cg phi(psi - r), where cf and cg make the two products lead with
+    1 and -1."""
+    curve = pair.up.curve
+    sg = curve.semigroup
+    mu = leading(s - 1, pair)
+    if mu.location is UP:
+        return [pair]
+    lcms = [(g, psi) for g in g_part
+            for psi in sg.lcms(mu.order, leading(s, g).order)]
+    outs = []
+    for g, psi in reference_prime_reduce(lcms, [psi for _, psi in lcms], sg):
+        qf = sg.phi(psi - mu.order)
+        qg = sg.phi(psi - leading(s, g).order)
+        cf = (curve.monomial(*qf) * pair.down).leading_coefficient().inverse()
+        cg = -(curve.monomial(*qg) * g.down).leading_coefficient().inverse()
+        mf, mg = curve.monomial(*qf, cf), curve.monomial(*qg, cg)
+        outs.append(ModulePair(pair.up * mf + g.up * mg,
+                               pair.down * mf + g.down * mg))
+    return outs
+
+
 def reference_step(state):
-    """(g, f) at weight s - 1 written out from the public spoly: the old G
+    """(g, f) at weight s - 1 written out, with no decoder step: the old G
     part plus the F elements leading downstairs at s - 1, every F element's
-    spoly outputs, each part pruned pair by pair by divisibility of its
-    leads."""
+    written-out combinations, each part pruned pair by pair by divisibility
+    of its leads."""
     s, sg = state.weight, state.curve.semigroup
     new_g = [*state.g, *(p for p in state.f
                          if leading(s - 1, p).location is DOWN)]
-    new_f = [out for p in state.f for out in spoly(s, p, state.g)]
+    new_f = [out for p in state.f
+             for out in written_out_combinations(s, p, state.g)]
     return tuple(reference_prime_reduce(
         part, [leading(s - 1, p).order for p in part], sg)
         for part in (new_g, new_f))
@@ -327,8 +354,10 @@ class TestStep:
         """(code, received word) pairs: the bundled q=3 decode, the pinned
         q=4 word, q=4 words at 20 errors (past the radius) and at 4 errors
         (G elements with a zero up part are left at the votes), and words
-        at full radius on two curves with d != -1, one with a = 4, and on a
-        shortened Hermitian q=4 point set."""
+        at full radius on two curves with d != -1, one with a = 4, on a
+        shortened Hermitian q=4 point set, and on the norm-trace curve over
+        GF(8) (a rewrite of y^4 with two terms) and the Hermitian curve
+        twisted to d != -1 over GF(16), full and shortened."""
         words = [(code_q3, received_q3)]
         curve = Curve.hermitian(4)
         code = Code(curve, 30)
@@ -341,7 +370,11 @@ class TestStep:
         assert all(mk.curve.d != -mk.field.one for mk in mks)
         points = rational_points(curve)
         random.Random(1).shuffle(points)
-        for code in [*mks, Code(curve, 20, points[:48])]:
+        large = [mk_code(family, u, shortened)
+                 for family, u in [("norm-trace-gf8", 8),
+                                   ("twisted-hermitian-gf16", 32)]
+                 for shortened in (False, True)]
+        for code in [*mks, Code(curve, 20, points[:48]), *large]:
             rng = random.Random(code.n)
             t = (code.decoding_distance() - 1) // 2
             words.append((code, add_vectors(
@@ -393,30 +426,53 @@ class TestStep:
         assert unchanged > 0 and changed > 0 and passed_through > 0
         assert {(3, 27), (4, 64), (4, 11)} <= two_lcms  # (4, 11): a4-gf7
 
-    def test_one_prune_per_part_at_each_moving_weight(self, code_q3,
+    def test_prunes_only_where_the_g_footprint_grows(self, code_q3,
                                                       received_q3,
                                                       monkeypatch):
-        # a decode prunes only in step, and only where an F element moves
-        # downstairs: one _prime_reduce call on the G part and one on the
-        # plans of all F elements together, never one per F element
-        parts = []
-        plain = decoder._prime_reduce
+        # a moved F element whose down lead a G lead divides is reduced by
+        # the first such G, with no lcm and no prune; a decode prunes only
+        # at a weight where some moved down lead has no dividing G lead (the
+        # G footprint grows), once on the G part and once on the plans of
+        # all F elements together, and takes lcms of those leads only, each
+        # with every G lead in order
+        weight, prunes, lcms = [None], [], []
+        plain_prune, plain_lcms = decoder._prime_reduce, Semigroup.lcms
 
-        def counted(items, orders, sg):
-            parts.append("g" if isinstance(items[0], ModulePair) else "f")
-            return plain(items, orders, sg)
+        def counted_prune(items, orders, sg):
+            part = "g" if isinstance(items[0], ModulePair) else "f"
+            prunes.append((weight[0], part))
+            return plain_prune(items, orders, sg)
 
-        moving = []
+        def counted_lcms(sg, r, t):
+            lcms.append((weight[0], r, t))
+            return plain_lcms(sg, r, t)
+
+        moving, outside = [], []
 
         def watch(s, state, record):
-            if s >= 0 and any(leading(s - 1, p).location is DOWN
-                              for p in state.f):
+            weight[0] = s
+            if s < 0:
+                return
+            if record is not None:
+                state = shift(state, record.chosen, s)
+            sg = state.curve.semigroup
+            moved = [p.down.delta() for p in state.f
+                     if leading(s - 1, p).location is DOWN]
+            if moved:
                 moving.append(s)
+            g_leads = [g.down.delta() for g in state.g]
+            outside.extend((s, mu, r) for mu in moved
+                           if not any(sg.is_nongap(mu - r) for r in g_leads)
+                           for r in g_leads)
 
-        monkeypatch.setattr(decoder, "_prime_reduce", counted)
+        monkeypatch.setattr(decoder, "_prime_reduce", counted_prune)
+        monkeypatch.setattr(Semigroup, "lcms", counted_lcms)
         decode(code_q3, received_q3, watch)
-        assert len(moving) > 0
-        assert parts == ["g", "f"] * len(moving)
+        grown = [32, 26, 24, 18, 16]
+        assert len(moving) == 16 and set(grown) <= set(moving)
+        assert prunes == [(s, part) for s in grown for part in "gf"]
+        assert lcms == outside
+        assert sorted({s for s, _, _ in lcms}, reverse=True) == grown
 
     def test_no_change_rounds(self, bundled_states):
         _, states = bundled_states
@@ -692,8 +748,8 @@ class TestDecode:
 class TestLargeFamilies:
     """2t < d_u brings the sent message back on large non-Hermitian codes:
     a Hermitian curve twisted to d != -1 (n = 64) and norm-trace curves
-    whose rewrite of y^a has three y-terms (n = 128) and two (n = 32, and
-    n = 243 over GF(27))."""
+    whose rewrite of y^a has four y-terms (n = 512), three (n = 128) and
+    two (n = 32, and n = 243 over GF(27))."""
 
     # (family, u, n): u = 11 is a gap of <4, 5>, u = 89 one of <8, 15>,
     # u = 13 one of <4, 7> and u = 41 one of <9, 13>
@@ -751,6 +807,21 @@ class TestLargeFamilies:
             assert result.status == STATUS_OK
             assert all(r.margin >= 1 for r in result.votes)
             assert result.distance == t
+
+    def test_guarantee_at_full_radius_with_a_16(self):
+        # the norm-trace curve over GF(32), where a = 16 G leads can be
+        # tested against each moved lead; one word, as it takes about 0.6 s
+        code = mk_code("norm-trace-gf32", 200)
+        assert (code.n, code.decoding_distance()) == (512, 320)
+        t = (code.decoding_distance() - 1) // 2
+        rng = random.Random(code.n + 200)
+        message = random_message(code, rng)
+        result = decode(code, add_vectors(code.encode(message),
+                                          random_error(code, rng, t)))
+        assert result.message == message
+        assert result.status == STATUS_OK
+        assert all(r.margin >= 1 for r in result.votes)
+        assert result.distance == t == 159
 
 
 class TestGuaranteeAcrossFamilies:
