@@ -548,12 +548,14 @@ class RingElement:
     def _plus(self, *products: tuple["RingElement", int, FieldElement]
               ) -> "RingElement":
         """self + sum(tc * phi(t) * e for e, t, tc in products), for nonzero
-        tc and e on self's curve, in one list of kernel values.
+        tc and e on self's curve, in one list of kernel values; a product
+        whose e is zero adds nothing and is skipped.
 
         The result takes self's scale, or the first product's tc * e's scale
-        when self is zero.  A product's multiplier m is tc * (e's scale) /
-        (that scale), a boxed scalar; a multiplier that is the scale itself
-        is one, kernel value 0.  A term phi(t) = x^i y^jt is x^i times y^jt,
+        when self is zero.  A product's multiplier is m / (that scale) for
+        the boxed scalar m = tc * (e's scale), divided on logs: kernel value
+        m.log minus the scale's log, mod n, 0 where m is the scale itself.
+        A term phi(t) = x^i y^jt is x^i times y^jt,
         so the product places e's cached multiple y^jt * e (``_times_y``)
         at x^i, and a product by a power of x moves entry s to s + a*i with
         no y-degree past a.  The entries go in one of three ways, chosen
@@ -572,23 +574,25 @@ class RingElement:
         """
         curve = self.curve
         field, a, ys = curve.field, curve.a, curve.semigroup.y_degrees
-        zero, one, add = field.zero_log, field.one, field.axpy_value
+        zero, add, n = field.zero_log, field.axpy_value, field.order - 1
         out = self._terms[:]
         scale = self._scale if out else None
         for e, t, tc in products:
+            if not e._terms:
+                continue
             m = tc * e._scale
             if scale is None:
                 scale = m
-            m = one if m is scale else m * scale.inverse()
+            k = (m.log - scale.log) % n
             jt = ys[t % a]
             if jt:
                 e, t = e._times_y(jt), t - curve.b * jt
-            k, terms = m.log, e._terms
+            terms = e._terms
             size, have = len(terms), len(out)
             end = t + size
             if have <= t:  # into an empty region
                 out += [zero] * (t - have)
-                out += terms if m is one else field.scale(terms, k)
+                out += field.scale(terms, k) if k else terms
                 continue
             if have < end:
                 out += [zero] * (end - have)
@@ -603,10 +607,13 @@ class RingElement:
         return RingElement(curve, out, scale if out else None)
 
     def _times_y(self, j: int) -> "RingElement":
-        """y^j * self for 0 < j < a, at self's scale: built on first need
-        from y^(j-1) * self by ``_y_step`` and kept in ``_by_y`` as long as
-        self.  Keyed by j, the cache holds no self, so makes no cycle, and
-        threads that race for a multiple may build it twice, never wrong."""
+        """y^j * self for 0 < j < a, at self's scale: zero for zero, else
+        built on first need from y^(j-1) * self by ``_y_step`` and kept in
+        ``_by_y`` as long as self.  Keyed by j, the cache holds no self, so
+        makes no cycle, and threads that race for a multiple may build it
+        twice, never wrong."""
+        if not self._terms:
+            return self
         by_y = self._by_y
         if by_y is None:
             by_y = self._by_y = {}

@@ -30,6 +30,14 @@ part, and the one test left is whether an F element still leads upstairs at
 s - 1.  ``leading`` and ``Lead`` are the inspection form of a lead, for
 traces and checks.
 
+``decode`` substitutes each vote into the F part at once, and the G part
+takes the votes once per change.  Below u a G element is read only for
+its down lead, which the substitution never changes, so the votes wait
+until ``step`` is about to move an F element, ``watch`` is called or the
+decode returns; then each G pair with a nonzero up part takes them all in
+one ``_plus``.  Between settlements the G part differs from the basis only
+by that pending substitution, which changes no G lead.
+
 The guarantee: if the error weight t satisfies 2*t < d_u (the code's
 decoding distance), every vote picks the sent coordinate.  Decoding never
 aborts; a re-encoding check afterwards flags outputs that land outside the
@@ -66,10 +74,18 @@ class Lead(NamedTuple):
 
 @dataclasses.dataclass(slots=True)
 class ModulePair:
-    """f = up * z + down with both components reduced."""
+    """f = up * z + down with both components reduced; du and dd are the
+    pole orders of up and down (None for zero), read once, when built."""
 
     up: RingElement
     down: RingElement
+    du: Optional[int] = dataclasses.field(init=False, repr=False,
+                                          compare=False)
+    dd: Optional[int] = dataclasses.field(init=False, repr=False,
+                                          compare=False)
+
+    def __post_init__(self) -> None:
+        self.du, self.dd = self.up.delta(), self.down.delta()
 
 
 def leading(s: int, pair: ModulePair) -> Lead:
@@ -87,7 +103,7 @@ def leading(s: int, pair: ModulePair) -> Lead:
 
 def _leads_up(s: int, pair: ModulePair) -> bool:
     """Whether a nonzero pair leads upstairs at weight s."""
-    du, dd = pair.up.delta(), pair.down.delta()
+    du, dd = pair.du, pair.dd
     return dd is None or du is not None and du + s >= dd
 
 
@@ -152,11 +168,11 @@ def vote(code: Code, s: int, state: GBState) -> VoteRecord:
     if not sg.is_nongap(s) or s > code.u:
         raise ValueError(f"voting requires a nongap s <= u, got {s}")
     curve = state.curve
-    stair_g = sg.staircase(g.down.delta() for g in state.g)
+    stair_g = sg.staircase(g.dd for g in state.g)
 
     nominations: dict[FieldElement, list[int]] = {}
     for pair in state.f:
-        du = pair.up.delta()
+        du = pair.du
         target = du + s  # pole order of the leading monomial of up * phi_s
         d = pair.down.coefficient_at(target)
         w_j = -(d * _monic(curve, s, du, pair.up.leading_coefficient()))
@@ -182,10 +198,18 @@ def shift(state: GBState, w: FieldElement, s: int) -> GBState:
         raise ValueError(f"{s} is a gap")
     if w.is_zero:
         return state
-    g, f = (tuple(p if p.up.is_zero else
-                  ModulePair(p.up, p.down._plus((p.up, s, w))) for p in part)
-            for part in (state.g, state.f))
+    g, f = (_substituted(part, [(s, w)]) for part in (state.g, state.f))
     return GBState(state.weight, g, f, state.curve)
+
+
+def _substituted(part: Sequence[ModulePair],
+                 votes: Sequence[tuple[int, FieldElement]]
+                 ) -> tuple[ModulePair, ...]:
+    """The pairs under z -> z + sum(w * phi_s for s, w in votes), for
+    nonzero w: each down part takes up * w * phi_s for every vote in one
+    ``_plus``, and a pair with a zero up part is the same object."""
+    return tuple(p if p.up.is_zero else ModulePair(
+        p.up, p.down._plus(*[(p.up, s, w) for s, w in votes])) for p in part)
 
 
 def spoly(s: int, pair: ModulePair, g_part: Sequence[ModulePair]) -> list[ModulePair]:
@@ -220,7 +244,7 @@ def _planned(s: int, pair: ModulePair,
     reduction is the pair's one minimal combination (every other plan is a
     multiple of it), and in the last case the minimal ones, those of the
     minimal lcms, are what ``_prime_reduce`` on the planned leads keeps."""
-    du, mu = pair.up.delta(), pair.down.delta()
+    du, mu = pair.du, pair.dd
     if _leads_up(s - 1, pair):
         return [(du, pair, None, None, None, 0, None)]
     lc = pair.down.leading_coefficient()
@@ -236,17 +260,25 @@ def _combine(pair: ModulePair, mu: Optional[int], g: Optional[ModulePair],
              lc: Optional[FieldElement]) -> ModulePair:
     """A planned combination: the pair itself when g is None, else
     cf * phi(psi - mu) * pair + cg * phi(psi - r) * g with both products
-    monic at psi (mu, r the downstairs leads, lc the pair's coefficient)."""
+    monic at psi (mu, r the downstairs leads, lc the pair's coefficient).
+
+    Each side is one ``_plus``.  A reduction (psi = mu) adds (cg / cf) *
+    phi(psi - r) * g into the pair's side and scales the sum by cf in O(1);
+    there phi(psi - mu) = 1, so cf = 1 / lc and cg / cf = cg * lc.  An
+    eta's zero up part adds nothing, so takes no ``_plus``."""
     if g is None:
         return pair
     curve = pair.up.curve
     qf, qg = psi - mu, psi - r
-    cf = _monic(curve, qf, mu, lc)
     cg = -_monic(curve, qg, r, g.down.leading_coefficient())
-    # each side in one pass
-    zero = curve.zero()
-    return ModulePair(zero._plus((pair.up, qf, cf), (g.up, qg, cg)),
-                      zero._plus((pair.down, qf, cf), (g.down, qg, cg)))
+    if qf:
+        cf = _monic(curve, qf, mu, lc)
+        zero = curve.zero()
+        return ModulePair(zero._plus((pair.up, qf, cf), (g.up, qg, cg)),
+                          zero._plus((pair.down, qf, cf), (g.down, qg, cg)))
+    c, cf = cg * lc, lc.inverse()
+    up = pair.up if g.up.is_zero else pair.up._plus((g.up, qg, c))
+    return ModulePair(up * cf, pair.down._plus((g.down, qg, c)) * cf)
 
 
 def _monic(curve: Curve, q: int, order: int, lc: FieldElement) -> FieldElement:
@@ -277,15 +309,26 @@ def step(state: GBState) -> GBState:
     if not moved:
         return GBState(s - 1, state.g, state.f, state.curve)
     sg = state.curve.semigroup
-    g_leads = [(g, g.down.delta()) for g in state.g]
+    g_leads = [(g, g.dd) for g in state.g]
     plans = [plan for p in state.f for plan in _planned(s, p, g_leads, sg)]
     new_g = state.g
-    if any(plan[0] != plan[1].up.delta() for plan in plans):  # the G footprint grows
+    if any(plan[0] != plan[1].du for plan in plans):  # the G footprint grows
         new_g = (*state.g, *moved)
-        new_g = tuple(_prime_reduce(new_g, [g.down.delta() for g in new_g], sg))
+        new_g = tuple(_prime_reduce(new_g, [g.dd for g in new_g], sg))
         plans = _prime_reduce(plans, [plan[0] for plan in plans], sg)
     new_f = tuple(_combine(*plan[1:]) for plan in plans)
     return GBState(s - 1, new_g, new_f, state.curve)
+
+
+def _settled(state: GBState,
+             pending: list[tuple[int, FieldElement]]) -> GBState:
+    """The basis with the pending votes substituted into its G part, each
+    pair in one ``_plus``; pending is left empty."""
+    if not pending:
+        return state
+    g = _substituted(state.g, pending)
+    pending.clear()
+    return GBState(state.weight, g, state.f, state.curve)
 
 
 def hamming_distance(v: Sequence[FieldElement], w: Sequence[FieldElement]) -> int:
@@ -300,7 +343,9 @@ def decode(code: Code, v: Sequence[FieldElement],
     s <= u (coordinates above N, when any, are zero).  When 2 * wt(error)
     is below the decoding distance the output message is the sent one.
     ``watch`` is called as watch(s, basis entering weight s, vote or None)
-    for every s, and once more with the final basis at weight -1.
+    for every s, and once more with the final basis at weight -1; the G
+    part takes the pending votes before each call, so a watched decode
+    settles at every weight.
 
     The status is ``failed-verification`` when the output re-encodes more
     than the radius (d_u - 1) // 2 away from v.  An output within the
@@ -313,15 +358,23 @@ def decode(code: Code, v: Sequence[FieldElement],
     field = code.field
     state = initial_basis(code, v)
     votes: list[VoteRecord] = []
+    pending: list[tuple[int, FieldElement]] = []  # votes the G part lacks
     for s in range(state.weight, -1, -1):
         record = None
         if s <= code.u and sg.is_nongap(s):
             record = vote(code, s, state)
             votes.append(record)
         if watch is not None:
+            state = _settled(state, pending)
             watch(s, state, record)
-        shifted = shift(state, record.chosen, s) if record is not None else state
-        state = step(shifted)
+        if record is not None and not record.chosen.is_zero:
+            pending.append((s, record.chosen))
+            state = GBState(s, state.g, _substituted(state.f, pending[-1:]),
+                            state.curve)
+        if pending and not all(_leads_up(s - 1, p) for p in state.f):
+            state = _settled(state, pending)  # step combines with G
+        state = step(state)
+    state = _settled(state, pending)
     if watch is not None:
         watch(-1, state, None)
 

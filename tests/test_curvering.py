@@ -101,6 +101,18 @@ def mk_a4_gf7():
     return Curve(field, 4, 5, field.one, {(1, 1): field.element(2)})
 
 
+#: Hermitian curves and every MK_FAMILIES curve, by name
+NAMED_CURVES = sorted(MK_FAMILIES) + ["hermitian-q2", "hermitian-q3",
+                                      "hermitian-q4"]
+
+
+def named_curve(name):
+    if name.startswith("hermitian"):
+        return Curve.hermitian(int(name[-1]))
+    curve, _ = curve_from_config(MK_FAMILIES[name])
+    return curve
+
+
 REFERENCE_CURVES = {
     "hermitian-q3": lambda: Curve.hermitian(3),
     "hermitian-q4": lambda: Curve.hermitian(4),
@@ -145,14 +157,10 @@ class TestReduction:
         with pytest.raises(ValueError, match="negative exponent"):
             curve_q3.element({(2, -1): curve_q3.field.zero})
 
-    @pytest.mark.parametrize("name", sorted(MK_FAMILIES) + [
-        "hermitian-q2", "hermitian-q3", "hermitian-q4"])
+    @pytest.mark.parametrize("name", NAMED_CURVES)
     def test_equation_reduces_to_zero(self, name):
         # every term of the reduced y^a cancels against the other terms
-        if name.startswith("hermitian"):
-            curve = Curve.hermitian(int(name[-1]))
-        else:
-            curve, _ = curve_from_config(MK_FAMILIES[name])
+        curve = named_curve(name)
         assert curve.reduce(curve.equation_terms()).is_zero
 
     def test_high_y_power_is_not_recursive(self):
@@ -278,6 +286,38 @@ class TestRingArithmetic:
         # an equal field built apart is the same field
         same = Field(2, 2).one
         assert f.evaluate(same, same) == f.evaluate(native, native)
+
+
+class TestZeroMultiples:
+    """The zero element is the empty list: its multiples y^j * 0 are too,
+    and a product of zero adds nothing to a sum (``RingElement._times_y``,
+    ``RingElement._plus``)."""
+
+    @pytest.mark.parametrize("name", NAMED_CURVES)
+    def test_times_y_of_zero_is_zero(self, name):
+        # asked twice, so a multiple kept from the first ask is checked too
+        curve = named_curve(name)
+        zero = curve.zero()
+        for _ in range(2):
+            for j in range(1, curve.a):
+                multiple = zero._times_y(j)
+                assert multiple.is_zero and multiple.delta() is None
+                assert multiple._terms == []
+
+    @pytest.mark.parametrize("name", NAMED_CURVES)
+    def test_plus_skips_zero_products(self, name):
+        # a zero product at every y-degree j < a, alone, after a sum and
+        # before a nonzero product, which then sets the result's scale
+        curve = named_curve(name)
+        a, b, c = curve.a, curve.b, curve.field.generator
+        zero = curve.zero()
+        x = curve.monomial(1, a - 1, c) + curve.one()
+        for j in range(a):
+            t = a + b * j  # x * y^j
+            assert zero._plus((zero, t, c))._terms == []
+            assert x._plus((zero, t, c)) == x
+            assert zero._plus((zero, t, c), (x, t, c)) == \
+                x * curve.monomial(1, j, c)
 
 
 class TestAgainstSchoolbook:

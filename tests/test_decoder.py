@@ -24,13 +24,15 @@ from support import (MK_FAMILIES, add_vectors, lattice_divides, mk_code,
 
 def decode_counting_products(code, received, monkeypatch):
     """(decode(code, received), its boxed FieldElement products, the ring
-    kernel's products of a nonzero entry by a multiplier other than one).
+    kernel's products of a nonzero entry by a multiplier other than one,
+    its ``RingElement._plus`` calls).
 
     The kernel's products are those of the ``Field`` list methods while
     ``RingElement._plus`` runs: per call, the nonzero entries of the vector
     of ``axpy`` or ``scale``, or the one value of ``axpy_value``, when the
     multiplier's kernel value is not 0."""
     zero, boxed, kernel, depth = code.field.zero_log, [0], [0], [0]
+    calls = [0]
     plain_mul, plain_plus = FieldElement.__mul__, RingElement._plus
 
     def mul(x, y):
@@ -38,6 +40,7 @@ def decode_counting_products(code, received, monkeypatch):
         return plain_mul(x, y)
 
     def plus(self, *products):
+        calls[0] += 1
         depth[0] += 1
         try:
             return plain_plus(self, *products)
@@ -61,7 +64,7 @@ def decode_counting_products(code, received, monkeypatch):
     counting("axpy_value", lambda r, k, v: nonzero([v], k))
     monkeypatch.setattr(FieldElement, "__mul__", mul)
     monkeypatch.setattr(RingElement, "_plus", plus)
-    return decode(code, received), boxed[0], kernel[0]
+    return decode(code, received), boxed[0], kernel[0], calls[0]
 
 
 @pytest.fixture(scope="module")
@@ -268,30 +271,14 @@ class TestSpoly:
                 random_error(code, rng, w)) for w in range(t + 2)]))
         checked, two_outputs = 0, 0
         for code, words in codes:
-            curve, sg = code.curve, code.curve.semigroup
             for v in words:
                 for s, state, _, _ in tracked_decode(code, v)[1]:
                     if s < 0:
                         continue
                     for pair in state.f:
-                        mu = leading(s - 1, pair)
-                        if mu.location is UP:
+                        if leading(s - 1, pair).location is UP:
                             continue
-                        lcms = [(g, psi) for g in state.g for psi in
-                                sg.lcms(mu.order, leading(s, g).order)]
-                        want = []
-                        for g, psi in reference_prime_reduce(
-                                lcms, [psi for _, psi in lcms], sg):
-                            qf = sg.phi(psi - mu.order)
-                            qg = sg.phi(psi - leading(s, g).order)
-                            cf = (curve.monomial(*qf) * pair.down
-                                  ).leading_coefficient().inverse()
-                            cg = -(curve.monomial(*qg) * g.down
-                                   ).leading_coefficient().inverse()
-                            mf = curve.monomial(*qf, cf)
-                            mg = curve.monomial(*qg, cg)
-                            want.append(ModulePair(pair.up * mf + g.up * mg,
-                                                   pair.down * mf + g.down * mg))
+                        want = written_out_combinations(s, pair, state.g)
                         assert spoly(s, pair, state.g) == want
                         checked += 1
                         two_outputs += len(want) == 2
@@ -382,9 +369,10 @@ class TestStep:
                 random_error(code, rng, t))))
         return words
 
-    def test_matches_reference_from_spoly(self, code_q3, received_q3):
+    def test_matches_the_written_out_step(self, code_q3, received_q3):
         # step builds only what changes: the same pairs in the same order
-        # as spoly on every F element followed by pruning, the same tuples
+        # as every F element's written-out combinations followed by
+        # pruning (``reference_step``), the same tuples
         # when no F element changes side, and shift passes a pair with a
         # zero up part through as the same object; a moved lead and a G
         # lead that divide neither way have two lcms, one past a wrap of
@@ -661,50 +649,65 @@ class TestDecode:
                 assert decode(code, received).message == message
 
     def test_field_products_pinned(self, received_q3, monkeypatch):
-        # the bundled decode on a fresh code makes 359 boxed products, all
-        # scalars (multipliers, lead coefficients, the vote), and 308 ring
-        # kernel products, 295 of entries by their product's multiplier and
-        # 13 of the row x^i y^2 by the curve's one correction term, in the
-        # 8 multiples y^j * e that products build once per element; the 13
-        # boxed multiplier-times-correction products of per-product wrap
-        # corrections are gone, and so are 2 scalars, the products of the
-        # wrap rows a fresh curve built through _plus (374 boxed before;
-        # 681 when the ring's entries were FieldElements, the same 295, 26
-        # on wrapped entries and 360 scalars; 1,326 before a unit
-        # multiplier in the ring kernel skipped its products; 821 before
-        # step stopped building the spoly outputs that pruning drops, and
-        # shift stopped passing zero-up pairs through the kernel)
+        # the bundled decode on a fresh code makes 295 boxed products, all
+        # scalars, by call site: 83 lead coefficients; 53 in the ring
+        # kernel, one tc * (e's scale) per product, as each multiplier is
+        # divided by the result's scale on logs; in _combine 34 _monic
+        # scalars (cg for the 22 reductions, cf and cg for the 6 lcm
+        # combinations), 22 products cg * lc and 44 scalings by cf = 1 / lc
+        # of the reductions' two sides; 28 _monic scalars and 28
+        # nominations of the votes; and 3 coefficient_at reads.  359
+        # before: 161 in the kernel, where a multiplier took a second
+        # product by the inverse of the result's scale, and 56 _monic
+        # scalars in _combine, where a reduction built both its products
+        # into an empty side.  The kernel makes 308 products, 295 of
+        # entries by their product's multiplier and 13 of the row x^i y^2
+        # by the curve's one correction term, in the 8 multiples y^j * e
+        # that products build once per element (374 boxed before the
+        # multiples; 681 when the ring's entries were FieldElements; 1,326
+        # before a unit multiplier in the ring kernel skipped its products;
+        # 821 before step stopped building the spoly outputs that pruning
+        # drops, and shift stopped passing zero-up pairs through the
+        # kernel).  45 _plus calls, all in _combine, as every vote is
+        # zero: 33 in the 22 reductions, whose 11 by an eta take none for
+        # its zero up part, and 12 in the lcm combinations (56 before)
         code = code_from_config(json.loads(
             (FIXTURES / "hermitian_q3_u16.json").read_text(encoding="utf-8")))
-        result, boxed, kernel = decode_counting_products(code, received_q3,
-                                                         monkeypatch)
+        result, boxed, kernel, calls = decode_counting_products(
+            code, received_q3, monkeypatch)
         assert result.status == STATUS_OK
-        assert (boxed, kernel) == (359, 308)
+        assert (boxed, kernel, calls) == (295, 308, 45)
 
     def test_field_products_pinned_q4(self, monkeypatch):
         # one seeded word at the full radius t=16 of Hermitian q=4, u=30 on
-        # a fresh code: the spoly combinations' f sides cost no product;
-        # 2,010 boxed products, all scalars, and 8,201 kernel products, all
-        # of entries by their multiplier; the 40 multiples y^j * e built
-        # once per element cost none, as the curve's one correction term
-        # is one in characteristic 2.  Against 2,628 and 8,461 before: the
-        # 615 boxed multiplier-times-correction products are gone, and so
-        # are 3 scalars, the products of the wrap rows a fresh curve built
-        # through _plus; a multiple holds its corrections as entries, so
-        # placing it makes what were 7,900 products of entries and 561 of
-        # corrections per product (11,143 boxed products when the
-        # ring's entries were FieldElements; 12,144 before step stopped
-        # building the spoly outputs that pruning drops, and shift stopped
-        # passing zero-up pairs through the kernel)
+        # a fresh code: 1,585 boxed products, all scalars, by call site:
+        # 367 lead coefficients; 435 in the ring kernel, one per product;
+        # in _combine 154 _monic scalars (cg for the 116 reductions, cf and
+        # cg for the 19 lcm combinations), 116 products cg * lc and 232
+        # scalings by cf = 1 / lc of the reductions' two sides; 100 _monic
+        # scalars and 100 nominations of the votes; and 81 coefficient_at
+        # reads.  2,010 before: 1,092 in the kernel and 270 _monic scalars
+        # in _combine.  8,201 kernel products, all of entries by their
+        # multiplier; the 40 multiples y^j * e built once per element cost
+        # none, as the curve's one correction term is one in
+        # characteristic 2 (2,628 boxed and 8,461 kernel products before
+        # the multiples; 11,143 boxed products when the ring's entries
+        # were FieldElements; 12,144 before step stopped building the
+        # spoly outputs that pruning drops, and shift stopped passing
+        # zero-up pairs through the kernel).  330 _plus calls: 88
+        # substitutions of votes, the F part's at each vote and the G
+        # part's once per change (160 when each vote went into every pair
+        # at once), 204 in the 116 reductions, whose 28 by an eta take none
+        # for its zero up part (232 before), and 38 in the lcm combinations
         code = Code(Curve.hermitian(4), 30)
         rng = random.Random(4030)
         message = random_message(code, rng)
         received = add_vectors(code.encode(message),
                                random_error(code, rng, 16))
-        result, boxed, kernel = decode_counting_products(code, received,
-                                                         monkeypatch)
+        result, boxed, kernel, calls = decode_counting_products(
+            code, received, monkeypatch)
         assert result.message == message
-        assert (boxed, kernel) == (2010, 8201)
+        assert (boxed, kernel, calls) == (1585, 8201, 330)
 
     def test_q4_guarantee_at_full_radius(self):
         # Hermitian q=4, u=30: n=64, d=34, so t=16 is the full radius
@@ -822,6 +825,86 @@ class TestLargeFamilies:
         assert result.status == STATUS_OK
         assert all(r.margin >= 1 for r in result.votes)
         assert result.distance == t == 159
+
+
+class TestSettlement:
+    """An unwatched decode substitutes each vote into the F part at once and
+    into the G part only before step moves an F element and on return; a
+    watched one settles at every weight, before each watch call.  Both
+    return the same message, votes, status, distance and final basis."""
+
+    @staticmethod
+    def words(code, seed, count=1):
+        """count seeded words at each of the weights 0, t, t + 1 and
+        t + 3, t the code's radius."""
+        t = (code.decoding_distance() - 1) // 2
+        rng = random.Random(seed)
+        return [add_vectors(code.encode(random_message(code, rng)),
+                            random_error(code, rng, weight))
+                for weight in (0, t, t + 1, t + 3) for _ in range(count)]
+
+    @staticmethod
+    def lazy_settlements(code, v):
+        """(the watched decode, the weights at which an unwatched decode
+        settles before step: an F element moves there with a nonzero vote
+        since the last such weight)."""
+        pending, weights = [False], []
+
+        def watch(s, state, record):
+            if s < 0:
+                return
+            if record is not None and not record.chosen.is_zero:
+                pending[0] = True
+                state = shift(state, record.chosen, s)
+            if any(leading(s - 1, p).location is DOWN for p in state.f):
+                if pending[0]:
+                    weights.append(s)
+                pending[0] = False
+        return decode(code, v, watch), weights
+
+    @classmethod
+    def assert_agree(cls, code, v):
+        """The watched and unwatched decodes of v agree; returns the
+        weights at or below u at which the unwatched one settles lazily."""
+        plain = decode(code, v)
+        watched, weights = cls.lazy_settlements(code, v)
+        assert plain.message == watched.message
+        assert plain.votes == watched.votes
+        assert (plain.status, plain.distance) == \
+            (watched.status, watched.distance)
+        got, want = plain.final_basis, watched.final_basis
+        assert (got.weight, got.g, got.f) == (want.weight, want.g, want.f)
+        return [s for s in weights if s <= code.u]
+
+    @pytest.mark.parametrize("q,u", [(2, 3), (3, 16), (4, 30), (5, 60)])
+    def test_hermitian(self, q, u):
+        code = Code(Curve.hermitian(q), u)
+        settled = [self.assert_agree(code, v)
+                   for v in self.words(code, 100 * q + u, 2)]
+        assert any(settled)
+
+    def test_pinned_q4_word_settles_below_u(self):
+        # the seeded word of test_field_products_pinned_q4: its F elements
+        # move below u with votes pending for the G part
+        code = Code(Curve.hermitian(4), 30)
+        rng = random.Random(4030)
+        v = add_vectors(code.encode(random_message(code, rng)),
+                        random_error(code, rng, 16))
+        assert self.assert_agree(code, v)
+
+    @pytest.mark.parametrize("shortened", [False, True])
+    @pytest.mark.parametrize("family,u,n", TestLargeFamilies.CASES)
+    def test_large_families(self, family, u, n, shortened):
+        code = mk_code(family, u, shortened)
+        for v in self.words(code, code.n + u):
+            self.assert_agree(code, v)
+
+    def test_large_family_with_a_16(self):
+        code = mk_code("norm-trace-gf32", 200)
+        rng = random.Random(code.n + 200)
+        t = (code.decoding_distance() - 1) // 2
+        self.assert_agree(code, add_vectors(code.encode(
+            random_message(code, rng)), random_error(code, rng, t)))
 
 
 class TestGuaranteeAcrossFamilies:

@@ -218,6 +218,29 @@ class TestRingProperties:
         assert dict(x.items()) == items
 
     @PROPERTY
+    @given(st.data())
+    def test_every_result_is_zero_exactly_without_a_lead(self, data):
+        # is_zero exactly when delta() is None, and a nonzero result leads
+        # with a nonzero coefficient (its list ends with a nonzero entry):
+        # for ring sums, differences, products and scalar products, for
+        # the kernel with cancelling and zero products, and for the
+        # multiples y^j * e, of zero too
+        curve, (x, y) = data.draw(curve_and_elements(2))
+        sg, field, zero = curve.semigroup, curve.field, curve.zero()
+        c = data.draw(st.sampled_from(field.elements()[1:]))
+        t = data.draw(st.sampled_from(sg.nongaps(2 * curve.a * curve.b)))
+        built = [x + y, x - y, x - x, x * y, y * x, x * zero, x * c, c * x,
+                 -x, x * field.zero, x._plus((y, t, c)),
+                 (x * c)._plus((x, 0, -c)), x._plus((y, t, c), (y, t, -c)),
+                 x._plus((zero, t, c)), zero._plus((zero, t, c), (y, t, c))]
+        built += [e._times_y(j) for e in (x, y, zero, x * c)
+                  for j in range(1, curve.a)]
+        for f in built:
+            assert f.is_zero == (f.delta() is None)
+            if not f.is_zero:
+                assert not f.leading_coefficient().is_zero
+
+    @PROPERTY
     @given(curve_and_elements(2))
     def test_delta_is_additive(self, case):
         _, (f, g) = case
