@@ -47,7 +47,7 @@ from itertools import accumulate
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .curvering import (Curve, Monomial, RingElement, Semigroup,
-                        _evaluate_logs, _prime_reduce)
+                        _evaluate_logs, _hermitian_prime, _prime_reduce)
 from .gf import Field, FieldElement, _is_int
 
 Point = tuple[FieldElement, FieldElement]
@@ -461,10 +461,10 @@ def hermitian_decoding_distance(q: int, u: int) -> int:
     """Closed form of the decoding distance for Hermitian codes.
 
     For nongap u = aa*q + bb < q^3 with 0 <= bb < q the distance is
-    q^3 - aa*q when bb <= aa + q - q^2, and q^3 - u otherwise.
+    q^3 - aa*q when bb <= aa + q - q^2, and q^3 - u otherwise; a q that
+    ``Curve.hermitian`` refuses is refused with its message.
     """
-    if not _is_int(q):
-        raise ValueError(f"q must be an integer, got {q!r}")
+    _hermitian_prime(q)
     sg = Semigroup(q, q + 1)
     if not _is_int(u) or u >= q ** 3 or not sg.is_nongap(u):
         raise ValueError(f"u must be a nongap below q^3 = {q ** 3}, got {u!r}")

@@ -248,6 +248,18 @@ def _prime_reduce(items: list, orders: list[int], sg: Semigroup) -> list:
     return [items[n] for n in kept]
 
 
+def _hermitian_prime(q: int) -> int:
+    """The prime p of a prime power q with q^2 within the field-order cap."""
+    if not _is_int(q):
+        raise ValueError(f"q must be an integer, got {q!r}")
+    if q * q > ORDER_CAP:  # before factoring q by trial division
+        raise ValueError(f"field order {q}^2 exceeds cap {ORDER_CAP}")
+    factors = _prime_factors(q)
+    if len(factors) != 1:
+        raise ValueError(f"{q} is not a prime power")
+    return factors[0]
+
+
 class Curve:
     """A Miura-Kamiya plane curve over a finite field."""
 
@@ -303,14 +315,7 @@ class Curve:
     @classmethod
     def hermitian(cls, q: int) -> "Curve":
         """The curve y^q + y - x^(q+1) = 0 over GF(q^2), for prime-power q."""
-        if not _is_int(q):
-            raise ValueError(f"q must be an integer, got {q!r}")
-        if q * q > ORDER_CAP:  # before factoring q by trial division
-            raise ValueError(f"field order {q}^2 exceeds cap {ORDER_CAP}")
-        factors = _prime_factors(q)
-        if len(factors) != 1:
-            raise ValueError(f"{q} is not a prime power")
-        p = factors[0]
+        p = _hermitian_prime(q)
         e = 0
         qq = q
         while qq > 1:

@@ -12,8 +12,8 @@ Decoding starts from {eta_i} plus z - h_v (h_v interpolating v) at weight
 N = delta(h_v) and walks the weight down to 0.  At each nongap weight
 s <= u ``vote`` tallies votes for the message coordinate w_s: every F
 element nominates one field value, weighted by how much of the downstairs
-footprint its upstairs cone covers; the winner is subtracted by
-substituting z -> z + w * phi_s (``shift``).  ``step`` then converts the
+footprint its upstairs cone covers; the winner is subtracted by the
+substitution z -> z + w * phi_s (below).  ``step`` then converts the
 basis from weight s to s - 1 (``spoly`` is ``step`` on a one-element F
 part).  An F element whose lead moves downstairs, to mu, is reduced once
 by the first G element whose lead divides mu: a row operation of the
@@ -30,13 +30,14 @@ part, and the one test left is whether an F element still leads upstairs at
 s - 1.  ``leading`` and ``Lead`` are the inspection form of a lead, for
 traces and checks.
 
-``decode`` substitutes each vote into the F part at once, and the G part
-takes the votes once per change.  Below u a G element is read only for
-its down lead, which the substitution never changes, so the votes wait
-until ``step`` is about to move an F element, ``watch`` is called or the
-decode returns; then each G pair with a nonzero up part takes them all in
-one ``_plus``.  Between settlements the G part differs from the basis only
-by that pending substitution, which changes no G lead.
+``decode`` substitutes each vote into the F part at once (``shift`` does
+it on a whole basis), and the G part takes the votes once per change.
+Below u a G element is read only for its down lead, which the
+substitution never changes, so the votes wait until ``step`` is about to
+move an F element or ``watch`` is called; then each G pair with a nonzero
+up part takes them all in one ``_plus``.  The G part differs from the
+basis only by that pending substitution, and a decode returns with it
+pending unless ``watch`` is to see the final basis.
 
 The guarantee: if the error weight t satisfies 2*t < d_u (the code's
 decoding distance), every vote picks the sent coordinate.  Decoding never
@@ -145,7 +146,6 @@ class VoteRecord:
 class DecodeResult:
     message: Vector
     votes: tuple[VoteRecord, ...]
-    final_basis: GBState
     status: str
     distance: int
 
@@ -343,9 +343,9 @@ def decode(code: Code, v: Sequence[FieldElement],
     s <= u (coordinates above N, when any, are zero).  When 2 * wt(error)
     is below the decoding distance the output message is the sent one.
     ``watch`` is called as watch(s, basis entering weight s, vote or None)
-    for every s, and once more with the final basis at weight -1; the G
-    part takes the pending votes before each call, so a watched decode
-    settles at every weight.
+    for every s, and once more with the final basis at weight -1 (the one
+    way to reach it); the G part takes the pending votes before each call,
+    so a watched decode settles at every weight.
 
     The status is ``failed-verification`` when the output re-encodes more
     than the radius (d_u - 1) // 2 away from v.  An output within the
@@ -374,9 +374,8 @@ def decode(code: Code, v: Sequence[FieldElement],
         if pending and not all(_leads_up(s - 1, p) for p in state.f):
             state = _settled(state, pending)  # step combines with G
         state = step(state)
-    state = _settled(state, pending)
     if watch is not None:
-        watch(-1, state, None)
+        watch(-1, _settled(state, pending), None)
 
     chosen = {r.s: r.chosen for r in votes}
     message = tuple(chosen.get(s, field.zero) for s in code.message_orders)
@@ -387,4 +386,4 @@ def decode(code: Code, v: Sequence[FieldElement],
         status = STATUS_LOW_CONFIDENCE
     else:
         status = STATUS_OK
-    return DecodeResult(message, tuple(votes), state, status, distance)
+    return DecodeResult(message, tuple(votes), status, distance)

@@ -685,6 +685,11 @@ class TestDistance:
             hermitian_decoding_distance(3, 5)
         with pytest.raises(ValueError):
             hermitian_decoding_distance(3, 27)
+        # no Hermitian curve has these q
+        for q, u in [(1, 0), (6, 20), (10, 50)]:
+            with pytest.raises(ValueError,
+                               match=f"^{q} is not a prime power$"):
+                hermitian_decoding_distance(q, u)
 
     def test_order_bound_rejects_gaps(self, code_q3):
         with pytest.raises(ValueError):

@@ -493,8 +493,8 @@ class TestStep:
             (Monomial(7, 1), field.element(2))
 
     def test_final_basis(self, bundled_states, code_q3):
-        result, states = bundled_states
-        final = result.final_basis
+        _, states = bundled_states
+        final = states[-1][0]
         assert final.weight == -1
         assert all(p.down.is_zero for p in final.f)
         assert [p.up.leading_monomial() for p in final.f] == \
@@ -680,25 +680,30 @@ class TestDecode:
 
     def test_field_products_pinned_q4(self, monkeypatch):
         # one seeded word at the full radius t=16 of Hermitian q=4, u=30 on
-        # a fresh code: 1,585 boxed products, all scalars, by call site:
-        # 367 lead coefficients; 435 in the ring kernel, one per product;
+        # a fresh code: 1,509 boxed products, all scalars, by call site:
+        # 367 lead coefficients; 359 in the ring kernel, one per product;
         # in _combine 154 _monic scalars (cg for the 116 reductions, cf and
         # cg for the 19 lcm combinations), 116 products cg * lc and 232
         # scalings by cf = 1 / lc of the reductions' two sides; 100 _monic
         # scalars and 100 nominations of the votes; and 81 coefficient_at
-        # reads.  2,010 before: 1,092 in the kernel and 270 _monic scalars
-        # in _combine.  8,201 kernel products, all of entries by their
-        # multiplier; the 40 multiples y^j * e built once per element cost
-        # none, as the curve's one correction term is one in
-        # characteristic 2 (2,628 boxed and 8,461 kernel products before
-        # the multiples; 11,143 boxed products when the ring's entries
-        # were FieldElements; 12,144 before step stopped building the
-        # spoly outputs that pruning drops, and shift stopped passing
-        # zero-up pairs through the kernel).  330 _plus calls: 88
-        # substitutions of votes, the F part's at each vote and the G
-        # part's once per change (160 when each vote went into every pair
-        # at once), 204 in the 116 reductions, whose 28 by an eta take none
-        # for its zero up part (232 before), and 38 in the lcm combinations
+        # reads.  1,585 when decode settled the G part on return: the 19
+        # votes then pending went into the 4 G pairs with a nonzero up
+        # part, 76 products boxed in the ring kernel; 2,010 before that,
+        # with 1,092 in the kernel and 270 _monic scalars in _combine.  7,145
+        # kernel products, all of entries by their multiplier (8,201 with
+        # the 1,056 of that settlement on return); the 40 multiples
+        # y^j * e built once per element cost none, as the curve's one
+        # correction term is one in characteristic 2 (2,628 boxed and
+        # 8,461 kernel products before the multiples; 11,143 boxed products
+        # when the ring's entries were FieldElements; 12,144 before step
+        # stopped building the spoly outputs that pruning drops, and shift
+        # stopped passing zero-up pairs through the kernel).  326 _plus
+        # calls: 84 substitutions of votes, the F part's at each vote and
+        # the G part's once before a step that moves an F element (88 with
+        # the 4 of the settlement on return; 160 when each vote went into
+        # every pair at once), 204 in the 116 reductions, whose 28 by an
+        # eta take none for its zero up part (232 before), and 38 in the
+        # lcm combinations
         code = Code(Curve.hermitian(4), 30)
         rng = random.Random(4030)
         message = random_message(code, rng)
@@ -707,7 +712,7 @@ class TestDecode:
         result, boxed, kernel, calls = decode_counting_products(
             code, received, monkeypatch)
         assert result.message == message
-        assert (boxed, kernel, calls) == (1585, 8201, 330)
+        assert (boxed, kernel, calls) == (1509, 7145, 326)
 
     def test_q4_guarantee_at_full_radius(self):
         # Hermitian q=4, u=30: n=64, d=34, so t=16 is the full radius
@@ -829,9 +834,12 @@ class TestLargeFamilies:
 
 class TestSettlement:
     """An unwatched decode substitutes each vote into the F part at once and
-    into the G part only before step moves an F element and on return; a
-    watched one settles at every weight, before each watch call.  Both
-    return the same message, votes, status, distance and final basis."""
+    into the G part only before step moves an F element; a watched one
+    settles at every weight, before each watch call, and once more for the
+    final basis it hands watch at weight -1.  Both return the same message,
+    votes, status and distance, and hand step the same F parts as values
+    (the F part is exact on both paths) with the same G leads; an unwatched
+    decode calls no ``_plus`` after its last step."""
 
     @staticmethod
     def words(code, seed, count=1):
@@ -844,10 +852,33 @@ class TestSettlement:
                 for weight in (0, t, t + 1, t + 3) for _ in range(count)]
 
     @staticmethod
-    def lazy_settlements(code, v):
-        """(the watched decode, the weights at which an unwatched decode
-        settles before step: an F element moves there with a nonzero vote
-        since the last such weight)."""
+    def stepped(code, v, watch=None):
+        """(decode(code, v, watch), the weight, F part and G leads of every
+        state that ``decoder.step`` receives, the ``_plus`` calls after the
+        last step returns)."""
+        plain_step, plain_plus = decoder.step, RingElement._plus
+        states, calls = [], [0]
+
+        def recording(state):
+            states.append((state.weight, state.f, state.g_leads()))
+            out = plain_step(state)
+            calls[0] = 0
+            return out
+
+        def counted(self, *products):
+            calls[0] += 1
+            return plain_plus(self, *products)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(decoder, "step", recording)
+            mp.setattr(RingElement, "_plus", counted)
+            return decode(code, v, watch), states, calls[0]
+
+    @staticmethod
+    def lazy_settlements():
+        """(a watch, and the list it fills with the weights at which an
+        unwatched decode settles before step: an F element moves there with
+        a nonzero vote since the last such weight)."""
         pending, weights = [False], []
 
         def watch(s, state, record):
@@ -860,20 +891,21 @@ class TestSettlement:
                 if pending[0]:
                     weights.append(s)
                 pending[0] = False
-        return decode(code, v, watch), weights
+        return watch, weights
 
     @classmethod
     def assert_agree(cls, code, v):
         """The watched and unwatched decodes of v agree; returns the
         weights at or below u at which the unwatched one settles lazily."""
-        plain = decode(code, v)
-        watched, weights = cls.lazy_settlements(code, v)
+        plain, plain_states, calls = cls.stepped(code, v)
+        watch, weights = cls.lazy_settlements()
+        watched, watched_states, _ = cls.stepped(code, v, watch)
         assert plain.message == watched.message
         assert plain.votes == watched.votes
         assert (plain.status, plain.distance) == \
             (watched.status, watched.distance)
-        got, want = plain.final_basis, watched.final_basis
-        assert (got.weight, got.g, got.f) == (want.weight, want.g, want.f)
+        assert plain_states == watched_states
+        assert calls == 0
         return [s for s in weights if s <= code.u]
 
     @pytest.mark.parametrize("q,u", [(2, 3), (3, 16), (4, 30), (5, 60)])
