@@ -12,8 +12,10 @@ explicit list.
 
 Construction works in R as a free F[x]-module with basis 1, y, ...,
 y^(a-1), on lists of kernel values (logs, see ``gf.py``) indexed by pole
-order, each update one ``Field.axpy``.  The points are grouped once by
-x-value into fibers of at most a points each, which all three steps read:
+order, each update one ``Field.axpy``; they become ring vectors
+(``Field.vector``) once, at the etas and at ``Code.lagrange``.  The points
+are grouped once by x-value into fibers of at most a points each, which all
+three steps read:
 
 * The reduced F[x]-basis of the ideal J of functions vanishing at all
   points has a generators, one per y-degree.  A full fiber, a points over
@@ -321,7 +323,7 @@ def _ideal_basis_interpolator(
     zero = field.zero_log
     gens, leads = _ideal_generators(curve, points, fibers)
     rows = sorted(range(a), key=leads.__getitem__)
-    etas = tuple(RingElement(curve, gens[j]) for j
+    etas = tuple(RingElement(curve, field.vector(gens[j])) for j
                  in _prime_reduce(rows, [leads[j] for j in rows], sg))
     top = max(leads)
     footprint = tuple(s for s in range(top)
@@ -417,7 +419,8 @@ class Code:
     def lagrange(self, v: Sequence[FieldElement]) -> RingElement:
         """The unique function supported on the footprint with ev(h) = v."""
         self._check_vector(v, self.n, "vector")
-        return RingElement(self.curve, self._interpolate(self.field.logs(v)))
+        return RingElement(self.curve, self.field.vector(
+            self._interpolate(self.field.logs(v))))
 
     def _check_vector(self, v: Sequence[FieldElement], length: int,
                       what: str) -> None:

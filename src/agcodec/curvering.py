@@ -12,23 +12,24 @@ have pairwise distinct pole orders, so everything here names a monomial by
 its order s, with phi(s) = x^i y^j the monomial itself.  Everything
 downstream (codes, the decoder) runs on three primitives implemented here:
 
-* ring elements as a nonzero scale times a list of kernel values
-  (``Field.logs``) indexed by pole order, the build's layout: zero at gaps
-  and absent orders, the last entry nonzero (delta is its index), so
+* ring elements as a nonzero scale times a vector of entries indexed by
+  pole order (``Field.vector``: bytes of slot codes where a field's element
+  code fits a byte, kernel values otherwise), the build's layout: zero at
+  gaps and absent orders, the last entry nonzero (delta is its index), so
   negation and scalar products are O(1) and change only the scale, and
   entries are boxed into ``FieldElement``s only when read; and one kernel
   behind every sum, difference and product, ``RingElement._plus``: self +
-  sum(c * phi(t) * e) in one list, a product by x^i y^j placing e's
-  multiple y^j * e shifted by a*i in ``Field`` list passes (a copy or
-  ``Field.scale`` into an empty region, ``Field.axpy`` over the shifted
-  range, or entry by entry with ``Field.axpy_value`` for a short product),
-  and trailing zeros trimmed.  The multiples y^j * e, 0 < j < a, are built
-  once per element, on first need, and kept as long as it lives
-  (``RingElement._times_y``), so the products by the etas of a ``Code``
-  reuse theirs across decodes; each is y times the one below it
-  (``RingElement._y_step``), and only there do y-degrees pass a: the row
-  x^i y^(a-1) moves to x^i y^a and takes the curve's one correction row,
-  its stored rewrite of y^a (``Curve._y_a``) minus the unit term,
+  sum(c * phi(t) * e) in one ``Field.combine``, a product by x^i y^j
+  moving e's multiple y^j * e up by a*i entries, trailing zeros trimmed.
+  The entries are reached only through ``Field``'s vector operations
+  (``vector``, ``values``, ``entry``, ``spread``, ``combine``) and their
+  length.  The multiples y^j * e, 0 < j < a, are built once per element,
+  on first need, and kept as long as it lives (``RingElement._times_y``),
+  so the products by the etas of a ``Code`` reuse theirs across decodes;
+  each is y times the one below it (``RingElement._y_step``), and only
+  there do y-degrees pass a: the row x^i y^(a-1) moves to x^i y^a and
+  takes the curve's one correction row, its stored rewrite of y^a
+  (``Curve._y_a``) minus the unit term, in the same ``Field.combine``,
 * the pole-order function ``delta`` (None for zero, which has no lead),
 * divisibility on orders: phi(r) divides phi(t) exactly when t - r is a
   nongap, with quotient phi(t - r); lcms of two orders; the one
@@ -43,9 +44,10 @@ grammar used verbatim by the CLI trace format.  Raw polynomials with any
 y-degrees (``Curve.element``, ``Curve.reduce``) are maps from (i, j),
 summed in one ``_plus`` over their terms as ``monomial``s: x^i y^j with
 j >= a is x^i y^(j mod a) times y^a raised to j div a.  An element is
-evaluated by its rows, ``_terms[b*j::a]`` the coefficients of x^i y^j, by
-Horner's rule in x, then in y; only the equation and its partials are
-evaluated as raw terms, on kernel-value lists (``_evaluate_logs``).
+evaluated by the rows of its kernel values, values[b*j::a] the
+coefficients of x^i y^j, by Horner's rule in x, then in y; only the
+equation and its partials are evaluated as raw terms, on kernel-value
+lists (``_evaluate_logs``).
 """
 
 from __future__ import annotations
@@ -294,7 +296,7 @@ class Curve:
         y_a = [field.zero_log] * (a * b) + [(-d).log]
         for (i, j), c in clean.items():
             y_a[a * i + b * j] = (-c).log
-        self._y_a = RingElement(self, y_a)
+        self._y_a = RingElement(self, field.vector(y_a))
         # the correction of an entry x^i y^(a-1) moved up by b to x^i y^a
         # (``RingElement._y_step``): the rewrite of y^a minus its unit term,
         # as (offset, kernel value) pairs, every offset at or below 0
@@ -327,22 +329,27 @@ class Curve:
     # -- ring element construction -------------------------------------------
 
     def zero(self) -> "RingElement":
-        return RingElement(self, [])
+        return RingElement(self, self.field.vector([]))
 
     def one(self) -> "RingElement":
         return self.monomial(0, 0)
 
     def monomial(self, i: int, j: int,
                  coeff: FieldElement | None = None) -> "RingElement":
+        if not (_is_int(i) and _is_int(j)):
+            raise ValueError(f"exponents must be integers, got ({i!r}, {j!r})")
         if i < 0 or j < 0:
             raise ValueError(f"negative exponent in x^{i}*y^{j}")
+        field = self.field
         if coeff is None:
-            coeff = self.field.one
+            coeff = field.one
+        elif not isinstance(coeff, FieldElement) or coeff.field != field:
+            raise ValueError("monomial coefficient must belong to the field")
         if coeff.is_zero:
-            return RingElement(self, [])
+            return self.zero()
         a, b = self.a, self.b
-        out = RingElement(self, [self.field.zero_log] * (a * i + b * (j % a))
-                          + [0], coeff)
+        out = RingElement(self, field.vector(
+            [field.zero_log] * (a * i + b * (j % a)) + [0]), coeff)
         for _ in range(j // a):  # y^j = y^(j mod a) * (y^a)^(j div a)
             out = out * self._y_a
         return out
@@ -422,10 +429,12 @@ def _evaluate_logs(field: Field,
 
 class RingElement:
     """An element of the coordinate ring: a nonzero scalar ``_scale`` times a
-    list ``_terms`` of kernel values (``Field.logs``: logs, ``zero_log`` for
-    zero) indexed by pole order, entry s the coefficient of the reduced
-    monomial phi(s) = x^i y^j (j < a), so its value is _scale *
-    sum(_terms[s] * phi(s)).
+    vector ``_terms`` (``Field.vector`` of kernel values: bytes of slot
+    codes, or the kernel values themselves where a field's code does not
+    fit a byte) indexed by pole order, entry s the coefficient of the
+    reduced monomial phi(s) = x^i y^j (j < a), so its value is _scale *
+    sum(_terms[s] * phi(s)).  ``Field``'s vector operations are the only
+    readers and writers of the entries.
 
     Reduced monomials have pairwise distinct pole orders, so the index
     names the monomial: entries at gaps and at absent orders are zero, the
@@ -441,15 +450,15 @@ class RingElement:
     printing.
 
     Instances are immutable values; arithmetic returns new elements, and
-    ``-x`` and ``x * c`` for a scalar c are O(1): they share x's list, not
-    its multiples, and change only the scale.  The zero element is the
-    empty list at scale one and has no leading term, so no pole order: its
-    ``delta`` is None.
+    ``-x`` and ``x * c`` for a scalar c are O(1): they share x's vector,
+    not its multiples, and change only the scale.  The zero element is the
+    empty vector at scale one and has no leading term, so no pole order:
+    its ``delta`` is None.
     """
 
     __slots__ = ("curve", "_terms", "_scale", "_by_y")
 
-    def __init__(self, curve: Curve, terms: list[int],
+    def __init__(self, curve: Curve, terms: bytes | list[int],
                  scale: FieldElement | None = None) -> None:
         self.curve = curve
         self._terms = terms
@@ -458,10 +467,9 @@ class RingElement:
 
     def _values(self) -> list[int]:
         """The kernel values by pole order, scale applied."""
-        k = self._scale
-        if k is self.curve.field.one:
-            return self._terms
-        return self.curve.field.scale(self._terms, k.log)
+        field, k = self.curve.field, self._scale
+        values = field.values(self._terms)
+        return values if k is field.one else field.scale(values, k.log)
 
     def _nonzero(self) -> Iterator[tuple[int, FieldElement]]:
         """(pole order, coefficient) of each nonzero entry, scale applied."""
@@ -488,8 +496,10 @@ class RingElement:
     def coefficient_at(self, s: int) -> FieldElement:
         """The coefficient of phi(s)."""
         field = self.curve.field
-        if 0 <= s < len(self._terms) and self._terms[s] != field.zero_log:
-            return field.from_log(self._terms[s]) * self._scale
+        if 0 <= s < len(self._terms):
+            v = field.entry(self._terms, s)
+            if v != field.zero_log:
+                return field.from_log(v) * self._scale
         return field.zero
 
     def delta(self) -> int | None:
@@ -505,7 +515,8 @@ class RingElement:
     def leading_coefficient(self) -> FieldElement:
         if not self._terms:
             raise ValueError("the zero element has no leading coefficient")
-        return self.curve.field.from_log(self._terms[-1]) * self._scale
+        field, terms = self.curve.field, self._terms
+        return field.from_log(field.entry(terms, len(terms) - 1)) * self._scale
 
     def leading_term(self) -> tuple[Monomial, FieldElement]:
         return self.leading_monomial(), self.leading_coefficient()
@@ -544,7 +555,8 @@ class RingElement:
             self, other = other, self
         field = self.curve.field
         out = self.curve.zero()._plus(*(
-            (self, t, field.from_log(v)) for t, v in enumerate(other._terms)
+            (self, t, field.from_log(v))
+            for t, v in enumerate(field.values(other._terms))
             if v != field.zero_log))
         if out.is_zero:
             return out
@@ -553,62 +565,34 @@ class RingElement:
     def _plus(self, *products: tuple["RingElement", int, FieldElement]
               ) -> "RingElement":
         """self + sum(tc * phi(t) * e for e, t, tc in products), for nonzero
-        tc and e on self's curve, in one list of kernel values; a product
-        whose e is zero adds nothing and is skipped.
+        tc and e on self's curve, in one ``Field.combine``; a product whose e
+        is zero adds nothing and is skipped.
 
         The result takes self's scale, or the first product's tc * e's scale
         when self is zero.  A product's multiplier is m / (that scale) for
         the boxed scalar m = tc * (e's scale), divided on logs: kernel value
         m.log minus the scale's log, mod n, 0 where m is the scale itself.
-        A term phi(t) = x^i y^jt is x^i times y^jt,
-        so the product places e's cached multiple y^jt * e (``_times_y``)
-        at x^i, and a product by a power of x moves entry s to s + a*i with
-        no y-degree past a.  The entries go in one of three ways, chosen
-        from where they land and their number of nonzero entries:
-
-        * into an empty region, past the end of the list, as a copy, or one
-          ``Field.scale``;
-        * for a short product, with fewer than eight nonzero entries, entry
-          by entry, one ``Field.axpy_value`` per nonzero entry, as a pass
-          has a fixed cost and a cost for every entry it crosses (cut points
-          of four and sixteen decoded as fast, CHANGES.md);
-        * otherwise as one ``Field.axpy`` over the shifted range.
-
-        The list is extended to each product's reach, and the trailing zeros
-        of a cancelled sum are trimmed once, at the end.
+        A term phi(t) = x^i y^jt is x^i times y^jt, so the product moves
+        e's cached multiple y^jt * e (``_times_y``) up by a*i entries, as a
+        product by a power of x moves entry s to s + a*i with no y-degree
+        past a.
         """
         curve = self.curve
         field, a, ys = curve.field, curve.a, curve.semigroup.y_degrees
-        zero, add, n = field.zero_log, field.axpy_value, field.order - 1
-        out = self._terms[:]
-        scale = self._scale if out else None
+        n = field.order - 1
+        scale = self._scale if self._terms else None
+        moved = []
         for e, t, tc in products:
             if not e._terms:
                 continue
             m = tc * e._scale
             if scale is None:
                 scale = m
-            k = (m.log - scale.log) % n
             jt = ys[t % a]
             if jt:
                 e, t = e._times_y(jt), t - curve.b * jt
-            terms = e._terms
-            size, have = len(terms), len(out)
-            end = t + size
-            if have <= t:  # into an empty region
-                out += [zero] * (t - have)
-                out += field.scale(terms, k) if k else terms
-                continue
-            if have < end:
-                out += [zero] * (end - have)
-            if size - terms.count(zero) < 8:
-                for s, v in enumerate(terms, t):
-                    if v != zero:
-                        out[s] = add(out[s], k, v)
-            else:
-                out[t:end] = field.axpy(out[t:end], k, terms)
-        while out and out[-1] == zero:
-            out.pop()
+            moved.append(((m.log - scale.log) % n, e._terms, t))
+        out = field.combine(self._terms, moved)
         return RingElement(curve, out, scale if out else None)
 
     def _times_y(self, j: int) -> "RingElement":
@@ -629,19 +613,17 @@ class RingElement:
         return out
 
     def _y_step(self) -> "RingElement":
-        """y * self, at self's scale: every entry moves up by b, and the row
-        of y-degree a - 1, now x^i y^a, takes the curve's correction row
-        (``Curve._y_a_fix``) in one strided ``Field.axpy`` per term, from
-        the row's first nongap b(a - 1), so none lands below 0.  The unit
-        term turns a lead x^i y^a into -d x^(i+b), so it stays nonzero."""
+        """y * self, at self's scale, in one ``Field.combine``: every entry
+        moves up by b, and the row of y-degree a - 1, now x^i y^a, spread at
+        its stride a from its first nongap b(a - 1) (``Field.spread``), so
+        none lands below 0, takes the curve's correction row
+        (``Curve._y_a_fix``), one product per term.  The unit term turns a
+        lead x^i y^a into -d x^(i+b), so it stays nonzero."""
         curve = self.curve
-        a, b, terms = curve.a, curve.b, self._terms
-        out = [curve.field.zero_log] * b + terms
-        row = terms[b * (a - 1)::a]
-        for off, k in curve._y_a_fix:
-            lo = a * b + off
-            hi = lo + a * len(row)
-            out[lo:hi:a] = curve.field.axpy(out[lo:hi:a], k, row)
+        field, a, b, terms = curve.field, curve.a, curve.b, self._terms
+        row = field.spread(terms, b * (a - 1), a)
+        out = field.combine(field.vector([]), [(0, terms, b)] + [
+            (k, row, a * b + off) for off, k in curve._y_a_fix])
         return RingElement(curve, out, self._scale)
 
     def __rmul__(self, other: FieldElement) -> "RingElement":
@@ -650,16 +632,18 @@ class RingElement:
         return NotImplemented
 
     def evaluate(self, x: FieldElement, y: FieldElement) -> FieldElement:
-        """The value at (x, y): Horner's rule in x on each row j,
-        ``_terms[b*j::a]``, then in y on the rows, times the scale."""
+        """The value at (x, y): Horner's rule in x on each row j of the
+        kernel values, values[b*j::a], then in y on the rows, times the
+        scale."""
         a, b, field = self.curve.a, self.curve.b, self.curve.field
         if not all(isinstance(e, FieldElement) and e.field == field
                    for e in (x, y)):
             raise ValueError("point coordinates from a different field")
+        values = field.values(self._terms)
         total = field.zero
         for j in reversed(range(a)):
             at_x = field.zero
-            for c in reversed(field.from_logs(self._terms[b * j::a])):
+            for c in reversed(field.from_logs(values[b * j::a])):
                 at_x = at_x * x + c
             total = total * y + at_x
         return total * self._scale

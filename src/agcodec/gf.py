@@ -11,14 +11,33 @@ branch and no per-order special case, so one rule covers every order up to
 a^i + a^j = a^(i + Z(j - i)).
 
 The code's linear algebra (the build of the ideal of the points and its
-Lagrange functions, interpolation, encoding) and the coordinate ring's
-arithmetic (a ``curvering.RingElement`` is a list of kernel values) run on
-lists of kernel values: ``Field.logs`` and ``Field.from_logs`` convert
-(``Field.from_log`` one value), and ``Field.axpy`` (acc + c * vec),
-``Field.scale`` (c * vec) and ``Field.multiply`` (u * v entrywise) are the
-same lookups as the element operators, one list comprehension each;
-``Field.axpy_value`` is one entry of ``axpy``, for the ring's products of
-few terms.
+Lagrange functions, interpolation, encoding) runs on lists of kernel
+values: ``Field.logs`` and ``Field.from_logs`` convert (``Field.from_log``
+one value), and ``Field.axpy`` (acc + c * vec), ``Field.scale`` (c * vec)
+and ``Field.multiply`` (u * v entrywise) are the same lookups as the
+element operators, one list comprehension each; ``Field.axpy_value`` is
+one entry of ``axpy``.
+
+The coordinate ring's entries (a ``curvering.RingElement``'s, by pole
+order) are vectors: ``Field.vector`` builds one from kernel values,
+``Field.values`` and ``Field.entry`` read them back, ``Field.spread`` lays
+a strided row out at its stride, and one ``Field.combine`` sums acc and
+products a^k * vec moved up the vector.  The form is chosen at
+construction from p and m.  Where an element's code fits a byte, a vector
+is a ``bytes`` string, one slot code per entry:
+
+* in characteristic 2 with m <= 8 the code is the packed bit vector, and a
+  sum is the XOR of the ``int.from_bytes`` of the vectors;
+* for odd p whose sum of two digits fits 8 // m bits (GF(p) for p <= 127,
+  GF(9), GF(25) and GF(49)) the code holds the m base-p digits in fields of
+  8 // m bits, and a sum is an int addition and one ``translate`` that
+  reduces every digit mod p.
+
+A product by a^k is one ``bytes.translate`` by a table built once per
+Field, a move up by t entries an int shift by 8t, and the trailing zeros of
+a sum go in ``to_bytes``.  Every other field (GF(27), GF(81), GF(121),
+GF(169), GF(p) for p >= 131 and GF(2^m) for m >= 9 among them) keeps lists
+of kernel values, and ``combine`` is ``axpy`` passes.
 
 Textual form of an element, used by all vector files and traces:
 
@@ -42,6 +61,9 @@ from typing import Iterable, Optional, Sequence
 #: Largest supported field order.  Keeps the exp/log tables small; the codes
 #: handled here live over fields of order at most a few hundred anyway.
 ORDER_CAP = 1 << 16
+
+# bound once: looking the classmethod up builds a method object per call
+_from_bytes = int.from_bytes
 
 # Reduction polynomials, as coefficient tuples (constant term first, monic).
 _DEFAULT_MODULI: dict[tuple[int, int], tuple[int, ...]] = {
@@ -109,17 +131,20 @@ class Field:
     """The finite field GF(p^m).
 
     Construction builds the exp and log tables, the tables ZT and NORM of
-    every operation, and the p^m element objects, all at once; arithmetic
-    afterwards only looks these up and never creates an element.  Immutable
-    after construction, so a Field and its elements can be shared freely
-    across threads.  Two Fields with the same p, m and modulus are equal and
-    their elements mix freely; the identity test comes first, so elements of
-    one Field object pay no comparison of moduli.  Every GF(p) has the
-    modulus (0, 1), whichever degree-one modulus it was given.
+    every operation, the p^m element objects and, where an element's code
+    fits a byte, the slot codes and translate tables of vectors
+    (``_build_slots``), all at once; arithmetic afterwards only looks these
+    up and never creates an element.  Immutable after construction, so a
+    Field and its elements can be shared freely across threads.  Two Fields
+    with the same p, m and modulus are equal and their elements mix freely;
+    the identity test comes first, so elements of one Field object pay no
+    comparison of moduli.  Every GF(p) has the modulus (0, 1), whichever
+    degree-one modulus it was given.
     """
 
     __slots__ = ("p", "m", "order", "modulus", "zero_log", "_exp", "_log",
-                 "_zt", "_norm", "_neg_log", "_by_log", "_elements")
+                 "_zt", "_norm", "_neg_log", "_by_log", "_elements", "_slot",
+                 "_slot_log", "_times", "_mod_p", "_room")
 
     def __init__(self, p: int, m: int = 1,
                  modulus: Optional[Sequence[int]] = None) -> None:
@@ -298,6 +323,48 @@ class Field:
         self._by_log = [FieldElement(self, k) for k in range(n)]
         self._by_log += [FieldElement(self, z)] * (2 * n + 1)
         self._elements = tuple(self._from_packed(v) for v in range(q))
+        self._build_slots()
+
+    def _build_slots(self) -> None:
+        """The byte form of vectors (``vector``), when an element code fits a
+        byte: ``_slot`` and ``_slot_log`` map kernel values to slot codes
+        and back, ``_times[k]`` is the ``bytes.translate`` table of a
+        product by a^k, and in odd characteristic ``_mod_p`` reduces every
+        digit mod p, ``_room`` vectors of reduced digits summing within a
+        digit's field.
+
+        In characteristic 2 with m <= 8 the code is the packed bit vector,
+        and a sum is XOR.  For odd p the code holds the m base-p digits in
+        fields of 8 // m bits; a sum is an int addition, carry-free while
+        a digit stays in its field, so the form needs at least two addends
+        to fit, 2(p - 1) < 2^(8 // m): GF(p) for p <= 127, GF(9), GF(25)
+        and GF(49), so m <= 2, and a packed v = d0 + p * d1 has the code
+        v + (2^(8 // m) - p) * d1.  Every other field keeps kernel-value
+        lists (``_slot`` None)."""
+        p, m, n = self.p, self.m, self.order - 1
+        width = 1 if p == 2 else 8 // m
+        self._slot = None
+        if m * width > 8 or p > 2 and 2 * (p - 1) >= 1 << width:
+            return
+        spare = (1 << width) - p  # 0 for p = 2, and v // p is 0 for m = 1
+        codes = bytes(v + spare * (v // p) for v in self._exp)  # by log
+        # a^k moves the code of a^i to that of a^(i+k)
+        self._times = [bytes.maketrans(codes, codes[k:] + codes[:k])
+                       for k in range(n)]
+        if p > 2:
+            digit = (bytes(range(p)) * (256 // p + 1))[:1 << width]  # mod p
+            self._mod_p = digit
+            if m == 2:  # byte c: digit[c >> width] over digit[c % 2^width]
+                high = b"".join(bytes((d << width,)) * len(digit)
+                                for d in digit)
+                self._mod_p = (_from_bytes(high, "little") | _from_bytes(
+                    digit * len(digit), "little")).to_bytes(256, "little")
+            self._room = ((1 << width) - 1) // (p - 1)
+        slot_log = [self.zero_log] * 256
+        for k, c in enumerate(codes):
+            slot_log[c] = k
+        self._slot = list(codes) + [0] * (2 * n + 1)  # zero at 3n
+        self._slot_log = slot_log
 
     # -- public surface ------------------------------------------------------
 
@@ -353,6 +420,115 @@ class Field:
         """u * v entrywise on kernel values."""
         norm = self._norm
         return [norm[i + j] for i, j in zip(u, v)]
+
+    # -- vectors: bytes of slot codes, or kernel-value lists -----------------
+
+    def vector(self, values: Iterable[int]) -> bytes | list[int]:
+        """The vector of the kernel values: one slot code per entry, or a
+        list of the values for a field whose code does not fit a byte."""
+        if self._slot is None:
+            return list(values)
+        return bytes(map(self._slot.__getitem__, values))
+
+    def values(self, vec: bytes | list[int]) -> list[int]:
+        """The kernel values of a vector (``vector`` inverted)."""
+        if self._slot is None:
+            return list(vec)
+        return list(map(self._slot_log.__getitem__, vec))
+
+    def entry(self, vec: bytes | list[int], s: int) -> int:
+        """The kernel value of entry s of a vector, 0 <= s < len(vec)."""
+        if self._slot is None:
+            return vec[s]
+        return self._slot_log[vec[s]]
+
+    def spread(self, vec: bytes | list[int], start: int,
+               step: int) -> bytes | list[int]:
+        """The entries vec[start::step], entry i at index step * i and zero
+        between them."""
+        row = vec[start::step]
+        size = step * len(row) - step + 1 if row else 0
+        if self._slot is None:
+            out = [self.zero_log] * size
+            out[::step] = row
+            return out
+        spread = bytearray(size)
+        spread[::step] = row
+        return bytes(spread)
+
+    def combine(self, acc: bytes | list[int],
+                products: Iterable[tuple[int, bytes | list[int], int]]
+                ) -> bytes | list[int]:
+        """acc + sum(a^k * vec moved up by shift entries, for (k, vec, shift)
+        in products) with k in [0, n), trailing zeros trimmed.
+
+        In bytes a product is one ``translate`` by ``_times[k]``, a move an
+        int shift by 8 * shift, and the sum of the vectors as ints is XOR,
+        or in odd characteristic an addition with one ``translate`` by
+        ``_mod_p`` at the end, and before an addend that could overflow a
+        digit; the trailing zeros go in the int's ``to_bytes``, or, where
+        digits reduce to zero, by ``rstrip``."""
+        if self._slot is None:
+            return self._combine_lists(acc, products)
+        times = self._times
+        total = _from_bytes(acc, "little")
+        if self.p == 2:
+            for k, vec, shift in products:
+                total ^= _from_bytes(vec.translate(times[k]),
+                                     "little") << 8 * shift
+            return total.to_bytes((total.bit_length() + 7) // 8, "little")
+        mod_p, room = self._mod_p, self._room
+        left = room - 1  # acc is one addend
+        for k, vec, shift in products:
+            if not left:
+                total = _from_bytes(total.to_bytes(
+                    (total.bit_length() + 7) // 8, "little").translate(mod_p),
+                    "little")
+                left = room - 1
+            total += _from_bytes(vec.translate(times[k]),
+                                 "little") << 8 * shift
+            left -= 1
+        return total.to_bytes((total.bit_length() + 7) // 8,
+                              "little").translate(mod_p).rstrip(b"\0")
+
+    def _combine_lists(self, acc: list[int],
+                       products: Iterable[tuple[int, list[int], int]]
+                       ) -> list[int]:
+        """``combine`` on kernel-value lists.  Each product goes in one of
+        three ways, chosen from where it lands and its number of nonzero
+        entries:
+
+        * into an empty region, past the end of the list, as a copy, or one
+          ``scale``;
+        * for a short product, with fewer than eight nonzero entries, entry
+          by entry, one ``axpy_value`` per nonzero entry, as a pass has a
+          fixed cost and a cost for every entry it crosses (cut points of
+          four and sixteen decoded as fast, CHANGES.md);
+        * otherwise as one ``axpy`` over the shifted range.
+
+        The list is extended to each product's reach, and the trailing zeros
+        of a cancelled sum are trimmed once, at the end.
+        """
+        zero, add = self.zero_log, self.axpy_value
+        out = acc[:]
+        for k, terms, t in products:
+            size, have = len(terms), len(out)
+            end = t + size
+            if have <= t:  # into an empty region
+                out += [zero] * (t - have)
+                out += self.scale(terms, k) if k else terms
+                continue
+            if have < end:
+                out += [zero] * (end - have)
+            if size - terms.count(zero) < 8:
+                for s, v in enumerate(terms, t):
+                    if v != zero:
+                        out[s] = add(out[s], k, v)
+            else:
+                out[t:end] = self.axpy(out[t:end], k, terms)
+        while out and out[-1] == zero:
+            out.pop()
+        return out
 
     def _from_packed(self, v: int) -> "FieldElement":
         return self._by_log[self._log[v]]

@@ -157,6 +157,28 @@ class TestReduction:
         with pytest.raises(ValueError, match="negative exponent"):
             curve_q3.element({(2, -1): curve_q3.field.zero})
 
+    def test_exponents_must_be_integers(self, curve_q3):
+        # a bool is no integer (monomial(True, 0) was x), and a float or a
+        # string raised TypeError
+        for i, j in ((True, 0), (0, False), (1.0, 0), (0, 2.5), ("1", 0)):
+            with pytest.raises(ValueError, match="exponents must be integers"):
+                curve_q3.monomial(i, j)
+        with pytest.raises(ValueError, match="exponents must be integers"):
+            curve_q3.element({(True, 0): curve_q3.field.one})
+
+    def test_coefficient_from_another_field_rejected(self):
+        # a GF(9) element on a GF(4) curve printed as a^1*x and failed only
+        # in leading_coefficient; an int is no element either
+        curve = Curve.hermitian(2)
+        for coeff in (Field(3, 2).generator, Field(3, 2).zero, 1):
+            with pytest.raises(ValueError, match="coefficient"):
+                curve.monomial(1, 0, coeff)
+        with pytest.raises(ValueError, match="coefficient"):
+            curve.element({(1, 0): Field(3, 2).one})
+        # an equal field built apart is the same field
+        assert curve.monomial(1, 0, Field(2, 2).generator) == \
+            curve.monomial(1, 0, curve.field.generator)
+
     @pytest.mark.parametrize("name", NAMED_CURVES)
     def test_equation_reduces_to_zero(self, name):
         # every term of the reduced y^a cancels against the other terms
@@ -302,7 +324,7 @@ class TestZeroMultiples:
             for j in range(1, curve.a):
                 multiple = zero._times_y(j)
                 assert multiple.is_zero and multiple.delta() is None
-                assert multiple._terms == []
+                assert multiple == zero
 
     @pytest.mark.parametrize("name", NAMED_CURVES)
     def test_plus_skips_zero_products(self, name):
@@ -314,7 +336,7 @@ class TestZeroMultiples:
         x = curve.monomial(1, a - 1, c) + curve.one()
         for j in range(a):
             t = a + b * j  # x * y^j
-            assert zero._plus((zero, t, c))._terms == []
+            assert zero._plus((zero, t, c)).is_zero
             assert x._plus((zero, t, c)) == x
             assert zero._plus((zero, t, c), (x, t, c)) == \
                 x * curve.monomial(1, j, c)

@@ -27,10 +27,9 @@ def decode_counting_products(code, received, monkeypatch):
     kernel's products of a nonzero entry by a multiplier other than one,
     its ``RingElement._plus`` calls).
 
-    The kernel's products are those of the ``Field`` list methods while
-    ``RingElement._plus`` runs: per call, the nonzero entries of the vector
-    of ``axpy`` or ``scale``, or the one value of ``axpy_value``, when the
-    multiplier's kernel value is not 0."""
+    The kernel's products are those of ``Field.combine`` while
+    ``RingElement._plus`` runs: per call, the nonzero entries of each
+    vector whose multiplier's kernel value is not 0."""
     zero, boxed, kernel, depth = code.field.zero_log, [0], [0], [0]
     calls = [0]
     plain_mul, plain_plus = FieldElement.__mul__, RingElement._plus
@@ -47,21 +46,16 @@ def decode_counting_products(code, received, monkeypatch):
         finally:
             depth[0] -= 1
 
-    def counting(name, products):
-        plain = getattr(Field, name)
+    plain_combine = Field.combine
 
-        def counted(field, *args):
-            if depth[0]:
-                kernel[0] += products(*args)
-            return plain(field, *args)
-        monkeypatch.setattr(Field, name, counted)
+    def combine(field, acc, products):
+        products = list(products)
+        if depth[0]:
+            kernel[0] += sum(v != zero for k, vec, _ in products if k
+                             for v in field.values(vec))
+        return plain_combine(field, acc, products)
 
-    def nonzero(vec, k):
-        return (len(vec) - vec.count(zero)) if k else 0
-
-    counting("axpy", lambda acc, k, vec: nonzero(vec, k))
-    counting("scale", nonzero)
-    counting("axpy_value", lambda r, k, v: nonzero([v], k))
+    monkeypatch.setattr(Field, "combine", combine)
     monkeypatch.setattr(FieldElement, "__mul__", mul)
     monkeypatch.setattr(RingElement, "_plus", plus)
     return decode(code, received), boxed[0], kernel[0], calls[0]

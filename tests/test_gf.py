@@ -380,6 +380,125 @@ class TestKernel:
             (field._zt, field._norm, field._by_log), tables))
 
 
+#: Every field whose vectors are bytes that tier-1 builds a curve over,
+#: and the largest of each kind: GF(256), and GF(127), where two digits
+#: p - 1 sum to 252 of a byte's 255
+BYTE_FIELDS = [(3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1),
+               (13, 1), (2, 4), (5, 2), (2, 5), (7, 2), (2, 6), (127, 1),
+               (2, 8)]
+#: fields that keep kernel-value lists, as their codes do not fit a byte
+LIST_FIELDS = [(3, 3), (3, 4), (11, 2), (131, 1), (2, 9)]
+
+
+def reference_combine(field, acc, products):
+    """``Field.combine`` on kernel-value lists, one ``Field.axpy`` per
+    product over its range: acc + sum(a^k * vec moved up by shift)."""
+    zero = field.zero_log
+    out = list(acc)
+    for k, vec, shift in products:
+        end = shift + len(vec)
+        out += [zero] * (end - len(out))
+        out[shift:end] = field.axpy(out[shift:end], k, vec)
+    while out and out[-1] == zero:
+        out.pop()
+    return out
+
+
+class TestVectors:
+    """The vector operations (``Field.vector`` ... ``Field.combine``) against
+    ``Field.axpy`` and ``Field.scale`` on kernel-value lists."""
+
+    @pytest.mark.parametrize("p,m,form", [
+        (2, 2, bytes), (3, 2, bytes), (5, 2, bytes), (7, 2, bytes),
+        (127, 1, bytes), (2, 8, bytes), (3, 3, list), (3, 4, list),
+        (11, 2, list), (131, 1, list), (2, 9, list)])
+    def test_form_is_chosen_from_p_and_m(self, p, m, form):
+        # bytes where a code fits a byte and, for odd p, a sum of two
+        # digits fits a digit's 8 // m bits; lists otherwise
+        field = Field(p, m)
+        for values in ([], [0], [field.zero_log, 0]):
+            assert type(field.vector(values)) is form
+
+    @pytest.mark.parametrize("p,m", BYTE_FIELDS + LIST_FIELDS)
+    def test_combine_matches_axpy(self, p, m):
+        # random vectors, zero entries included, with shifts inside acc,
+        # across its end and past it, and up to six products, more than
+        # the digits of GF(49) or GF(127) hold before a reduction
+        field = Field(p, m)
+        n, zero = field.order - 1, field.zero_log
+        rng = random.Random(p ** m)
+
+        def values(size):
+            return [zero if rng.random() < 0.3 else rng.randrange(n)
+                    for _ in range(size)]
+        for _ in range(150):
+            acc = values(rng.randrange(12))
+            products = [(rng.randrange(n), values(rng.randrange(1, 12)),
+                         rng.randrange(16)) for _ in range(rng.randrange(7))]
+            got = field.combine(field.vector(acc), [
+                (k, field.vector(vec), t) for k, vec, t in products])
+            assert field.values(got) == reference_combine(field, acc,
+                                                          products)
+            for k, vec, _ in products:
+                scaled = field.scale(vec, k)
+                while scaled and scaled[-1] == zero:
+                    scaled.pop()
+                assert field.values(field.combine(
+                    field.vector([]), [(k, field.vector(vec), 0)])) == scaled
+
+    @pytest.mark.parametrize("p,m", BYTE_FIELDS + LIST_FIELDS)
+    def test_cancellation_trims(self, p, m):
+        # v - v is the empty vector, a sum that cancels its top entry ends
+        # at the entry below, and one that cancels all but a low entry ends
+        # there
+        field = Field(p, m)
+        n, neg = field.order - 1, field.logs([-field.one])[0]
+        v = field.vector([1 % n, field.zero_log, 0, 2 % n])
+        assert field.combine(v, [(neg, v, 0)]) == field.vector([])
+        top = field.vector([field.zero_log] * 3 + [2 % n])
+        assert field.values(field.combine(v, [(neg, top, 0)])) == \
+            [1 % n, field.zero_log, 0]
+        low = field.vector([field.zero_log, field.zero_log, 0, 2 % n])
+        assert field.values(field.combine(v, [(neg, low, 0)])) == [1 % n]
+        # moved past the end, with zeros between
+        assert field.values(field.combine(v, [(0, v, 6)])) == \
+            field.values(v) + [field.zero_log] * 2 + field.values(v)
+
+    @pytest.mark.parametrize("p,m", [(3, 2), (5, 2), (7, 2), (3, 1),
+                                     (127, 1)])
+    def test_digit_sums_reduce_without_carry(self, p, m):
+        # every digit at p - 1, summed with multiplier one far past the
+        # sums a digit's field holds: a reduction missed or late would
+        # carry into the next digit or byte
+        field = Field(p, m)
+        top = field.elements()[-1]  # packed p^m - 1: every digit p - 1
+        k, = field.logs([top])
+        for count in range(1, 3 * p + 2):
+            vec = field.vector([k] * 5)
+            got = field.combine(vec, [(0, vec, 0)] * (count - 1))
+            want = field.logs([field.element(count) * top] * 5)
+            assert field.values(got) == ([] if count % p == 0 else want)
+
+    @pytest.mark.parametrize("p,m", BYTE_FIELDS + LIST_FIELDS)
+    def test_reads(self, p, m):
+        # vector and values invert each other; entry reads one value; a
+        # spread row has entry i of vec[start::step] at step * i
+        field = Field(p, m)
+        n, zero = field.order - 1, field.zero_log
+        rng = random.Random(n)
+        for size in (1, 2, 7, 20):
+            values = [zero if rng.random() < 0.3 else rng.randrange(n)
+                      for _ in range(size - 1)] + [rng.randrange(n)]
+            vec = field.vector(values)
+            assert len(vec) == size and field.values(vec) == values
+            assert [field.entry(vec, s) for s in range(size)] == values
+            for start, step in ((0, 1), (1, 3), (size - 1, 2), (size, 4)):
+                row = values[start::step]
+                want = [zero] * (step * len(row) - step + 1 if row else 0)
+                want[::step] = row
+                assert field.values(field.spread(vec, start, step)) == want
+
+
 class TestTextualForm:
     def test_parse_format_roundtrip(self, field9):
         for e in field9.elements():

@@ -132,14 +132,14 @@ class TestRingProperties:
         got = x._plus((y, t, c), (z, t2, c2))
         assert got == x + y * m1 + z * m2
         assert x._plus((y, t, c), (y, t, -c)) == x
-        assert x._plus((x, 0, -one))._terms == []
-        zero = curve.field.zero_log
+        assert x._plus((x, 0, -one)).is_zero
         for f in (got, y * m1, y * z, x + y, x + got):
-            # a list of kernel values by pole order: it ends with a nonzero
-            # entry, and every entry at a gap order is zero
-            assert not f._terms or f._terms[-1] != zero
-            assert all(v == zero for s, v in enumerate(f._terms)
-                       if not sg.is_nongap(s))
+            # entries by pole order: the last one is nonzero, and every
+            # entry at a gap order is zero
+            if not f.is_zero:
+                assert not f.coefficient_at(f.delta()).is_zero
+                assert all(f.coefficient_at(s).is_zero
+                           for s in range(f.delta()) if not sg.is_nongap(s))
 
     @PROPERTY
     @given(st.data())
@@ -175,7 +175,7 @@ class TestRingProperties:
         got = x._plus(*products)
         assert dict(got.items()) == {m: c for m, c in want.items()
                                      if not c.is_zero}
-        assert not got._terms or got._terms[-1] != curve.field.zero_log
+        assert got.is_zero or not got.coefficient_at(got.delta()).is_zero
 
     @PROPERTY
     @given(st.data())
@@ -294,8 +294,11 @@ class TestScaledElements:
     def test_equality_ignores_the_split(self, data):
         curve, (x, y) = data.draw(curve_and_elements(2))
         c = data.draw(st.sampled_from(curve.field.elements()[1:]))
-        moved = RingElement(curve, curve.field.scale(x._terms, c.log),
-                            x._scale * c.inverse())
+        # x's coefficients times c, at scale 1 / c
+        field = curve.field
+        orders = range(x.delta() + 1) if not x.is_zero else ()
+        moved = RingElement(curve, field.vector(field.logs(
+            x.coefficient_at(s) * c for s in orders)), c.inverse())
         assert moved == x and x == moved
         assert (moved == y) == (x == y)
         if c != curve.field.one and not x.is_zero:
@@ -310,7 +313,7 @@ class TestScaledElements:
         for zero in ((x * c) - (x * c), (x * c)._plus((x, 0, -c)),
                      -curve.zero(), curve.zero() * c, x * curve.field.zero):
             assert zero.is_zero and zero == curve.zero()
-            assert zero._terms == [] and zero._scale is one
+            assert zero.delta() is None and zero._scale is one
 
 
 class TestEvaluation:

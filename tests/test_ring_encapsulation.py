@@ -3,11 +3,11 @@ from pathlib import Path
 
 import agcodec
 
-#: A ring element's value is _scale times its list of kernel values, so a
-#: raw read of either outside curvering.py would miss the other; an
-#: element's cached multiples y^j * e (RingElement._by_y) and the curve's
-#: correction row they are built with (Curve._y_a_fix) serve only
-#: RingElement
+#: A ring element's value is _scale times its vector of entries
+#: (Field.vector), so a raw read of either outside curvering.py would miss
+#: the other; an element's cached multiples y^j * e (RingElement._by_y) and
+#: the curve's correction row they are built with (Curve._y_a_fix) serve
+#: only RingElement
 REPRESENTATION = {"_terms", "_scale", "_by_y", "_y_a_fix"}
 
 
