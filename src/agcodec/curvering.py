@@ -22,14 +22,15 @@ downstream (codes, the decoder) runs on three primitives implemented here:
   sum(c * phi(t) * e) in one ``Field.combine``, a product by x^i y^j
   moving e's multiple y^j * e up by a*i entries, trailing zeros trimmed.
   The entries are reached only through ``Field``'s vector operations
-  (``vector``, ``values``, ``entry``, ``spread``, ``combine``) and their
-  length.  The multiples y^j * e, 0 < j < a, are built once per element,
-  on first need, and kept as long as it lives (``RingElement._times_y``),
-  so the products by the etas of a ``Code`` reuse theirs across decodes;
-  each is y times the one below it (``RingElement._y_step``), and only
-  there do y-degrees pass a: the row x^i y^(a-1) moves to x^i y^a and
-  takes the curve's one correction row, its stored rewrite of y^a
-  (``Curve._y_a``) minus the unit term, in the same ``Field.combine``,
+  (``vector``, ``values``, ``entry``, ``combine``, ``combine_row``) and
+  their length.  The multiples y^j * e, 0 < j < a, are built once per
+  element, on first need, and kept as long as it lives
+  (``RingElement._times_y``), so the products by the etas of a ``Code``
+  reuse theirs across decodes; each is y times the one below it
+  (``RingElement._y_step``), and only there do y-degrees pass a: the row
+  x^i y^(a-1) moves to x^i y^a and takes the curve's one correction row,
+  its stored rewrite of y^a (``Curve._y_a``) minus the unit term, in one
+  ``Field.combine_row``,
 * the pole-order function ``delta`` (None for zero, which has no lead),
 * divisibility on orders: phi(r) divides phi(t) exactly when t - r is a
   nongap, with quotient phi(t - r); lcms of two orders; the one
@@ -613,17 +614,16 @@ class RingElement:
         return out
 
     def _y_step(self) -> "RingElement":
-        """y * self, at self's scale, in one ``Field.combine``: every entry
-        moves up by b, and the row of y-degree a - 1, now x^i y^a, spread at
-        its stride a from its first nongap b(a - 1) (``Field.spread``), so
-        none lands below 0, takes the curve's correction row
-        (``Curve._y_a_fix``), one product per term.  The unit term turns a
-        lead x^i y^a into -d x^(i+b), so it stays nonzero."""
+        """y * self, at self's scale, in one ``Field.combine_row``: every
+        entry moves up by b, and the row of y-degree a - 1, now x^i y^a, at
+        its stride a from its first nongap b(a - 1), so none lands below 0,
+        takes the curve's correction row (``Curve._y_a_fix``), one product
+        per term.  The unit term turns a lead x^i y^a into -d x^(i+b), so it
+        stays nonzero."""
         curve = self.curve
-        field, a, b, terms = curve.field, curve.a, curve.b, self._terms
-        row = field.spread(terms, b * (a - 1), a)
-        out = field.combine(field.vector([]), [(0, terms, b)] + [
-            (k, row, a * b + off) for off, k in curve._y_a_fix])
+        a, b = curve.a, curve.b
+        out = curve.field.combine_row(self._terms, b, b * (a - 1), a, [
+            (k, a * b + off) for off, k in curve._y_a_fix])
         return RingElement(curve, out, self._scale)
 
     def __rmul__(self, other: FieldElement) -> "RingElement":

@@ -15,14 +15,14 @@ Lagrange functions, interpolation, encoding) runs on lists of kernel
 values: ``Field.logs`` and ``Field.from_logs`` convert (``Field.from_log``
 one value), and ``Field.axpy`` (acc + c * vec), ``Field.scale`` (c * vec)
 and ``Field.multiply`` (u * v entrywise) are the same lookups as the
-element operators, one list comprehension each; ``Field.axpy_value`` is
-one entry of ``axpy``.
+element operators, one list comprehension each.
 
 The coordinate ring's entries (a ``curvering.RingElement``'s, by pole
 order) are vectors: ``Field.vector`` builds one from kernel values,
 ``Field.values`` and ``Field.entry`` read them back, ``Field.spread`` lays
-a strided row out at its stride, and one ``Field.combine`` sums acc and
-products a^k * vec moved up the vector.  The form is chosen at
+a strided row out at its stride, one ``Field.combine`` sums acc and
+products a^k * vec moved up the vector, and ``Field.combine_row`` adds to
+a moved vector multiples of one strided row of it.  The form is chosen at
 construction from p and m.  Where an element's code fits a byte, a vector
 is a ``bytes`` string, one slot code per entry:
 
@@ -37,7 +37,9 @@ A product by a^k is one ``bytes.translate`` by a table built once per
 Field, a move up by t entries an int shift by 8t, and the trailing zeros of
 a sum go in ``to_bytes``.  Every other field (GF(27), GF(81), GF(121),
 GF(169), GF(p) for p >= 131 and GF(2^m) for m >= 9 among them) keeps lists
-of kernel values, and ``combine`` is ``axpy`` passes.
+of kernel values: ``combine`` is ``axpy`` passes, or for a short product
+one ``Field.axpy_value`` (one entry of ``axpy``) per nonzero entry, and
+``combine_row`` one strided ``axpy`` per row.
 
 Textual form of an element, used by all vector files and traces:
 
@@ -490,6 +492,31 @@ class Field:
             left -= 1
         return total.to_bytes((total.bit_length() + 7) // 8,
                               "little").translate(mod_p).rstrip(b"\0")
+
+    def combine_row(self, vec: bytes | list[int], shift: int, start: int,
+                    step: int, rows: Iterable[tuple[int, int]]
+                    ) -> bytes | list[int]:
+        """vec moved up by shift entries plus, for each (k, at) in rows, a^k
+        times its row vec[start::step] laid out at stride step from entry
+        at (``spread`` moved up by at), with k in [0, n) and every row
+        ending below shift + len(vec); trailing zeros trimmed.
+
+        In bytes this is one ``combine``.  On lists each row is one strided
+        ``axpy`` over its own entries, as a spread row would cost a lookup
+        for every zero between them."""
+        if self._slot is not None:
+            row = self.spread(vec, start, step)
+            return self.combine(b"", [(0, vec, shift)] + [
+                (k, row, at) for k, at in rows])
+        zero = self.zero_log
+        out = [zero] * shift + vec
+        row = vec[start::step]
+        for k, at in rows:
+            end = at + step * len(row)
+            out[at:end:step] = self.axpy(out[at:end:step], k, row)
+        while out and out[-1] == zero:
+            out.pop()
+        return out
 
     def _combine_lists(self, acc: list[int],
                        products: Iterable[tuple[int, list[int], int]]

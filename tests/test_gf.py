@@ -405,8 +405,8 @@ def reference_combine(field, acc, products):
 
 
 class TestVectors:
-    """The vector operations (``Field.vector`` ... ``Field.combine``) against
-    ``Field.axpy`` and ``Field.scale`` on kernel-value lists."""
+    """The vector operations (``Field.vector`` ... ``Field.combine_row``)
+    against ``Field.axpy`` and ``Field.scale`` on kernel-value lists."""
 
     @pytest.mark.parametrize("p,m,form", [
         (2, 2, bytes), (3, 2, bytes), (5, 2, bytes), (7, 2, bytes),
@@ -463,6 +463,41 @@ class TestVectors:
         # moved past the end, with zeros between
         assert field.values(field.combine(v, [(0, v, 6)])) == \
             field.values(v) + [field.zero_log] * 2 + field.values(v)
+
+    @pytest.mark.parametrize("p,m", BYTE_FIELDS + LIST_FIELDS)
+    def test_combine_row_matches_axpy(self, p, m):
+        # vec moved up plus multiples of its row vec[start::step] laid out
+        # at its stride, every row ending inside the moved vec, against the
+        # combine reference; a row that cancels the top entry trims, and
+        # one that cancels every entry leaves the empty vector
+        field = Field(p, m)
+        n, zero = field.order - 1, field.zero_log
+        neg, = field.logs([-field.one])
+        rng = random.Random(n + 1)
+        for _ in range(150):
+            size = rng.randrange(1, 20)
+            vec = [zero if rng.random() < 0.3 else rng.randrange(n)
+                   for _ in range(size - 1)] + [rng.randrange(n)]
+            shift, step = rng.randrange(6), rng.randrange(1, 5)
+            start = rng.randrange(size)
+            row = vec[start::step]
+            spread = [zero] * (step * len(row) - step + 1)
+            spread[::step] = row
+            last = shift + size - len(spread)  # the highest start of a row
+            rows = [(rng.randrange(n), rng.randrange(last + 1))
+                    for _ in range(rng.randrange(4))]
+            if rng.random() < 0.3:  # cancel the top entry
+                rows.append((neg, last))
+            got = field.combine_row(field.vector(vec), shift, start, step,
+                                    rows)
+            assert field.values(got) == reference_combine(
+                field, [], [(0, vec, shift)] +
+                [(k, spread, at) for k, at in rows])
+        v = field.vector([1 % n, zero, 0, 2 % n])
+        assert field.values(field.combine_row(v, 2, 3, 1, [(neg, 5)])) == \
+            [zero, zero, 1 % n, zero, 0]
+        assert field.combine_row(field.vector([0]), 0, 0, 1,
+                                 [(neg, 0)]) == field.vector([])
 
     @pytest.mark.parametrize("p,m", [(3, 2), (5, 2), (7, 2), (3, 1),
                                      (127, 1)])

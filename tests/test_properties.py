@@ -135,11 +135,13 @@ class TestRingProperties:
         assert x._plus((x, 0, -one)).is_zero
         for f in (got, y * m1, y * z, x + y, x + got):
             # entries by pole order: the last one is nonzero, and every
-            # entry at a gap order is zero
+            # entry at a gap order is zero, so delta is a nongap
             if not f.is_zero:
                 assert not f.coefficient_at(f.delta()).is_zero
+                assert sg.is_nongap(f.delta())
                 assert all(f.coefficient_at(s).is_zero
-                           for s in range(f.delta()) if not sg.is_nongap(s))
+                           for s in range(f.delta() + 1)
+                           if not sg.is_nongap(s))
 
     @PROPERTY
     @given(st.data())
