@@ -29,7 +29,7 @@ downstream (codes, the decoder) runs on three primitives implemented here:
   reuse theirs across decodes; each is y times the one below it
   (``RingElement._y_step``), and only there do y-degrees pass a: the row
   x^i y^(a-1) moves to x^i y^a and takes the curve's one correction row,
-  its stored rewrite of y^a (``Curve._y_a``) minus the unit term, in one
+  the rewrite of y^a minus its unit term (``Curve._y_a_fix``), in one
   ``Field.combine_row``,
 * the pole-order function ``delta`` (None for zero, which has no lead),
 * divisibility on orders: phi(r) divides phi(t) exactly when t - r is a
@@ -44,7 +44,7 @@ downstream (codes, the decoder) runs on three primitives implemented here:
 grammar used verbatim by the CLI trace format.  Raw polynomials with any
 y-degrees (``Curve.element``, ``Curve.reduce``) are maps from (i, j),
 summed in one ``_plus`` over their terms as ``monomial``s: x^i y^j with
-j >= a is x^i y^(j mod a) times y^a raised to j div a.  An element is
+j >= a is x^i y^(a-1) taken up by j - a + 1 y-steps.  An element is
 evaluated by the rows of its kernel values, values[b*j::a] the
 coefficients of x^i y^j, by Horner's rule in x, then in y; only the
 equation and its partials are evaluated as raw terms, on kernel-value
@@ -293,17 +293,11 @@ class Curve:
         self.d = d
         self.coeffs = clean
         # the rewrite rule y^a = -(d x^b + sum c_ij x^i y^j), its one stored
-        # form; every y-degree at or above a is folded back with it
-        y_a = [field.zero_log] * (a * b) + [(-d).log]
-        for (i, j), c in clean.items():
-            y_a[a * i + b * j] = (-c).log
-        self._y_a = RingElement(self, field.vector(y_a))
-        # the correction of an entry x^i y^(a-1) moved up by b to x^i y^a
-        # (``RingElement._y_step``): the rewrite of y^a minus its unit term,
-        # as (offset, kernel value) pairs, every offset at or below 0
-        ab, zero = a * b, field.zero_log
-        self._y_a_fix = [(s - ab, v) for s, v in enumerate(y_a[:ab])
-                         if v != zero]
+        # form: the correction that an entry x^i y^(a-1), moved up by b onto
+        # x^(i+b), takes (``RingElement._y_step``), as (offset, kernel value)
+        # pairs: each -c_ij below 0, by offset, and the unit term -d - 1 at 0
+        self._y_a_fix = sorted((a * i + b * j - a * b, (-c).log)
+                               for (i, j), c in clean.items())
         unit = -d - field.one
         if not unit.is_zero:
             self._y_a_fix.append((0, unit.log))
@@ -348,11 +342,11 @@ class Curve:
             raise ValueError("monomial coefficient must belong to the field")
         if coeff.is_zero:
             return self.zero()
-        a, b = self.a, self.b
+        low = min(j, self.a - 1)
         out = RingElement(self, field.vector(
-            [field.zero_log] * (a * i + b * (j % a)) + [0]), coeff)
-        for _ in range(j // a):  # y^j = y^(j mod a) * (y^a)^(j div a)
-            out = out * self._y_a
+            [field.zero_log] * (self.a * i + self.b * low) + [0]), coeff)
+        for _ in range(j - low):  # each y-degree past a - 1 is one y-step
+            out = out._y_step()
         return out
 
     def lead_factor(self, r: int, t: int) -> FieldElement:
@@ -365,8 +359,9 @@ class Curve:
         """Canonical form of a raw exponent map: every y-degree below a.
 
         The sum of the terms as ``monomial``s, so a term c * x^i * y^j with
-        j >= a is c * x^i * y^(j mod a) times (y^a)^(j div a).  Idempotent,
-        and the result agrees with the input as a function on the curve.
+        j >= a is c * x^i * y^(a-1) taken up by j - a + 1 y-steps.
+        Idempotent, and the result agrees with the input as a function on
+        the curve.
         """
         one = self.field.one
         return self.zero()._plus(*((self.monomial(i, j, c), 0, one)
@@ -489,13 +484,18 @@ class RingElement:
         return ((phi(s), c) for s, c in self._nonzero())
 
     def coefficient(self, m: tuple[int, int]) -> FieldElement:
+        """The coefficient of x^i y^j for m = (i, j), zero unless j < a."""
         i, j = m
+        if not (_is_int(i) and _is_int(j)):
+            raise ValueError(f"exponents must be integers, got ({i!r}, {j!r})")
         if i < 0 or not 0 <= j < self.curve.a:
             return self.curve.field.zero
         return self.coefficient_at(self.curve.a * i + self.curve.b * j)
 
     def coefficient_at(self, s: int) -> FieldElement:
-        """The coefficient of phi(s)."""
+        """The coefficient of phi(s), zero at a gap or an absent order."""
+        if not _is_int(s):
+            raise ValueError(f"pole order must be an integer, got {s!r}")
         field = self.curve.field
         if 0 <= s < len(self._terms):
             v = field.entry(self._terms, s)
@@ -550,18 +550,11 @@ class RingElement:
         if not isinstance(other, RingElement):
             return NotImplemented
         self._require_same_curve(other)
-        # one pass over the shorter operand's terms; the other operand's
-        # scale goes on the result's
+        # one pass over the shorter operand's terms, its scale applied
         if len(self._terms) < len(other._terms):
             self, other = other, self
-        field = self.curve.field
-        out = self.curve.zero()._plus(*(
-            (self, t, field.from_log(v))
-            for t, v in enumerate(field.values(other._terms))
-            if v != field.zero_log))
-        if out.is_zero:
-            return out
-        return RingElement(out.curve, out._terms, out._scale * other._scale)
+        return self.curve.zero()._plus(*((self, t, c)
+                                         for t, c in other._nonzero()))
 
     def _plus(self, *products: tuple["RingElement", int, FieldElement]
               ) -> "RingElement":

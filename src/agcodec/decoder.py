@@ -224,14 +224,12 @@ def spoly(s: int, pair: ModulePair, g_part: Sequence[ModulePair]) -> list[Module
     return list(step(GBState(s, tuple(g_part), (pair,), pair.up.curve)).f)
 
 
-def _planned(s: int, pair: ModulePair,
-             g_leads: Sequence[tuple[ModulePair, int]],
+def _planned(s: int, pair: ModulePair, g_part: Sequence[ModulePair],
              sg: Semigroup) -> list[tuple]:
     """The combinations converting one F element from weight s to s - 1,
     before they are built: (up lead at weight s - 1, then ``_combine``'s
-    arguments) each, g None for the pair itself.  g_leads are the G
-    elements with their down leads; du and mu below are the leads of the
-    pair's up and down parts.
+    arguments) each, g None for the pair itself.  du and mu below are the
+    leads of the pair's up and down parts, read off the pair.
 
     Three cases on the weight-(s-1) leading term of the pair: upstairs ->
     the pair itself; downstairs at an order mu that a G lead of order
@@ -246,21 +244,21 @@ def _planned(s: int, pair: ModulePair,
     minimal lcms, are what ``_prime_reduce`` on the planned leads keeps."""
     du, mu = pair.du, pair.dd
     if _leads_up(s - 1, pair):
-        return [(du, pair, None, None, None, 0, None)]
+        return [(du, pair, None, 0, None)]
     lc = pair.down.leading_coefficient()
-    for g, r in g_leads:
-        if sg.is_nongap(mu - r):
-            return [(du, pair, mu, g, r, mu, lc)]
-    return [(du + psi - mu, pair, mu, g, r, psi, lc)
-            for g, r in g_leads for psi in sg.lcms(mu, r)]
+    for g in g_part:
+        if sg.is_nongap(mu - g.dd):
+            return [(du, pair, g, mu, lc)]
+    return [(du + psi - mu, pair, g, psi, lc)
+            for g in g_part for psi in sg.lcms(mu, g.dd)]
 
 
-def _combine(pair: ModulePair, mu: Optional[int], g: Optional[ModulePair],
-             r: Optional[int], psi: int,
+def _combine(pair: ModulePair, g: Optional[ModulePair], psi: int,
              lc: Optional[FieldElement]) -> ModulePair:
     """A planned combination: the pair itself when g is None, else
     cf * phi(psi - mu) * pair + cg * phi(psi - r) * g with both products
-    monic at psi (mu, r the downstairs leads, lc the pair's coefficient).
+    monic at psi, for the downstairs leads mu = pair.dd and r = g.dd and
+    the pair's downstairs coefficient lc.
 
     Each side is one ``_plus``.  A reduction (psi = mu) adds (cg / cf) *
     phi(psi - r) * g into the pair's side and scales the sum by cf in O(1);
@@ -268,7 +266,7 @@ def _combine(pair: ModulePair, mu: Optional[int], g: Optional[ModulePair],
     eta's zero up part adds nothing, so takes no ``_plus``."""
     if g is None:
         return pair
-    curve = pair.up.curve
+    curve, mu, r = pair.up.curve, pair.dd, g.dd
     qf, qg = psi - mu, psi - r
     cg = -_monic(curve, qg, r, g.down.leading_coefficient())
     if qf:
@@ -309,8 +307,7 @@ def step(state: GBState) -> GBState:
     if not moved:
         return GBState(s - 1, state.g, state.f, state.curve)
     sg = state.curve.semigroup
-    g_leads = [(g, g.dd) for g in state.g]
-    plans = [plan for p in state.f for plan in _planned(s, p, g_leads, sg)]
+    plans = [plan for p in state.f for plan in _planned(s, p, state.g, sg)]
     new_g = state.g
     if any(plan[0] != plan[1].du for plan in plans):  # the G footprint grows
         new_g = (*state.g, *moved)

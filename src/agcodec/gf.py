@@ -19,12 +19,12 @@ element operators, one list comprehension each.
 
 The coordinate ring's entries (a ``curvering.RingElement``'s, by pole
 order) are vectors: ``Field.vector`` builds one from kernel values,
-``Field.values`` and ``Field.entry`` read them back, ``Field.spread`` lays
-a strided row out at its stride, one ``Field.combine`` sums acc and
-products a^k * vec moved up the vector, and ``Field.combine_row`` adds to
-a moved vector multiples of one strided row of it.  The form is chosen at
-construction from p and m.  Where an element's code fits a byte, a vector
-is a ``bytes`` string, one slot code per entry:
+``Field.values`` and ``Field.entry`` read them back, one ``Field.combine``
+sums acc and products a^k * vec moved up the vector, and
+``Field.combine_row`` adds to a moved vector multiples of one strided row
+of it.  The form is chosen at construction from p and m.  Where an
+element's code fits a byte, a vector is a ``bytes`` string, one slot code
+per entry:
 
 * in characteristic 2 with m <= 8 the code is the packed bit vector, and a
   sum is the XOR of the ``int.from_bytes`` of the vectors;
@@ -38,8 +38,8 @@ Field, a move up by t entries an int shift by 8t, and the trailing zeros of
 a sum go in ``to_bytes``.  Every other field (GF(27), GF(81), GF(121),
 GF(169), GF(p) for p >= 131 and GF(2^m) for m >= 9 among them) keeps lists
 of kernel values: ``combine`` is ``axpy`` passes, or for a short product
-one ``Field.axpy_value`` (one entry of ``axpy``) per nonzero entry, and
-``combine_row`` one strided ``axpy`` per row.
+one entry of ``axpy`` per nonzero entry, and ``combine_row`` one strided
+``axpy`` per row.
 
 Textual form of an element, used by all vector files and traces:
 
@@ -408,11 +408,6 @@ class Field:
         base = self.zero_log + k
         return [norm[r + zt[base + v - r]] for r, v in zip(acc, vec)]
 
-    def axpy_value(self, r: int, k: int, v: int) -> int:
-        """r + a^k * v for single kernel values and k in [0, n): one entry
-        of ``axpy``."""
-        return self._norm[r + self._zt[self.zero_log + k + v - r]]
-
     def scale(self, vec: Sequence[int], k: int) -> list[int]:
         """a^k * vec on kernel values, for k in [0, n)."""
         norm = self._norm
@@ -443,20 +438,6 @@ class Field:
         if self._slot is None:
             return vec[s]
         return self._slot_log[vec[s]]
-
-    def spread(self, vec: bytes | list[int], start: int,
-               step: int) -> bytes | list[int]:
-        """The entries vec[start::step], entry i at index step * i and zero
-        between them."""
-        row = vec[start::step]
-        size = step * len(row) - step + 1 if row else 0
-        if self._slot is None:
-            out = [self.zero_log] * size
-            out[::step] = row
-            return out
-        spread = bytearray(size)
-        spread[::step] = row
-        return bytes(spread)
 
     def combine(self, acc: bytes | list[int],
                 products: Iterable[tuple[int, bytes | list[int], int]]
@@ -498,19 +479,21 @@ class Field:
                     ) -> bytes | list[int]:
         """vec moved up by shift entries plus, for each (k, at) in rows, a^k
         times its row vec[start::step] laid out at stride step from entry
-        at (``spread`` moved up by at), with k in [0, n) and every row
-        ending below shift + len(vec); trailing zeros trimmed.
+        at, with k in [0, n) and every row ending below shift + len(vec);
+        trailing zeros trimmed.
 
-        In bytes this is one ``combine``.  On lists each row is one strided
+        In bytes this is one ``combine``, the row spread to its stride with
+        zero bytes between its entries.  On lists each row is one strided
         ``axpy`` over its own entries, as a spread row would cost a lookup
         for every zero between them."""
+        row = vec[start::step]
         if self._slot is not None:
-            row = self.spread(vec, start, step)
+            spread = bytearray(step * len(row))
+            spread[::step] = row
             return self.combine(b"", [(0, vec, shift)] + [
-                (k, row, at) for k, at in rows])
+                (k, spread, at) for k, at in rows])
         zero = self.zero_log
         out = [zero] * shift + vec
-        row = vec[start::step]
         for k, at in rows:
             end = at + step * len(row)
             out[at:end:step] = self.axpy(out[at:end:step], k, row)
@@ -528,7 +511,7 @@ class Field:
         * into an empty region, past the end of the list, as a copy, or one
           ``scale``;
         * for a short product, with fewer than eight nonzero entries, entry
-          by entry, one ``axpy_value`` per nonzero entry, as a pass has a
+          by entry, one entry of ``axpy`` per nonzero entry, as a pass has a
           fixed cost and a cost for every entry it crosses (cut points of
           four and sixteen decoded as fast, CHANGES.md);
         * otherwise as one ``axpy`` over the shifted range.
@@ -536,7 +519,7 @@ class Field:
         The list is extended to each product's reach, and the trailing zeros
         of a cancelled sum are trimmed once, at the end.
         """
-        zero, add = self.zero_log, self.axpy_value
+        zero, zt, norm = self.zero_log, self._zt, self._norm
         out = acc[:]
         for k, terms, t in products:
             size, have = len(terms), len(out)
@@ -548,9 +531,11 @@ class Field:
             if have < end:
                 out += [zero] * (end - have)
             if size - terms.count(zero) < 8:
+                base = zero + k
                 for s, v in enumerate(terms, t):
                     if v != zero:
-                        out[s] = add(out[s], k, v)
+                        r = out[s]
+                        out[s] = norm[r + zt[base + v - r]]
             else:
                 out[t:end] = self.axpy(out[t:end], k, terms)
         while out and out[-1] == zero:

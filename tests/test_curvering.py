@@ -9,9 +9,9 @@ from agcodec.curvering import (WEIGHT_CAP, Curve, Monomial, Semigroup,
                                _prime_reduce)
 from agcodec.gf import Field
 
-from support import (MK_FAMILIES, gaps_below, lattice_divides, naive_reduce,
-                     random_ring_element, reference_lcms,
-                     reference_prime_reduce, schoolbook_mul)
+from support import (LARGE_MK_FAMILIES, MK_FAMILIES, gaps_below,
+                     lattice_divides, naive_reduce, random_ring_element,
+                     reference_lcms, reference_prime_reduce, schoolbook_mul)
 
 #: semigroups <a, b> the divisibility rules are checked on: Hermitian
 #: (a, a + 1) weights, and two with b more than one past a
@@ -120,6 +120,12 @@ REFERENCE_CURVES = {
     "mk-a4-gf7": mk_a4_gf7,
 }
 
+#: REFERENCE_CURVES and the LARGE_MK_FAMILIES curves, whose rewrites of y^a
+#: have 2-4 y-terms, over GF(8), GF(16), GF(32) and the list field GF(27)
+REDUCTION_CURVES = REFERENCE_CURVES | {
+    name: lambda config=config: curve_from_config(config)[0]
+    for name, config in LARGE_MK_FAMILIES.items()}
+
 
 class TestReduction:
     def test_y_cubed(self, curve_q3):
@@ -198,8 +204,8 @@ class TestReduction:
     def test_general_curve_reduction(self):
         # Curve.element against long division, y-degrees up to 3a+1; on a
         # fresh curve a high power of y is asked for first, then lower ones
-        for name in sorted(REFERENCE_CURVES):
-            curve = REFERENCE_CURVES[name]()
+        for name in sorted(REDUCTION_CURVES):
+            curve = REDUCTION_CURVES[name]()
             a, elems = curve.a, curve.field.elements()
             for j in [3 * a + 1, 2 * a, a, 2 * a + 1, 3 * a]:
                 raw = {(0, j): curve.field.one}
@@ -286,6 +292,31 @@ class TestRingArithmetic:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert got == [[want[j - 1] for j in degrees] for degrees in orders]
+
+    @pytest.mark.parametrize("family", ["hermitian-q2", "norm-trace-gf27"])
+    def test_coefficient_reads_refuse_non_integers(self, family):
+        # on a byte field and a list field: a bool was read as an order or
+        # exponent ((y + 1).coefficient((0, True)) gave y's coefficient),
+        # and a float raised the vector's TypeError ("byte indices must be
+        # integers", "list indices must be integers")
+        curve = (Curve.hermitian(2) if family == "hermitian-q2"
+                 else curve_from_config(LARGE_MK_FAMILIES[family])[0])
+        f = curve.monomial(0, 1) + curve.one()
+        for s in (True, False, 1.0, 0.0, "1", None):
+            with pytest.raises(ValueError,
+                               match="pole order must be an integer"):
+                f.coefficient_at(s)
+        for m in ((0, True), (True, 0), (0.0, 0), (0, 1.0), ("0", 0)):
+            with pytest.raises(ValueError, match="exponents must be integers"):
+                f.coefficient(m)
+        # integer orders and exponents out of range still read zero
+        one = curve.field.one
+        assert f.coefficient_at(0) == f.coefficient_at(curve.b) == one
+        assert f.coefficient((0, 1)) == f.coefficient((0, 0)) == one
+        for s in (-1, 1, curve.b + 1, 10 ** 6):
+            assert f.coefficient_at(s).is_zero
+        for m in ((-1, 0), (0, -1), (0, curve.a), (10 ** 6, 0)):
+            assert f.coefficient(m).is_zero
 
     def test_mixed_curves_rejected(self, curve_q3):
         other = Curve.hermitian(2)

@@ -333,10 +333,6 @@ class TestKernel:
         values = [*range(n), field.zero_log]
         assert [field.from_log(v) for v in values] == field.from_logs(values)
         assert field.from_log(field.zero_log) == field.zero
-        for r, k, v in itertools.product(values, range(n), values):
-            assert field.axpy_value(r, k, v) == field.axpy([r], k, [v])[0]
-        assert field.axpy_value(field.zero_log, 0, field.zero_log) == \
-            field.zero_log
 
     @pytest.mark.parametrize("order", [289, 512, 65519])
     def test_axpy_random_large_orders(self, order, request):
@@ -498,6 +494,9 @@ class TestVectors:
             [zero, zero, 1 % n, zero, 0]
         assert field.combine_row(field.vector([0]), 0, 0, 1,
                                  [(neg, 0)]) == field.vector([])
+        # a start past the end leaves an empty row: vec is only moved up
+        assert field.values(field.combine_row(v, 2, 4, 3, [(neg, 0)])) == \
+            [zero, zero] + field.values(v)
 
     @pytest.mark.parametrize("p,m", [(3, 2), (5, 2), (7, 2), (3, 1),
                                      (127, 1)])
@@ -516,8 +515,7 @@ class TestVectors:
 
     @pytest.mark.parametrize("p,m", BYTE_FIELDS + LIST_FIELDS)
     def test_reads(self, p, m):
-        # vector and values invert each other; entry reads one value; a
-        # spread row has entry i of vec[start::step] at step * i
+        # vector and values invert each other; entry reads one value
         field = Field(p, m)
         n, zero = field.order - 1, field.zero_log
         rng = random.Random(n)
@@ -527,11 +525,6 @@ class TestVectors:
             vec = field.vector(values)
             assert len(vec) == size and field.values(vec) == values
             assert [field.entry(vec, s) for s in range(size)] == values
-            for start, step in ((0, 1), (1, 3), (size - 1, 2), (size, 4)):
-                row = values[start::step]
-                want = [zero] * (step * len(row) - step + 1 if row else 0)
-                want[::step] = row
-                assert field.values(field.spread(vec, start, step)) == want
 
 
 class TestTextualForm:

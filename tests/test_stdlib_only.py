@@ -70,9 +70,38 @@ def test_all_lists_exactly_the_imported_names():
     assert set(agcodec.__all__) == _imported_names(_parse(init))
 
 
+def test_sources_run_on_python_310():
+    # pyproject.toml admits Python 3.10: no syntax newer than 3.10, and
+    # every int.to_bytes and int.from_bytes call, through a name bound to
+    # one (gf._from_bytes) too, passes the byteorder, which has no default
+    # before 3.11
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), str(path),
+                                  feature_version=(3, 10))
+             for path in SOURCES}
+    methods = {"to_bytes", "from_bytes"}
+    aliases = {target.id for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, ast.Assign)
+               and isinstance(node.value, ast.Attribute)
+               and node.value.attr in methods
+               for target in node.targets if isinstance(target, ast.Name)}
+    calls = 0
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and (
+                    getattr(node.func, "attr", None) in methods | aliases
+                    or getattr(node.func, "id", None) in aliases):
+                calls += 1
+                assert len(node.args) >= 2 or any(
+                    kw.arg == "byteorder" for kw in node.keywords), \
+                    f"{name}:{node.lineno} passes no byteorder"
+    assert calls and "_from_bytes" in aliases
+
+
 def test_every_private_definition_is_used():
     # a private function, method or class that no code in the package names
-    # is dead: delete it, or move it next to the tests that use it
+    # is dead: delete it, or move it next to the tests that use it; so is a
+    # private attribute it stores (by assignment or in __slots__) and never
+    # reads, such as a second stored form whose last reader is gone
     trees = [_parse(path) for path in SOURCES]
     defined = {node.name for tree in trees for node in ast.walk(tree)
                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
@@ -83,3 +112,20 @@ def test_every_private_definition_is_used():
              if isinstance(node, (ast.Name, ast.Attribute))}
     unused = defined - named
     assert not unused, f"private definitions never named {sorted(unused)}"
+    stored = set()
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            stored.add(node.attr)
+        elif isinstance(node, ast.Assign) and any(
+                getattr(target, "id", None) == "__slots__"
+                for target in node.targets):
+            stored |= {sub.value for sub in ast.walk(node.value)
+                       if isinstance(sub, ast.Constant)}
+    stored = {name for name in stored
+              if name.startswith("_") and not name.endswith("__")}
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    assert {"_y_a_fix", "_by_y", "_slot"} <= stored
+    unread = stored - read
+    assert not unread, f"private attributes never read {sorted(unread)}"
