@@ -112,8 +112,9 @@ def test_every_private_definition_is_used():
              if isinstance(node, (ast.Name, ast.Attribute))}
     unused = defined - named
     assert not unused, f"private definitions never named {sorted(unused)}"
+    nodes = [node for tree in trees for node in ast.walk(tree)]
     stored = set()
-    for node in (node for tree in trees for node in ast.walk(tree)):
+    for node in nodes:
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
             stored.add(node.attr)
         elif isinstance(node, ast.Assign) and any(
@@ -123,7 +124,7 @@ def test_every_private_definition_is_used():
                        if isinstance(sub, ast.Constant)}
     stored = {name for name in stored
               if name.startswith("_") and not name.endswith("__")}
-    read = {node.attr for tree in trees for node in ast.walk(tree)
+    read = {node.attr for node in nodes
             if isinstance(node, ast.Attribute)
             and isinstance(node.ctx, ast.Load)}
     assert {"_y_a_fix", "_by_y", "_slot"} <= stored
