@@ -15,7 +15,8 @@ y^(a-1), on lists of kernel values (logs, see ``gf.py``) indexed by pole
 order, each update one ``Field.axpy``; they become ring vectors
 (``Field.vector``) once, at the etas and at ``Code.lagrange``.  The points
 are grouped once by x-value into fibers of at most a points each, which all
-three steps read:
+three steps read.  Interpolation and encoding also hold w vectors of length
+w, w the number of distinct x-values, made on their first call:
 
 * The reduced F[x]-basis of the ideal J of functions vanishing at all
   points has a generators, one per y-degree.  A full fiber, a points over
@@ -29,13 +30,15 @@ three steps read:
   point (x0, y0) is l_x(x) * l_y(y), the univariate Lagrange polynomials
   of x0 over the distinct x-values and of y0 over its fiber, so the
   interpolant of a word is the sum of y^j P_j(x): each fiber's values and
-  its l_y give the y-coefficients c_j(x0), and P_j adds up c_j(x0) * l_x0.
-  The l_y of the fibers of one size are built side by side, and the c_j
-  are formed in that same layout.  The sum is reduced by the basis onto
-  the footprint, with no n x n table.
+  its l_y give the y-coefficients c_j(x0), and P_j is one ``Field.combine``
+  of the products c_j(x0) * l_x0, the l_x0 held as vectors (one axpy per
+  fiber on kernel-value lists).  The l_y of the fibers of one size are
+  built side by side, and the c_j are formed in that same layout.  The sum
+  is reduced by the basis onto the footprint, with no n x n table.
 * Encoding is the transpose: a message function, the sum of y^j M_j(x), is
-  evaluated by Horner's rule in x at the distinct x-values, then in y at
-  each point, with no k x n table.
+  evaluated at the distinct x-values by one ``Field.combine`` per M_j of
+  its coefficients times the vectors of the powers x^i there, then by
+  Horner's rule in y at each point, with no k x n table.
 
 The point order is part of the code: vectors align index by index with the
 stored point list.  The default order is lexicographic in the textual form
@@ -316,7 +319,10 @@ def _ideal_basis_interpolator(
     side by side for the fibers of one size, and so are their c_j: one
     ``Field.multiply`` of the values, laid out as the l_y rows, by the l_y
     coefficients j, then one ``Field.axpy`` per point of a fiber to sum
-    them, and each c_j(x0) goes into P_j as soon as it is formed.
+    them.  P_j is then one ``Field.combine`` of the products c_j(x0) *
+    l_x0 over the fibers, the l_x0 held as Field vectors made on the first
+    call; on kernel-value lists it is one ``Field.axpy`` per fiber, as
+    combine's checks of each product cost about a fifth more there.
     """
     sg, field = curve.semigroup, curve.field
     a, b, ys = curve.a, curve.b, sg.y_degrees
@@ -330,7 +336,9 @@ def _ideal_basis_interpolator(
                       if s < leads[ys[s % a]] and sg.is_nongap(s))
     width = len(fibers)
     (_, lx_rows), = _lagrange_polys(field, [list(fibers)])
-    lx = list(zip(*lx_rows))  # per x-value, constant first
+    lx: Optional[list] = None  # the l_x0 as Field vectors: on first use
+    empty = field.vector(())
+    lists = isinstance(empty, list)  # P_j by axpy passes
     size = max(a * width + b * (a - 1), top)
     fiber_points = [list(fiber.values()) for fiber in fibers.values()]
     # per group of fibers of one size: its points laid out as its l_y rows
@@ -340,21 +348,29 @@ def _ideal_basis_interpolator(
                    field, [list(fiber) for fiber in fibers.values()])]
 
     def interpolate(values: Sequence[int]) -> list[int]:
-        polys = [[zero] * width for _ in range(a)]  # P_j, constant first
+        nonlocal lx
+        if lx is None:
+            lx = list(map(field.vector, zip(*lx_rows)))  # constant first
+        products: list[list] = [[] for _ in range(a)]  # P_j's c_j(x0), l_x0
         for group, points_at, l_ys in batches:
             w = len(group)
             at = [values[c] for c in points_at]
             for j, l_y in enumerate(l_ys):
-                products = field.multiply(at, l_y)
-                cj = products[:w]
-                for t in range(w, len(products), w):
-                    cj = field.axpy(cj, 0, products[t:t + w])
-                for x, c in zip(group, cj):
-                    if c != zero:
-                        polys[j] = field.axpy(polys[j], c, lx[x])
+                terms = field.multiply(at, l_y)
+                cj = terms[:w]
+                for t in range(w, len(terms), w):
+                    cj = field.axpy(cj, 0, terms[t:t + w])
+                products[j] += [(c, lx[x], 0) for x, c in zip(group, cj)
+                                if c != zero]
         f = [zero] * size
-        for j, poly in enumerate(polys):
-            f[b * j:b * j + a * width:a] = poly
+        for j, terms in enumerate(products):
+            if lists:
+                poly = [zero] * width
+                for c, l_x, _ in terms:
+                    poly = field.axpy(poly, c, l_x)
+            else:
+                poly = field.values(field.combine(empty, terms))
+            f[b * j:b * j + a * len(poly):a] = poly  # P_j, constant first
         _reduce(curve, f, gens, leads)
         del f[top:]  # the footprint lies below the top lead
         while f and f[-1] == zero:
@@ -387,6 +403,9 @@ class Code:
         self._y_logs = self.field.logs(py for _, py in self.points)
         self._staircase = sg.staircase(eta.delta() for eta in etas)
         self._distance: Optional[int] = None
+        # the x^i at the distinct x-values as Field vectors, i <= u // a,
+        # made by the first encode
+        self._x_powers: list = []
 
     @property
     def delta_monomials(self) -> tuple[Monomial, ...]:
@@ -397,20 +416,28 @@ class Code:
     # -- encoding ---------------------------------------------------------------
 
     def encode(self, message: Sequence[FieldElement]) -> Vector:
-        """ev(sum of w_s * phi_s) = ev(sum of y^j M_j(x)): Horner's rule in x
-        at the distinct x-values, then in y at each point."""
+        """ev(sum of w_s * phi_s) = ev(sum of y^j M_j(x)): M_j at the
+        distinct x-values is one ``Field.combine`` of its coefficients times
+        the vectors of the x^i there, then Horner's rule in y at each
+        point."""
         self._check_vector(message, self.k, "message")
         field, a, b = self.field, self.curve.a, self.curve.b
-        xs, width = self._x_logs, len(self._x_logs)
-        mu = [field.zero_log] * (self.u + 1)  # kernel values by pole order
+        zero, empty = field.zero_log, field.vector(())
+        width = len(self._x_logs)
+        if not self._x_powers:
+            self._x_powers = list(map(field.vector, accumulate(
+                [[0] * width] + [self._x_logs] * (self.u // a),
+                field.multiply)))
+        mu = [zero] * (self.u + 1)  # kernel values by pole order
         for s, w in zip(self.message_orders, field.logs(message)):
             mu[s] = w
         acc = None
         for j in reversed(range(min(a, self.u // b + 1))):
             row = mu[b * j::a]  # M_j, constant first: interpolate's P_j slots
-            at_x = [row[-1]] * width
-            for c in reversed(row[:-1]):
-                at_x = field.axpy([c] * width, 0, field.multiply(at_x, xs))
+            at_x = field.values(field.combine(empty, [
+                (c, x_i, 0) for c, x_i in zip(row, self._x_powers)
+                if c != zero]))
+            at_x += [zero] * (width - len(at_x))
             at_x = [at_x[f] for f in self._x_index]  # M_j at the points
             acc = at_x if acc is None else field.axpy(
                 at_x, 0, field.multiply(acc, self._y_logs))

@@ -12,14 +12,16 @@ Decoding starts from {eta_i} plus z - h_v (h_v interpolating v) at weight
 N = delta(h_v) and walks the weight down to 0.  At each nongap weight
 s <= u ``vote`` tallies votes for the message coordinate w_s: every F
 element nominates one field value, weighted by how much of the downstairs
-footprint its upstairs cone covers; the winner is subtracted by the
-substitution z -> z + w * phi_s (below).  ``step`` then converts the
-basis from weight s to s - 1 (``spoly`` is ``step`` on a one-element F
-part).  An F element whose lead moves downstairs, to mu, is reduced once
-by the first G element whose lead divides mu: a row operation of the
-F[x]-module view (Lee and O'Sullivan, 2009).  Only where no G lead divides
-mu, so that the G footprint grows, is it combined with every G element at
-each lcm and are both parts pruned to the leads no other lead divides (one
+footprint its upstairs cone covers (the staircase of the G leads is built
+once per G part, which stays one tuple between the weights where it
+changes); the winner is subtracted by the substitution z -> z + w * phi_s
+(below).  ``step`` then converts the basis from weight s to s - 1
+(``spoly`` is ``step`` on a one-element F part).  An F element whose lead
+moves downstairs, to mu, is reduced once by the first G element whose
+lead divides mu: a row operation of the F[x]-module view (Lee and
+O'Sullivan, 2009).  Only where no G lead divides mu, so that the G
+footprint grows, is it combined with every G element at each lcm and are
+both parts pruned to the leads no other lead divides (one
 ``_prime_reduce`` each, by rows in one pass).  ``_planned`` plans on pole
 orders, with no field arithmetic, before ``_combine`` builds; ``_monic``
 scales a lead to one there and in a nomination.  A weight at which no
@@ -162,13 +164,27 @@ def initial_basis(code: Code, v: Sequence[FieldElement]) -> GBState:
     return GBState(0 if h.is_zero else h.delta(), g, f, curve)
 
 
+#: the G part last voted on and the staircase of its leads, swapped as one
+#: tuple: a decode's G part is one tuple from one change to the next, so
+#: ``vote`` builds the staircase once per G part, not once per vote
+_last_g: tuple = (None, None)
+
+
 def vote(code: Code, s: int, state: GBState) -> VoteRecord:
-    """Majority vote for the message coordinate at nongap order s <= u."""
+    """Majority vote for the message coordinate at nongap order s <= u, on
+    a basis at weight s."""
+    global _last_g
     sg = state.curve.semigroup
     if not sg.is_nongap(s) or s > code.u:
         raise ValueError(f"voting requires a nongap s <= u, got {s}")
+    if state.weight != s:
+        raise ValueError(f"voting at {s} requires a basis at weight {s}, "
+                         f"got weight {state.weight}")
     curve = state.curve
-    stair_g = sg.staircase(g.dd for g in state.g)
+    g_part, stair_g = _last_g
+    if g_part is not state.g:
+        stair_g = sg.staircase(g.dd for g in state.g)
+        _last_g = (state.g, stair_g)
 
     nominations: dict[FieldElement, list[int]] = {}
     for pair in state.f:

@@ -13,9 +13,10 @@ from agcodec.curvering import Curve, Monomial, Semigroup
 from agcodec.decoder import decode
 from agcodec.gf import Field, FieldElement
 
-from support import (MK_FAMILIES, contains, ev, is_smooth_at, lattice_divides,
-                     mk_code, random_message, rank, reference_encode,
-                     reference_ideal_basis, reference_lagrange, support)
+from support import (MK_FAMILIES, add_vectors, contains, ev, is_smooth_at,
+                     lattice_divides, mk_code, random_error, random_message,
+                     rank, reference_encode, reference_ideal_basis,
+                     reference_lagrange, support)
 
 # the interpolation of the bundled received vector, as (token, i, j) terms
 H_V_TERMS = [
@@ -485,15 +486,31 @@ class TestIdealBasis:
 
 class TestLagrange:
     def test_keeps_no_n_by_n_table(self):
-        # interpolation and encoding go through the fibers: no attribute of
-        # a code is a list of more than a lists of length n, so neither an
-        # n x n nor a k x n table
+        # interpolation and encoding go through the fibers: after an encode
+        # and a decode, which make their vectors on first use, no attribute
+        # of a code and nothing its interpolation closes over is a list of
+        # more than a rows (lists or bytes) of length n, so neither an
+        # n x n nor a k x n table; the vectors made on first use, the l_x0
+        # and the x^i at the w distinct x-values, are at most w x w
         code = Code(Curve.hermitian(4), 30)
-        for name, value in vars(code).items():
+        rng = random.Random(30)
+        sent = code.encode(random_message(code, rng))
+        decode(code, add_vectors(sent, random_error(code, rng, 16)))
+        interpolate = code._interpolate
+        closed = dict(zip(interpolate.__code__.co_freevars,
+                          (cell.cell_contents
+                           for cell in interpolate.__closure__)))
+        for name, value in [*vars(code).items(), *closed.items()]:
             assert not (isinstance(value, (list, tuple))
                         and len(value) > code.curve.a
-                        and all(isinstance(row, (list, tuple))
+                        and all(isinstance(row, (list, tuple, bytes))
                                 and len(row) == code.n for row in value)), name
+        w = len(code._x_logs)
+        assert (w, code.n) == (16, 64)
+        for table in (closed["lx"], code._x_powers):
+            assert 0 < len(table) <= w
+            assert all(isinstance(row, bytes) and len(row) <= w
+                       for row in table)
 
     @pytest.mark.parametrize("name, shape", [
         *[(f"hermitian-{q}", shape) for q in (2, 3, 4, 5)
@@ -581,13 +598,19 @@ class TestAgainstReferences:
     """Encoding and interpolation on kernel values against the FieldElement
     routes they replace."""
 
+    # norm-trace-gf27 keeps kernel-value lists as its vectors, the others
+    # bytes; the shortened one has fibers of several sizes
     CODES = ["code_q3", "code_q3_shortened", "code_q4_shuffled", "code_mk7",
-             *(f"{name}-u3" for name in sorted(MK_FAMILIES))]
+             *(f"{name}-u3" for name in sorted(MK_FAMILIES)),
+             "norm-trace-gf8-u13", "norm-trace-gf27-u41-shortened"]
 
     @staticmethod
     def named_code(name, request):
-        if name.endswith("-u3"):
-            return mk_code(name[:-3], 3)
+        """A fixture, or family-uU[-shortened] for ``mk_code``."""
+        match = re.fullmatch(r"(.+)-u(\d+)(-shortened)?", name)
+        if match:
+            family, u, shortened = match.groups()
+            return mk_code(family, int(u), shortened is not None)
         return request.getfixturevalue(name)
 
     @staticmethod
@@ -618,6 +641,26 @@ class TestAgainstReferences:
         messages += [random_message(code, rng) for _ in range(20)]
         for message in messages:
             assert code.encode(message) == reference_encode(code, message)
+
+    @pytest.mark.parametrize("name", ["code_q3", "code_q3_shortened",
+                                      "norm-trace-gf27-u41-shortened"])
+    def test_first_call_matches_later_calls(self, name, request):
+        # interpolation and encoding make their vectors on a code's first
+        # call: each output on a fresh code's first call equals the one on
+        # a code that has made calls before
+        code = self.named_code(name, request)
+        rng = random.Random(7)
+        vectors = self.sample_vectors(code.field, code.n, rng)
+        messages = self.sample_vectors(code.field, code.k, rng)
+        cases = [(vectors[c], messages[c]) for c in (0, 1, 2, 30)]
+        used = Code(code.curve, code.u, code.points)
+        for v, message in reversed(cases):
+            used.lagrange(v), used.encode(message)
+        for v, message in cases:
+            fresh = Code(code.curve, code.u, code.points)
+            assert fresh.lagrange(v) == used.lagrange(v)
+            fresh = Code(code.curve, code.u, code.points)
+            assert fresh.encode(message) == used.encode(message)
 
 
 class TestLargeField:

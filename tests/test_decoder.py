@@ -553,6 +553,100 @@ class TestVote:
         with pytest.raises(ValueError):
             vote(code_q3, 18, state)  # nongap above u
 
+    def test_rejects_a_basis_at_another_weight(self, bundled_states,
+                                               code_q3):
+        # the basis entering weight 16 would read tallies {0: 4, a^1: 2} at
+        # 13, where the decode's own vote reads {0: 4, 2: 0}
+        _, states = bundled_states
+        field = code_q3.field
+        with pytest.raises(ValueError, match="weight 13, got weight 16"):
+            vote(code_q3, 13, states[16][0])
+        state, record = states[13]
+        assert record.tallies == {field.zero: 4, field.element(2): 0}
+        assert vote(code_q3, 13, state) == record
+
+    @staticmethod
+    def named_word(word, code_q3, received_q3):
+        """(code, word): the bundled q=3 word, or the seeded full-radius
+        word of test_field_products_pinned_q4."""
+        if word == "bundled-q3":
+            return code_q3, received_q3
+        code = Code(Curve.hermitian(4), 30)
+        rng = random.Random(4030)
+        return code, add_vectors(code.encode(random_message(code, rng)),
+                                 random_error(code, rng, 16))
+
+    @pytest.mark.parametrize("word", ["bundled-q3", "pinned-q4"])
+    def test_g_staircase_is_built_once_per_g_part(self, word, code_q3,
+                                                   received_q3, monkeypatch):
+        # decode calls the module's vote once per nongap s <= u below the
+        # start weight, and vote builds the G staircase once per G part it
+        # sees, besides one staircase per candidate; both words vote on
+        # more than one G part, as the G part changes below u
+        code, v = self.named_word(word, code_q3, received_q3)
+        sg = code.curve.semigroup
+        plain_vote, plain_staircase = decoder.vote, Semigroup.staircase
+        calls, voting, stairs = [], [False], [0]
+
+        def counted_vote(code_, s, state):
+            calls.append((s, state.g))
+            voting[0] = True
+            try:
+                return plain_vote(code_, s, state)
+            finally:
+                voting[0] = False
+
+        def counted_staircase(self, lead_orders):
+            stairs[0] += voting[0]
+            return plain_staircase(self, lead_orders)
+
+        monkeypatch.setattr(decoder, "vote", counted_vote)
+        monkeypatch.setattr(Semigroup, "staircase", counted_staircase)
+        result = decode(code, v)
+        monkeypatch.undo()
+        start = initial_basis(code, v).weight
+        assert [s for s, _ in calls] == [
+            s for s in range(start, -1, -1)
+            if s <= code.u and sg.is_nongap(s)] == [r.s for r in result.votes]
+        g_parts = sum(1 for c, (_, g) in enumerate(calls)
+                      if c == 0 or g is not calls[c - 1][1])
+        assert g_parts == 2
+        assert stairs[0] == g_parts + sum(len(r.candidates)
+                                          for r in result.votes)
+
+    @staticmethod
+    def reference_tallies(code, s, state):
+        """The tallies of a vote at s, with each nomination read off the
+        ring product up * phi_s and the G staircase built afresh."""
+        sg, curve = code.curve.semigroup, code.curve
+        targets = {}
+        for pair in state.f:
+            target = pair.up.delta() + s
+            product = pair.up * curve.monomial(*sg.phi(s))
+            w = -(pair.down.coefficient_at(target)
+                  / product.coefficient_at(target))
+            targets.setdefault(w, []).append(target)
+        stair_g = sg.staircase(ld.order for ld in state.g_leads())
+        return {w: sg.staircase_difference(stair_g, sg.staircase(orders))
+                for w, orders in targets.items()}
+
+    @pytest.mark.parametrize("word", ["bundled-q3", "pinned-q4"])
+    def test_g_staircase_never_goes_stale(self, word, code_q3, received_q3):
+        # every vote of an unwatched decode, which reuses the G staircase
+        # while the G part stays one tuple, equals the vote recomputed on
+        # the watched basis at its weight, and its tallies those of a
+        # reference that builds every staircase afresh
+        code, v = self.named_word(word, code_q3, received_q3)
+        result = decode(code, v)
+        watched = {}
+        decode(code, v, lambda s, state, record: watched.update({s: state}))
+        assert result.votes
+        for record in result.votes:
+            state = watched[record.s]
+            assert vote(code, record.s, state) == record
+            assert record.tallies == \
+                self.reference_tallies(code, record.s, state)
+
     def test_tie_breaks_canonically(self, code_q3):
         # this vector produces a two-way tie at s=13; the winner is the
         # candidate earliest in the order 0, 1, a^1, a^2, ...
