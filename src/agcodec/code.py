@@ -31,10 +31,10 @@ w, w the number of distinct x-values, made on their first call:
   of x0 over the distinct x-values and of y0 over its fiber, so the
   interpolant of a word is the sum of y^j P_j(x): each fiber's values and
   its l_y give the y-coefficients c_j(x0), and P_j is one ``Field.combine``
-  of the products c_j(x0) * l_x0, the l_x0 held as vectors (one axpy per
-  fiber on kernel-value lists).  The l_y of the fibers of one size are
-  built side by side, and the c_j are formed in that same layout.  The sum
-  is reduced by the basis onto the footprint, with no n x n table.
+  of the products c_j(x0) * l_x0, the l_x0 held as vectors.  The l_y of
+  the fibers of one size are built side by side, and the c_j are formed in
+  that same layout.  The sum is reduced by the basis onto the footprint,
+  with no n x n table.
 * Encoding is the transpose: a message function, the sum of y^j M_j(x), is
   evaluated at the distinct x-values by one ``Field.combine`` per M_j of
   its coefficients times the vectors of the powers x^i there, then by
@@ -321,8 +321,7 @@ def _ideal_basis_interpolator(
     coefficients j, then one ``Field.axpy`` per point of a fiber to sum
     them.  P_j is then one ``Field.combine`` of the products c_j(x0) *
     l_x0 over the fibers, the l_x0 held as Field vectors made on the first
-    call; on kernel-value lists it is one ``Field.axpy`` per fiber, as
-    combine's checks of each product cost about a fifth more there.
+    call.
     """
     sg, field = curve.semigroup, curve.field
     a, b, ys = curve.a, curve.b, sg.y_degrees
@@ -338,7 +337,6 @@ def _ideal_basis_interpolator(
     (_, lx_rows), = _lagrange_polys(field, [list(fibers)])
     lx: Optional[list] = None  # the l_x0 as Field vectors: on first use
     empty = field.vector(())
-    lists = isinstance(empty, list)  # P_j by axpy passes
     size = max(a * width + b * (a - 1), top)
     fiber_points = [list(fiber.values()) for fiber in fibers.values()]
     # per group of fibers of one size: its points laid out as its l_y rows
@@ -364,12 +362,7 @@ def _ideal_basis_interpolator(
                                 if c != zero]
         f = [zero] * size
         for j, terms in enumerate(products):
-            if lists:
-                poly = [zero] * width
-                for c, l_x, _ in terms:
-                    poly = field.axpy(poly, c, l_x)
-            else:
-                poly = field.values(field.combine(empty, terms))
+            poly = field.values(field.combine(empty, terms))
             f[b * j:b * j + a * len(poly):a] = poly  # P_j, constant first
         _reduce(curve, f, gens, leads)
         del f[top:]  # the footprint lies below the top lead

@@ -166,7 +166,8 @@ def initial_basis(code: Code, v: Sequence[FieldElement]) -> GBState:
 
 #: the G part last voted on and the staircase of its leads, swapped as one
 #: tuple: a decode's G part is one tuple from one change to the next, so
-#: ``vote`` builds the staircase once per G part, not once per vote
+#: ``vote`` builds the staircase once per G part, not once per vote;
+#: ``decode`` lets go of its G part on return
 _last_g: tuple = (None, None)
 
 
@@ -367,6 +368,7 @@ def decode(code: Code, v: Sequence[FieldElement],
     majority, and the status is ``ok``.  The ``low-confidence`` status of a
     margin-0 vote is therefore not reached within the radius.
     """
+    global _last_g
     sg = code.curve.semigroup
     field = code.field
     state = initial_basis(code, v)
@@ -389,6 +391,7 @@ def decode(code: Code, v: Sequence[FieldElement],
         state = step(state)
     if watch is not None:
         watch(-1, _settled(state, pending), None)
+    _last_g = (None, None)
 
     chosen = {r.s: r.chosen for r in votes}
     message = tuple(chosen.get(s, field.zero) for s in code.message_orders)

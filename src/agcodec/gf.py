@@ -505,7 +505,7 @@ class Field:
                        products: Iterable[tuple[int, list[int], int]]
                        ) -> list[int]:
         """``combine`` on kernel-value lists.  Each product goes in one of
-        three ways, chosen from where it lands and its number of nonzero
+        four ways, chosen from where it lands and its number of nonzero
         entries:
 
         * into an empty region, past the end of the list, as a copy, or one
@@ -514,15 +514,34 @@ class Field:
           by entry, one entry of ``axpy`` per nonzero entry, as a pass has a
           fixed cost and a cost for every entry it crosses (cut points of
           four and sixteen decoded as fast, CHANGES.md);
+        * over the whole list, from entry 0 to its end, two at a time: a
+          pair shares one pass, and so its cost for every entry, and an
+          unpaired one is one ``axpy``;
         * otherwise as one ``axpy`` over the shifted range.
 
-        The list is extended to each product's reach, and the trailing zeros
-        of a cancelled sum are trimmed once, at the end.
+        A product with eight nonzero entries among its first sixteen is not
+        short, with no count over the rest.  The list is extended to each
+        product's reach, and the trailing zeros of a cancelled sum are
+        trimmed once, at the end.
         """
         zero, zt, norm = self.zero_log, self._zt, self._norm
         out = acc[:]
+        held = None  # a product over the whole list, waiting for a second
         for k, terms, t in products:
             size, have = len(terms), len(out)
+            head = terms[:16]
+            dense = len(head) - head.count(zero) >= 8
+            if dense and not t and size == have:
+                if held is None:
+                    held = k, terms
+                    continue
+                (j, first), held = held, None
+                bj, bk = zero + j, zero + k
+                out = [norm[(m := norm[r + zt[bj + u - r]]) + zt[bk + v - m]]
+                       for r, u, v in zip(out, first, terms)]
+                continue
+            if held is not None:
+                out, held = self.axpy(out, *held), None
             end = t + size
             if have <= t:  # into an empty region
                 out += [zero] * (t - have)
@@ -530,7 +549,7 @@ class Field:
                 continue
             if have < end:
                 out += [zero] * (end - have)
-            if size - terms.count(zero) < 8:
+            if not dense and size - terms.count(zero) < 8:
                 base = zero + k
                 for s, v in enumerate(terms, t):
                     if v != zero:
@@ -538,6 +557,8 @@ class Field:
                         out[s] = norm[r + zt[base + v - r]]
             else:
                 out[t:end] = self.axpy(out[t:end], k, terms)
+        if held is not None:
+            out = self.axpy(out, *held)
         while out and out[-1] == zero:
             out.pop()
         return out

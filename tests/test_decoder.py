@@ -546,12 +546,13 @@ class TestVote:
                 assert record.chosen == by_order[record.s]
 
     def test_gap_rejected(self, bundled_states, code_q3):
+        # each basis is at the vote's weight, so only the gap and u check
+        # can refuse it
         _, states = bundled_states
-        state, _ = states[16]
-        with pytest.raises(ValueError):
-            vote(code_q3, 5, state)
-        with pytest.raises(ValueError):
-            vote(code_q3, 18, state)  # nongap above u
+        with pytest.raises(ValueError, match="nongap s <= u, got 5"):
+            vote(code_q3, 5, states[5][0])
+        with pytest.raises(ValueError, match="nongap s <= u, got 18"):
+            vote(code_q3, 18, states[18][0])  # nongap above u
 
     def test_rejects_a_basis_at_another_weight(self, bundled_states,
                                                code_q3):

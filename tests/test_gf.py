@@ -443,6 +443,48 @@ class TestVectors:
                     field.vector([]), [(k, field.vector(vec), 0)])) == scaled
 
     @pytest.mark.parametrize("p,m", BYTE_FIELDS + LIST_FIELDS)
+    def test_combine_over_the_whole_list(self, p, m):
+        # runs, odd and even, of dense products from entry 0 to the list's
+        # end, which lists add two to a pass, broken by short products over
+        # the whole list and by shifted ones, some past the end; and a run
+        # that cancels the whole sum
+        field = Field(p, m)
+        n, zero = field.order - 1, field.zero_log
+        neg = field.logs([-field.one])[0]
+        rng = random.Random(p * 100 + m)
+        size = 20
+
+        def dense():
+            return [rng.randrange(n) for _ in range(size)]
+
+        def short():
+            vec = [zero] * size
+            for s in rng.sample(range(size - 1), 3) + [size - 1]:
+                vec[s] = rng.randrange(n)
+            return vec
+        for _ in range(60):
+            acc = dense()
+            products = []
+            for _ in range(rng.randrange(1, 9)):
+                kind = rng.randrange(5)
+                if kind < 3:
+                    products.append((rng.randrange(n), dense(), 0))
+                elif kind == 3:
+                    products.append((rng.randrange(n), short(), 0))
+                else:
+                    products.append((rng.randrange(n),
+                                     dense()[:rng.randrange(1, size)],
+                                     rng.randrange(1, 8)))
+            got = field.combine(field.vector(acc), [
+                (k, field.vector(vec), t) for k, vec, t in products])
+            assert field.values(got) == reference_combine(field, acc,
+                                                          products)
+        v, w = dense(), dense()
+        assert field.combine(field.vector(v), [
+            (0, field.vector(w), 0), (neg, field.vector(w), 0),
+            (neg, field.vector(v), 0)]) == field.vector([])
+
+    @pytest.mark.parametrize("p,m", BYTE_FIELDS + LIST_FIELDS)
     def test_cancellation_trims(self, p, m):
         # v - v is the empty vector, a sum that cancels its top entry ends
         # at the entry below, and one that cancels all but a low entry ends
