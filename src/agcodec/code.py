@@ -14,9 +14,11 @@ Construction works in R as a free F[x]-module with basis 1, y, ...,
 y^(a-1), on lists of kernel values (logs, see ``gf.py``) indexed by pole
 order, each update one ``Field.axpy``; they become ring vectors
 (``Field.vector``) once, at the etas and at ``Code.lagrange``.  The points
-are grouped once by x-value into fibers of at most a points each, which all
-three steps read.  Interpolation and encoding also hold w vectors of length
-w, w the number of distinct x-values, made on their first call:
+are grouped by x-value, in first-seen order, into fibers of at most a
+points each, which all three steps read.  A ``Code`` builds only the point
+ideal, its etas and their staircase; every interpolation and encoding table
+is made on the first call that reads it.  The l_x0 and x^i tables each
+hold at most w vectors of length w, w the number of distinct x-values:
 
 * The reduced F[x]-basis of the ideal J of functions vanishing at all
   points has a generators, one per y-degree.  A full fiber, a points over
@@ -25,7 +27,8 @@ w, w the number of distinct x-values, made on their first call:
   update multiplies one by (x - x_P) or eliminates it at each of the other
   points P.  The generators whose leads are not multiples of other leads
   are the reduced Groebner basis {eta_i} of J, and the monomials below the
-  leads are its footprint (exactly n monomials).
+  leads are its footprint (exactly n monomials), read off the eta leads
+  where it is needed (``_footprint``).
 * Interpolation goes through the fibers.  The Lagrange function of a
   point (x0, y0) is l_x(x) * l_y(y), the univariate Lagrange polynomials
   of x0 over the distinct x-values and of y0 over its fiber, so the
@@ -34,7 +37,8 @@ w, w the number of distinct x-values, made on their first call:
   of the products c_j(x0) * l_x0, the l_x0 held as vectors.  The l_y of
   the fibers of one size are built side by side, and the c_j are formed in
   that same layout.  The sum is reduced by the basis onto the footprint,
-  with no n x n table.
+  with no n x n table.  The first interpolation builds the Lagrange
+  polynomials and keeps only the l_x0 vectors and the l_y.
 * Encoding is the transpose: a message function, the sum of y^j M_j(x), is
   evaluated at the distinct x-values by one ``Field.combine`` per M_j of
   its coefficients times the vectors of the powers x^i there, then by
@@ -143,8 +147,7 @@ def _reduce(curve: Curve, vec: list[int], basis: Sequence[Sequence[int]],
     at the end every term lies in the footprint.
     """
     field, ys, a = curve.field, curve.semigroup.y_degrees, curve.a
-    zero, n = field.zero_log, field.order - 1
-    neg_one = field.logs([-field.one])[0]
+    zero, n, neg_one = field.zero_log, field.order - 1, field.neg_log
     for s in range(len(vec) - 1, min(leads) - 1, -1):
         j = ys[s % a]
         if s >= leads[j] and vec[s] != zero:
@@ -197,8 +200,7 @@ def _ideal_generators(curve: Curve, points: Sequence[Point],
     """
     field = curve.field
     a, b = curve.a, curve.b
-    zero, n = field.zero_log, field.order - 1
-    neg_one = field.logs([-field.one])[0]
+    zero, n, neg_one = field.zero_log, field.order - 1, field.neg_log
 
     full = [x0 for x0, fiber in fibers.items() if len(fiber) == a]
     seeded = {c for x0 in full for c in fibers[x0].values()}
@@ -251,7 +253,6 @@ def _lagrange_polys(field: Field, root_sets: Sequence[Sequence[FieldElement]]
     divisions of all the roots, and the Horner evaluations of their
     quotients, are one ``Field.axpy`` per coefficient."""
     zero, n = field.zero_log, field.order - 1
-    neg_one = field.logs([-field.one])[0]
     by_size: dict[int, list[int]] = {}
     for c, roots in enumerate(root_sets):
         by_size.setdefault(len(roots), []).append(c)
@@ -259,7 +260,7 @@ def _lagrange_polys(field: Field, root_sets: Sequence[Sequence[FieldElement]]
     for size, group in by_size.items():
         width = len(group)
         rs = field.logs(root_sets[c][t] for t in range(size) for c in group)
-        neg = field.scale(rs, neg_one)
+        neg = field.scale(rs, field.neg_log)
         vanishing = [0] * width  # coefficient k at [k * width:], monic
         for t in range(size):
             at = neg[t * width:(t + 1) * width] * (t + 1)
@@ -290,64 +291,73 @@ def points_ideal_basis(
     the unit vector of point c (``_ideal_basis_interpolator``).
     """
     points = checked_points(curve, points)
-    etas, footprint, interpolate = _ideal_basis_interpolator(
-        curve, points, _fibers(points))
+    etas, interpolate = _ideal_basis_interpolator(curve, points,
+                                                  _fibers(points))
+    footprint = _footprint(curve.semigroup, etas)
     zero = curve.field.zero_log
     columns = [interpolate([zero] * c + [0] + [zero] * (len(points) - c - 1))
                for c in range(len(points))]
-    return (etas, tuple(map(curve.semigroup.phi, footprint)),
+    return (etas, footprint,
             [[col[s] if s < len(col) else zero for col in columns]
-             for s in footprint])
+             for s in map(curve.semigroup.degree, footprint)])
+
+
+def _footprint(sg: Semigroup, etas: Iterable[RingElement]
+               ) -> tuple[Monomial, ...]:
+    """The monomials that no eta lead divides, in increasing pole order."""
+    return tuple(sorted(sg.footprint(eta.leading_monomial() for eta in etas),
+                        key=sg.degree))
 
 
 def _ideal_basis_interpolator(
     curve: Curve, points: Sequence[Point],
     fibers: Mapping[FieldElement, Mapping[FieldElement, int]]
-) -> tuple[tuple[RingElement, ...], tuple[int, ...],
-           Callable[[Sequence[int]], list[int]]]:
-    """(etas, footprint pole orders in increasing order, interpolate).
+) -> tuple[tuple[RingElement, ...], Callable[[Sequence[int]], list[int]]]:
+    """(etas, interpolate).
 
     The etas are the generators of the reduced F[x]-basis
     (``_ideal_generators``) whose lead is no other lead times a monomial,
     in increasing lead order; the footprint is the n monomials below the
-    leads of their rows.  interpolate maps kernel values v_P at the points
-    to the function with those values, as kernel values indexed by pole
-    order up to its last nonzero one: the sum of v_P * l_x(x) * l_y(y)
-    (``_lagrange_polys``) is the sum of y^j P_j(x), where P_j sums c_j(x0) *
-    l_x0 over the fibers and c_j(x0) is a fiber's values times its l_y; it
-    is reduced by the basis (``_reduce``) onto the footprint.  The l_y come
-    side by side for the fibers of one size, and so are their c_j: one
-    ``Field.multiply`` of the values, laid out as the l_y rows, by the l_y
-    coefficients j, then one ``Field.axpy`` per point of a fiber to sum
-    them.  P_j is then one ``Field.combine`` of the products c_j(x0) *
-    l_x0 over the fibers, the l_x0 held as Field vectors made on the first
-    call.
+    leads of their rows (``_footprint``).  interpolate maps kernel values
+    v_P at the points to the function with those values, as kernel values
+    indexed by pole order up to its last nonzero one: the sum of v_P *
+    l_x(x) * l_y(y) (``_lagrange_polys``) is the sum of y^j P_j(x), where
+    P_j sums c_j(x0) * l_x0 over the fibers and c_j(x0) is a fiber's values
+    times its l_y; it is reduced by the basis (``_reduce``) onto the
+    footprint.  The l_y come side by side for the fibers of one size, and
+    so are their c_j: one ``Field.multiply`` of the values, laid out as the
+    l_y rows, by the l_y coefficients j, then one ``Field.axpy`` per point
+    of a fiber to sum them.  P_j is then one ``Field.combine`` of the
+    products c_j(x0) * l_x0 over the fibers.
+
+    The first call builds the Lagrange polynomials (``_lagrange_polys``)
+    and keeps only the l_x0, as Field vectors, and the l_y batches.  It
+    sets lx last, so a racing first call builds them twice and never reads
+    half of them.
     """
     sg, field = curve.semigroup, curve.field
-    a, b, ys = curve.a, curve.b, sg.y_degrees
+    a, b = curve.a, curve.b
     zero = field.zero_log
     gens, leads = _ideal_generators(curve, points, fibers)
     rows = sorted(range(a), key=leads.__getitem__)
     etas = tuple(RingElement(curve, field.vector(gens[j])) for j
                  in _prime_reduce(rows, [leads[j] for j in rows], sg))
     top = max(leads)
-    footprint = tuple(s for s in range(top)
-                      if s < leads[ys[s % a]] and sg.is_nongap(s))
-    width = len(fibers)
-    (_, lx_rows), = _lagrange_polys(field, [list(fibers)])
-    lx: Optional[list] = None  # the l_x0 as Field vectors: on first use
-    empty = field.vector(())
-    size = max(a * width + b * (a - 1), top)
-    fiber_points = [list(fiber.values()) for fiber in fibers.values()]
+    lx: Optional[list] = None  # the l_x0 as Field vectors
     # per group of fibers of one size: its points laid out as its l_y rows
-    batches = [(group, [fiber_points[x][t] for t in range(len(l_ys))
-                        for x in group], l_ys)
-               for group, l_ys in _lagrange_polys(
-                   field, [list(fiber) for fiber in fibers.values()])]
+    batches: list = []
+    empty = field.vector(())
+    size = max(a * len(fibers) + b * (a - 1), top)
 
     def interpolate(values: Sequence[int]) -> list[int]:
-        nonlocal lx
+        nonlocal lx, batches
         if lx is None:
+            fiber_points = [list(fiber.values()) for fiber in fibers.values()]
+            batches = [(group, [fiber_points[x][t] for t in range(len(l_ys))
+                                for x in group], l_ys)
+                       for group, l_ys in _lagrange_polys(
+                           field, [list(fiber) for fiber in fibers.values()])]
+            (_, lx_rows), = _lagrange_polys(field, [list(fibers)])
             lx = list(map(field.vector, zip(*lx_rows)))  # constant first
         products: list[list] = [[] for _ in range(a)]  # P_j's c_j(x0), l_x0
         for group, points_at, l_ys in batches:
@@ -369,12 +379,13 @@ def _ideal_basis_interpolator(
         while f and f[-1] == zero:
             f.pop()
         return f
-    return etas, footprint, interpolate
+    return etas, interpolate
 
 
 class Code:
-    """An evaluation code C_u with its precomputations, all from the fibers
-    of its points: the etas, the footprint, interpolation and encoding."""
+    """An evaluation code C_u, built with the etas of its point ideal and
+    their staircase; interpolation and encoding make their tables on first
+    use."""
 
     def __init__(self, curve: Curve, u: int,
                  points: Optional[Sequence[Point]] = None) -> None:
@@ -386,25 +397,20 @@ class Code:
         self.u = _checked_u(u, self.n)
         self.message_orders: tuple[int, ...] = sg.nongaps(u)
         self.k = len(self.message_orders)
-        fibers = _fibers(self.points)
-        etas, self._delta_orders, self._interpolate = \
-            _ideal_basis_interpolator(curve, self.points, fibers)
-        self.eta_basis = etas
-        index = {x0: f for f, x0 in enumerate(fibers)}
-        self._x_logs = self.field.logs(fibers)  # the distinct x-values
-        self._x_index = [index[px] for px, _ in self.points]
-        self._y_logs = self.field.logs(py for _, py in self.points)
-        self._staircase = sg.staircase(eta.delta() for eta in etas)
+        self.eta_basis, self._interpolate = _ideal_basis_interpolator(
+            curve, self.points, _fibers(self.points))
+        self._staircase = sg.staircase(eta.delta() for eta in self.eta_basis)
         self._distance: Optional[int] = None
-        # the x^i at the distinct x-values as Field vectors, i <= u // a,
-        # made by the first encode
+        # the x^i at the distinct x-values as Field vectors, i <= u // a:
+        # made by the first encode, after each point's x index and y log
         self._x_powers: list = []
 
     @property
     def delta_monomials(self) -> tuple[Monomial, ...]:
-        """The n footprint monomials in increasing pole order, made from the
-        kept orders on each read: nu(s) counts those that phi(s) divides."""
-        return tuple(map(self.curve.semigroup.phi, self._delta_orders))
+        """The n footprint monomials in increasing pole order, read off the
+        eta leads on each read (``_footprint``): nu(s) counts those that
+        phi(s) divides."""
+        return _footprint(self.curve.semigroup, self.eta_basis)
 
     # -- encoding ---------------------------------------------------------------
 
@@ -412,15 +418,24 @@ class Code:
         """ev(sum of w_s * phi_s) = ev(sum of y^j M_j(x)): M_j at the
         distinct x-values is one ``Field.combine`` of its coefficients times
         the vectors of the x^i there, then Horner's rule in y at each
-        point."""
+        point.
+
+        The first call makes each point's x index and y log, then the x^i
+        vectors, from the points: the distinct x-values in first-seen
+        order, the fibers' order.  It sets ``_x_powers`` last, so a racing
+        first call builds them twice and never reads half of them."""
         self._check_vector(message, self.k, "message")
         field, a, b = self.field, self.curve.a, self.curve.b
         zero, empty = field.zero_log, field.vector(())
-        width = len(self._x_logs)
         if not self._x_powers:
+            index: dict[FieldElement, int] = {}  # x-value -> its x index
+            self._x_index = [index.setdefault(px, len(index))
+                             for px, _ in self.points]
+            self._y_logs = field.logs(py for _, py in self.points)
             self._x_powers = list(map(field.vector, accumulate(
-                [[0] * width] + [self._x_logs] * (self.u // a),
+                [[0] * len(index)] + [field.logs(index)] * (self.u // a),
                 field.multiply)))
+        width = len(self._x_powers[0])  # x^0: w ones
         mu = [zero] * (self.u + 1)  # kernel values by pole order
         for s, w in zip(self.message_orders, field.logs(message)):
             mu[s] = w

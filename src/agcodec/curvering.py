@@ -138,12 +138,11 @@ class Semigroup:
         With phi(r) the one of larger y-degree, they are x^(t's i) y^(r's j)
         and x^(r's i + b) y^(t's j).
         """
-        a, b, ys = self.a, self.b, self.y_degrees
-        d = t - r  # a nongap when phi(r) divides phi(t)
-        if d >= 0 and b * ys[d % a] <= d:
+        if self.is_nongap(t - r):  # phi(r) divides phi(t)
             return (t,)
-        if d <= 0 and b * ys[-d % a] <= -d:
+        if self.is_nongap(r - t):  # phi(t) divides phi(r)
             return (r,)
+        a, b, ys = self.a, self.b, self.y_degrees
         rise = b * (ys[r % a] - ys[t % a])
         if rise < 0:
             r, t, rise = t, r, -rise

@@ -13,9 +13,10 @@ N = delta(h_v) and walks the weight down to 0.  At each nongap weight
 s <= u ``vote`` tallies votes for the message coordinate w_s: every F
 element nominates one field value, weighted by how much of the downstairs
 footprint its upstairs cone covers (the staircase of the G leads is built
-once per G part, which stays one tuple between the weights where it
-changes); the winner is subtracted by the substitution z -> z + w * phi_s
-(below).  ``step`` then converts the basis from weight s to s - 1
+once per G part tuple: ``step`` makes a new one where the G footprint
+grows, and ``_settled`` where the pending votes go in, though no G lead
+moves then); the winner is subtracted by the substitution z -> z + w *
+phi_s (below).  ``step`` then converts the basis from weight s to s - 1
 (``spoly`` is ``step`` on a one-element F part).  An F element whose lead
 moves downstairs, to mu, is reduced once by the first G element whose
 lead divides mu: a row operation of the F[x]-module view (Lee and
@@ -165,9 +166,10 @@ def initial_basis(code: Code, v: Sequence[FieldElement]) -> GBState:
 
 
 #: the G part last voted on and the staircase of its leads, swapped as one
-#: tuple: a decode's G part is one tuple from one change to the next, so
-#: ``vote`` builds the staircase once per G part, not once per vote;
-#: ``decode`` lets go of its G part on return
+#: tuple: a decode's G part is one tuple until its footprint grows in
+#: ``step`` or ``_settled`` takes the pending votes in (with no G lead
+#: moved), so ``vote`` builds the staircase once per G part tuple, not once
+#: per vote; ``decode`` lets go of its G part when it returns or raises
 _last_g: tuple = (None, None)
 
 
@@ -374,24 +376,27 @@ def decode(code: Code, v: Sequence[FieldElement],
     state = initial_basis(code, v)
     votes: list[VoteRecord] = []
     pending: list[tuple[int, FieldElement]] = []  # votes the G part lacks
-    for s in range(state.weight, -1, -1):
-        record = None
-        if s <= code.u and sg.is_nongap(s):
-            record = vote(code, s, state)
-            votes.append(record)
+    try:
+        for s in range(state.weight, -1, -1):
+            record = None
+            if s <= code.u and sg.is_nongap(s):
+                record = vote(code, s, state)
+                votes.append(record)
+            if watch is not None:
+                state = _settled(state, pending)
+                watch(s, state, record)
+            if record is not None and not record.chosen.is_zero:
+                pending.append((s, record.chosen))
+                state = GBState(s, state.g,
+                                _substituted(state.f, pending[-1:]),
+                                state.curve)
+            if pending and not all(_leads_up(s - 1, p) for p in state.f):
+                state = _settled(state, pending)  # step combines with G
+            state = step(state)
         if watch is not None:
-            state = _settled(state, pending)
-            watch(s, state, record)
-        if record is not None and not record.chosen.is_zero:
-            pending.append((s, record.chosen))
-            state = GBState(s, state.g, _substituted(state.f, pending[-1:]),
-                            state.curve)
-        if pending and not all(_leads_up(s - 1, p) for p in state.f):
-            state = _settled(state, pending)  # step combines with G
-        state = step(state)
-    if watch is not None:
-        watch(-1, _settled(state, pending), None)
-    _last_g = (None, None)
+            watch(-1, _settled(state, pending), None)
+    finally:
+        _last_g = (None, None)
 
     chosen = {r.s: r.chosen for r in votes}
     message = tuple(chosen.get(s, field.zero) for s in code.message_orders)

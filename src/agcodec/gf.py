@@ -8,7 +8,8 @@ two int tables ZT and NORM, and all arithmetic returns those shared objects.
 Sum, product and negation are each one lookup in ZT and NORM, with no
 branch and no per-order special case, so one rule covers every order up to
 ``ORDER_CAP``; ZT folds in the Zech logarithm Z of 1 + a^k = a^Z(k), so that
-a^i + a^j = a^(i + Z(j - i)).
+a^i + a^j = a^(i + Z(j - i)).  Negation adds ``Field.neg_log``, the kernel
+value of -1: 0 in characteristic 2, n/2 otherwise.
 
 The code's linear algebra (the build of the ideal of the points and its
 Lagrange functions, interpolation, encoding) runs on lists of kernel
@@ -144,8 +145,8 @@ class Field:
     degree-one modulus it was given.
     """
 
-    __slots__ = ("p", "m", "order", "modulus", "zero_log", "_exp", "_log",
-                 "_zt", "_norm", "_neg_log", "_by_log", "_elements", "_slot",
+    __slots__ = ("p", "m", "order", "modulus", "zero_log", "neg_log", "_exp",
+                 "_log", "_zt", "_norm", "_by_log", "_elements", "_slot",
                  "_slot_log", "_times", "_mod_p", "_room")
 
     def __init__(self, p: int, m: int = 1,
@@ -320,7 +321,7 @@ class Field:
         zech = [log[v + 1 if v % p != p - 1 else v + 1 - p] for v in exp]
         self._zt = list(range(-z, -n)) + zech * 3 + [0] * (2 * n)
         self._norm = list(range(n)) * 2 + [z] * (4 * n + 1)
-        self._neg_log = 0 if self.p == 2 else n // 2
+        self.neg_log = 0 if self.p == 2 else n // 2  # of -1
         # element of kernel value k at index k: every index >= n is zero
         self._by_log = [FieldElement(self, k) for k in range(n)]
         self._by_log += [FieldElement(self, z)] * (2 * n + 1)
@@ -642,7 +643,7 @@ class FieldElement:
 
     def __neg__(self) -> "FieldElement":
         f = self.field
-        return f._by_log[f._norm[self._k + f._neg_log]]
+        return f._by_log[f._norm[self._k + f.neg_log]]
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
         return self + (-other)

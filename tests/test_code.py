@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from agcodec import code as code_module
 from agcodec.code import (Code, VectorParseError, _fibers, _ideal_generators,
                           _lagrange_polys, checked_points, code_from_config,
                           curve_from_config, format_vector,
@@ -505,12 +506,48 @@ class TestLagrange:
                         and len(value) > code.curve.a
                         and all(isinstance(row, (list, tuple, bytes))
                                 and len(row) == code.n for row in value)), name
-        w = len(code._x_logs)
+        w = len({px for px, _ in code.points})
         assert (w, code.n) == (16, 64)
         for table in (closed["lx"], code._x_powers):
             assert 0 < len(table) <= w
             assert all(isinstance(row, bytes) and len(row) <= w
                        for row in table)
+
+    def test_tables_made_on_first_use(self, monkeypatch):
+        # building a code, encoding and reading d_u make no Lagrange
+        # polynomial; the first lagrange makes them, in one call for the
+        # x-values and one for the fibers, and its closure keeps none of the
+        # l_x rows, only the l_x0 vectors; later calls make none
+        plain = code_module._lagrange_polys
+        calls = []
+
+        def counted(field, root_sets):
+            calls.append((len(root_sets), plain(field, root_sets)))
+            return calls[-1][1]
+        monkeypatch.setattr(code_module, "_lagrange_polys", counted)
+        code = Code(Curve.hermitian(4), 30)
+        interpolate = code._interpolate
+        closed = dict(zip(interpolate.__code__.co_freevars,
+                          interpolate.__closure__))
+        assert closed["lx"].cell_contents is None
+        assert code._x_powers == []
+        assert calls == []
+        rng = random.Random(35)
+        sent = code.encode(random_message(code, rng))
+        assert code.decoding_distance() == 34
+        assert calls == []
+        code.lagrange(sent)
+        assert sorted(sets for sets, _ in calls) == [1, 16]
+        (_, [(_, lx_rows)]), = [c for c in calls if c[0] == 1]
+        held = {id(value) for cell in closed.values()
+                if isinstance(cell.cell_contents, list)
+                for value in (cell.cell_contents, *cell.cell_contents)}
+        assert not held & {id(lx_rows), *map(id, lx_rows)}
+        assert len(closed["lx"].cell_contents) == 16
+        code.lagrange(sent)
+        code.encode(random_message(code, rng))
+        decode(code, add_vectors(sent, random_error(code, rng, 16)))
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("name, shape", [
         *[(f"hermitian-{q}", shape) for q in (2, 3, 4, 5)
@@ -815,8 +852,8 @@ class TestDistance:
         calls["staircase"] = 0
         assert code.decoding_distance() == 65
         assert calls["staircase"] <= curve.a
-        assert code.delta_monomials == tuple(map(curve.semigroup.phi,
-                                                 code._delta_orders))
+        assert code.delta_monomials == points_ideal_basis(curve,
+                                                          code.points)[1]
         assert len(code.delta_monomials) == 125
 
     def test_hermitian_order_bound_formula(self, code_q3):

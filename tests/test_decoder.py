@@ -648,6 +648,23 @@ class TestVote:
             assert record.tallies == \
                 self.reference_tallies(code, record.s, state)
 
+    def test_a_raising_watch_lets_go_of_the_g_part(self, code_q3,
+                                                   received_q3):
+        # decode lets go of its G part on a raise as on a return: a watch
+        # raising at s = 10 leaves no G part behind, though one was held
+        # for the vote there
+        held = []
+
+        def watch(s, state, record):
+            if s == 10:
+                held.append(decoder._last_g[0])
+                raise RuntimeError("stop at 10")
+
+        with pytest.raises(RuntimeError, match="stop at 10"):
+            decode(code_q3, received_q3, watch)
+        assert len(held[0]) == 2
+        assert decoder._last_g == (None, None)
+
     def test_tie_breaks_canonically(self, code_q3):
         # this vector produces a two-way tie at s=13; the winner is the
         # candidate earliest in the order 0, 1, a^1, a^2, ...

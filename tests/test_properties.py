@@ -29,6 +29,12 @@ CODE_FIELDS = {(p, m): Field(p, m) for p, m in [
     (13, 1)]}
 
 
+def test_neg_log_is_minus_one():
+    # the kernel value negation adds is that of -1, in every field here
+    for field in [*FIELDS.values(), *CODE_FIELDS.values()]:
+        assert field.neg_log == field.logs([-field.one])[0]
+
+
 @st.composite
 def mk_curves(draw, fields=FIELDS, top_a=4):
     """y^a + sum(c_ij x^i y^j : a*i + b*j < a*b) + d x^b = 0 with random d
