@@ -198,7 +198,11 @@ class Semigroup:
     @staticmethod
     def staircase_difference(outer: Sequence[int], inner: Sequence[int]) -> int:
         """|footprint(outer) minus footprint(inner)| for two staircases."""
-        return sum(max(0, o - i) for o, i in zip(outer, inner))
+        total = 0
+        for o, i in zip(outer, inner):
+            if o > i:
+                total += o - i
+        return total
 
     def __repr__(self) -> str:
         return f"Semigroup({self.a}, {self.b})"

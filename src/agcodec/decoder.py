@@ -15,12 +15,13 @@ element nominates one field value, weighted by how much of the downstairs
 footprint its upstairs cone covers (the staircase of the G leads is built
 once per G part tuple: ``step`` makes a new one where the G footprint
 grows, and ``_settled`` where the pending votes go in, though no G lead
-moves then); the winner is subtracted by the substitution z -> z + w *
-phi_s (below).  ``step`` then converts the basis from weight s to s - 1
-(``spoly`` is ``step`` on a one-element F part).  An F element whose lead
-moves downstairs, to mu, is reduced once by the first G element whose
-lead divides mu: a row operation of the F[x]-module view (Lee and
-O'Sullivan, 2009).  Only where no G lead divides mu, so that the G
+moves then); a vote with one candidate, the common case below the
+radius, returns its record with no sort, and the winner is subtracted by
+the substitution z -> z + w * phi_s (below).  ``step`` then converts the
+basis from weight s to s - 1 (``spoly`` is ``step`` on a one-element F
+part).  An F element whose lead moves downstairs, to mu, is reduced once
+by the first G element whose lead divides mu: a row operation of the
+F[x]-module view (Lee and O'Sullivan, 2009).  Only where no G lead divides mu, so that the G
 footprint grows, is it combined with every G element at each lcm and are
 both parts pruned to the leads no other lead divides (one
 ``_prime_reduce`` each, by rows in one pass).  ``_planned`` plans on pole
@@ -31,7 +32,8 @@ untouched.  The split is kept at every weight, so leads are read off the
 basis: a G element leads with its down part, an F element with its up
 part, and the one test left is whether an F element still leads upstairs at
 s - 1.  ``leading`` and ``Lead`` are the inspection form of a lead, for
-traces and checks.
+traces and checks.  ``Lead``, the basis ``GBState`` and the vote's
+``VoteRecord`` are named tuples, built once per weight or vote.
 
 ``decode`` substitutes each vote into the F part at once (``shift`` does
 it on a whole basis), and the G part takes the votes once per change.
@@ -111,8 +113,7 @@ def _leads_up(s: int, pair: ModulePair) -> bool:
     return dd is None or du is not None and du + s >= dd
 
 
-@dataclasses.dataclass(frozen=True)
-class GBState:
+class GBState(NamedTuple):
     """Groebner basis of the interpolation module at one weight.
 
     Every g element leads downstairs and every f element upstairs, so a
@@ -120,6 +121,9 @@ class GBState:
     the downstairs leading monomials are pairwise non-divisible, within f
     the upstairs ones are (phi(r) divides phi(t) exactly when t - r is a
     nongap); together their footprints count n monomials.
+
+    A named tuple, as ``Lead`` and ``VoteRecord`` are: immutable, and equal
+    to a plain tuple (weight, g, f, curve) of the same fields.
     """
 
     weight: int
@@ -134,9 +138,9 @@ class GBState:
         return [leading(self.weight, p) for p in self.f]
 
 
-@dataclasses.dataclass(frozen=True)
-class VoteRecord:
-    """One voting round: candidates, their tallies, and the winner."""
+class VoteRecord(NamedTuple):
+    """One voting round: candidates, their tallies, and the winner; a named
+    tuple, so equal to a plain tuple of the same five fields."""
 
     s: int
     candidates: tuple[FieldElement, ...]
@@ -175,7 +179,14 @@ _last_g: tuple = (None, None)
 
 def vote(code: Code, s: int, state: GBState) -> VoteRecord:
     """Majority vote for the message coordinate at nongap order s <= u, on
-    a basis at weight s."""
+    a basis at weight s.
+
+    Each F element nominates one value, and a candidate's tally is the
+    part of the G footprint that its nominators' targets cover.  The
+    winner is the first candidate (in ``canonical_key`` order) of largest
+    tally, zero when every tally is 0, and the margin is its lead over the
+    runner-up.  A lone candidate is that rule's direct case: it wins
+    unless its tally is 0, and its margin is its tally."""
     global _last_g
     sg = state.curve.semigroup
     if not sg.is_nongap(s) or s > code.u:
@@ -200,6 +211,10 @@ def vote(code: Code, s: int, state: GBState) -> VoteRecord:
     # a candidate weighs the part of the G footprint its targets' cones cover
     tallies = {c: sg.staircase_difference(stair_g, sg.staircase(targets))
                for c, targets in nominations.items()}
+    if len(tallies) == 1:  # the one candidate wins unless its tally is 0
+        (c, top), = tallies.items()
+        return VoteRecord(s, (c,), tallies, c if top else curve.field.zero,
+                          top)
 
     candidates = tuple(sorted(nominations, key=canonical_key))
     top, runner_up = (sorted(tallies.values(), reverse=True) + [0])[:2]
@@ -226,9 +241,19 @@ def _substituted(part: Sequence[ModulePair],
                  ) -> tuple[ModulePair, ...]:
     """The pairs under z -> z + sum(w * phi_s for s, w in votes), for
     nonzero w: each down part takes up * w * phi_s for every vote in one
-    ``_plus``, and a pair with a zero up part is the same object."""
-    return tuple(p if p.up.is_zero else ModulePair(
-        p.up, p.down._plus(*[(p.up, s, w) for s, w in votes])) for p in part)
+    ``_plus``, and a pair with a zero up part (du None) is the same object.
+    One vote is handed to ``_plus`` as its one product, with no list."""
+    out = []
+    one = votes[0] if len(votes) == 1 else None
+    for p in part:
+        if p.du is None:
+            out.append(p)
+        elif one is not None:
+            out.append(ModulePair(p.up, p.down._plus((p.up, *one))))
+        else:
+            out.append(ModulePair(p.up, p.down._plus(
+                *[(p.up, s, w) for s, w in votes])))
+    return tuple(out)
 
 
 def spoly(s: int, pair: ModulePair, g_part: Sequence[ModulePair]) -> list[ModulePair]:
@@ -348,6 +373,11 @@ def _settled(state: GBState,
 
 
 def hamming_distance(v: Sequence[FieldElement], w: Sequence[FieldElement]) -> int:
+    """The number of positions at which v and w differ; vectors of
+    different lengths are refused."""
+    if len(v) != len(w):
+        raise ValueError(f"Hamming distance of vectors of lengths {len(v)} "
+                         f"and {len(w)}")
     return sum(1 for a, b in zip(v, w) if a != b)
 
 

@@ -10,9 +10,10 @@ from agcodec.code import (Code, code_from_config, curve_from_config,
                           format_vector, radius_rows, rational_points)
 from agcodec.curvering import Curve, Monomial, RingElement, Semigroup
 from agcodec import decoder
-from agcodec.decoder import (DOWN, STATUS_FAILED, STATUS_OK, UP, ModulePair,
-                             decode, initial_basis, leading, shift, spoly,
-                             step, vote)
+from agcodec.decoder import (DOWN, STATUS_FAILED, STATUS_OK, UP, GBState,
+                             ModulePair, VoteRecord, decode,
+                             hamming_distance, initial_basis, leading, shift,
+                             spoly, step, vote)
 from agcodec.gf import Field, FieldElement
 from agcodec.oracle import check_gb
 
@@ -127,6 +128,41 @@ class TestModulePair:
         assert pair != (curve_q3.zero(), curve_q3.one())
         with pytest.raises(TypeError):
             hash(pair)
+
+
+class TestRecords:
+    """``GBState`` and ``VoteRecord`` are named tuples: the fields, their
+    order and the repr of the frozen dataclasses they replaced, immutable,
+    and equal to a plain tuple of the same fields."""
+
+    def test_field_names_and_order(self):
+        assert GBState._fields == ("weight", "g", "f", "curve")
+        assert VoteRecord._fields == ("s", "candidates", "tallies", "chosen",
+                                      "margin")
+
+    def test_repr(self, code_q3):
+        one, curve = code_q3.field.one, code_q3.curve
+        record = VoteRecord(3, (one,), {one: 2}, one, 2)
+        assert repr(record) == (
+            f"VoteRecord(s=3, candidates=({one!r},), tallies={{{one!r}: 2}}, "
+            f"chosen={one!r}, margin=2)")
+        assert repr(GBState(4, (), (), curve)) == \
+            f"GBState(weight=4, g=(), f=(), curve={curve!r})"
+
+    def test_fields_are_read_only(self, code_q3, received_q3):
+        state = initial_basis(code_q3, received_q3)
+        record = decode(code_q3, received_q3).votes[0]
+        with pytest.raises(AttributeError):
+            state.weight = 0
+        with pytest.raises(AttributeError):
+            record.chosen = code_q3.field.one
+
+    def test_equal_to_a_plain_tuple(self, code_q3, received_q3):
+        state = initial_basis(code_q3, received_q3)
+        assert state == (state.weight, state.g, state.f, state.curve)
+        record = decode(code_q3, received_q3).votes[0]
+        assert record == (record.s, record.candidates, record.tallies,
+                          record.chosen, record.margin)
 
 
 class TestInitialBasis:
@@ -568,14 +604,19 @@ class TestVote:
 
     @staticmethod
     def named_word(word, code_q3, received_q3):
-        """(code, word): the bundled q=3 word, or the seeded full-radius
-        word of test_field_products_pinned_q4."""
+        """(code, word): the bundled q=3 word, the seeded full-radius word
+        of test_field_products_pinned_q4, or a seeded word of Hermitian
+        q=5, u=60 at 1 or 2 errors (build-q5's shape in perfbench)."""
         if word == "bundled-q3":
             return code_q3, received_q3
-        code = Code(Curve.hermitian(4), 30)
-        rng = random.Random(4030)
+        if word == "pinned-q4":
+            code, seed, weight = Code(Curve.hermitian(4), 30), 4030, 16
+        else:
+            weight = int(word.split("-")[1])
+            code, seed = Code(Curve.hermitian(5), 60), 5060 + weight
+        rng = random.Random(seed)
         return code, add_vectors(code.encode(random_message(code, rng)),
-                                 random_error(code, rng, 16))
+                                 random_error(code, rng, weight))
 
     @pytest.mark.parametrize("word", ["bundled-q3", "pinned-q4"])
     def test_g_staircase_is_built_once_per_g_part(self, word, code_q3,
@@ -631,17 +672,22 @@ class TestVote:
         return {w: sg.staircase_difference(stair_g, sg.staircase(orders))
                 for w, orders in targets.items()}
 
-    @pytest.mark.parametrize("word", ["bundled-q3", "pinned-q4"])
+    @pytest.mark.parametrize("word", ["bundled-q3", "pinned-q4",
+                                      "q5-1-error", "q5-2-errors"])
     def test_g_staircase_never_goes_stale(self, word, code_q3, received_q3):
         # every vote of an unwatched decode, which reuses the G staircase
         # while the G part stays one tuple, equals the vote recomputed on
         # the watched basis at its weight, and its tallies those of a
-        # reference that builds every staircase afresh
+        # reference that builds every staircase afresh; every vote of the
+        # q=5 words has one candidate, so takes vote's direct path
         code, v = self.named_word(word, code_q3, received_q3)
         result = decode(code, v)
         watched = {}
         decode(code, v, lambda s, state, record: watched.update({s: state}))
         assert result.votes
+        if word.startswith("q5"):
+            assert result.status == STATUS_OK
+            assert all(len(r.candidates) == 1 for r in result.votes)
         for record in result.votes:
             state = watched[record.s]
             assert vote(code, record.s, state) == record
@@ -698,6 +744,27 @@ class TestVote:
         assert empty
         assert all(r.chosen.is_zero and r.margin == 0 for r in empty)
 
+    def test_lone_candidate_with_an_empty_tally_chooses_zero(self, code_q3):
+        # hand-built F elements at s = 3 on the q=3 point ideal: x^8 * z +
+        # x^9 nominates -1 with target x^9, and x^9 * z + c * x^10
+        # nominates -c with target x^10; no monomial of the G footprint
+        # (x^i y^j, i < 9) is a multiple of either target, so both tallies
+        # are 0.  vote reads only each F element's up lead and one down
+        # coefficient, so the F leads need not be pairwise non-divisible.
+        # Alone, -1 takes the direct path; beside -c, the general one; both
+        # choose zero with margin 0
+        curve, field = code_q3.curve, code_q3.field
+        g = initial_basis(code_q3, (field.zero,) * code_q3.n).g
+        c = field.parse("a^3")
+        lone = ModulePair(curve.monomial(8, 0), curve.monomial(9, 0))
+        other = ModulePair(curve.monomial(9, 0), curve.monomial(10, 0) * c)
+        record = vote(code_q3, 3, GBState(3, g, (lone,), curve))
+        assert record == VoteRecord(3, (-field.one,), {-field.one: 0},
+                                    field.zero, 0)
+        record = vote(code_q3, 3, GBState(3, g, (lone, other), curve))
+        assert record.tallies == {-field.one: 0, -c: 0}
+        assert (record.chosen, record.margin) == (field.zero, 0)
+
 
 class TestDecode:
     def test_bundled_vector_decodes_to_zero(self, code_q3, received_q3):
@@ -719,6 +786,12 @@ class TestDecode:
     def test_length_validation(self, code_q3):
         with pytest.raises(ValueError):
             decode(code_q3, tuple([code_q3.field.zero] * 5))
+
+    def test_hamming_distance_refuses_unequal_lengths(self, code_q3):
+        a, zero = code_q3.field.one, code_q3.field.zero
+        assert hamming_distance((a, a, zero), (a, zero, zero)) == 1
+        with pytest.raises(ValueError, match="lengths 3 and 1"):
+            hamming_distance((a, a, a), (a,))
 
     def test_failed_verification_status(self, code_q3):
         # weight-10 corruption of the zero codeword, far outside the radius
