@@ -468,14 +468,15 @@ class Code:
     # -- distance bounds ----------------------------------------------------------
 
     def order_bound(self, s: int) -> int:
-        """nu(s), the footprint monomials that phi(s) divides (``_coverage``);
-        voting at order s is reliable while nu(s) > 2 * (error weight)."""
+        """nu(s), the footprint monomials that phi(s) divides, as the vote
+        counts a tally (``Semigroup.covered``); voting at order s is
+        reliable while nu(s) > 2 * (error weight)."""
         sg = self.curve.semigroup
         if not _is_int(s):
             raise ValueError(f"order s must be an integer, got {s!r}")
         if not sg.is_nongap(s):
             raise ValueError(f"{s} is a gap")
-        return _coverage(sg, self._staircase, s)
+        return sg.covered(self._staircase, [s])
 
     def decoding_distance(self) -> int:
         """d_u = min of nu(s) over nongaps s <= u (>= n - u), read at the last
@@ -488,11 +489,6 @@ class Code:
 
     def __repr__(self) -> str:
         return f"Code(n={self.n}, k={self.k}, u={self.u} over {self.field!r})"
-
-
-def _coverage(sg: Semigroup, ideal_staircase: Sequence[int], s: int) -> int:
-    """The footprint monomials that phi(s) divides, as the vote counts."""
-    return sg.staircase_difference(ideal_staircase, sg.staircase([s]))
 
 
 def hermitian_decoding_distance(q: int, u: int) -> int:
@@ -515,12 +511,13 @@ def hermitian_decoding_distance(q: int, u: int) -> int:
 def radius_rows(curve: Curve,
                 points: Optional[Sequence[Point]] = None) -> list[tuple[int, int]]:
     """Rows (u, d_u) for every nongap u below n: the prefix minima of nu
-    (``_coverage``) over every nongap.  Gap u have no vote and are omitted."""
+    (``Semigroup.covered``) over every nongap.  Gap u have no vote and are
+    omitted."""
     points = checked_points(curve, points)
     sg = curve.semigroup
     stair = sg.staircase(_ideal_generators(curve, points, _fibers(points))[1])
     orders = sg.nongaps(len(points) - 1)
-    return list(zip(orders, accumulate((_coverage(sg, stair, u)
+    return list(zip(orders, accumulate((sg.covered(stair, [u])
                                         for u in orders), min)))
 
 

@@ -37,14 +37,15 @@ downstream (codes, the decoder) runs on three primitives implemented here:
   lead-minimality rule, ``_prime_reduce``, which keeps the items whose
   lead no other item's divides (the decoder's pruning and the choice of
   the ideal's etas); and footprints as staircases, one row barrier per
-  y-degree j < a, so footprint sizes and differences are sums over a rows.
+  y-degree j < a, so a footprint's size and the part of it that some
+  orders' multiples cover (``Semigroup.covered``) are sums over a rows.
 
 ``Monomial`` is the inspection and printing form: monomials print as
 "x^i*y^j" with unit factors omitted ("1", "x", "y^2", "x^3*y", ...), a
 grammar used verbatim by the CLI trace format.  Raw polynomials with any
-y-degrees (``Curve.element``, ``Curve.reduce``) are maps from (i, j),
-summed in one ``_plus`` over their terms as ``monomial``s: x^i y^j with
-j >= a is x^i y^(a-1) taken up by j - a + 1 y-steps.  An element is
+y-degrees (``Curve.reduce``) are maps from (i, j), summed in one
+``_plus`` over their terms as ``monomial``s: x^i y^j with j >= a is
+x^i y^(a-1) taken up by j - a + 1 y-steps.  An element is
 evaluated by the rows of its kernel values, values[b*j::a] the
 coefficients of x^i y^j, by Horner's rule in x, then in y; only the
 equation and its partials are evaluated as raw terms, on kernel-value
@@ -195,11 +196,14 @@ class Semigroup:
         """The monomials not divisible by phi(s); a set of size s."""
         return self.footprint([self.phi(s)])
 
-    @staticmethod
-    def staircase_difference(outer: Sequence[int], inner: Sequence[int]) -> int:
-        """|footprint(outer) minus footprint(inner)| for two staircases."""
+    def covered(self, stair: Sequence[int], orders: Iterable[int]) -> int:
+        """The monomials left of the barriers ``stair`` that some phi(t), t
+        in orders, divides: the footprint of ``stair`` minus that of the
+        orders, counted by rows.  The vote's tally of a candidate (stair the
+        G leads', orders its targets) and the order bound nu(s) (stair the
+        point ideal's, orders [s]) are this one count."""
         total = 0
-        for o, i in zip(outer, inner):
+        for o, i in zip(stair, self.staircase(orders)):
             if o > i:
                 total += o - i
         return total
@@ -369,8 +373,6 @@ class Curve:
         one = self.field.one
         return self.zero()._plus(*((self.monomial(i, j, c), 0, one)
                                    for (i, j), c in raw.items()))
-
-    element = reduce
 
     # -- geometry -------------------------------------------------------------
 

@@ -12,12 +12,12 @@ Decoding starts from {eta_i} plus z - h_v (h_v interpolating v) at weight
 N = delta(h_v) and walks the weight down to 0.  At each nongap weight
 s <= u ``vote`` tallies votes for the message coordinate w_s: every F
 element nominates one field value, weighted by how much of the downstairs
-footprint its upstairs cone covers (the staircase of the G leads is built
-once per G part tuple: ``step`` makes a new one where the G footprint
-grows, and ``_settled`` where the pending votes go in, though no G lead
-moves then); a vote with one candidate, the common case below the
-radius, returns its record with no sort, and the winner is subtracted by
-the substitution z -> z + w * phi_s (below).  ``step`` then converts the
+footprint its upstairs cone covers (``Semigroup.covered``, the count of
+the order bound nu(s); the staircase of the G leads is built once per
+change of their orders, which only ``step`` makes, where the G footprint
+grows); a vote with one candidate, the common case below the radius,
+returns its record with no sort, and the winner is subtracted by the
+substitution z -> z + w * phi_s (below).  ``step`` then converts the
 basis from weight s to s - 1 (``spoly`` is ``step`` on a one-element F
 part).  An F element whose lead moves downstairs, to mu, is reduced once
 by the first G element whose lead divides mu: a row operation of the
@@ -53,6 +53,7 @@ guaranteed radius.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .code import Code, Vector
@@ -169,12 +170,13 @@ def initial_basis(code: Code, v: Sequence[FieldElement]) -> GBState:
     return GBState(0 if h.is_zero else h.delta(), g, f, curve)
 
 
-#: the G part last voted on and the staircase of its leads, swapped as one
-#: tuple: a decode's G part is one tuple until its footprint grows in
-#: ``step`` or ``_settled`` takes the pending votes in (with no G lead
-#: moved), so ``vote`` builds the staircase once per G part tuple, not once
-#: per vote; ``decode`` lets go of its G part when it returns or raises
-_last_g: tuple = (None, None)
+@functools.lru_cache(maxsize=1)
+def _g_staircase(sg: Semigroup, orders: tuple[int, ...]) -> tuple[int, ...]:
+    """The staircase of the G leads of the given orders, memoised on the
+    last (semigroup, orders): the G leads change only where ``step`` grows
+    the G footprint, so ``vote`` builds it once per change, not once per
+    vote, and the memo holds no basis."""
+    return sg.staircase(orders)
 
 
 def vote(code: Code, s: int, state: GBState) -> VoteRecord:
@@ -187,7 +189,6 @@ def vote(code: Code, s: int, state: GBState) -> VoteRecord:
     tally, zero when every tally is 0, and the margin is its lead over the
     runner-up.  A lone candidate is that rule's direct case: it wins
     unless its tally is 0, and its margin is its tally."""
-    global _last_g
     sg = state.curve.semigroup
     if not sg.is_nongap(s) or s > code.u:
         raise ValueError(f"voting requires a nongap s <= u, got {s}")
@@ -195,10 +196,7 @@ def vote(code: Code, s: int, state: GBState) -> VoteRecord:
         raise ValueError(f"voting at {s} requires a basis at weight {s}, "
                          f"got weight {state.weight}")
     curve = state.curve
-    g_part, stair_g = _last_g
-    if g_part is not state.g:
-        stair_g = sg.staircase(g.dd for g in state.g)
-        _last_g = (state.g, stair_g)
+    stair_g = _g_staircase(sg, tuple([g.dd for g in state.g]))
 
     nominations: dict[FieldElement, list[int]] = {}
     for pair in state.f:
@@ -209,7 +207,7 @@ def vote(code: Code, s: int, state: GBState) -> VoteRecord:
         nominations.setdefault(w_j, []).append(target)
 
     # a candidate weighs the part of the G footprint its targets' cones cover
-    tallies = {c: sg.staircase_difference(stair_g, sg.staircase(targets))
+    tallies = {c: sg.covered(stair_g, targets)
                for c, targets in nominations.items()}
     if len(tallies) == 1:  # the one candidate wins unless its tally is 0
         (c, top), = tallies.items()
@@ -400,33 +398,28 @@ def decode(code: Code, v: Sequence[FieldElement],
     majority, and the status is ``ok``.  The ``low-confidence`` status of a
     margin-0 vote is therefore not reached within the radius.
     """
-    global _last_g
     sg = code.curve.semigroup
     field = code.field
     state = initial_basis(code, v)
     votes: list[VoteRecord] = []
     pending: list[tuple[int, FieldElement]] = []  # votes the G part lacks
-    try:
-        for s in range(state.weight, -1, -1):
-            record = None
-            if s <= code.u and sg.is_nongap(s):
-                record = vote(code, s, state)
-                votes.append(record)
-            if watch is not None:
-                state = _settled(state, pending)
-                watch(s, state, record)
-            if record is not None and not record.chosen.is_zero:
-                pending.append((s, record.chosen))
-                state = GBState(s, state.g,
-                                _substituted(state.f, pending[-1:]),
-                                state.curve)
-            if pending and not all(_leads_up(s - 1, p) for p in state.f):
-                state = _settled(state, pending)  # step combines with G
-            state = step(state)
+    for s in range(state.weight, -1, -1):
+        record = None
+        if s <= code.u and sg.is_nongap(s):
+            record = vote(code, s, state)
+            votes.append(record)
         if watch is not None:
-            watch(-1, _settled(state, pending), None)
-    finally:
-        _last_g = (None, None)
+            state = _settled(state, pending)
+            watch(s, state, record)
+        if record is not None and not record.chosen.is_zero:
+            pending.append((s, record.chosen))
+            state = GBState(s, state.g, _substituted(state.f, pending[-1:]),
+                            state.curve)
+        if pending and not all(_leads_up(s - 1, p) for p in state.f):
+            state = _settled(state, pending)  # step combines with G
+        state = step(state)
+    if watch is not None:
+        watch(-1, _settled(state, pending), None)
 
     chosen = {r.s: r.chosen for r in votes}
     message = tuple(chosen.get(s, field.zero) for s in code.message_orders)

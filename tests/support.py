@@ -156,7 +156,7 @@ def reference_lagrange(code: Code, table: Sequence[Sequence[FieldElement]],
                 c = c + coeff * vi
         if not c.is_zero:
             terms[mono] = c
-    return code.curve.element(terms)
+    return code.curve.reduce(terms)
 
 
 def reference_encode(code: Code,
@@ -166,7 +166,7 @@ def reference_encode(code: Code,
     sg = code.curve.semigroup
     terms = {sg.phi(s): w for s, w in zip(code.message_orders, message)
              if not w.is_zero}
-    return ev(code, code.curve.element(terms))
+    return ev(code, code.curve.reduce(terms))
 
 
 def rank(vectors: Sequence[Sequence[FieldElement]]) -> int:
@@ -215,7 +215,7 @@ def naive_reduce(curve: Curve, raw: dict) -> RingElement:
                 terms.pop(key, None)
             else:
                 terms[key] = total
-    return curve.element(terms)
+    return curve.reduce(terms)
 
 
 def schoolbook_mul(f: RingElement, g: RingElement) -> RingElement:
@@ -316,7 +316,7 @@ def random_ring_element(curve: Curve, rng: random.Random,
     for _ in range(terms):
         key = (rng.randrange(max_i + 1), rng.randrange(curve.a))
         raw[key] = elems[rng.randrange(1, curve.field.order)]
-    return curve.element(raw)
+    return curve.reduce(raw)
 
 
 def random_message(code, rng: random.Random) -> tuple[FieldElement, ...]:

@@ -200,7 +200,7 @@ def test_criterion_6_algebra_properties():
                      elems[rng.randrange(1, 9)] for _ in range(4)}
             raw_g = {(rng.randrange(9), rng.randrange(3)):
                      elems[rng.randrange(1, 9)] for _ in range(4)}
-            f, g = curve.element(raw_f), curve.element(raw_g)
+            f, g = curve.reduce(raw_f), curve.reduce(raw_g)
             if f.is_zero or g.is_zero:
                 continue
             assert (f * g).delta() == f.delta() + g.delta()

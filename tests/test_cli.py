@@ -1,8 +1,12 @@
 import json
 import random
 
+import pytest
+
+from agcodec import decoder
 from agcodec.cli import build_parser, main, trace_lines
 from agcodec.code import format_vector
+from agcodec.decoder import STATUS_LOW_CONFIDENCE, decode
 
 from conftest import FIXTURES
 from support import MK_FAMILIES
@@ -364,6 +368,43 @@ class TestSimulate:
         rc = main(["simulate", *CODE_ARGS, "--trials", "0", "--weight", "1"])
         assert rc == 1
         assert "trials must be >= 1" in capsys.readouterr().err
+
+
+class TestLowConfidence:
+    """Within the radius every vote is a strict majority, so no word there
+    reaches the ``low-confidence`` status; here the vote at s = 0, which
+    every decode makes, is wrapped to report a margin of 0."""
+
+    @pytest.fixture(autouse=True)
+    def tied_vote(self, monkeypatch):
+        plain_vote = decoder.vote
+
+        def vote(code, s, state):
+            record = plain_vote(code, s, state)
+            return record._replace(margin=0) if s == 0 else record
+
+        monkeypatch.setattr(decoder, "vote", vote)
+
+    def test_decode_reports_it(self, code_q3, received_q3):
+        result = decode(code_q3, received_q3)
+        assert result.status == STATUS_LOW_CONFIDENCE
+        assert result.message == (code_q3.field.zero,) * code_q3.k
+        assert result.distance == 5
+        assert [r.s for r in result.votes if r.margin == 0] == [0]
+
+    def test_cli_decode_exits_0_with_the_status(self, tmp_path, capsys):
+        out = tmp_path / "message.txt"
+        rc = main(["decode", *CODE_ARGS, "--in", VECTOR, "--out", str(out)])
+        assert rc == 0
+        assert out.read_text().strip() == ",".join(["0"] * 14)
+        assert "status: low-confidence" in capsys.readouterr().out
+
+    def test_simulate_counts_every_trial(self, capsys):
+        rc = main(["simulate", *CODE_ARGS, "--trials", "3", "--weight", "5",
+                   "--seed", "7"])
+        assert rc == 0
+        assert "successes=3 failures=0 low_confidence=3" in \
+            capsys.readouterr().out
 
 
 class TestSharedParser:

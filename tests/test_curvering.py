@@ -130,18 +130,18 @@ REDUCTION_CURVES = REFERENCE_CURVES | {
 class TestReduction:
     def test_y_cubed(self, curve_q3):
         one = curve_q3.field.one
-        reduced = curve_q3.element({(0, 3): one})
+        reduced = curve_q3.reduce({(0, 3): one})
         assert reduced == curve_q3.monomial(4, 0) - curve_q3.monomial(0, 1)
 
     def test_y_fourth_matches_multiply_oracle(self, curve_q3):
         one = curve_q3.field.one
         y = curve_q3.monomial(0, 1)
-        y3 = curve_q3.element({(0, 3): one})
-        assert curve_q3.element({(0, 4): one}) == y * y3
+        y3 = curve_q3.reduce({(0, 3): one})
+        assert curve_q3.reduce({(0, 4): one}) == y * y3
 
     def test_idempotent_on_reduced(self, curve_q3):
         f = curve_q3.monomial(5, 0)
-        assert curve_q3.element({(5, 0): curve_q3.field.one}) == f
+        assert curve_q3.reduce({(5, 0): curve_q3.field.one}) == f
 
     def test_against_naive_long_division(self, curve_q3):
         rng = random.Random(11)
@@ -149,7 +149,7 @@ class TestReduction:
         for _ in range(40):
             raw = {(rng.randrange(7), rng.randrange(9)):
                    elems[rng.randrange(1, 9)] for _ in range(6)}
-            assert curve_q3.element(raw) == naive_reduce(curve_q3, raw)
+            assert curve_q3.reduce(raw) == naive_reduce(curve_q3, raw)
 
     def test_negative_exponents_rejected(self, curve_q3):
         # without the check x^-1 is keyed by the gap -3 (its str raises),
@@ -158,10 +158,10 @@ class TestReduction:
         with pytest.raises(ValueError, match="negative exponent"):
             curve_q3.monomial(-1, 0)
         with pytest.raises(ValueError, match="negative exponent"):
-            curve_q3.element({(2, -1): one})
+            curve_q3.reduce({(2, -1): one})
         # checked before the coefficient, so a zero term is refused too
         with pytest.raises(ValueError, match="negative exponent"):
-            curve_q3.element({(2, -1): curve_q3.field.zero})
+            curve_q3.reduce({(2, -1): curve_q3.field.zero})
 
     def test_exponents_must_be_integers(self, curve_q3):
         # a bool is no integer (monomial(True, 0) was x), and a float or a
@@ -170,7 +170,7 @@ class TestReduction:
             with pytest.raises(ValueError, match="exponents must be integers"):
                 curve_q3.monomial(i, j)
         with pytest.raises(ValueError, match="exponents must be integers"):
-            curve_q3.element({(True, 0): curve_q3.field.one})
+            curve_q3.reduce({(True, 0): curve_q3.field.one})
 
     def test_coefficient_from_another_field_rejected(self):
         # a GF(9) element on a GF(4) curve printed as a^1*x and failed only
@@ -180,7 +180,7 @@ class TestReduction:
             with pytest.raises(ValueError, match="coefficient"):
                 curve.monomial(1, 0, coeff)
         with pytest.raises(ValueError, match="coefficient"):
-            curve.element({(1, 0): Field(3, 2).one})
+            curve.reduce({(1, 0): Field(3, 2).one})
         # an equal field built apart is the same field
         assert curve.monomial(1, 0, Field(2, 2).generator) == \
             curve.monomial(1, 0, curve.field.generator)
@@ -196,26 +196,26 @@ class TestReduction:
         # per power; it agrees with x * y^5001 at every rational point
         curve, _ = curve_from_config(MK_FAMILIES["a2-gf5"])
         c = curve.field.element(3)
-        f = curve.element({(1, 5001): c})
+        f = curve.reduce({(1, 5001): c})
         assert f.delta() == 2 + 3 * 5001
         for x, y in rational_points(curve):
             assert f.evaluate(x, y) == c * x * y ** 5001
 
     def test_general_curve_reduction(self):
-        # Curve.element against long division, y-degrees up to 3a+1; on a
+        # Curve.reduce against long division, y-degrees up to 3a+1; on a
         # fresh curve a high power of y is asked for first, then lower ones
         for name in sorted(REDUCTION_CURVES):
             curve = REDUCTION_CURVES[name]()
             a, elems = curve.a, curve.field.elements()
             for j in [3 * a + 1, 2 * a, a, 2 * a + 1, 3 * a]:
                 raw = {(0, j): curve.field.one}
-                assert curve.element(raw) == naive_reduce(curve, raw)
+                assert curve.reduce(raw) == naive_reduce(curve, raw)
             rng = random.Random(name)
             for _ in range(25):
                 raw = {(rng.randrange(6), rng.randrange(3 * a + 2)):
                        elems[rng.randrange(1, curve.field.order)]
                        for _ in range(5)}
-                assert curve.element(raw) == naive_reduce(curve, raw)
+                assert curve.reduce(raw) == naive_reduce(curve, raw)
 
 
 class TestRingArithmetic:
@@ -270,8 +270,8 @@ class TestRingArithmetic:
         rng = random.Random(44)
         raw = {(i, j): curve.field.elements()[rng.randrange(1, 16)]
                for i in range(300) for j in range(4)}
-        want = [curve.element(raw) * curve.monomial(0, j) for j in (1, 2, 3)]
-        shared = curve.element(raw)
+        want = [curve.reduce(raw) * curve.monomial(0, j) for j in (1, 2, 3)]
+        shared = curve.reduce(raw)
         orders = [(3, 1, 2), (1, 2, 3), (2, 3, 1)] * 3
         got = [[] for _ in orders]
         start = threading.Barrier(len(got))
@@ -556,8 +556,7 @@ class TestStaircase:
             fp = brute_footprint(lms)
             assert sg.footprint(lms) == fp
             assert sum(stair) == len(fp)
-            assert sg.staircase_difference(
-                stair, sg.staircase(map(sg.degree, other))) == \
+            assert sg.covered(stair, map(sg.degree, other)) == \
                 len(fp - brute_footprint(other))
 
     @pytest.mark.parametrize("a,b", [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6),

@@ -1,7 +1,9 @@
+import gc
 import hashlib
 import itertools
 import json
 import random
+import types
 
 import pytest
 
@@ -622,16 +624,20 @@ class TestVote:
     def test_g_staircase_is_built_once_per_g_part(self, word, code_q3,
                                                    received_q3, monkeypatch):
         # decode calls the module's vote once per nongap s <= u below the
-        # start weight, and vote builds the G staircase once per G part it
-        # sees, besides one staircase per candidate; both words vote on
-        # more than one G part, as the G part changes below u
+        # start weight, and vote builds the G staircase once per change of
+        # the G lead orders it sees, besides one staircase per candidate;
+        # both words vote on two G part tuples, but on the q=4 word the
+        # settlement makes the second with the leads of the first, so its
+        # staircase is reused
+        decoder._g_staircase.cache_clear()
         code, v = self.named_word(word, code_q3, received_q3)
         sg = code.curve.semigroup
         plain_vote, plain_staircase = decoder.vote, Semigroup.staircase
         calls, voting, stairs = [], [False], [0]
 
         def counted_vote(code_, s, state):
-            calls.append((s, state.g))
+            calls.append((s, state.g, tuple(ld.order
+                                            for ld in state.g_leads())))
             voting[0] = True
             try:
                 return plain_vote(code_, s, state)
@@ -647,14 +653,17 @@ class TestVote:
         result = decode(code, v)
         monkeypatch.undo()
         start = initial_basis(code, v).weight
-        assert [s for s, _ in calls] == [
+        assert [s for s, _, _ in calls] == [
             s for s in range(start, -1, -1)
             if s <= code.u and sg.is_nongap(s)] == [r.s for r in result.votes]
-        g_parts = sum(1 for c, (_, g) in enumerate(calls)
+        g_parts = sum(1 for c, (_, g, _) in enumerate(calls)
                       if c == 0 or g is not calls[c - 1][1])
         assert g_parts == 2
-        assert stairs[0] == g_parts + sum(len(r.candidates)
-                                          for r in result.votes)
+        lead_changes = sum(1 for c, (_, _, orders) in enumerate(calls)
+                           if c == 0 or orders != calls[c - 1][2])
+        assert lead_changes == {"bundled-q3": 2, "pinned-q4": 1}[word]
+        assert stairs[0] == lead_changes + sum(len(r.candidates)
+                                               for r in result.votes)
 
     @staticmethod
     def reference_tallies(code, s, state):
@@ -669,7 +678,7 @@ class TestVote:
                   / product.coefficient_at(target))
             targets.setdefault(w, []).append(target)
         stair_g = sg.staircase(ld.order for ld in state.g_leads())
-        return {w: sg.staircase_difference(stair_g, sg.staircase(orders))
+        return {w: sg.covered(stair_g, orders)
                 for w, orders in targets.items()}
 
     @pytest.mark.parametrize("word", ["bundled-q3", "pinned-q4",
@@ -694,22 +703,91 @@ class TestVote:
             assert record.tallies == \
                 self.reference_tallies(code, record.s, state)
 
+    @staticmethod
+    def memo_contents():
+        """Every object that the vote's G-staircase memo reaches, without
+        looking into functions, classes or modules."""
+        skip = (type, types.FunctionType, types.ModuleType,
+                types.BuiltinFunctionType)
+        seen, todo, out = set(), gc.get_referents(decoder._g_staircase), []
+        while todo:
+            obj = todo.pop()
+            if id(obj) in seen or isinstance(obj, skip):
+                continue
+            seen.add(id(obj))
+            out.append(obj)
+            todo.extend(gc.get_referents(obj))
+        return out
+
+    @classmethod
+    def memo_holds_no_basis(cls):
+        return not any(isinstance(obj, (ModulePair, RingElement, GBState))
+                       for obj in cls.memo_contents())
+
     def test_a_raising_watch_lets_go_of_the_g_part(self, code_q3,
                                                    received_q3):
-        # decode lets go of its G part on a raise as on a return: a watch
-        # raising at s = 10 leaves no G part behind, though one was held
-        # for the vote there
+        # the memo holds the semigroup, the G lead orders and their
+        # staircase, never a basis: a watch raising at s = 10 leaves no G
+        # part behind, as a return does, though the memo holds the two G
+        # leads' orders of the vote there
+        sg = code_q3.curve.semigroup
         held = []
 
         def watch(s, state, record):
             if s == 10:
-                held.append(decoder._last_g[0])
+                orders = tuple(ld.order for ld in state.g_leads())
+                held.append((orders, self.memo_contents()))
                 raise RuntimeError("stop at 10")
 
         with pytest.raises(RuntimeError, match="stop at 10"):
             decode(code_q3, received_q3, watch)
-        assert len(held[0]) == 2
-        assert decoder._last_g == (None, None)
+        orders, contents = held[0]
+        assert len(orders) == 2
+        assert any(obj is sg for obj in contents)
+        assert orders in [obj for obj in contents if isinstance(obj, tuple)]
+        assert sg.staircase(orders) in contents
+        assert self.memo_holds_no_basis()
+        decode(code_q3, received_q3)
+        assert self.memo_holds_no_basis()
+
+    def test_a_standalone_vote_pins_nothing(self, bundled_states, code_q3):
+        state, record = bundled_states[1][13]
+        assert vote(code_q3, 13, state) == record
+        assert self.memo_holds_no_basis()
+
+    def test_another_semigroup_builds_its_own_staircase(self, code_q3,
+                                                        code_q2,
+                                                        monkeypatch):
+        # G leads of orders 8 and 9 and one F element x*z + phi(a + 4) at
+        # s = 4, over <3, 4> and over <2, 3>: equal lead orders, but the
+        # staircases differ, (3, 3, 0) against (4, 3), and so do the
+        # tallies, 2 against 1; the second vote builds its own staircase
+        decoder._g_staircase.cache_clear()
+        plain_staircase, builds = Semigroup.staircase, []
+
+        def counted_staircase(sg, lead_orders):
+            lead_orders = tuple(lead_orders)
+            builds.append((sg, lead_orders))
+            return plain_staircase(sg, lead_orders)
+
+        margins = []
+        for code in (code_q3, code_q2):
+            curve = code.curve
+            sg = curve.semigroup
+
+            def phi(r):
+                return curve.monomial(*sg.phi(r))
+
+            g = tuple(ModulePair(curve.zero(), phi(r)) for r in (8, 9))
+            f = (ModulePair(phi(sg.a), phi(sg.a + 4)),)
+            state = GBState(4, g, f, curve)
+            monkeypatch.setattr(Semigroup, "staircase", counted_staircase)
+            record = vote(code, 4, state)
+            monkeypatch.undo()
+            assert record.tallies == self.reference_tallies(code, 4, state)
+            assert (sg, (8, 9)) in builds
+            margins.append(record.margin)
+        assert margins == [2, 1]
 
     def test_tie_breaks_canonically(self, code_q3):
         # this vector produces a two-way tie at s=13; the winner is the
@@ -1009,6 +1087,57 @@ class TestLargeFamilies:
         assert result.status == STATUS_OK
         assert all(r.margin >= 1 for r in result.votes)
         assert result.distance == t == 159
+
+
+def mk_code_of(config, u):
+    """The code C_u of a curve config on all its rational points."""
+    curve, _ = curve_from_config(config)
+    return Code(curve, u, rational_points(curve))
+
+
+def hermitian_q13_fibers():
+    """The Hermitian q=13 code C_130 on the points of its first 20
+    x-values, 13 each."""
+    curve = Curve.hermitian(13)
+    points = rational_points(curve)
+    xs = set(list(dict.fromkeys(x for x, _ in points))[:20])
+    return Code(curve, 130, [p for p in points if p[0] in xs])
+
+
+class TestFieldsOfOneDecode:
+    """2t < d_u brings the sent message back on the field shapes that no
+    other decode here runs: kernel-value lists over GF(2^9), whose element
+    code passes a byte, over GF(131), where p passes 127, and over GF(169),
+    and bytes over GF(256), the largest byte field.  One seeded word each
+    at the full radius, as the four take about 2 s together."""
+
+    CODES = {
+        # y^2 + y + x^3 = 0 over GF(2^9)
+        "gf512": (lambda: mk_code_of({
+            "type": "mk", "field": {"p": 2, "m": 9}, "a": 2, "b": 3,
+            "d": "1", "coeffs": [[0, 1, "1"]]}, 200), 512, 312),
+        # y^3 + x + 1 + x^4 = 0 over GF(131)
+        "gf131": (lambda: mk_code_of({
+            "type": "mk", "field": {"p": 131}, "a": 3, "b": 4, "d": "1",
+            "coeffs": [[1, 0, "1"], [0, 0, "1"]]}, 60), 131, 71),
+        "gf169-shortened": (hermitian_q13_fibers, 260, 130),
+        "gf256": (lambda: Code(Curve.hermitian(16), 2000), 4096, 2096),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CODES))
+    def test_guarantee_at_full_radius(self, name):
+        build, n, d = self.CODES[name]
+        code = build()
+        assert (code.n, code.decoding_distance()) == (n, d)
+        t = (d - 1) // 2
+        rng = random.Random(code.n + code.u)
+        message = random_message(code, rng)
+        result = decode(code, add_vectors(code.encode(message),
+                                          random_error(code, rng, t)))
+        assert result.message == message
+        assert result.status == STATUS_OK
+        assert all(r.margin >= 1 for r in result.votes)
+        assert result.distance == t
 
 
 class TestSettlement:

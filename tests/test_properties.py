@@ -76,7 +76,7 @@ def raw_maps(curve, max_j=None, max_size=5):
 @st.composite
 def curve_and_elements(draw, count):
     curve = draw(mk_curves())
-    return curve, [curve.element(draw(raw_maps(curve))) for _ in range(count)]
+    return curve, [curve.reduce(draw(raw_maps(curve))) for _ in range(count)]
 
 
 class TestRingProperties:
@@ -168,7 +168,7 @@ class TestRingProperties:
             if not data.draw(st.booleans()):  # sparse, else every order
                 orders = data.draw(st.sets(st.sampled_from(orders),
                                            min_size=1, max_size=3))
-            return curve.element({sg.phi(s): data.draw(nonzero)
+            return curve.reduce({sg.phi(s): data.draw(nonzero)
                                   for s in orders})
 
         x = element() if data.draw(st.booleans()) else curve.zero()
@@ -198,7 +198,7 @@ class TestRingProperties:
         curve = data.draw(mk_curves())
         sg, a, b = curve.semigroup, curve.a, curve.b
         nonzero = st.sampled_from(curve.field.elements()[1:])
-        x = curve.element({sg.phi(s): c for s, c in data.draw(
+        x = curve.reduce({sg.phi(s): c for s, c in data.draw(
             st.dictionaries(st.sampled_from(sg.nongaps(3 * a * b)), nonzero,
                             min_size=1, max_size=12)).items()})
         items = dict(x.items())
@@ -269,7 +269,7 @@ class TestScaledElements:
                           (-x, {m: -v for m, v in x.items()}),
                           ((x * c) * c.inverse(), dict(x.items()))):
             assert dict(got.items()) == want
-            assert got == curve.element(want)
+            assert got == curve.reduce(want)
         assert -(x * c) == x * -c
         # a ring product carries both operands' scales, whichever is shorter
         assert (x * c) * y == y * (x * c) == schoolbook_mul(x, y) * c
@@ -288,7 +288,7 @@ class TestScaledElements:
         (t, c), (t2, c2) = data.draw(terms), data.draw(terms)
 
         def rebuilt(e):
-            return curve.element(dict(e.items()))
+            return curve.reduce(dict(e.items()))
 
         for first in (x, curve.zero()):
             got = first._plus((y, t, c), (z, t2, c2))

@@ -2,6 +2,8 @@
 
 import importlib.util
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -39,3 +41,23 @@ def test_abdecode_reports_a_disagreement(tmp_path, capsys):
             "0", "--words", "1", "--rounds", "1"]
     assert abdecode.main(args) == 1
     assert "word 0: the decodes disagree" in capsys.readouterr().out
+
+
+def test_uncovered_lists_the_lines_one_module_leaves_unrun():
+    # README's decode is within the radius, so it never reaches the
+    # low-confidence status, but it votes; the tool runs in its own
+    # process, so the package is imported under its trace
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "uncovered.py"),
+         "tests/test_readme.py"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stdout + run.stderr
+    lines = run.stdout.splitlines()
+    decoder = [line for line in lines
+               if line.startswith("src/agcodec/decoder.py:")]
+    assert any(line.endswith(": status = STATUS_LOW_CONFIDENCE")
+               for line in decoder)
+    assert not any(line.endswith(": record = vote(code, s, state)")
+                   for line in decoder)
+    assert lines[-1].endswith("executable lines of src/agcodec ran in no "
+                              "test")
