@@ -106,9 +106,9 @@ class Semigroup:
             raise ValueError(f"weights ({a}, {b}) are not coprime")
         self.a = a
         self.b = b
-        self.b_inv = pow(b, -1, a) if a > 1 else 0
+        b_inv = pow(b, -1, a) if a > 1 else 0
         #: y_degrees[s % a] is the y-degree of phi(s)
-        self.y_degrees = tuple(self.b_inv * r % a for r in range(a))
+        self.y_degrees = tuple(b_inv * r % a for r in range(a))
 
     def is_nongap(self, s: int) -> bool:
         if s < 0:
@@ -308,10 +308,9 @@ class Curve:
         unit = -d - field.one
         if not unit.is_zero:
             self._y_a_fix.append((0, unit.log))
-        # the defining polynomial and its formal partials in x and y as raw
+        # the formal partials in x and y of the defining polynomial as raw
         # terms, built once for point listing and checks (``smooth_mask``)
-        self._equation = {Monomial(0, a): field.one, Monomial(b, 0): d, **clean}
-        terms, times = self._equation.items(), field.element
+        terms, times = self.equation_terms().items(), field.element
         self._partials = (
             [((i - 1, j), times(i) * c) for (i, j), c in terms if i],
             [((i, j - 1), times(j) * c) for (i, j), c in terms if j])
@@ -377,8 +376,10 @@ class Curve:
     # -- geometry -------------------------------------------------------------
 
     def equation_terms(self) -> dict[Monomial, FieldElement]:
-        """The defining polynomial as a raw exponent map (a new dict)."""
-        return dict(self._equation)
+        """The defining polynomial as a raw exponent map (a new dict): y^a,
+        d x^b, then the terms of ``coeffs``."""
+        return {Monomial(0, self.a): self.field.one,
+                Monomial(self.b, 0): self.d, **self.coeffs}
 
     def smooth_mask(self, xs: Sequence[int], ys: Sequence[int]) -> list[bool]:
         """Whether a formal partial of the equation is nonzero at each point

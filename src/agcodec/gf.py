@@ -120,8 +120,6 @@ def _poly_mod(num: Sequence[int], den: Sequence[int], p: int) -> list[int]:
 def _is_irreducible(modulus: Sequence[int], p: int) -> bool:
     """Trial division by every monic polynomial of degree <= deg/2."""
     deg = len(modulus) - 1
-    if deg == 1:
-        return True
     for d in range(1, deg // 2 + 1):
         for low in itertools.product(range(p), repeat=d):
             divisor = tuple(low) + (1,)
@@ -165,9 +163,7 @@ class Field:
         self.p = p
         self.m = m
         self.order = order
-        if modulus is None:
-            modulus, powers = self._default_modulus()
-        else:
+        if modulus is not None:
             if not (isinstance(modulus, (list, tuple))
                     and all(map(_is_int, modulus))):
                 raise ValueError(
@@ -178,23 +174,26 @@ class Field:
             if not all(0 <= c < p for c in modulus):
                 raise ValueError(f"modulus coefficients must lie in "
                                  f"[0, {p}), got {modulus!r}")
+        if m == 1:
+            # every degree-one modulus gives GF(p) itself, stored as (0, 1)
+            modulus, powers = (0, 1), None
+        elif modulus is None:
+            modulus, powers = self._default_modulus()
+        else:
             modulus = tuple(modulus)
             powers = self._x_powers(modulus)
             if powers is None and not _is_irreducible(modulus, p):
                 raise ValueError(f"modulus {modulus} is reducible over GF({p})")
-        # every degree-one modulus gives GF(p) itself, stored as the default
-        self.modulus = modulus if m > 1 else (0, 1)
+        self.modulus = modulus
         self._build_tables(powers)
 
     # -- construction internals --------------------------------------------
 
     def _default_modulus(self) -> tuple[tuple[int, ...], Optional[list[int]]]:
-        """The default modulus and its ``_x_powers``; runs once p, m and
-        order are set."""
+        """The default modulus of GF(p^m), m > 1, and its ``_x_powers``;
+        runs once p, m and order are set.  Every GF(p^m) has a primitive
+        polynomial of degree m, and the loop tries every monic one."""
         p, m = self.p, self.m
-        if m == 1:
-            # the field is GF(p) itself; any degree-1 poly works
-            return (0, 1), None
         table = _DEFAULT_MODULI.get((p, m))
         if table is not None:
             return table, self._x_powers(table)
@@ -204,11 +203,10 @@ class Field:
             powers = self._x_powers(candidate)
             if powers is not None:
                 return candidate, powers
-        raise ValueError(f"no primitive polynomial found for GF({p}^{m})")
 
     def _x_powers(self, modulus: Sequence[int]) -> Optional[list[int]]:
-        """The packed x^0, ..., x^(n-1) modulo the modulus when x has order
-        n = p^m - 1 there, else None (and always None for m = 1).
+        """The packed x^0, ..., x^(n-1) modulo a modulus of degree m > 1
+        when x has order n = p^m - 1 there, else None.
 
         Each power is the last times x, then one reduction of the x^m term.
         A unit x whose powers do not reach 1 before x^n has n distinct unit
@@ -216,7 +214,7 @@ class Field:
         modulus irreducible.
         """
         p, m = self.p, self.m
-        if m == 1 or modulus[0] == 0:  # x divides the modulus: no unit
+        if modulus[0] == 0:  # x divides the modulus: no unit
             return None
         neg = [-c % p for c in modulus[:m]]  # x^m = sum(neg[k] * x^k)
         weights = [p ** k for k in range(m)]

@@ -1,5 +1,8 @@
 import json
 import random
+import runpy
+import sys
+import warnings
 
 import pytest
 
@@ -303,6 +306,20 @@ class TestRadius:
             assert captured.out == ""
             assert captured.err == ("agcodec: error: u must be an integer "
                                     f"with 0 < u < n = 27, got {u}\n")
+
+    def test_module_exits_with_mains_status(self, monkeypatch, capsys):
+        # run in this process, as ``python -m agcodec.cli`` would run it
+        main(["radius", "--hermitian-q", "3"])
+        table = capsys.readouterr().out
+        monkeypatch.setattr(sys, "argv",
+                            ["agcodec", "radius", "--hermitian-q", "3"])
+        with warnings.catch_warnings():
+            # runpy warns that agcodec.cli is imported already
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(SystemExit) as stop:
+                runpy.run_module("agcodec.cli", run_name="__main__")
+        assert stop.value.code == 0
+        assert capsys.readouterr().out == table
 
     def test_nongap_note_in_header(self, capsys):
         main(["radius", "--hermitian-q", "3"])

@@ -280,6 +280,9 @@ class TestEncoding:
         assert code_q3.k == 14
         assert len(code_q3.message_orders) == 14
 
+    def test_repr(self, code_q3):
+        assert repr(code_q3) == "Code(n=27, k=14, u=16 over GF(3^2))"
+
     def test_length_validation(self, code_q3):
         with pytest.raises(ValueError):
             code_q3.encode([code_q3.field.zero] * 3)

@@ -41,6 +41,11 @@ class TestCurveConstruction:
         with pytest.raises(ValueError):
             Curve(field, 2, 3, field.zero, {})
 
+    def test_d_from_another_field(self):
+        field = Field(3, 2)
+        with pytest.raises(ValueError, match="d must belong to the field"):
+            Curve(field, 2, 3, Field(2, 2).one, {})
+
     def test_hermitian_order_cap(self):
         # refused before q is factored by trial division
         with pytest.raises(ValueError, match="exceeds cap"):
@@ -67,6 +72,11 @@ class TestCurveConstruction:
         with pytest.raises(ValueError, match="weights must be integers"):
             Semigroup(a, b)
 
+    @pytest.mark.parametrize("a,b", [(0, 1), (-1, 2)])
+    def test_weights_must_be_positive(self, a, b):
+        with pytest.raises(ValueError, match="weights must be positive"):
+            Semigroup(a, b)
+
     @pytest.mark.parametrize("key", [(0.5, 0), (0,), (0, 0, 0), (True, 0),
                                      "ab"])
     def test_coefficient_key_must_be_an_integer_pair(self, key):
@@ -79,6 +89,11 @@ class TestCurveConstruction:
         field = Field(3, 2)
         with pytest.raises(ValueError, match="coeffs entry"):
             Curve(field, 2, 3, field.one, {(0, 0): 1})
+
+    def test_zero_coefficients_are_dropped(self):
+        field = Field(3, 2)
+        curve = Curve(field, 2, 3, field.one, {(0, 0): field.zero})
+        assert curve.coeffs == {}
 
     def test_coefficient_outside_region(self):
         field = Field(3, 2)
@@ -184,6 +199,8 @@ class TestReduction:
         # an equal field built apart is the same field
         assert curve.monomial(1, 0, Field(2, 2).generator) == \
             curve.monomial(1, 0, curve.field.generator)
+        # a zero coefficient of the field gives the zero element
+        assert curve.monomial(1, 2, curve.field.zero).is_zero
 
     @pytest.mark.parametrize("name", NAMED_CURVES)
     def test_equation_reduces_to_zero(self, name):
@@ -238,6 +255,23 @@ class TestRingArithmetic:
         assert curve_q3.monomial(0, 1).delta() == 4
         assert curve_q3.one().delta() == 0
         assert curve_q3.zero().delta() is None
+
+    def test_zero_has_no_lead(self, curve_q3):
+        with pytest.raises(ValueError, match="no leading monomial"):
+            curve_q3.zero().leading_monomial()
+        with pytest.raises(ValueError, match="no leading coefficient"):
+            curve_q3.zero().leading_coefficient()
+
+    def test_other_operands_are_not_ring_elements(self, curve_q3):
+        # the operators return NotImplemented, so Python raises or compares
+        # by identity
+        y = curve_q3.monomial(0, 1)
+        with pytest.raises(TypeError):
+            y * "x"
+        with pytest.raises(TypeError):
+            3 * y
+        assert not y == 3
+        assert not curve_q3 == 3
 
     def test_delta_laws(self, curve_q3):
         rng = random.Random(5)
@@ -322,6 +356,7 @@ class TestRingArithmetic:
         other = Curve.hermitian(2)
         with pytest.raises(ValueError):
             curve_q3.one() + other.one()
+        assert curve_q3.one() != other.one()
 
     @pytest.mark.parametrize("which", ["x", "y", "both"])
     @pytest.mark.parametrize("element", ["zero", "constant", "y"])
@@ -406,6 +441,9 @@ class TestSemigroup:
     def test_phi_of_gap_raises(self):
         with pytest.raises(ValueError):
             Semigroup(3, 4).phi(5)
+
+    def test_repr(self):
+        assert repr(Semigroup(3, 4)) == "Semigroup(3, 4)"
 
     def test_gaps_below(self):
         assert gaps_below(Semigroup(3, 4), 5) == (1, 2)

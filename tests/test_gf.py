@@ -208,6 +208,18 @@ class TestArithmetic:
         with pytest.raises(ZeroDivisionError):
             field9.one / z
 
+    def test_negative_power_of_zero(self, field9):
+        with pytest.raises(ZeroDivisionError, match="negative power"):
+            field9.zero ** -1
+
+    def test_other_operands_are_not_elements(self, field9):
+        # the operators return NotImplemented, so Python raises or compares
+        # by identity
+        with pytest.raises(TypeError):
+            field9.one * 3
+        assert not field9.one == 3
+        assert not field9 == 3
+
     def test_mixed_fields_rejected(self, field9):
         other = Field(2, 2)
         with pytest.raises(ValueError):

@@ -6,7 +6,8 @@ from agcodec.curvering import Semigroup
 from agcodec.decoder import GBState, ModulePair, decode, initial_basis
 from agcodec.oracle import check_gb, lcm_check, nearest_codeword
 
-from support import add_vectors, mk_code, random_error, random_message
+from support import (add_vectors, mk_code, random_error, random_message,
+                     tracked_decode)
 
 
 class TestNearestCodeword:
@@ -88,6 +89,43 @@ class TestCheckGb:
         assert report.counterexample["check"] == "reduced"
 
 
+class TestCheckGbOnAWatchedBasis:
+    """A basis the decode watched, each part of two or more elements,
+    broken so that every element still lies in the module."""
+
+    @pytest.fixture(scope="class")
+    def watched(self, code_q3, received_q3):
+        _, records = tracked_decode(code_q3, received_q3)
+        s, state, _, v_s = next(r for r in records
+                                if len(r[1].g) > 1 and len(r[1].f) > 1)
+        assert check_gb(s, state, code_q3, v_s).passed
+        return s, state, v_s
+
+    def test_g_pair_in_the_f_part_breaks_location(self, code_q3, watched):
+        s, state, v_s = watched
+        moved = GBState(state.weight, state.g[1:], state.f + state.g[:1],
+                        state.curve)
+        report = check_gb(s, moved, code_q3, v_s)
+        assert report.passed is False
+        assert report.counterexample["check"] == "location"
+        assert report.counterexample["element"] == f"F{len(moved.f)}"
+
+    @pytest.mark.parametrize("part", ["g", "f"])
+    def test_dropped_element_breaks_the_footprint_count(
+            self, code_q3, watched, part):
+        s, state, v_s = watched
+        g, f = state.g, state.f
+        if part == "g":
+            g = g[1:]
+        else:
+            f = f[1:]
+        report = check_gb(s, GBState(state.weight, g, f, state.curve),
+                          code_q3, v_s)
+        assert report.passed is False
+        assert report.counterexample["check"] == "footprint"
+        assert report.counterexample["size"] > code_q3.n
+
+
 class TestLcmCheck:
     def test_large_pair(self):
         sg = Semigroup(3, 4)
@@ -108,6 +146,22 @@ class TestLcmCheck:
     def test_bound_too_small(self):
         with pytest.raises(ValueError):
             lcm_check(Semigroup(3, 4), 3, 4, 10)
+
+    def test_an_order_that_is_no_common_multiple_fails(self, monkeypatch):
+        # phi(3) = x does not divide phi(4) = y
+        monkeypatch.setattr(Semigroup, "lcms", lambda self, r, t: (4,))
+        report = lcm_check(Semigroup(3, 4), 3, 4, 60)
+        assert report.passed is False
+        assert report.counterexample == {"check": "common-multiple", "lcm": 4}
+
+    def test_lcms_that_miss_a_multiple_fail(self, monkeypatch):
+        # the lcms of x and y are xy (7) and x^4 (12); 12 is no multiple
+        # of 7
+        monkeypatch.setattr(Semigroup, "lcms", lambda self, r, t: (7,))
+        report = lcm_check(Semigroup(3, 4), 3, 4, 60)
+        assert report.passed is False
+        assert report.counterexample == {"check": "covering", "multiple": 12,
+                                         "lcms": (7,)}
 
 
 class TestDecoderAgreement:

@@ -1,4 +1,6 @@
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -68,6 +70,21 @@ def test_all_lists_exactly_the_imported_names():
     init = Path(agcodec.__file__)
     assert len(agcodec.__all__) == len(set(agcodec.__all__))
     assert set(agcodec.__all__) == _imported_names(_parse(init))
+
+
+def test_package_root_loads_only_the_library():
+    # the oracle backs the tests; it, spoly, shift and points_ideal_basis
+    # are reached through their modules
+    run = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, agcodec; print('agcodec.oracle' in sys.modules)"],
+        env={**os.environ,
+             "PYTHONPATH": str(Path(agcodec.__file__).parents[1])},
+        capture_output=True, text=True, timeout=60)
+    assert run.stdout == "False\n", run.stderr
+    left = {"spoly", "shift", "points_ideal_basis", "check_gb", "lcm_check",
+            "nearest_codeword", "OracleReport"}
+    assert not left & set(agcodec.__all__)
 
 
 def test_sources_run_on_python_310():

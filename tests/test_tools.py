@@ -61,3 +61,8 @@ def test_uncovered_lists_the_lines_one_module_leaves_unrun():
                    for line in decoder)
     assert lines[-1].endswith("executable lines of src/agcodec ran in no "
                               "test")
+    # the slowdown probe, which the trace would fail, is deselected
+    assert lines[0] == (
+        "deselected perfbench/tests/test_perfbench.py::"
+        "test_reference_speed_keeps_a_library_slowdown: the trace swamps "
+        "the slowdown it times; name it to run it")

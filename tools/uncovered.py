@@ -12,9 +12,10 @@ a comment or a continuation line without code of its own is not listed.
 With no arguments it runs pytest's default collection, the whole suite,
 which takes several times its untraced time.  The package is imported
 from this checkout's ``src``, after tracing starts, so its module-level
-lines count too.  Exits with pytest's status; a test that times the
-library against a probe, such as perfbench's slowdown test, can fail
-under the trace, which slows every call.
+lines count too.  Exits with pytest's status.  perfbench's slowdown probe
+(``PROBE``) times the library against a slowed copy, and the trace, which
+slows every call, swamps that slowdown, so the probe is deselected, with
+a line saying so, unless an argument names it.
 """
 
 import dis
@@ -25,6 +26,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "agcodec"
+PROBE = ("perfbench/tests/test_perfbench.py::"
+         "test_reference_speed_keeps_a_library_slowdown")
 
 
 def executable_lines(path: Path) -> set[int]:
@@ -65,6 +68,10 @@ def main(argv: list[str]) -> int:
     import pytest
 
     sys.path.insert(0, str(ROOT / "src"))
+    if not any(PROBE.rpartition("::")[2] in arg for arg in argv):
+        print(f"deselected {PROBE}: the trace swamps the slowdown it times; "
+              "name it to run it")
+        argv = ["--deselect", PROBE, *argv]
     tracer = Tracer()
     threading.settrace(tracer)
     sys.settrace(tracer)
