@@ -461,8 +461,10 @@ class Code:
                       what: str) -> None:
         if len(v) != length:
             raise ValueError(f"{what} length {len(v)}, expected {length}")
-        for e in v:
-            if not isinstance(e, FieldElement) or e.field != self.field:
+        field = self.field
+        for e in v:  # identity first: the common case takes no __eq__ call
+            if not isinstance(e, FieldElement) or (
+                    e.field is not field and e.field != field):
                 raise ValueError(f"{what} entry from a different field")
 
     # -- distance bounds ----------------------------------------------------------

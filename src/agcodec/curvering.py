@@ -39,6 +39,10 @@ downstream (codes, the decoder) runs on three primitives implemented here:
   the ideal's etas); and footprints as staircases, one row barrier per
   y-degree j < a, so a footprint's size and the part of it that some
   orders' multiples cover (``Semigroup.covered``) are sums over a rows.
+  That count, like the decoder's step plans, is a pure function of pole
+  orders, which repeat from word to word, so it is memoised in a bounded
+  ``Memo`` keyed by the weights (a, b) and shared by every curve with
+  them.
 
 ``Monomial`` is the inspection and printing form: monomials print as
 "x^i*y^j" with unit factors omitted ("1", "x", "y^2", "x^3*y", ...), a
@@ -55,7 +59,7 @@ lists (``_evaluate_logs``).
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .gf import ORDER_CAP, Field, FieldElement, _is_int, _prime_factors
 
@@ -64,6 +68,29 @@ from .gf import ORDER_CAP, Field, FieldElement, _is_int, _prime_factors
 #: (b = q + 1 <= 257).  The ideal build starts from a generators whose
 #: lists hold a(a-1)b/2 entries in total, so it also bounds that step.
 WEIGHT_CAP = 257
+
+
+#: Entries each memo of pole-order arithmetic holds at most (``Memo``).
+MEMO_SIZE = 512
+
+
+class Memo(dict):
+    """A memo of a pure function of pole orders: keyed and filled with
+    ints and tuples only, and emptied when it holds MEMO_SIZE entries.
+    Lookups are plain ``get`` calls, None for a key not held; threads that
+    race on a key both compute it, and either value is right."""
+
+    def keep(self, key: Hashable, value):
+        """Hold value under key and return it."""
+        if len(self) >= MEMO_SIZE:
+            self.clear()
+        self[key] = value
+        return value
+
+
+#: The tallies of ``Semigroup.covered``, shared by every semigroup of the
+#: same weights.
+_TALLIES = Memo()
 
 
 class Monomial(NamedTuple):
@@ -150,6 +177,14 @@ class Semigroup:
         low, high = t + rise, r + a * b - rise
         return (low, high) if low < high else (high, low)
 
+    def divisor(self, t: int, orders: Sequence[int]) -> int | None:
+        """The index of the first order r in orders with phi(r) dividing
+        phi(t), None when none does."""
+        for k, r in enumerate(orders):
+            if self.is_nongap(t - r):
+                return k
+        return None
+
     def staircase(self, lead_orders: Iterable[int]) -> tuple[int, ...]:
         """Row barriers of the footprint of the monomials of the given pole
         orders: entry j is the first column of row j that holds a multiple,
@@ -196,16 +231,22 @@ class Semigroup:
         """The monomials not divisible by phi(s); a set of size s."""
         return self.footprint([self.phi(s)])
 
-    def covered(self, stair: Sequence[int], orders: Iterable[int]) -> int:
+    def covered(self, stair: tuple[int, ...], orders: Iterable[int]) -> int:
         """The monomials left of the barriers ``stair`` that some phi(t), t
         in orders, divides: the footprint of ``stair`` minus that of the
         orders, counted by rows.  The vote's tally of a candidate (stair the
         G leads', orders its targets) and the order bound nu(s) (stair the
-        point ideal's, orders [s]) are this one count."""
-        total = 0
-        for o, i in zip(stair, self.staircase(orders)):
-            if o > i:
-                total += o - i
+        point ideal's, orders [s]) are this one count, memoised on the
+        weights, the stair and the orders."""
+        orders = tuple(orders)
+        key = (self.a, self.b, stair, orders)
+        total = _TALLIES.get(key)
+        if total is None:
+            total = 0
+            for o, i in zip(stair, self.staircase(orders)):
+                if o > i:
+                    total += o - i
+            _TALLIES.keep(key, total)
         return total
 
     def __repr__(self) -> str:

@@ -13,27 +13,30 @@ N = delta(h_v) and walks the weight down to 0.  At each nongap weight
 s <= u ``vote`` tallies votes for the message coordinate w_s: every F
 element nominates one field value, weighted by how much of the downstairs
 footprint its upstairs cone covers (``Semigroup.covered``, the count of
-the order bound nu(s); the staircase of the G leads is built once per
-change of their orders, which only ``step`` makes, where the G footprint
-grows); a vote with one candidate, the common case below the radius,
-returns its record with no sort, and the winner is subtracted by the
-substitution z -> z + w * phi_s (below).  ``step`` then converts the
-basis from weight s to s - 1 (``spoly`` is ``step`` on a one-element F
-part).  An F element whose lead moves downstairs, to mu, is reduced once
-by the first G element whose lead divides mu: a row operation of the
-F[x]-module view (Lee and O'Sullivan, 2009).  Only where no G lead divides mu, so that the G
+the order bound nu(s), memoised on pole orders; the staircase of the G
+leads is built once per change of their orders, which only ``step`` makes,
+where the G footprint grows); a vote with one candidate, the common case
+below the radius, returns its record with no sort, and the winner is
+subtracted by the substitution z -> z + w * phi_s (below).  ``step`` then
+converts the basis from weight s to s - 1 (``spoly`` is ``step`` on a
+one-element F part).  An F element whose lead moves downstairs, to mu, is
+reduced once by the first G element whose lead divides mu
+(``Semigroup.divisor``): a row operation of the F[x]-module view (Lee and
+O'Sullivan, 2009).  Only where no G lead divides mu, so that the G
 footprint grows, is it combined with every G element at each lcm and are
 both parts pruned to the leads no other lead divides (one
-``_prime_reduce`` each, by rows in one pass).  ``_planned`` plans on pole
-orders, with no field arithmetic, before ``_combine`` builds; ``_monic``
-scales a lead to one there and in a nomination.  A weight at which no
-lead moves keeps both parts, and a shift leaves a pair with a zero up part
-untouched.  The split is kept at every weight, so leads are read off the
-basis: a G element leads with its down part, an F element with its up
-part, and the one test left is whether an F element still leads upstairs at
-s - 1.  ``leading`` and ``Lead`` are the inspection form of a lead, for
-traces and checks.  ``Lead``, the basis ``GBState`` and the vote's
-``VoteRecord`` are named tuples, built once per weight or vote.
+``_prime_reduce`` each, by rows in one pass).  ``_plan`` plans that step
+on pole orders, with no field arithmetic, before ``_combine`` builds; the
+plan depends on the lead orders alone, so it is memoised on them, and lead
+configurations repeat from word to word.  ``_monic`` scales a lead to one
+in a combination and in a nomination.  A weight at which no lead moves
+keeps both parts, and a shift leaves a pair with a zero up part untouched.
+The split is kept at every weight, so leads are read off the basis: a G
+element leads with its down part, an F element with its up part, and the
+one test left is whether an F element still leads upstairs at s - 1.
+``leading`` and ``Lead`` are the inspection form of a lead, for traces and
+checks.  ``Lead``, the basis ``GBState`` and the vote's ``VoteRecord`` are
+named tuples, built once per weight or vote.
 
 ``decode`` substitutes each vote into the F part at once (``shift`` does
 it on a whole basis), and the G part takes the votes once per change.
@@ -57,7 +60,7 @@ import functools
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .code import Code, Vector
-from .curvering import (Curve, Monomial, RingElement, Semigroup,
+from .curvering import (Curve, Memo, Monomial, RingElement, Semigroup,
                          _prime_reduce)
 from .gf import FieldElement, canonical_key
 
@@ -266,48 +269,16 @@ def spoly(s: int, pair: ModulePair, g_part: Sequence[ModulePair]) -> list[Module
     return list(step(GBState(s, tuple(g_part), (pair,), pair.up.curve)).f)
 
 
-def _planned(s: int, pair: ModulePair, g_part: Sequence[ModulePair],
-             sg: Semigroup) -> list[tuple]:
-    """The combinations converting one F element from weight s to s - 1,
-    before they are built: (up lead at weight s - 1, then ``_combine``'s
-    arguments) each, g None for the pair itself.  du and mu below are the
-    leads of the pair's up and down parts, read off the pair.
-
-    Three cases on the weight-(s-1) leading term of the pair: upstairs ->
-    the pair itself; downstairs at an order mu that a G lead of order
-    r = delta(g.down) divides (mu - r a nongap) -> one reduction by the
-    first such g, psi = mu; downstairs in the G footprint -> one
-    elimination per lcm psi of mu with each G lead.  Every combination
-    leads upstairs at weight s - 1, at du + psi - mu (pair.up times
-    psi / mu), as the G side's up part is strictly lower.  Divisibility of
-    monomials depends only on their difference of pole order, so a
-    reduction is the pair's one minimal combination (every other plan is a
-    multiple of it), and in the last case the minimal ones, those of the
-    minimal lcms, are what ``_prime_reduce`` on the planned leads keeps."""
-    du, mu = pair.du, pair.dd
-    if _leads_up(s - 1, pair):
-        return [(du, pair, None, 0, None)]
-    lc = pair.down.leading_coefficient()
-    for g in g_part:
-        if sg.is_nongap(mu - g.dd):
-            return [(du, pair, g, mu, lc)]
-    return [(du + psi - mu, pair, g, psi, lc)
-            for g in g_part for psi in sg.lcms(mu, g.dd)]
-
-
-def _combine(pair: ModulePair, g: Optional[ModulePair], psi: int,
-             lc: Optional[FieldElement]) -> ModulePair:
-    """A planned combination: the pair itself when g is None, else
-    cf * phi(psi - mu) * pair + cg * phi(psi - r) * g with both products
-    monic at psi, for the downstairs leads mu = pair.dd and r = g.dd and
-    the pair's downstairs coefficient lc.
+def _combine(pair: ModulePair, g: ModulePair, psi: int,
+             lc: FieldElement) -> ModulePair:
+    """A planned combination, cf * phi(psi - mu) * pair + cg * phi(psi - r)
+    * g with both products monic at psi, for the downstairs leads
+    mu = pair.dd and r = g.dd and the pair's downstairs coefficient lc.
 
     Each side is one ``_plus``.  A reduction (psi = mu) adds (cg / cf) *
     phi(psi - r) * g into the pair's side and scales the sum by cf in O(1);
     there phi(psi - mu) = 1, so cf = 1 / lc and cg / cf = cg * lc.  An
     eta's zero up part adds nothing, so takes no ``_plus``."""
-    if g is None:
-        return pair
     curve, mu, r = pair.up.curve, pair.dd, g.dd
     qf, qg = psi - mu, psi - r
     cg = -_monic(curve, qg, r, g.down.leading_coefficient())
@@ -331,32 +302,103 @@ def step(state: GBState) -> GBState:
 
     The new G part is the old one plus the F elements that lead downstairs
     at weight s - 1 (``moved``); the new F part collects every F element's
-    combinations (``_planned``); both parts are then pruned by divisibility
-    of leading terms within the part, which drops every moved F element
-    whose lead falls outside the old G footprint (an equal lead keeps the
-    old G element).
+    combinations; both parts are then pruned by divisibility of leading
+    terms within the part, which drops every moved F element whose lead
+    falls outside the old G footprint (an equal lead keeps the old G
+    element).
 
-    Only what changes is built and pruned.  Where nothing moves, or a G
-    lead divides every moved down lead, the G part is the same tuple (a G
-    lead does not depend on the weight) and each F element has one plan,
-    leading at its own up lead, so no plan divides another; with nothing
-    moved f is the same tuple too.  Only where the G footprint grows (some
-    plan leads higher) is each part pruned by one ``_prime_reduce``, the
-    plans on the leads they would be built with, before any is built.
+    Only what changes is built and pruned.  Where nothing moves, both parts
+    are the same tuples.  Where a G lead divides every moved down lead mu,
+    each moved element is reduced once, by the first such G element
+    (``Semigroup.divisor``), and the G part is the same tuple (a G lead
+    does not depend on the weight); no plan divides another, as each F
+    element still leads at its own up lead.  Only where the G footprint
+    grows does ``_plan`` take lcms and prune each part, on pole orders; its
+    plan is memoised on the weights, s, the F leads (du, dd) and the G
+    leads dd, so a decode meeting a lead configuration again only builds.
+    Each moved element's down lead coefficient is read once, either way.
     """
     s = state.weight
     moved = [p for p in state.f if not _leads_up(s - 1, p)]
     if not moved:
         return GBState(s - 1, state.g, state.f, state.curve)
-    sg = state.curve.semigroup
-    plans = [plan for p in state.f for plan in _planned(s, p, state.g, sg)]
-    new_g = state.g
-    if any(plan[0] != plan[1].du for plan in plans):  # the G footprint grows
-        new_g = (*state.g, *moved)
-        new_g = tuple(_prime_reduce(new_g, [g.dd for g in new_g], sg))
-        plans = _prime_reduce(plans, [plan[0] for plan in plans], sg)
-    new_f = tuple(_combine(*plan[1:]) for plan in plans)
-    return GBState(s - 1, new_g, new_f, state.curve)
+    sg, g, f = state.curve.semigroup, state.g, state.f
+    g_orders = [p.dd for p in g]
+    divisors = [sg.divisor(p.dd, g_orders) for p in moved]
+    lc = [p.down.leading_coefficient() for p in moved]
+    if None not in divisors:  # each moved element is reduced in its place
+        new_f, k = [], 0
+        for p in f:
+            if k < len(moved) and p is moved[k]:
+                p = _combine(p, g[divisors[k]], p.dd, lc[k])
+                k += 1
+            new_f.append(p)
+        return GBState(s - 1, g, tuple(new_f), state.curve)
+    key = (sg.a, sg.b, s, len(f), *[p.du for p in f], *[p.dd for p in f],
+           *g_orders)
+    plan = _PLANS.get(key)
+    if plan is None:
+        plan = _PLANS.keep(key, _plan(g, f, moved, divisors, sg))
+    g_kept, f_plans = plan
+    it = iter(f_plans)
+    new_f = tuple([f[i] if j is None
+                   else _combine(moved[i], g[j], psi, lc[i])
+                   for i, j, psi in zip(it, it, it)])
+    grown = (*g, *moved)
+    return GBState(s - 1, tuple(map(grown.__getitem__, g_kept)), new_f,
+                   state.curve)
+
+
+#: The plans of ``step`` where the G footprint grows, shared by every
+#: semigroup of the same weights.
+_PLANS = Memo()
+
+
+def _plan(g: tuple[ModulePair, ...], f: tuple[ModulePair, ...],
+          moved: list[ModulePair], divisors: list[Optional[int]],
+          sg: Semigroup
+          ) -> tuple[tuple[int, ...], tuple[Optional[int], ...]]:
+    """The step from weight s to s - 1 on pole orders, where the G
+    footprint grows: ``moved`` are the F elements leading downstairs at
+    s - 1, in order, and ``divisors`` the index of the first G element
+    whose lead divides each one's down lead, None for none.  Returns (the
+    new G part as indices into g + moved; the new F part as one flat tuple
+    of triples (i, j, psi): f[i] kept as it is where j is None, else the
+    combination of moved[i] with g[j] at psi that ``_combine`` builds).
+
+    An F element that still leads upstairs is kept as it is.  A moved one,
+    of leads du up and mu down, is reduced by its dividing G element,
+    psi = mu, or, with mu in the G footprint, eliminated once per lcm psi
+    of mu with each G lead.  Every combination leads upstairs at weight
+    s - 1, at du + psi - mu (pair.up times psi / mu), as the G side's up
+    part is strictly lower.  Divisibility of monomials depends only on
+    their difference of pole order, so a reduction is the pair's one
+    minimal combination (every other plan is a multiple of it), and in the
+    last case the minimal ones, those of the minimal lcms, are what
+    ``_prime_reduce`` on the planned leads keeps; the G part, with the
+    moved elements, is pruned the same way."""
+    plans, leads, k = [], [], 0
+    for i, p in enumerate(f):
+        du, mu = p.du, p.dd
+        if k == len(moved) or p is not moved[k]:
+            plans.append((i, None, 0))
+            leads.append(du)
+            continue
+        if divisors[k] is not None:
+            plans.append((k, divisors[k], mu))
+            leads.append(du)
+        else:
+            for j, r in enumerate(g):
+                for psi in sg.lcms(mu, r.dd):
+                    plans.append((k, j, psi))
+                    leads.append(du + psi - mu)
+        k += 1
+    grown = (*g, *moved)
+    at = {id(p): n for n, p in enumerate(grown)}
+    g_kept = tuple([at[id(p)] for p in _prime_reduce(
+        grown, [p.dd for p in grown], sg)])
+    plans = _prime_reduce(plans, leads, sg)
+    return g_kept, tuple([x for plan in plans for x in plan])
 
 
 def _settled(state: GBState,
@@ -376,7 +418,7 @@ def hamming_distance(v: Sequence[FieldElement], w: Sequence[FieldElement]) -> in
     if len(v) != len(w):
         raise ValueError(f"Hamming distance of vectors of lengths {len(v)} "
                          f"and {len(w)}")
-    return sum(1 for a, b in zip(v, w) if a != b)
+    return sum(1 for a, b in zip(v, w) if a is not b and a != b)
 
 
 def decode(code: Code, v: Sequence[FieldElement],

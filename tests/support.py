@@ -7,7 +7,7 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from agcodec import decode
+from agcodec import curvering, decode, decoder
 from agcodec.code import Code, Point, curve_from_config, rational_points
 from agcodec.curvering import Curve, Monomial, RingElement, Semigroup
 from agcodec.gf import FieldElement
@@ -335,6 +335,15 @@ def random_error(code, rng: random.Random, weight: int) -> list[FieldElement]:
 
 def add_vectors(v, w):
     return tuple(a + b for a, b in zip(v, w))
+
+
+def clear_memos():
+    """Empty the decoder's memos of pole-order arithmetic: the vote's G
+    staircase, the plans of ``step`` and the tallies of
+    ``Semigroup.covered``."""
+    decoder._g_staircase.cache_clear()
+    decoder._PLANS.clear()
+    curvering._TALLIES.clear()
 
 
 def tracked_decode(code, v):

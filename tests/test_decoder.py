@@ -11,7 +11,7 @@ from agcodec.cli import trace_lines
 from agcodec.code import (Code, code_from_config, curve_from_config,
                           format_vector, radius_rows, rational_points)
 from agcodec.curvering import Curve, Monomial, RingElement, Semigroup
-from agcodec import decoder
+from agcodec import curvering, decoder
 from agcodec.decoder import (DOWN, STATUS_FAILED, STATUS_OK, UP, GBState,
                              ModulePair, VoteRecord, decode,
                              hamming_distance, initial_basis, leading, shift,
@@ -20,9 +20,9 @@ from agcodec.gf import Field, FieldElement
 from agcodec.oracle import check_gb
 
 from conftest import FIXTURES
-from support import (MK_FAMILIES, add_vectors, lattice_divides, mk_code,
-                     random_error, random_message, reference_prime_reduce,
-                     tracked_decode)
+from support import (MK_FAMILIES, add_vectors, clear_memos, lattice_divides,
+                     mk_code, random_error, random_message,
+                     reference_prime_reduce, tracked_decode)
 
 
 def decode_counting_products(code, received, monkeypatch):
@@ -455,6 +455,7 @@ class TestStep:
         # G footprint grows), once on the G part and once on the plans of
         # all F elements together, and takes lcms of those leads only, each
         # with every G lead in order
+        clear_memos()
         weight, prunes, lcms = [None], [], []
         plain_prune, plain_lcms = decoder._prime_reduce, Semigroup.lcms
 
@@ -629,7 +630,7 @@ class TestVote:
         # both words vote on two G part tuples, but on the q=4 word the
         # settlement makes the second with the leads of the first, so its
         # staircase is reused
-        decoder._g_staircase.cache_clear()
+        clear_memos()
         code, v = self.named_word(word, code_q3, received_q3)
         sg = code.curve.semigroup
         plain_vote, plain_staircase = decoder.vote, Semigroup.staircase
@@ -705,11 +706,15 @@ class TestVote:
 
     @staticmethod
     def memo_contents():
-        """Every object that the vote's G-staircase memo reaches, without
-        looking into functions, classes or modules."""
+        """Every object that the decoder's memos of pole-order arithmetic
+        reach (the vote's G staircase, the plans of step and the tallies of
+        Semigroup.covered), without looking into functions, classes or
+        modules."""
         skip = (type, types.FunctionType, types.ModuleType,
                 types.BuiltinFunctionType)
-        seen, todo, out = set(), gc.get_referents(decoder._g_staircase), []
+        seen, out = set(), []
+        todo = [*gc.get_referents(decoder._g_staircase),
+                *decoder._PLANS.items(), *curvering._TALLIES.items()]
         while todo:
             obj = todo.pop()
             if id(obj) in seen or isinstance(obj, skip):
@@ -753,6 +758,24 @@ class TestVote:
     def test_a_standalone_vote_pins_nothing(self, bundled_states, code_q3):
         state, record = bundled_states[1][13]
         assert vote(code_q3, 13, state) == record
+        assert self.memo_holds_no_basis()
+
+    def test_plans_and_tallies_hold_only_ints_and_tuples(self, code_q3,
+                                                         received_q3):
+        # after decodes that fill them, the plan and tally memos reach
+        # nothing but ints, tuples and None: no pair, ring element or field
+        # value, so neither pins a basis nor carries one decode's field
+        # values into another
+        clear_memos()
+        decode(code_q3, received_q3)
+        decode(*self.named_word("pinned-q4", code_q3, received_q3))
+        assert decoder._PLANS and curvering._TALLIES
+        stack = [*decoder._PLANS.items(), *curvering._TALLIES.items()]
+        while stack:
+            obj = stack.pop()
+            assert obj is None or type(obj) in (int, tuple), type(obj)
+            if type(obj) is tuple:
+                stack.extend(obj)
         assert self.memo_holds_no_basis()
 
     def test_another_semigroup_builds_its_own_staircase(self, code_q3,
@@ -844,6 +867,99 @@ class TestVote:
         assert (record.chosen, record.margin) == (field.zero, 0)
 
 
+class TestPoleOrderMemos:
+    """The plans of step and the tallies of Semigroup.covered are memoised
+    on the semigroup's weights, so codes on one family share them; they
+    hold pole orders only, so a warm memo decodes exactly as an empty
+    one."""
+
+    @staticmethod
+    def words():
+        """Seeded full-radius words of Hermitian q=4, u=30 and of the
+        Hermitian curve twisted to d != -1 over GF(16), u=32, interleaved:
+        both codes are on <4, 5>, so they share every memo entry."""
+        codes = [Code(Curve.hermitian(4), 30),
+                 mk_code("twisted-hermitian-gf16", 32)]
+        assert {code.curve.semigroup.a for code in codes} == {4}
+        assert {code.curve.semigroup.b for code in codes} == {5}
+        assert codes[1].curve.d != -codes[1].field.one
+        out = []
+        for seed in range(4):
+            for code in codes:
+                rng = random.Random(3900 + 10 * seed + code.u)
+                t = (code.decoding_distance() - 1) // 2
+                out.append((code, add_vectors(
+                    code.encode(random_message(code, rng)),
+                    random_error(code, rng, t - seed % 2))))
+        return out
+
+    @staticmethod
+    def watched(code, v):
+        """(result, [(s, basis, vote)] as the watch saw them)."""
+        seen = []
+        result = decode(code, v, lambda s, state, record:
+                        seen.append((s, state, record)))
+        return result, seen
+
+    def test_warm_memos_decode_as_empty_ones(self):
+        # every word decoded twice with the memos emptied before each
+        # decode, then twice with the memos warm from the other family's
+        # words and from its own: the same watched bases, vote records,
+        # messages and statuses, and an unwatched decode agrees too
+        words = self.words()
+        cold = []
+        for code, v in words:
+            clear_memos()
+            cold.append((self.watched(code, v), decode(code, v)))
+        clear_memos()
+        for code, v in words:
+            decode(code, v)
+        assert decoder._PLANS and curvering._TALLIES
+        for (code, v), ((result, seen), plain) in zip(words, cold):
+            warm_result, warm_seen = self.watched(code, v)
+            assert warm_seen == seen
+            assert warm_result == result
+            assert decode(code, v) == plain == result
+            assert result.status == STATUS_OK
+        assert {r.status for (r, _), _ in cold} == {STATUS_OK}
+
+    def test_memos_stay_within_their_bound(self, monkeypatch):
+        # with a bound of 16, decoding many lead configurations keeps more
+        # than 16 entries in each memo over the run, never more than 16 at
+        # once, and the decodes still agree with a run on empty memos
+        monkeypatch.setattr(curvering, "MEMO_SIZE", 16)
+        words = self.words()
+        clear_memos()
+        kept, sizes = {"plans": 0, "tallies": 0}, []
+        plain_keep = curvering.Memo.keep
+
+        def keep(memo, key, value):
+            kept["plans" if memo is decoder._PLANS else "tallies"] += 1
+            out = plain_keep(memo, key, value)
+            sizes.append(len(memo))
+            return out
+
+        monkeypatch.setattr(curvering.Memo, "keep", keep)
+        results = [decode(code, v) for code, v in words]
+        monkeypatch.undo()
+        assert kept["plans"] > 16 and kept["tallies"] > 16
+        assert max(sizes) == 16
+        assert len(decoder._PLANS) <= curvering.MEMO_SIZE
+        assert len(curvering._TALLIES) <= curvering.MEMO_SIZE
+        for (code, v), result in zip(words, results):
+            clear_memos()
+            assert decode(code, v) == result
+
+    def test_the_real_bound_holds(self):
+        # at the shipped bound the memos of a run of distinct words hold
+        # at most MEMO_SIZE entries each
+        clear_memos()
+        for code, v in self.words():
+            decode(code, v)
+            assert len(decoder._PLANS) <= curvering.MEMO_SIZE
+            assert len(curvering._TALLIES) <= curvering.MEMO_SIZE
+
+
 class TestDecode:
     def test_bundled_vector_decodes_to_zero(self, code_q3, received_q3):
         result = decode(code_q3, received_q3)
@@ -870,6 +986,26 @@ class TestDecode:
         assert hamming_distance((a, a, zero), (a, zero, zero)) == 1
         with pytest.raises(ValueError, match="lengths 3 and 1"):
             hamming_distance((a, a, a), (a,))
+
+    def test_an_equal_field_object_is_compared_by_value(self, code_q3):
+        # entries over a second Field object equal to the code's field, but
+        # not the same object, are accepted and compared by value: the
+        # identity tests that come first only skip the __eq__ calls
+        other = Field(3, 2)
+        assert other == code_q3.field and other is not code_q3.field
+        rng = random.Random(39)
+        message = random_message(code_q3, rng)
+        sent = code_q3.encode(message)
+        copy = tuple(other.parse(str(e)) for e in sent)
+        assert copy[0] is not sent[0] and copy == sent
+        assert hamming_distance(sent, copy) == 0
+        assert hamming_distance(sent, (other.one + copy[0],) + copy[1:]) == 1
+        received = add_vectors(copy, random_error(code_q3, rng, 2))
+        result = decode(code_q3, received)
+        assert result.message == message and result.status == STATUS_OK
+        assert result.distance == 2
+        assert code_q3.encode(tuple(other.parse(str(e)) for e in message)) \
+            == sent
 
     def test_failed_verification_status(self, code_q3):
         # weight-10 corruption of the zero codeword, far outside the radius

@@ -4,7 +4,11 @@ import importlib.util
 import shutil
 import subprocess
 import sys
+import types
 from pathlib import Path
+
+import agcodec
+from agcodec import Code, Curve
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -25,6 +29,68 @@ def test_abdecode_agrees_with_itself(capsys):
     out = capsys.readouterr().out
     assert "agree: messages, statuses, distances and vote records" in out
     assert "B wins" in out
+
+
+def test_abdecode_draws_fresh_words_every_round(monkeypatch, capsys):
+    # each round decodes its own seeded word set, drawn from the seed and
+    # the round number, and both sides agree on every word of every round
+    abdecode = load_tool("abdecode")
+    code = Code(Curve.hermitian(2), 3)
+    assert abdecode.words(agcodec, code, [1], 3, "1:0") == \
+        abdecode.words(agcodec, code, [1], 3, "1:0")
+    assert abdecode.words(agcodec, code, [1], 3, "1:0") != \
+        abdecode.words(agcodec, code, [1], 3, "1:1")
+    seeds, plain_words = [], abdecode.words
+
+    def words(pkg, code, weights, count, seed):
+        seeds.append(seed)
+        return plain_words(pkg, code, weights, count, seed)
+
+    monkeypatch.setattr(abdecode, "words", words)
+    args = [str(ROOT), str(ROOT), "--q", "2", "--u", "3", "--weights",
+            "0,1", "--words", "2", "--rounds", "3", "--seed", "7"]
+    assert abdecode.main(args) == 0
+    assert seeds == ["7:0", "7:1", "7:2"]
+    out = capsys.readouterr().out
+    assert "2 fresh words a round" in out and "memos kept" in out
+    assert "vote records, on all 6 words" in out
+
+
+def test_abdecode_cold_empties_the_memos_before_every_decode(capsys):
+    # --cold finds the plan, tally and G-staircase memos of a package and
+    # empties them before each decode, outside its time; a package without
+    # them has nothing to empty
+    abdecode = load_tool("abdecode")
+    code = Code(Curve.hermitian(3), 16)
+    v = list(code.encode([code.field.one] * code.k))
+    for pos in (1, 5, 9):  # errors, so that the G footprint grows
+        v[pos] += code.field.one
+    agcodec.decode(code, v)
+    assert agcodec.decoder._PLANS and agcodec.curvering._TALLIES
+    clears = abdecode.memos(agcodec)
+    assert len(clears) == 3
+    for clear in clears:
+        clear()
+    assert not agcodec.decoder._PLANS and not agcodec.curvering._TALLIES
+    assert agcodec.decoder._g_staircase.cache_info().currsize == 0
+    bare = types.SimpleNamespace(decoder=types.SimpleNamespace(),
+                                 curvering=types.SimpleNamespace())
+    assert abdecode.memos(bare) == []
+
+    calls = []
+    stub = types.SimpleNamespace(
+        decode=lambda code, v: calls.append(("decode", v)) or v)
+    ms, results = abdecode.batch_ms(stub, None, [1, 2],
+                                    [lambda: calls.append("clear")])
+    assert results == [1, 2] and ms >= 0
+    assert calls == ["clear", ("decode", 1), "clear", ("decode", 2)]
+
+    args = [str(ROOT), str(ROOT), "--q", "2", "--u", "3", "--weights",
+            "0,1", "--words", "2", "--rounds", "2", "--cold"]
+    assert abdecode.main(args) == 0
+    out = capsys.readouterr().out
+    assert "memos emptied before every decode" in out
+    assert "vote records, on all 4 words" in out
 
 
 def test_abdecode_reports_a_disagreement(tmp_path, capsys):

@@ -1,18 +1,23 @@
-"""Interleaved A/B timing of two checkouts' decoders on the same words.
+"""Interleaved A/B timing of two checkouts' decoders on fresh words.
 
 Copies ``src/agcodec`` of each checkout into a temporary directory under
 the package names ``agcodec_a`` and ``agcodec_b``, so both load in one
-process.  Builds the same Hermitian code with each, and decodes the same
-seeded words with both: first once, to check that messages, statuses,
-re-encoding distances and vote records agree, then in alternating rounds
-(A first in even rounds, B first in odd ones), so both see the same
-machine speed.  Prints ms per word for each side (best and median round),
-the ratio of B's best round to A's, the median of the per-round ratios
-B/A, and the rounds B wins.  Exits 1 when the decodes disagree.
+process.  Builds the same Hermitian code with each.  Every round draws a
+fresh seeded word set (from the seed and the round number), so a memo
+warmed on one round's words does not flatter the side that has one; both
+sides decode that set, in alternating order (A first in even rounds, B
+first in odd ones), so both see the same machine speed, and their
+messages, statuses, re-encoding distances and vote records must agree on
+every word.  ``--cold`` empties each package's memos of pole-order
+arithmetic, where it has them (the decoder's step plans and G staircase,
+``Semigroup.covered``'s tallies), before every decode, as a one-shot
+process would start.  Prints ms per word for each side (best and median
+round), the ratio of B's best round to A's, the median of the per-round
+ratios B/A, and the rounds B wins.  Exits 1 when the decodes disagree.
 
     python3 tools/abdecode.py A_CHECKOUT B_CHECKOUT [--q 5] [--u 60]
         [--weights 0,1,2,3,4 | --weights radius] [--words 10]
-        [--rounds 15] [--seed 1]
+        [--rounds 15] [--seed 1] [--cold]
 
 Stdlib only; each checkout needs only ``src/agcodec``.
 """
@@ -50,7 +55,7 @@ def load(checkouts: list[str], tmp: Path) -> list:
     return pkgs
 
 
-def words(pkg, code, weights: list[int], count: int, seed: int) -> list[str]:
+def words(pkg, code, weights: list[int], count: int, seed) -> list[str]:
     """count seeded received words as text, error weights cycling through
     weights."""
     rng = random.Random(seed)
@@ -74,13 +79,32 @@ def summary(result) -> tuple:
             votes)
 
 
-def batch_ms(pkg, code, received: list) -> float:
-    """ms per word of one pass of decodes."""
+def memos(pkg) -> list:
+    """The clear methods of the package's memos of pole-order arithmetic,
+    those it has of the decoder's step plans (``_PLANS``) and G staircase
+    (``_g_staircase``) and of ``Semigroup.covered``'s tallies
+    (``_TALLIES``)."""
+    found = [getattr(pkg.decoder, "_PLANS", None),
+             getattr(pkg.curvering, "_TALLIES", None)]
+    clears = [memo.clear for memo in found if memo is not None]
+    staircase = getattr(pkg.decoder, "_g_staircase", None)
+    if staircase is not None:
+        clears.append(staircase.cache_clear)
+    return clears
+
+
+def batch_ms(pkg, code, received: list, clears: list) -> tuple[float, list]:
+    """(ms per word, results) of one pass of decodes; the clears run
+    before each decode, outside its time."""
     gc.collect()
-    started = time.perf_counter_ns()
+    results, spent = [], 0
     for v in received:
-        pkg.decode(code, v)
-    return (time.perf_counter_ns() - started) / 1e6 / len(received)
+        for clear in clears:
+            clear()
+        started = time.perf_counter_ns()
+        results.append(pkg.decode(code, v))
+        spent += time.perf_counter_ns() - started
+    return spent / 1e6 / len(received), results
 
 
 def main(argv=None) -> int:
@@ -93,6 +117,8 @@ def main(argv=None) -> int:
     parser.add_argument("--words", type=int, default=10)
     parser.add_argument("--rounds", type=int, default=15)
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--cold", action="store_true",
+                        help="empty the memos before every decode")
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -103,34 +129,35 @@ def main(argv=None) -> int:
 
 
 def compare(args: argparse.Namespace, pkgs: list) -> int:
-    """Check that both packages decode alike, then time them; returns the
-    exit status."""
+    """Time both packages on a fresh word set per round, checking that
+    they decode every word alike; returns the exit status."""
     codes = [pkg.Code(pkg.Curve.hermitian(args.q), args.u) for pkg in pkgs]
     code = codes[0]
     radius = (code.decoding_distance() - 1) // 2
     weights = ([radius] if args.weights == "radius"
                else [int(w) for w in args.weights.split(",")])
-    texts = words(pkgs[0], code, weights, args.words, args.seed)
-    received = [[pkg.parse_vector(c.field, text) for text in texts]
-                for pkg, c in zip(pkgs, codes)]
+    clears = [memos(pkg) if args.cold else [] for pkg in pkgs]
     print(f"Hermitian q={args.q} u={args.u} (n={code.n} k={code.k} "
-          f"radius {radius}): {args.words} words at weights "
+          f"radius {radius}): {args.words} fresh words a round at weights "
           f"{','.join(map(str, weights))}, seed {args.seed}, "
-          f"{args.rounds} rounds")
-
-    for i in range(args.words):
-        a, b = (summary(pkg.decode(c, vs[i]))
-                for pkg, c, vs in zip(pkgs, codes, received))
-        if a != b:
-            print(f"word {i}: the decodes disagree")
-            return 1
-    print("agree: messages, statuses, distances and vote records")
+          f"{args.rounds} rounds, memos "
+          f"{'emptied before every decode' if args.cold else 'kept'}")
 
     times: list[list[float]] = [[], []]
     for r in range(args.rounds):
+        texts = words(pkgs[0], code, weights, args.words, f"{args.seed}:{r}")
+        results: list[list] = [[], []]
         for side in ((0, 1) if r % 2 == 0 else (1, 0)):
-            times[side].append(batch_ms(pkgs[side], codes[side],
-                                        received[side]))
+            pkg, c = pkgs[side], codes[side]
+            received = [pkg.parse_vector(c.field, text) for text in texts]
+            ms, results[side] = batch_ms(pkg, c, received, clears[side])
+            times[side].append(ms)
+        for i, (a, b) in enumerate(zip(*results)):
+            if summary(a) != summary(b):
+                print(f"round {r}, word {i}: the decodes disagree")
+                return 1
+    print(f"agree: messages, statuses, distances and vote records, on all "
+          f"{args.rounds * args.words} words")
     for side, checkout, ms in zip(SIDES, args.checkouts, times):
         print(f"{side.upper()} {checkout}: {min(ms):.3f} ms/word best, "
               f"{statistics.median(ms):.3f} median")
