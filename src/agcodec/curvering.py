@@ -713,3 +713,34 @@ class RingElement:
 
     def __repr__(self) -> str:
         return str(self)
+
+
+def _reduced(up: RingElement, down: RingElement, e_up: RingElement,
+             e_down: RingElement, t: int, c: FieldElement,
+             cf: FieldElement) -> tuple[RingElement, RingElement]:
+    """Both sides of a reduction of the pair (up, down) by (e_up, e_down),
+    (up + c * phi(t) * e_up) * cf and (down + c * phi(t) * e_down) * cf
+    for nonzero c and cf, in one call: the sides share the y-multiple
+    lookup, the move and ``_plus``'s multiplier rule, each is one
+    ``Field.combine``, and cf goes into each result's scale.  Each side
+    keeps its own scale, a zero side's too, as the multiplier is taken
+    relative to it.  A side whose e is zero takes only the scale, and a
+    side that cancels is zero."""
+    curve = up.curve
+    field, a = curve.field, curve.a
+    n = field.order - 1
+    jt = curve.semigroup.y_degrees[t % a]
+    if jt:
+        t -= curve.b * jt
+    sides = []
+    for x, e in ((up, e_up), (down, e_down)):
+        terms, scale = x._terms, x._scale
+        if e._terms:
+            m = c * e._scale
+            if jt:
+                e = e._times_y(jt)
+            terms = field.combine(terms, [((m.log - scale.log) % n, e._terms,
+                                           t)])
+        sides.append(RingElement(curve, terms, scale * cf) if terms
+                     else RingElement(curve, terms))
+    return sides[0], sides[1]

@@ -17,12 +17,18 @@ the order bound nu(s), memoised on pole orders; the staircase of the G
 leads is built once per change of their orders, which only ``step`` makes,
 where the G footprint grows); a vote with one candidate, the common case
 below the radius, returns its record with no sort, and the winner is
-subtracted by the substitution z -> z + w * phi_s (below).  ``step`` then
+subtracted by the substitution z -> z + w * phi_s (below).  ``step``
 converts the basis from weight s to s - 1 (``spoly`` is ``step`` on a
-one-element F part).  An F element whose lead moves downstairs, to mu, is
-reduced once by the first G element whose lead divides mu
-(``Semigroup.divisor``): a row operation of the F[x]-module view (Lee and
-O'Sullivan, 2009).  Only where no G lead divides mu, so that the G
+one-element F part).  The basis changes only at two kinds of weight: a
+vote, and a weight s at which an F element's lead moves downstairs at
+s - 1, which is s = dd - du for its down and up leads dd and du; so
+``decode`` calls ``step`` only there and at weight 0, and between them
+changes only the basis's weight.  An F element whose lead moves
+downstairs, to mu, is reduced once by the first G element whose lead
+divides mu (``Semigroup.divisor``): a row operation of the F[x]-module
+view (Lee and O'Sullivan, 2009), both sides built in one
+``curvering._reduced`` call, and the up lead kept.  Only where no G lead
+divides mu, so that the G
 footprint grows, is it combined with every G element at each lcm and are
 both parts pruned to the leads no other lead divides (one
 ``_prime_reduce`` each, by rows in one pass).  ``_plan`` plans that step
@@ -33,13 +39,15 @@ in a combination and in a nomination.  A weight at which no lead moves
 keeps both parts, and a shift leaves a pair with a zero up part untouched.
 The split is kept at every weight, so leads are read off the basis: a G
 element leads with its down part, an F element with its up part, and the
-one test left is whether an F element still leads upstairs at s - 1.
-``leading`` and ``Lead`` are the inspection form of a lead, for traces and
-checks.  ``Lead``, the basis ``GBState`` and the vote's ``VoteRecord`` are
-named tuples, built once per weight or vote.
+one test left is whether an F element still leads upstairs at s - 1,
+which ``decode`` makes once per weight it visits.  ``leading`` and
+``Lead`` are the inspection form of a lead, for traces and checks.
+``Lead``, the basis ``GBState`` and the vote's ``VoteRecord`` are named
+tuples, built once per visited weight or vote.
 
 ``decode`` substitutes each vote into the F part at once (``shift`` does
-it on a whole basis), and the G part takes the votes once per change.
+it on a whole basis), keeping each pair's up part and its lead, and the G
+part takes the votes once per change.
 Below u a G element is read only for its down lead, which the
 substitution never changes, so the votes wait until ``step`` is about to
 move an F element or ``watch`` is called; then each G pair with a nonzero
@@ -61,7 +69,7 @@ from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .code import Code, Vector
 from .curvering import (Curve, Memo, Monomial, RingElement, Semigroup,
-                         _prime_reduce)
+                         _prime_reduce, _reduced)
 from .gf import FieldElement, canonical_key
 
 UP = "up"
@@ -96,6 +104,14 @@ class ModulePair:
 
     def __post_init__(self) -> None:
         self.du, self.dd = self.up.delta(), self.down.delta()
+
+
+def _pair(up: RingElement, down: RingElement, du: Optional[int]) -> ModulePair:
+    """ModulePair(up, down) for an up part whose pole order du is known, as
+    a substitution and a reduction keep the up lead: only down's is read."""
+    pair = object.__new__(ModulePair)
+    pair.up, pair.down, pair.du, pair.dd = up, down, du, down.delta()
+    return pair
 
 
 def leading(s: int, pair: ModulePair) -> Lead:
@@ -243,17 +259,18 @@ def _substituted(part: Sequence[ModulePair],
     """The pairs under z -> z + sum(w * phi_s for s, w in votes), for
     nonzero w: each down part takes up * w * phi_s for every vote in one
     ``_plus``, and a pair with a zero up part (du None) is the same object.
-    One vote is handed to ``_plus`` as its one product, with no list."""
+    One vote is handed to ``_plus`` as its one product, with no list; the
+    up part, and so its lead du, is kept."""
     out = []
     one = votes[0] if len(votes) == 1 else None
     for p in part:
         if p.du is None:
             out.append(p)
         elif one is not None:
-            out.append(ModulePair(p.up, p.down._plus((p.up, *one))))
+            out.append(_pair(p.up, p.down._plus((p.up, *one)), p.du))
         else:
-            out.append(ModulePair(p.up, p.down._plus(
-                *[(p.up, s, w) for s, w in votes])))
+            out.append(_pair(p.up, p.down._plus(
+                *[(p.up, s, w) for s, w in votes]), p.du))
     return tuple(out)
 
 
@@ -275,10 +292,11 @@ def _combine(pair: ModulePair, g: ModulePair, psi: int,
     * g with both products monic at psi, for the downstairs leads
     mu = pair.dd and r = g.dd and the pair's downstairs coefficient lc.
 
-    Each side is one ``_plus``.  A reduction (psi = mu) adds (cg / cf) *
-    phi(psi - r) * g into the pair's side and scales the sum by cf in O(1);
-    there phi(psi - mu) = 1, so cf = 1 / lc and cg / cf = cg * lc.  An
-    eta's zero up part adds nothing, so takes no ``_plus``."""
+    In an lcm combination each side is one ``_plus``.  A reduction
+    (psi = mu) adds (cg / cf) * phi(psi - r) * g into the pair and scales
+    the sum by cf, both sides in one ``curvering._reduced`` call; there
+    phi(psi - mu) = 1, so cf = 1 / lc and cg / cf = cg * lc, and the up
+    lead du is kept, as g's up part is strictly lower."""
     curve, mu, r = pair.up.curve, pair.dd, g.dd
     qf, qg = psi - mu, psi - r
     cg = -_monic(curve, qg, r, g.down.leading_coefficient())
@@ -287,9 +305,9 @@ def _combine(pair: ModulePair, g: ModulePair, psi: int,
         zero = curve.zero()
         return ModulePair(zero._plus((pair.up, qf, cf), (g.up, qg, cg)),
                           zero._plus((pair.down, qf, cf), (g.down, qg, cg)))
-    c, cf = cg * lc, lc.inverse()
-    up = pair.up if g.up.is_zero else pair.up._plus((g.up, qg, c))
-    return ModulePair(up * cf, pair.down._plus((g.down, qg, c)) * cf)
+    up, down = _reduced(pair.up, pair.down, g.up, g.down, qg, cg * lc,
+                        lc.inverse())
+    return _pair(up, down, pair.du)
 
 
 def _monic(curve: Curve, q: int, order: int, lc: FieldElement) -> FieldElement:
@@ -308,11 +326,13 @@ def step(state: GBState) -> GBState:
     element).
 
     Only what changes is built and pruned.  Where nothing moves, both parts
-    are the same tuples.  Where a G lead divides every moved down lead mu,
-    each moved element is reduced once, by the first such G element
-    (``Semigroup.divisor``), and the G part is the same tuple (a G lead
-    does not depend on the weight); no plan divides another, as each F
-    element still leads at its own up lead.  Only where the G footprint
+    are the same tuples; ``decode`` calls step only where an F element
+    moves and at weight 0.  Where a G lead divides every moved down lead
+    mu, each moved element is reduced once, by the first such G element
+    (``Semigroup.divisor``), both sides in one ``curvering._reduced``
+    call, and the G part is the same tuple (a G lead does not depend on
+    the weight); no plan divides another, as each F element still leads at
+    its own up lead.  Only where the G footprint
     grows does ``_plan`` take lcms and prune each part, on pole orders; its
     plan is memoised on the weights, s, the F leads (du, dd) and the G
     leads dd, so a decode meeting a lead configuration again only builds.
@@ -428,10 +448,16 @@ def decode(code: Code, v: Sequence[FieldElement],
     Runs the weight loop from N down to 0, voting at every nongap weight
     s <= u (coordinates above N, when any, are zero).  When 2 * wt(error)
     is below the decoding distance the output message is the sent one.
-    ``watch`` is called as watch(s, basis entering weight s, vote or None)
-    for every s, and once more with the final basis at weight -1 (the one
-    way to reach it); the G part takes the pending votes before each call,
-    so a watched decode settles at every weight.
+    Each weight tests once whether an F element moves downstairs at s - 1
+    (dd == du + s); ``step`` is called only there and at weight 0, so every
+    decode ends with one step to weight -1.  With no ``watch`` the loop
+    jumps from a weight where nothing moves straight to the next vote
+    weight or the largest dd - du of the F part, whichever is higher: no
+    weight between changes the basis.  ``watch`` is called as watch(s,
+    basis entering weight s, vote or None) for every s, and once more with
+    the final basis at weight -1 (the one way to reach it); the G part
+    takes the pending votes before each call, so a watched decode settles
+    at every weight.
 
     The status is ``failed-verification`` when the output re-encodes more
     than the radius (d_u - 1) // 2 away from v.  An output within the
@@ -443,23 +469,39 @@ def decode(code: Code, v: Sequence[FieldElement],
     sg = code.curve.semigroup
     field = code.field
     state = initial_basis(code, v)
+    curve = state.curve
     votes: list[VoteRecord] = []
     pending: list[tuple[int, FieldElement]] = []  # votes the G part lacks
-    for s in range(state.weight, -1, -1):
+    s = state.weight
+    # the vote weights, descending, then -1 for none left
+    vote_weights = [r for r in range(min(s, code.u), -1, -1)
+                    if sg.is_nongap(r)] + [-1]
+    k = 0  # vote_weights[k] is the next vote weight, at or below s
+    while s >= 0:
         record = None
-        if s <= code.u and sg.is_nongap(s):
+        if s == vote_weights[k]:
             record = vote(code, s, state)
             votes.append(record)
+            k += 1
         if watch is not None:
             state = _settled(state, pending)
             watch(s, state, record)
         if record is not None and not record.chosen.is_zero:
             pending.append((s, record.chosen))
             state = GBState(s, state.g, _substituted(state.f, pending[-1:]),
-                            state.curve)
-        if pending and not all(_leads_up(s - 1, p) for p in state.f):
-            state = _settled(state, pending)  # step combines with G
-        state = step(state)
+                            curve)
+        # an F element moves downstairs at weight dd - du, never above s
+        top = max([p.dd - p.du for p in state.f if p.dd is not None],
+                  default=-1)
+        if top == s or not s:
+            if pending and top == s:
+                state = _settled(state, pending)  # step combines with G
+            state = step(state)
+        else:  # no weight down to the next vote or move changes the basis
+            state = GBState(s - 1 if watch is not None
+                            else max(top, vote_weights[k], 0),
+                            state.g, state.f, curve)
+        s = state.weight
     if watch is not None:
         watch(-1, _settled(state, pending), None)
 

@@ -346,6 +346,47 @@ def clear_memos():
     curvering._TALLIES.clear()
 
 
+def reference_decode(code, v, watch=None):
+    """(decode(code, v, watch) written out as a loop over every weight, the
+    weights at which an F element moves downstairs).
+
+    The loop runs s from N down to 0, votes at every nongap s <= u,
+    substitutes the winner into the whole basis at once (``shift``), so
+    nothing is pending, and calls ``step`` at every weight, also where no
+    lead moves; ``watch`` sees every weight and the final basis at -1.
+    The status follows decode's rule."""
+    sg = code.curve.semigroup
+    state = decoder.initial_basis(code, v)
+    votes, moves = [], []
+    for s in range(state.weight, -1, -1):
+        record = None
+        if s <= code.u and sg.is_nongap(s):
+            record = decoder.vote(code, s, state)
+            votes.append(record)
+        if watch is not None:
+            watch(s, state, record)
+        if record is not None:
+            state = decoder.shift(state, record.chosen, s)
+        if any(decoder.leading(s - 1, p).location == decoder.DOWN
+               for p in state.f):
+            moves.append(s)
+        state = decoder.step(state)
+    if watch is not None:
+        watch(-1, state, None)
+    chosen = {r.s: r.chosen for r in votes}
+    message = tuple(chosen.get(s, code.field.zero)
+                    for s in code.message_orders)
+    distance = decoder.hamming_distance(code.encode(message), v)
+    if distance > (code.decoding_distance() - 1) // 2:
+        status = decoder.STATUS_FAILED
+    elif any(r.margin == 0 for r in votes):
+        status = decoder.STATUS_LOW_CONFIDENCE
+    else:
+        status = decoder.STATUS_OK
+    return decoder.DecodeResult(message, tuple(votes), status,
+                                distance), moves
+
+
 def tracked_decode(code, v):
     """Decode while recording (s, state, vote, v_at_s) per iteration.
 

@@ -6,7 +6,7 @@ import pytest
 
 from agcodec.code import curve_from_config, rational_points
 from agcodec.curvering import (WEIGHT_CAP, Curve, Monomial, Semigroup,
-                               _prime_reduce)
+                               _prime_reduce, _reduced)
 from agcodec.gf import Field
 
 from support import (LARGE_MK_FAMILIES, MK_FAMILIES, gaps_below,
@@ -406,6 +406,111 @@ class TestZeroMultiples:
             assert x._plus((zero, t, c)) == x
             assert zero._plus((zero, t, c), (x, t, c)) == \
                 x * curve.monomial(1, j, c)
+
+
+def mk_a3_gf131():
+    """y^3 + 5y + 7xy + 3x^2 + 2x^4 = 0 over the list field GF(131):
+    d = 2 != -1, so a product whose y-degrees wrap past 3 leads with -2."""
+    field = Field(131)
+    coeffs = {(0, 1): 5, (1, 1): 7, (2, 0): 3}
+    return Curve(field, 3, 4, field.element(2),
+                 {m: field.element(c) for m, c in coeffs.items()})
+
+
+#: curves the reduction call is checked on: byte fields of characteristic
+#: 2 and of odd characteristic, GF(16) and GF(25), with d != -1, and the
+#: list fields GF(81), Hermitian, and GF(131), with d != -1
+REDUCTION_CALL_CURVES = {
+    "twisted-hermitian-gf16": lambda: curve_from_config(
+        LARGE_MK_FAMILIES["twisted-hermitian-gf16"])[0],
+    "a2-gf25": lambda: curve_from_config(MK_FAMILIES["a2-gf25"])[0],
+    "hermitian-q9": lambda: Curve.hermitian(9),
+    "mk-a3-gf131": mk_a3_gf131,
+}
+
+
+def two_plus_reduction(up, down, e_up, e_down, t, c, cf):
+    """A reduction's two sides as two ``_plus`` calls, none for a zero
+    e_up, each scaled by cf: the form ``_reduced`` replaces."""
+    if not e_up.is_zero:
+        up = up._plus((e_up, t, c))
+    return up * cf, down._plus((e_down, t, c)) * cf
+
+
+class TestReductionCall:
+    """``_reduced`` builds both sides of a reduction in one call, equal to
+    two ``_plus`` calls and two scalings by cf in value, pole order and
+    lead coefficient."""
+
+    @staticmethod
+    def assert_matches(*args):
+        got, want = _reduced(*args), two_plus_reduction(*args)
+        for side, other in zip(got, want):
+            assert side == other
+            assert side.delta() == other.delta()
+            if not other.is_zero:
+                assert side.leading_coefficient() == \
+                    other.leading_coefficient()
+        return got
+
+    @pytest.mark.parametrize("name", sorted(REDUCTION_CALL_CURVES))
+    def test_matches_two_plus_calls(self, name):
+        curve = REDUCTION_CALL_CURVES[name]()
+        sg, a, zero = curve.semigroup, curve.a, curve.zero()
+        elems = curve.field.elements()
+        rng = random.Random(name)
+        nongaps = [s for s in range(3 * a * curve.b) if sg.is_nongap(s)]
+        for _ in range(30):
+            up, down, e_up, e_down = (random_ring_element(curve, rng)
+                                      for _ in range(4))
+            t = rng.choice(nongaps)
+            c, cf = (elems[rng.randrange(1, curve.field.order)]
+                     for _ in range(2))
+            self.assert_matches(up, down, e_up, e_down, t, c, cf)
+            # a zero G up part: the up side only takes the scale
+            up_side, _ = self.assert_matches(up, down, zero, e_down, t, c,
+                                             cf)
+            assert up_side == up * cf
+            # a zero side takes the whole product
+            self.assert_matches(zero, zero, e_up, e_down, t, c, cf)
+
+    @pytest.mark.parametrize("name", sorted(REDUCTION_CALL_CURVES))
+    def test_wraps_past_a(self, name):
+        # phi(t) of y-degree j times a top-row e lands past y^(a-1), so its
+        # lead takes -d, which is not one on every curve but the Hermitian
+        curve = REDUCTION_CALL_CURVES[name]()
+        sg, a, b = curve.semigroup, curve.a, curve.b
+        assert (curve.d == -curve.field.one) is (name == "hermitian-q9")
+        elems = curve.field.elements()
+        e = curve.monomial(2, a - 1, elems[3]) + curve.monomial(1, 1)
+        for j in range(1, a):
+            t = a + b * j  # x * y^j
+            assert sg.y_degrees[t % a] == j
+            assert curve.lead_factor(t, e.delta()) == -curve.d
+            up = curve.monomial(9, a - 1, elems[5])
+            down = curve.monomial(8, a - 1, elems[2]) + curve.one()
+            self.assert_matches(up, down, e, e * elems[4], t, elems[2],
+                                elems[6])
+
+    @pytest.mark.parametrize("name", sorted(REDUCTION_CALL_CURVES))
+    def test_a_sum_that_cancels_is_zero(self, name):
+        curve = REDUCTION_CALL_CURVES[name]()
+        a, b = curve.a, curve.b
+        elems = curve.field.elements()
+        rng = random.Random(name)
+        e_up = random_ring_element(curve, rng)
+        e_down = random_ring_element(curve, rng)
+        c, cf = elems[2], elems[5]
+        t = a + b * (a - 1)
+        term = curve.monomial(1, a - 1, -c)
+        up, down = self.assert_matches(term * e_up, term * e_down, e_up,
+                                       e_down, t, c, cf)
+        assert up.is_zero and down.is_zero
+        assert up.delta() is None and down.delta() is None
+        # one side cancelling leaves the other
+        up, down = self.assert_matches(curve.one(), term * e_down, e_up,
+                                       e_down, t, c, cf)
+        assert down.is_zero and not up.is_zero
 
 
 class TestAgainstSchoolbook:

@@ -22,32 +22,36 @@ from agcodec.oracle import check_gb
 from conftest import FIXTURES
 from support import (MK_FAMILIES, add_vectors, clear_memos, lattice_divides,
                      mk_code, random_error, random_message,
-                     reference_prime_reduce, tracked_decode)
+                     reference_decode, reference_prime_reduce,
+                     tracked_decode)
 
 
 def decode_counting_products(code, received, monkeypatch):
     """(decode(code, received), its boxed FieldElement products, the ring
     kernel's products of a nonzero entry by a multiplier other than one,
-    its ``RingElement._plus`` calls).
+    its ``RingElement._plus`` calls, its reduction calls
+    ``curvering._reduced``).
 
     The kernel's products are those of ``Field.combine`` while
-    ``RingElement._plus`` runs: per call, the nonzero entries of each
-    vector whose multiplier's kernel value is not 0."""
+    ``RingElement._plus`` or a reduction runs: per call, the nonzero
+    entries of each vector whose multiplier's kernel value is not 0."""
     zero, boxed, kernel, depth = code.field.zero_log, [0], [0], [0]
-    calls = [0]
+    calls = [0, 0]
     plain_mul, plain_plus = FieldElement.__mul__, RingElement._plus
 
     def mul(x, y):
         boxed[0] += 1
         return plain_mul(x, y)
 
-    def plus(self, *products):
-        calls[0] += 1
-        depth[0] += 1
-        try:
-            return plain_plus(self, *products)
-        finally:
-            depth[0] -= 1
+    def counted(kind, plain):
+        def call(*args):
+            calls[kind] += 1
+            depth[0] += 1
+            try:
+                return plain(*args)
+            finally:
+                depth[0] -= 1
+        return call
 
     plain_combine = Field.combine
 
@@ -60,8 +64,9 @@ def decode_counting_products(code, received, monkeypatch):
 
     monkeypatch.setattr(Field, "combine", combine)
     monkeypatch.setattr(FieldElement, "__mul__", mul)
-    monkeypatch.setattr(RingElement, "_plus", plus)
-    return decode(code, received), boxed[0], kernel[0], calls[0]
+    monkeypatch.setattr(RingElement, "_plus", counted(0, plain_plus))
+    monkeypatch.setattr(decoder, "_reduced", counted(1, decoder._reduced))
+    return decode(code, received), boxed[0], kernel[0], *calls
 
 
 @pytest.fixture(scope="module")
@@ -1042,14 +1047,15 @@ class TestDecode:
                 assert decode(code, received).message == message
 
     def test_field_products_pinned(self, received_q3, monkeypatch):
-        # the bundled decode on a fresh code makes 295 boxed products, all
+        # the bundled decode on a fresh code makes 293 boxed products, all
         # scalars, by call site: 83 lead coefficients; 53 in the ring
         # kernel, one tc * (e's scale) per product, as each multiplier is
         # divided by the result's scale on logs; in _combine 34 _monic
         # scalars (cg for the 22 reductions, cf and cg for the 6 lcm
-        # combinations), 22 products cg * lc and 44 scalings by cf = 1 / lc
-        # of the reductions' two sides; 28 _monic scalars and 28
-        # nominations of the votes; and 3 coefficient_at reads.  359
+        # combinations), 22 products cg * lc and 42 scalings by cf = 1 / lc
+        # of the reductions' sides, as the 2 down sides that cancel to zero
+        # take none (295 when a zero sum was scaled too); 28 _monic scalars
+        # and 28 nominations of the votes; and 3 coefficient_at reads.  359
         # before: 161 in the kernel, where a multiplier took a second
         # product by the inverse of the result's scale, and 56 _monic
         # scalars in _combine, where a reduction built both its products
@@ -1061,25 +1067,26 @@ class TestDecode:
         # before a unit multiplier in the ring kernel skipped its products;
         # 821 before step stopped building the spoly outputs that pruning
         # drops, and shift stopped passing zero-up pairs through the
-        # kernel).  45 _plus calls, all in _combine, as every vote is
-        # zero: 33 in the 22 reductions, whose 11 by an eta take none for
-        # its zero up part, and 12 in the lcm combinations (56 before)
+        # kernel).  12 _plus calls, all in the lcm combinations, as every
+        # vote is zero, and 22 reduction calls, one per reduction for both
+        # sides (45 _plus calls before, 33 of them in the reductions, whose
+        # 11 by an eta took none for its zero up part; 56 before that)
         code = code_from_config(json.loads(
             (FIXTURES / "hermitian_q3_u16.json").read_text(encoding="utf-8")))
-        result, boxed, kernel, calls = decode_counting_products(
+        result, boxed, kernel, *calls = decode_counting_products(
             code, received_q3, monkeypatch)
         assert result.status == STATUS_OK
-        assert (boxed, kernel, calls) == (295, 308, 45)
+        assert (boxed, kernel, *calls) == (293, 308, 12, 22)
 
     def test_field_products_pinned_q4(self, monkeypatch):
         # one seeded word at the full radius t=16 of Hermitian q=4, u=30 on
         # a fresh code: 1,509 boxed products, all scalars, by call site:
-        # 367 lead coefficients; 359 in the ring kernel, one per product;
-        # in _combine 154 _monic scalars (cg for the 116 reductions, cf and
-        # cg for the 19 lcm combinations), 116 products cg * lc and 232
-        # scalings by cf = 1 / lc of the reductions' two sides; 100 _monic
-        # scalars and 100 nominations of the votes; and 81 coefficient_at
-        # reads.  1,585 when decode settled the G part on return: the 19
+        # 367 lead coefficients; 359 in the ring kernel and the reduction
+        # calls, one per product; in _combine 154 _monic scalars (cg for
+        # the 116 reductions, cf and cg for the 19 lcm combinations), 116
+        # products cg * lc and 232 scalings by cf = 1 / lc of the
+        # reductions' two sides; 100 _monic scalars and 100 nominations of
+        # the votes; and 81 coefficient_at reads.  1,585 when decode settled the G part on return: the 19
         # votes then pending went into the 4 G pairs with a nonzero up
         # part, 76 products boxed in the ring kernel; 2,010 before that,
         # with 1,092 in the kernel and 270 _monic scalars in _combine.  7,145
@@ -1090,22 +1097,23 @@ class TestDecode:
         # 8,461 kernel products before the multiples; 11,143 boxed products
         # when the ring's entries were FieldElements; 12,144 before step
         # stopped building the spoly outputs that pruning drops, and shift
-        # stopped passing zero-up pairs through the kernel).  326 _plus
+        # stopped passing zero-up pairs through the kernel).  122 _plus
         # calls: 84 substitutions of votes, the F part's at each vote and
         # the G part's once before a step that moves an F element (88 with
         # the 4 of the settlement on return; 160 when each vote went into
-        # every pair at once), 204 in the 116 reductions, whose 28 by an
-        # eta take none for its zero up part (232 before), and 38 in the
-        # lcm combinations
+        # every pair at once), and 38 in the lcm combinations; and 116
+        # reduction calls, one per reduction for both sides (326 _plus
+        # calls before, 204 of them in the reductions, whose 28 by an eta
+        # took none for its zero up part; 232 before that)
         code = Code(Curve.hermitian(4), 30)
         rng = random.Random(4030)
         message = random_message(code, rng)
         received = add_vectors(code.encode(message),
                                random_error(code, rng, 16))
-        result, boxed, kernel, calls = decode_counting_products(
+        result, boxed, kernel, *calls = decode_counting_products(
             code, received, monkeypatch)
         assert result.message == message
-        assert (boxed, kernel, calls) == (1509, 7145, 326)
+        assert (boxed, kernel, *calls) == (1509, 7145, 122, 116)
 
     def test_q4_guarantee_at_full_radius(self):
         # Hermitian q=4, u=30: n=64, d=34, so t=16 is the full radius
@@ -1454,6 +1462,57 @@ class TestGuaranteeAcrossFamilies:
         for s, state, _, v_s in records:
             report = check_gb(s, state, code, v_s)
             assert report.passed, report.counterexample
+
+
+class TestWalk:
+    """An unwatched decode calls ``step`` only at the weights where an F
+    element moves downstairs, and at weight 0, jumping over the weights
+    between; watched or not, it agrees with ``reference_decode``, which
+    steps at every weight, on messages, votes, statuses and distances, and
+    a watched decode hands watch the same bases at every weight."""
+
+    @staticmethod
+    def words(code, seed):
+        """One seeded word at each weight 0..t + 3, t the code's radius."""
+        t = (code.decoding_distance() - 1) // 2
+        rng = random.Random(seed)
+        return [add_vectors(code.encode(random_message(code, rng)),
+                            random_error(code, rng, weight))
+                for weight in range(t + 4)]
+
+    @staticmethod
+    def assert_walk(code, v):
+        weights, plain_step = [], decoder.step
+
+        def recording(state):
+            weights.append(state.weight)
+            return plain_step(state)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(decoder, "step", recording)
+            plain = decode(code, v)
+        watched, want_bases = [], []
+        result = decode(code, v, lambda *seen: watched.append(seen))
+        want, moves = reference_decode(code, v,
+                                       lambda *seen: want_bases.append(seen))
+        assert weights == (moves if moves[-1:] == [0] else moves + [0])
+        assert plain == result == want
+        assert watched == want_bases
+        assert [s for s, _, _ in watched] == \
+            list(range(watched[0][0], -2, -1))
+
+    @pytest.mark.parametrize("q,u", [(2, 3), (3, 16), (4, 30), (5, 60)])
+    def test_hermitian(self, q, u):
+        code = Code(Curve.hermitian(q), u)
+        for v in self.words(code, 10 * q + u):
+            self.assert_walk(code, v)
+
+    @pytest.mark.parametrize("family,shortened,u",
+                             TestGuaranteeAcrossFamilies.CASES)
+    def test_families(self, family, shortened, u):
+        code = mk_code(family, u, shortened)
+        for v in self.words(code, code.n + u):
+            self.assert_walk(code, v)
 
 
 class TestTrackedInvariants:

@@ -1,6 +1,7 @@
 """The scripts under tools/ run on this checkout."""
 
 import importlib.util
+import os
 import shutil
 import subprocess
 import sys
@@ -91,6 +92,28 @@ def test_abdecode_cold_empties_the_memos_before_every_decode(capsys):
     out = capsys.readouterr().out
     assert "memos emptied before every decode" in out
     assert "vote records, on all 4 words" in out
+
+
+def test_abdecode_pins_to_one_cpu(capsys):
+    # --cpu N pins the process to CPU N; it runs in its own process here,
+    # so the suite keeps its affinity.  A CPU outside the current affinity
+    # set exits 1 before anything is pinned or decoded
+    allowed = os.sched_getaffinity(0)
+    args = [str(ROOT), str(ROOT), "--q", "2", "--u", "3", "--weights",
+            "0,1", "--words", "2", "--rounds", "2"]
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "abdecode.py"), *args,
+         "--cpu", str(min(allowed))],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert f"pinned to CPU {min(allowed)}" in run.stdout
+    assert "vote records, on all 4 words" in run.stdout
+    abdecode = load_tool("abdecode")
+    assert abdecode.main([*args, "--cpu", str(max(allowed) + 1)]) == 1
+    assert os.sched_getaffinity(0) == allowed
+    out = capsys.readouterr().out
+    assert "is not in this process's affinity set" in out
+    assert "agree" not in out
 
 
 def test_abdecode_reports_a_disagreement(tmp_path, capsys):

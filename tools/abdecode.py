@@ -14,10 +14,13 @@ arithmetic, where it has them (the decoder's step plans and G staircase,
 process would start.  Prints ms per word for each side (best and median
 round), the ratio of B's best round to A's, the median of the per-round
 ratios B/A, and the rounds B wins.  Exits 1 when the decodes disagree.
+``--cpu N`` pins the process to CPU N (``os.sched_setaffinity``), so both
+sides run on one core and the ratios do not scatter with the scheduler;
+it exits 1 for a CPU outside the process's current affinity set.
 
     python3 tools/abdecode.py A_CHECKOUT B_CHECKOUT [--q 5] [--u 60]
         [--weights 0,1,2,3,4 | --weights radius] [--words 10]
-        [--rounds 15] [--seed 1] [--cold]
+        [--rounds 15] [--seed 1] [--cold] [--cpu N]
 
 Stdlib only; each checkout needs only ``src/agcodec``.
 """
@@ -25,6 +28,7 @@ Stdlib only; each checkout needs only ``src/agcodec``.
 import argparse
 import gc
 import importlib
+import os
 import random
 import shutil
 import statistics
@@ -119,7 +123,17 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--cold", action="store_true",
                         help="empty the memos before every decode")
+    parser.add_argument("--cpu", type=int,
+                        help="pin the process to this CPU")
     args = parser.parse_args(argv)
+    if args.cpu is not None:
+        allowed = sorted(os.sched_getaffinity(0))
+        if args.cpu not in allowed:
+            print(f"CPU {args.cpu} is not in this process's affinity set "
+                  f"{allowed}")
+            return 1
+        os.sched_setaffinity(0, {args.cpu})
+        print(f"pinned to CPU {args.cpu}")
 
     with tempfile.TemporaryDirectory() as tmp:
         try:
