@@ -11,11 +11,15 @@ reduced Groebner basis of the interpolation module splits into
 Decoding starts from {eta_i} plus z - h_v (h_v interpolating v) at weight
 N = delta(h_v) and walks the weight down to 0.  At each nongap weight
 s <= u ``vote`` tallies votes for the message coordinate w_s: every F
-element nominates one field value, weighted by how much of the downstairs
-footprint its upstairs cone covers (``Semigroup.covered``, the count of
-the order bound nu(s), memoised on pole orders; the staircase of the G
-leads is built once per change of their orders, which only ``step`` makes,
-where the G footprint grows); a vote with one candidate, the common case
+element nominates one field value, read off its leads alone (it leads
+upstairs at s, so its down coefficient at its target du + s is its down
+lead coefficient when dd == du + s, and zero otherwise), weighted by how
+much of the downstairs footprint its upstairs cone covers
+(``Semigroup.covered``, the count of the order bound nu(s), memoised on
+pole orders; the staircase of the G leads is built once per change of
+their orders, which only ``step`` makes, where the G footprint grows);
+the intrinsic fields of a vote, those every basis with these leads gives,
+are named in ``VoteRecord``.  A vote with one candidate, the common case
 below the radius, returns its record with no sort, and the winner is
 subtracted by the substitution z -> z + w * phi_s (below).  ``step``
 converts the basis from weight s to s - 1 (``spoly`` is ``step`` on a
@@ -35,8 +39,13 @@ both parts pruned to the leads no other lead divides (one
 on pole orders, with no field arithmetic, before ``_combine`` builds; the
 plan depends on the lead orders alone, so it is memoised on them, and lead
 configurations repeat from word to word.  ``_monic`` scales a lead to one
-in a combination and in a nomination.  A weight at which no lead moves
-keeps both parts, and a shift leaves a pair with a zero up part untouched.
+in a combination and in a nomination; a combination's G-side scalar
+depends only on its G pair and on whether the y-degrees wrap, so
+``_g_scalar`` builds it once per pair and wrap class and keeps it on the
+pair.  ``decode`` and ``step`` visit the F part once per event, reading
+each pair's leads from its ``du`` and ``dd``.  A weight at which no lead
+moves keeps both parts, and a shift leaves a pair with a zero up part
+untouched.
 The split is kept at every weight, so leads are read off the basis: a G
 element leads with its down part, an F element with its up part, and the
 one test left is whether an F element still leads upstairs at s - 1,
@@ -93,7 +102,9 @@ class Lead(NamedTuple):
 @dataclasses.dataclass(slots=True)
 class ModulePair:
     """f = up * z + down with both components reduced; du and dd are the
-    pole orders of up and down (None for zero), read once, when built."""
+    pole orders of up and down (None for zero), read once, when built.
+    ``_cg`` keeps the G-side scalars of the combinations with this pair as
+    their G element (``_g_scalar``), filled on first need."""
 
     up: RingElement
     down: RingElement
@@ -101,9 +112,12 @@ class ModulePair:
                                           compare=False)
     dd: Optional[int] = dataclasses.field(init=False, repr=False,
                                           compare=False)
+    _cg: Optional[list] = dataclasses.field(init=False, repr=False,
+                                            compare=False)
 
     def __post_init__(self) -> None:
         self.du, self.dd = self.up.delta(), self.down.delta()
+        self._cg = None
 
 
 def _pair(up: RingElement, down: RingElement, du: Optional[int]) -> ModulePair:
@@ -111,6 +125,7 @@ def _pair(up: RingElement, down: RingElement, du: Optional[int]) -> ModulePair:
     a substitution and a reduction keep the up lead: only down's is read."""
     pair = object.__new__(ModulePair)
     pair.up, pair.down, pair.du, pair.dd = up, down, du, down.delta()
+    pair._cg = None
     return pair
 
 
@@ -160,7 +175,14 @@ class GBState(NamedTuple):
 
 class VoteRecord(NamedTuple):
     """One voting round: candidates, their tallies, and the winner; a named
-    tuple, so equal to a plain tuple of the same five fields."""
+    tuple, so equal to a plain tuple of the same five fields.
+
+    s, the chosen value, the margin and the nonzero tallies are intrinsic:
+    every basis with the decoder's leads at weight s gives them.  The
+    candidates of tally 0 depend on the basis: one comes from an F element
+    whose target is in a G lead's cone, and adding a multiple of that G
+    element to it changes its nomination freely (``a^3:0`` at s=14 in the
+    golden q=3 trace is one)."""
 
     s: int
     candidates: tuple[FieldElement, ...]
@@ -202,8 +224,12 @@ def vote(code: Code, s: int, state: GBState) -> VoteRecord:
     """Majority vote for the message coordinate at nongap order s <= u, on
     a basis at weight s.
 
-    Each F element nominates one value, and a candidate's tally is the
-    part of the G footprint that its nominators' targets cover.  The
+    Each F element nominates one value, read off its leads: it leads
+    upstairs at s, so its down part's coefficient at its target du + s
+    (the order of up * phi_s's lead) is its down lead coefficient when
+    dd == du + s and zero otherwise, and it nominates minus that
+    coefficient over up * phi_s's lead coefficient.  A candidate's tally is
+    the part of the G footprint that its nominators' targets cover.  The
     winner is the first candidate (in ``canonical_key`` order) of largest
     tally, zero when every tally is 0, and the margin is its lead over the
     runner-up.  A lone candidate is that rule's direct case: it wins
@@ -215,15 +241,17 @@ def vote(code: Code, s: int, state: GBState) -> VoteRecord:
         raise ValueError(f"voting at {s} requires a basis at weight {s}, "
                          f"got weight {state.weight}")
     curve = state.curve
+    zero = curve.field.zero
     stair_g = _g_staircase(sg, tuple([g.dd for g in state.g]))
 
-    nominations: dict[FieldElement, list[int]] = {}
+    nominations: dict[FieldElement, tuple[int, ...]] = {}
     for pair in state.f:
         du = pair.du
-        target = du + s  # pole order of the leading monomial of up * phi_s
-        d = pair.down.coefficient_at(target)
-        w_j = -(d * _monic(curve, s, du, pair.up.leading_coefficient()))
-        nominations.setdefault(w_j, []).append(target)
+        target = du + s
+        w_j = zero if pair.dd != target else -(
+            pair.down.leading_coefficient()
+            * _monic(curve, s, du, pair.up.leading_coefficient()))
+        nominations[w_j] = nominations.get(w_j, ()) + (target,)
 
     # a candidate weighs the part of the G footprint its targets' cones cover
     tallies = {c: sg.covered(stair_g, targets)
@@ -261,17 +289,15 @@ def _substituted(part: Sequence[ModulePair],
     ``_plus``, and a pair with a zero up part (du None) is the same object.
     One vote is handed to ``_plus`` as its one product, with no list; the
     up part, and so its lead du, is kept."""
-    out = []
-    one = votes[0] if len(votes) == 1 else None
-    for p in part:
-        if p.du is None:
-            out.append(p)
-        elif one is not None:
-            out.append(_pair(p.up, p.down._plus((p.up, *one)), p.du))
-        else:
-            out.append(_pair(p.up, p.down._plus(
-                *[(p.up, s, w) for s, w in votes]), p.du))
-    return tuple(out)
+    if len(votes) == 1:
+        (s, w), = votes
+        return tuple([p if p.du is None
+                      else _pair(p.up, p.down._plus((p.up, s, w)), p.du)
+                      for p in part])
+    return tuple([p if p.du is None
+                  else _pair(p.up, p.down._plus(
+                      *[(p.up, s, w) for s, w in votes]), p.du)
+                  for p in part])
 
 
 def spoly(s: int, pair: ModulePair, g_part: Sequence[ModulePair]) -> list[ModulePair]:
@@ -299,7 +325,7 @@ def _combine(pair: ModulePair, g: ModulePair, psi: int,
     lead du is kept, as g's up part is strictly lower."""
     curve, mu, r = pair.up.curve, pair.dd, g.dd
     qf, qg = psi - mu, psi - r
-    cg = -_monic(curve, qg, r, g.down.leading_coefficient())
+    cg = _g_scalar(curve, g, qg)
     if qf:
         cf = _monic(curve, qf, mu, lc)
         zero = curve.zero()
@@ -315,6 +341,24 @@ def _monic(curve: Curve, q: int, order: int, lc: FieldElement) -> FieldElement:
     return (lc * curve.lead_factor(q, order)).inverse()
 
 
+def _g_scalar(curve: Curve, g: ModulePair, q: int) -> FieldElement:
+    """cg = -1 / (lc_g * lead_factor(q, r)), the G-side scalar of a
+    combination with g at psi = r + q, for g's down lead lc_g * phi(r).
+    It depends only on g and on whether the y-degrees of phi(q) and phi(r)
+    wrap (``Curve.lead_factor``), so it is built once per G pair and wrap
+    class and kept on the pair (``ModulePair._cg``), which it dies with."""
+    factor = curve.lead_factor(q, g.dd)
+    kept = g._cg
+    if kept is None:
+        kept = g._cg = [None, None]
+    wrap = factor is not curve.field.one
+    cg = kept[wrap]
+    if cg is None:
+        cg = kept[wrap] = -_monic(curve, q, g.dd,
+                                  g.down.leading_coefficient())
+    return cg
+
+
 def step(state: GBState) -> GBState:
     """Convert a basis at weight s into the reduced basis at weight s - 1.
 
@@ -325,34 +369,45 @@ def step(state: GBState) -> GBState:
     falls outside the old G footprint (an equal lead keeps the old G
     element).
 
-    Only what changes is built and pruned.  Where nothing moves, both parts
-    are the same tuples; ``decode`` calls step only where an F element
-    moves and at weight 0.  Where a G lead divides every moved down lead
-    mu, each moved element is reduced once, by the first such G element
-    (``Semigroup.divisor``), both sides in one ``curvering._reduced``
-    call, and the G part is the same tuple (a G lead does not depend on
-    the weight); no plan divides another, as each F element still leads at
-    its own up lead.  Only where the G footprint
-    grows does ``_plan`` take lcms and prune each part, on pole orders; its
-    plan is memoised on the weights, s, the F leads (du, dd) and the G
-    leads dd, so a decode meeting a lead configuration again only builds.
-    Each moved element's down lead coefficient is read once, either way.
+    Only what changes is built and pruned, in one pass over the F part
+    that finds each moved element, the first G element whose lead divides
+    its down lead mu (``Semigroup.divisor``) and its down lead
+    coefficient.  Where nothing moves, both parts are the same tuples;
+    ``decode`` calls step only where an F element moves and at weight 0.
+    A moved element with such a G element is reduced by it in that pass,
+    both sides in one ``curvering._reduced`` call, so where every moved
+    element has one, that pass builds the new F part and the G part is the
+    same tuple (a G lead does not depend on the weight); no plan divides
+    another, as each F element still leads at its own up lead.  Only where
+    the G footprint grows does ``_plan`` take lcms and prune each part, on
+    pole orders; its plan is memoised on the weights, s, the F leads (du,
+    dd) and the G leads dd, so a decode meeting a lead configuration again
+    only builds the rest.  A reduction's up lead du is minimal among the
+    up leads at s, so at s - 1, and the plan keeps it as built.
     """
-    s = state.weight
-    moved = [p for p in state.f if not _leads_up(s - 1, p)]
-    if not moved:
-        return GBState(s - 1, state.g, state.f, state.curve)
-    sg, g, f = state.curve.semigroup, state.g, state.f
-    g_orders = [p.dd for p in g]
-    divisors = [sg.divisor(p.dd, g_orders) for p in moved]
-    lc = [p.down.leading_coefficient() for p in moved]
-    if None not in divisors:  # each moved element is reduced in its place
-        new_f, k = [], 0
-        for p in f:
-            if k < len(moved) and p is moved[k]:
-                p = _combine(p, g[divisors[k]], p.dd, lc[k])
-                k += 1
+    s, g, f = state.weight, state.g, state.f
+    sg = state.curve.semigroup
+    new_f, moved, divisors, lc, reduced = [], [], [], [], []
+    g_orders = None
+    for p in f:
+        mu = p.dd
+        if mu is None or p.du + s > mu:  # still leads upstairs at s - 1
             new_f.append(p)
+            continue
+        if g_orders is None:
+            g_orders = [q.dd for q in g]
+        j = sg.divisor(mu, g_orders)
+        c = p.down.leading_coefficient()
+        moved.append(p)
+        divisors.append(j)
+        lc.append(c)
+        if j is not None:
+            p = _combine(p, g[j], mu, c)
+        reduced.append(p)
+        new_f.append(p)
+    if not moved:
+        return GBState(s - 1, g, f, state.curve)
+    if None not in divisors:  # each moved element is reduced in its place
         return GBState(s - 1, g, tuple(new_f), state.curve)
     key = (sg.a, sg.b, s, len(f), *[p.du for p in f], *[p.dd for p in f],
            *g_orders)
@@ -361,7 +416,9 @@ def step(state: GBState) -> GBState:
         plan = _PLANS.keep(key, _plan(g, f, moved, divisors, sg))
     g_kept, f_plans = plan
     it = iter(f_plans)
+    # the pass built the reductions; only the lcm combinations are left
     new_f = tuple([f[i] if j is None
+                   else reduced[i] if j == divisors[i]
                    else _combine(moved[i], g[j], psi, lc[i])
                    for i, j, psi in zip(it, it, it)])
     grown = (*g, *moved)
@@ -487,12 +544,14 @@ def decode(code: Code, v: Sequence[FieldElement],
             state = _settled(state, pending)
             watch(s, state, record)
         if record is not None and not record.chosen.is_zero:
-            pending.append((s, record.chosen))
-            state = GBState(s, state.g, _substituted(state.f, pending[-1:]),
-                            curve)
+            won = (s, record.chosen)
+            pending.append(won)
+            state = GBState(s, state.g, _substituted(state.f, (won,)), curve)
         # an F element moves downstairs at weight dd - du, never above s
-        top = max([p.dd - p.du for p in state.f if p.dd is not None],
-                  default=-1)
+        top = -1
+        for p in state.f:
+            if p.dd is not None and p.dd - p.du > top:
+                top = p.dd - p.du
         if top == s or not s:
             if pending and top == s:
                 state = _settled(state, pending)  # step combines with G

@@ -69,12 +69,35 @@ ORDER_CAP = 1 << 16
 _from_bytes = int.from_bytes
 
 # Reduction polynomials, as coefficient tuples (constant term first, monic).
+# Past GF(9), every entry is the one the search of ``_default_modulus``
+# picks, kept here so that building the field skips the search.
 _DEFAULT_MODULI: dict[tuple[int, int], tuple[int, ...]] = {
     (2, 2): (1, 1, 1),                    # x^2 + x + 1
     (2, 3): (1, 1, 0, 1),                 # x^3 + x + 1
     (2, 4): (1, 1, 0, 0, 1),              # x^4 + x + 1
     (2, 8): (1, 0, 1, 1, 1, 0, 0, 0, 1),  # x^8 + x^4 + x^3 + x^2 + 1
     (3, 2): (2, 2, 1),                    # x^2 - x - 1, so a^2 = a + 1
+    (2, 5): (1, 0, 1, 0, 0, 1),           # x^5 + x^2 + 1
+    (2, 6): (1, 1, 0, 0, 0, 0, 1),        # x^6 + x + 1
+    (2, 7): (1, 1, 0, 0, 0, 0, 0, 1),     # x^7 + x + 1
+    (2, 9): (1, 0, 0, 0, 1, 0, 0, 0, 0, 1),         # x^9 + x^4 + 1
+    (2, 10): (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1),     # x^10 + x^3 + 1
+    (3, 3): (1, 2, 0, 1),                 # x^3 + 2x + 1
+    (3, 4): (2, 1, 0, 0, 1),              # x^4 + x + 2
+    (3, 5): (1, 2, 0, 0, 0, 1),           # x^5 + 2x + 1
+    (3, 6): (2, 1, 0, 0, 0, 0, 1),        # x^6 + x + 2
+    (5, 2): (2, 1, 1),                    # x^2 + x + 2
+    (5, 3): (2, 3, 0, 1),                 # x^3 + 3x + 2
+    (5, 4): (2, 2, 1, 0, 1),              # x^4 + x^2 + 2x + 2
+    (7, 2): (3, 1, 1),                    # x^2 + x + 3
+    (7, 3): (2, 3, 0, 1),                 # x^3 + 3x + 2
+    (11, 2): (7, 1, 1),                   # x^2 + x + 7
+    (13, 2): (2, 1, 1),                   # x^2 + x + 2
+    (17, 2): (3, 1, 1),                   # x^2 + x + 3
+    (19, 2): (2, 1, 1),                   # x^2 + x + 2
+    (23, 2): (7, 1, 1),                   # x^2 + x + 7
+    (29, 2): (3, 1, 1),                   # x^2 + x + 3
+    (31, 2): (12, 1, 1),                  # x^2 + x + 12
 }
 
 
@@ -192,7 +215,9 @@ class Field:
     def _default_modulus(self) -> tuple[tuple[int, ...], Optional[list[int]]]:
         """The default modulus of GF(p^m), m > 1, and its ``_x_powers``;
         runs once p, m and order are set.  Every GF(p^m) has a primitive
-        polynomial of degree m, and the loop tries every monic one."""
+        polynomial of degree m, and the loop tries every monic one; trial
+        division rejects a reducible one before ``_x_powers`` walks up to
+        p^m - 2 powers of x for it."""
         p, m = self.p, self.m
         table = _DEFAULT_MODULI.get((p, m))
         if table is not None:
@@ -200,6 +225,8 @@ class Field:
         for packed in range(p ** m):
             low = tuple((packed // p ** k) % p for k in range(m))
             candidate = low + (1,)
+            if not _is_irreducible(candidate, p):
+                continue
             powers = self._x_powers(candidate)
             if powers is not None:
                 return candidate, powers

@@ -346,7 +346,7 @@ def clear_memos():
     curvering._TALLIES.clear()
 
 
-def reference_decode(code, v, watch=None):
+def reference_decode(code, v, watch=None, noise=None):
     """(decode(code, v, watch) written out as a loop over every weight, the
     weights at which an F element moves downstairs).
 
@@ -354,11 +354,14 @@ def reference_decode(code, v, watch=None):
     substitutes the winner into the whole basis at once (``shift``), so
     nothing is pending, and calls ``step`` at every weight, also where no
     lead moves; ``watch`` sees every weight and the final basis at -1.
-    The status follows decode's rule."""
+    With a random.Random ``noise``, each weight's basis first takes tail
+    noise (``tail_noise``).  The status follows decode's rule."""
     sg = code.curve.semigroup
     state = decoder.initial_basis(code, v)
     votes, moves = [], []
     for s in range(state.weight, -1, -1):
+        if noise is not None:
+            state = tail_noise(state, noise)
         record = None
         if s <= code.u and sg.is_nongap(s):
             record = decoder.vote(code, s, state)
@@ -387,6 +390,51 @@ def reference_decode(code, v, watch=None):
                                 distance), moves
 
 
+def tail_noise(state, rng):
+    """The basis with each pair p replaced by p + c * x^i * h, for a
+    random other basis element h whose lead is strictly lower than p's in
+    the weighted module order at the basis's weight (z of weight s, and
+    upstairs first at equal weight), a random nonzero c and a random i
+    that keeps x^i * h's lead below p's: a unitriangular change of basis,
+    so the module, every lead and every side stay, as is asserted.  A pair
+    with no lower element is kept."""
+    s, curve = state.weight, state.curve
+    pairs = (*state.g, *state.f)
+    leads = [decoder.leading(s, p) for p in pairs]
+    keys = [(lead.order + (s if lead.location == decoder.UP else 0),
+             lead.location == decoder.UP) for lead in leads]
+    nonzero = curve.field.elements()[1:]
+    out = []
+    for p, key in zip(pairs, keys):
+        lower = [(h, k) for h, k in zip(pairs, keys) if k < key]
+        if not lower:
+            out.append(p)
+            continue
+        h, (weight, up) = rng.choice(lower)
+        i = (key[0] - weight) // curve.a  # x^i * h leads at weight + a*i
+        if (weight + curve.a * i, up) >= key:
+            i -= 1
+        times = curve.monomial(rng.randint(0, i), 0, rng.choice(nonzero))
+        out.append(decoder.ModulePair(p.up + h.up * times,
+                                      p.down + h.down * times))
+    assert [decoder.leading(s, p) for p in out] == leads
+    g = len(state.g)
+    return decoder.GBState(s, tuple(out[:g]), tuple(out[g:]), curve)
+
+
+def perturbed_decode(code, v, rng) -> tuple:
+    """The vote records of ``reference_decode`` with tail noise at every
+    weight (``tail_noise``, drawn from rng)."""
+    return reference_decode(code, v, noise=rng)[0].votes
+
+
+def intrinsic_votes(votes) -> list:
+    """(s, chosen, margin, nonzero tallies) of each vote record: the fields
+    that every basis with the decoder's leads gives."""
+    return [(r.s, r.chosen, r.margin,
+             {c: t for c, t in r.tallies.items() if t}) for r in votes]
+
+
 def tracked_decode(code, v):
     """Decode while recording (s, state, vote, v_at_s) per iteration.
 
@@ -408,3 +456,60 @@ def tracked_decode(code, v):
 
     result = decode(code, v, watch=watch)
     return result, records
+
+
+def reference_default_modulus(p: int, m: int) -> tuple[int, ...]:
+    """The default modulus of GF(p^m) by the library's first search: the
+    first monic polynomial of degree m over GF(p) (coefficients constant
+    term first, ordered as base-p integers) modulo which x has order
+    p^m - 1, found by walking the powers of x for every candidate, with
+    no trial division.  A primitive x proves the candidate irreducible."""
+    n, one = p ** m - 1, [1] + [0] * (m - 1)
+    for packed in range(p ** m):
+        low = [(packed // p ** k) % p for k in range(m)]
+        if not low[0]:  # x divides the candidate: no unit
+            continue
+        power, e = one, 0
+        while True:  # x^(e+1) from x^e: shift up, then x^m = -sum(low x^k)
+            top, e = power[-1], e + 1
+            power = [0] + power[:-1]
+            if top:
+                power = [(c - top * d) % p for c, d in zip(power, low)]
+            if power == one:
+                break
+        if e == n:
+            return tuple(low) + (1,)
+    raise AssertionError(f"GF({p}^{m}) has no primitive polynomial")
+
+
+def whole_fibers(points: Sequence[Point], a: int) -> list[Point]:
+    """The points whose x-value carries a of the points, in order."""
+    counts: dict[FieldElement, int] = {}
+    for px, _ in points:
+        counts[px] = counts.get(px, 0) + 1
+    return [p for p in points if counts[p[0]] == a]
+
+
+def dual_weights(code: Code) -> list[FieldElement] | None:
+    """The twist w of the dual code, one entry per point, when the points
+    are whole fibers (``whole_fibers``); None otherwise.  Then
+    C_u^perp = w (.) C_u' for u' = n + 2g - 2 - u, with
+    w_P = 1 / (F_y(P) * prod(x_P - x1 over the other x-values x1)): the
+    residues at the points of dx / (F_y * prod(x - x1)), whose divisor is
+    (n + 2g - 2)P_inf - D.  F_y is the formal partial in y of
+    ``Curve.equation_terms()``."""
+    curve = code.curve
+    if len(whole_fibers(code.points, curve.a)) != code.n:
+        return None
+    times = curve.field.element
+    dy = [((i, j - 1), times(j) * c)
+          for (i, j), c in curve.equation_terms().items() if j]
+    xs = dict.fromkeys(px for px, _ in code.points)
+    spread = {}  # prod(x - x1 over the other x-values x1), per x-value
+    for x in xs:
+        spread[x] = curve.field.one
+        for x1 in xs:
+            if x1 != x:
+                spread[x] = spread[x] * (x - x1)
+    return [(evaluate_raw(dy, px, py) * spread[px]).inverse()
+            for px, py in code.points]

@@ -14,10 +14,11 @@ from agcodec.curvering import Curve, Monomial, Semigroup
 from agcodec.decoder import decode
 from agcodec.gf import Field, FieldElement
 
-from support import (MK_FAMILIES, add_vectors, contains, ev, is_smooth_at,
-                     lattice_divides, mk_code, random_error, random_message,
-                     rank, reference_encode, reference_ideal_basis,
-                     reference_lagrange, support)
+from support import (LARGE_MK_FAMILIES, MK_FAMILIES, add_vectors, contains,
+                     dual_weights, ev, is_smooth_at, lattice_divides,
+                     mk_code, random_error, random_message, rank,
+                     reference_encode, reference_ideal_basis,
+                     reference_lagrange, support, whole_fibers)
 
 # the interpolation of the bundled received vector, as (token, i, j) terms
 H_V_TERMS = [
@@ -752,6 +753,78 @@ class TestLargeField:
         assert result.distance == t
         # built once, with the Field
         assert field._zt is tables[0] and field._norm is tables[1]
+
+
+class TestDuality:
+    """On a point set D of whole fibers (x-values that each carry a
+    points) the dual of C_u is w (.) C_u', u' = n + 2g - 2 - u, with w from
+    ``dual_weights``: k + k' = n, and the w-twisted product of codewords of
+    C_u and C_u' is zero.  An encode oracle at every size, as it needs no
+    brute force."""
+
+    @staticmethod
+    def assert_dual(curve, points, rng) -> int:
+        """Checks the u of 2g - 1 <= u < n at both ends, the middle and
+        one at random, three codeword pairs each; returns how many u."""
+        n, a, b = len(points), curve.a, curve.b
+        g = (a - 1) * (b - 1) // 2
+        low, high = 2 * g - 1, n - 1
+        us = sorted({low, (low + high) // 2, rng.randint(low, high), high})
+        zero = curve.field.zero
+        for u in us:
+            code = Code(curve, u, points)
+            dual = Code(curve, n + 2 * g - 2 - u, points)
+            assert code.k + dual.k == n, (u, code.k, dual.k)
+            w = dual_weights(code)
+            for _ in range(3):
+                c = code.encode(random_message(code, rng))
+                d = dual.encode(random_message(dual, rng))
+                total = zero
+                for wi, ci, di in zip(w, c, d):
+                    total = total + wi * ci * di
+                assert total.is_zero, u
+        return len(us)
+
+    @pytest.mark.parametrize("family",
+                             sorted(MK_FAMILIES | LARGE_MK_FAMILIES))
+    def test_families(self, family):
+        # on a=3 and a=4 over GF(7) the whole fibers hold fewer than 2g
+        # points, so no u has a dual code there
+        curve, _ = curve_from_config((MK_FAMILIES | LARGE_MK_FAMILIES)[family])
+        points = whole_fibers(rational_points(curve), curve.a)
+        g = (curve.a - 1) * (curve.b - 1) // 2
+        if family in ("a3-gf7", "a4-gf7"):
+            assert len(points) < 2 * g
+            return
+        assert self.assert_dual(curve, points, random.Random(family)) >= 3
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
+    def test_hermitian(self, q):
+        curve = Curve.hermitian(q)
+        points = rational_points(curve)
+        assert len(points) == q ** 3 == len(whole_fibers(points, q))
+        assert self.assert_dual(curve, points, random.Random(q)) >= 3
+
+    def test_only_whole_fibers_and_the_dual_length(self, curve_q3):
+        # a partial fiber has no twist, and C_u' + 1 (the next nongap up)
+        # is not orthogonal to C_u under it: its new codeword meets some
+        # codeword of C_u's basis
+        code = mk_code("a3-gf7", 3)
+        assert dual_weights(code) is None
+        code, zero = Code(curve_q3, 8), curve_q3.field.zero
+        w = dual_weights(code)
+        wider = Code(curve_q3, 27 + 6 - 2 - 8 + 1)
+        assert wider.k == 27 - code.k + 1
+        new = wider.encode([zero] * (wider.k - 1) + [curve_q3.field.one])
+        products = []
+        for i in range(code.k):
+            c = code.encode([curve_q3.field.one if j == i else zero
+                             for j in range(code.k)])
+            total = zero
+            for wi, ci, di in zip(w, c, new):
+                total = total + wi * ci * di
+            products.append(total)
+        assert any(not t.is_zero for t in products)
 
 
 class TestDistance:

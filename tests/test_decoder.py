@@ -20,10 +20,10 @@ from agcodec.gf import Field, FieldElement
 from agcodec.oracle import check_gb
 
 from conftest import FIXTURES
-from support import (MK_FAMILIES, add_vectors, clear_memos, lattice_divides,
-                     mk_code, random_error, random_message,
-                     reference_decode, reference_prime_reduce,
-                     tracked_decode)
+from support import (MK_FAMILIES, add_vectors, clear_memos, intrinsic_votes,
+                     lattice_divides, mk_code, perturbed_decode,
+                     random_error, random_message, reference_decode,
+                     reference_prime_reduce, tail_noise, tracked_decode)
 
 
 def decode_counting_products(code, received, monkeypatch):
@@ -135,6 +135,17 @@ class TestModulePair:
         assert pair != (curve_q3.zero(), curve_q3.one())
         with pytest.raises(TypeError):
             hash(pair)
+
+    def test_kept_scalars_are_not_part_of_the_value(self, curve_q3):
+        # a G pair keeps its G-side scalar per wrap class once built, which
+        # leaves its repr and its equality as they were
+        g = ModulePair(curve_q3.zero(), curve_q3.monomial(3, 0))
+        plain = ModulePair(curve_q3.zero(), curve_q3.monomial(3, 0))
+        cg = decoder._g_scalar(curve_q3, g, 4)
+        assert cg == -curve_q3.field.one
+        assert decoder._g_scalar(curve_q3, g, 4) is cg
+        assert g._cg is not None and plain._cg is None
+        assert g == plain and repr(g) == repr(plain)
 
 
 class TestRecords:
@@ -1047,19 +1058,26 @@ class TestDecode:
                 assert decode(code, received).message == message
 
     def test_field_products_pinned(self, received_q3, monkeypatch):
-        # the bundled decode on a fresh code makes 293 boxed products, all
-        # scalars, by call site: 83 lead coefficients; 53 in the ring
-        # kernel, one tc * (e's scale) per product, as each multiplier is
-        # divided by the result's scale on logs; in _combine 34 _monic
-        # scalars (cg for the 22 reductions, cf and cg for the 6 lcm
-        # combinations), 22 products cg * lc and 42 scalings by cf = 1 / lc
-        # of the reductions' sides, as the 2 down sides that cancel to zero
-        # take none (295 when a zero sum was scaled too); 28 _monic scalars
-        # and 28 nominations of the votes; and 3 coefficient_at reads.  359
-        # before: 161 in the kernel, where a multiplier took a second
-        # product by the inverse of the result's scale, and 56 _monic
-        # scalars in _combine, where a reduction built both its products
-        # into an empty side.  The kernel makes 308 products, 295 of
+        # the bundled decode on a fresh code makes 174 boxed products, all
+        # scalars, by call site: 39 lead coefficients (the 27 moved F
+        # elements' down leads, both leads of the 3 nominations read off a
+        # down lead, and 6 G leads); 53 in the ring kernel, one tc * (e's
+        # scale) per product, as each multiplier is divided by the result's
+        # scale on logs; 15 _monic scalars: cf for the 6 lcm combinations,
+        # 6 G-side scalars cg, each built once per G pair and wrap class for
+        # the 28 combinations, and 3 for the nominations; in _combine 22
+        # products cg * lc and 42 scalings by cf = 1 / lc of the
+        # reductions' sides, as the 2 down sides that cancel to zero take
+        # none (295 when a zero sum was scaled too); and 3 nominations, as
+        # the other 25 F elements' down leads fall below their targets, so
+        # they nominate zero with no product.  293 before the nominations were
+        # read off the leads and cg was kept on the G pair: 83 lead
+        # coefficients, 62 _monic scalars (34 of them in _combine), 28
+        # nominations and 3 coefficient_at reads; 359 before that, with
+        # 161 in the kernel, where a multiplier took a second product by
+        # the inverse of the result's scale, and 56 _monic scalars in
+        # _combine, where a reduction built both its products into an
+        # empty side.  The kernel makes 308 products, 295 of
         # entries by their product's multiplier and 13 of the row x^i y^2
         # by the curve's one correction term, in the 8 multiples y^j * e
         # that products build once per element (374 boxed before the
@@ -1076,20 +1094,28 @@ class TestDecode:
         result, boxed, kernel, *calls = decode_counting_products(
             code, received_q3, monkeypatch)
         assert result.status == STATUS_OK
-        assert (boxed, kernel, *calls) == (293, 308, 12, 22)
+        assert (boxed, kernel, *calls) == (174, 308, 12, 22)
 
     def test_field_products_pinned_q4(self, monkeypatch):
         # one seeded word at the full radius t=16 of Hermitian q=4, u=30 on
-        # a fresh code: 1,509 boxed products, all scalars, by call site:
-        # 367 lead coefficients; 359 in the ring kernel and the reduction
-        # calls, one per product; in _combine 154 _monic scalars (cg for
-        # the 116 reductions, cf and cg for the 19 lcm combinations), 116
+        # a fresh code: 1,220 boxed products, all scalars, by call site:
+        # 313 lead coefficients (the 132 moved F elements' down leads, both
+        # leads of the 81 nominations read off a down lead, and 19 G
+        # leads); 359 in the ring kernel and the reduction calls, one per
+        # product; 119 _monic scalars: cf for the 19 lcm combinations, 19
+        # G-side scalars cg, each built once per G pair and wrap class for
+        # the 135 combinations, and 81 for the nominations; in _combine 116
         # products cg * lc and 232 scalings by cf = 1 / lc of the
-        # reductions' two sides; 100 _monic scalars and 100 nominations of
-        # the votes; and 81 coefficient_at reads.  1,585 when decode settled the G part on return: the 19
-        # votes then pending went into the 4 G pairs with a nonzero up
-        # part, 76 products boxed in the ring kernel; 2,010 before that,
-        # with 1,092 in the kernel and 270 _monic scalars in _combine.  7,145
+        # reductions' two sides; and 81 nominations, as the other 19 F
+        # elements' down leads fall below their targets, so they nominate
+        # zero with no product.  1,509 before the nominations were read off
+        # the leads and cg was kept on the G pair: 367 lead coefficients,
+        # 254 _monic scalars (154 in _combine), 100 nominations and 81
+        # coefficient_at reads.  1,585 when decode settled the G part on
+        # return: the 19 votes then pending went into the 4 G pairs with a
+        # nonzero up part, 76 products boxed in the ring kernel; 2,010
+        # before that, with 1,092 in the kernel and 270 _monic scalars in
+        # _combine.  7,145
         # kernel products, all of entries by their multiplier (8,201 with
         # the 1,056 of that settlement on return); the 40 multiples
         # y^j * e built once per element cost none, as the curve's one
@@ -1113,7 +1139,7 @@ class TestDecode:
         result, boxed, kernel, *calls = decode_counting_products(
             code, received, monkeypatch)
         assert result.message == message
-        assert (boxed, kernel, *calls) == (1509, 7145, 122, 116)
+        assert (boxed, kernel, *calls) == (1220, 7145, 122, 116)
 
     def test_q4_guarantee_at_full_radius(self):
         # Hermitian q=4, u=30: n=64, d=34, so t=16 is the full radius
@@ -1513,6 +1539,43 @@ class TestWalk:
         code = mk_code(family, u, shortened)
         for v in self.words(code, code.n + u):
             self.assert_walk(code, v)
+
+
+class TestVoteIntrinsics:
+    """s, the chosen value, the margin and the nonzero tallies of every
+    vote are the same on any basis with the decoder's leads: a walk that
+    adds tail noise at every weight (``perturbed_decode``) reproduces
+    decode's, while the candidates of tally 0 may differ."""
+
+    @staticmethod
+    def assert_intrinsic(code, seed) -> int:
+        """Checks one word at each weight 0..t + 3; returns how many of
+        them differ in their whole vote records."""
+        rng, differ = random.Random(seed), 0
+        for v in TestWalk.words(code, seed):
+            plain, noisy = decode(code, v).votes, perturbed_decode(code, v,
+                                                                   rng)
+            assert intrinsic_votes(noisy) == intrinsic_votes(plain)
+            differ += noisy != plain
+        return differ
+
+    def test_hermitian(self):
+        differ = [self.assert_intrinsic(Code(Curve.hermitian(q), u), q + u)
+                  for q, u in [(2, 3), (3, 16), (4, 30), (5, 60)]]
+        assert sum(differ)  # the noise reaches some tally-0 candidate
+
+    @pytest.mark.parametrize("family,shortened,u",
+                             TestGuaranteeAcrossFamilies.CASES)
+    def test_families(self, family, shortened, u):
+        code = mk_code(family, u, shortened)
+        self.assert_intrinsic(code, 7 * code.n + u)
+
+    def test_noise_keeps_leads_and_changes_tails(self, code_q3, received_q3):
+        state = decoder.initial_basis(code_q3, received_q3)
+        noisy = tail_noise(state, random.Random(1))
+        assert noisy.f_leads() == state.f_leads()
+        assert noisy.g_leads() == state.g_leads()
+        assert noisy.f != state.f  # the G element has the lowest lead
 
 
 class TestTrackedInvariants:

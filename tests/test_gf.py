@@ -10,7 +10,10 @@ import pytest
 from agcodec.code import Code
 from agcodec.curvering import Curve
 from agcodec.decoder import decode
-from agcodec.gf import Field, ORDER_CAP, _prime_factors, canonical_key
+from agcodec.gf import (_DEFAULT_MODULI, ORDER_CAP, Field, _prime_factors,
+                        canonical_key)
+
+from support import reference_default_modulus
 
 # prime powers up to 81, for the exhaustive property sweeps
 SMALL_ORDERS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
@@ -96,6 +99,20 @@ class TestConstruction:
             digest.update(line.encode() + b"\n")
         assert len(cases) == 199
         assert digest.hexdigest() == self.TABLES_DIGEST
+
+    def test_default_modulus_matches_the_reference_search(self):
+        # every table entry, and every field of order <= 4096 with or
+        # without one, has the modulus of the search without trial
+        # division; only GF(9) keeps its documented x^2 - x - 1 instead
+        cases = {(p, m) for p in range(2, 65) if _prime_factors(p) == [p]
+                 for m in range(2, 13) if p ** m <= 4096}
+        assert set(_DEFAULT_MODULI) <= cases and len(cases) == 40
+        for p, m in sorted(cases):
+            want = reference_default_modulus(p, m)
+            if (p, m) == (3, 2):
+                assert want == (2, 1, 1) and Field(3, 2).modulus == (2, 2, 1)
+            else:
+                assert Field(p, m).modulus == want, (p, m)
 
     def test_modulus_without_primitive_x(self):
         # x^2 + 1 over GF(3) is irreducible, but x^2 = -1 gives x order 4:

@@ -1,5 +1,7 @@
 """The scripts under tools/ run on this checkout."""
 
+import argparse
+import dataclasses
 import importlib.util
 import os
 import shutil
@@ -92,6 +94,42 @@ def test_abdecode_cold_empties_the_memos_before_every_decode(capsys):
     out = capsys.readouterr().out
     assert "memos emptied before every decode" in out
     assert "vote records, on all 4 words" in out
+
+
+def test_abdecode_intrinsic_checks_the_intrinsic_vote_fields(capsys):
+    # --intrinsic compares messages, statuses, distances and each vote's s,
+    # chosen value, margin and nonzero tallies only, and counts the words
+    # whose whole vote records differ: a side that adds a candidate of
+    # tally 0 to every vote agrees under it, and disagrees without it
+    abdecode = load_tool("abdecode")
+    args = [str(ROOT), str(ROOT), "--q", "3", "--u", "16", "--weights",
+            "0,5", "--words", "2", "--rounds", "2", "--intrinsic"]
+    assert abdecode.main(args) == 0
+    out = capsys.readouterr().out
+    assert "nonzero tallies, on all 4 words; 0 of them differ" in out
+
+    def extra_candidate(code, v):
+        result = agcodec.decode(code, v)
+        votes = []
+        for r in result.votes:
+            extra = next(c for c in code.field.elements()
+                         if c not in r.tallies)
+            votes.append(r._replace(candidates=(*r.candidates, extra),
+                                    tallies={**r.tallies, extra: 0}))
+        return dataclasses.replace(result, votes=tuple(votes))
+
+    other = types.SimpleNamespace(
+        Code=agcodec.Code, Curve=agcodec.Curve, decode=extra_candidate,
+        format_vector=agcodec.format_vector,
+        parse_vector=agcodec.parse_vector)
+    for intrinsic, status in ((True, 0), (False, 1)):
+        options = argparse.Namespace(
+            checkouts=["plain", "extra"], q=2, u=3, weights="0,1", words=2,
+            rounds=2, seed=1, cold=False, intrinsic=intrinsic)
+        assert abdecode.compare(options, [agcodec, other]) == status
+    out = capsys.readouterr().out
+    assert "on all 4 words; 4 of them differ" in out
+    assert "round 0, word 0: the decodes disagree" in out
 
 
 def test_abdecode_pins_to_one_cpu(capsys):

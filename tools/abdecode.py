@@ -17,10 +17,15 @@ ratios B/A, and the rounds B wins.  Exits 1 when the decodes disagree.
 ``--cpu N`` pins the process to CPU N (``os.sched_setaffinity``), so both
 sides run on one core and the ratios do not scatter with the scheduler;
 it exits 1 for a CPU outside the process's current affinity set.
+``--intrinsic`` checks only what every basis with the decoder's leads
+gives: messages, statuses, distances and each vote's s, chosen value,
+margin and nonzero tallies, so a side whose basis tails differ (and with
+them the candidates of tally 0) can be timed; it prints how many words
+differ in their whole vote records.
 
     python3 tools/abdecode.py A_CHECKOUT B_CHECKOUT [--q 5] [--u 60]
         [--weights 0,1,2,3,4 | --weights radius] [--words 10]
-        [--rounds 15] [--seed 1] [--cold] [--cpu N]
+        [--rounds 15] [--seed 1] [--cold] [--cpu N] [--intrinsic]
 
 Stdlib only; each checkout needs only ``src/agcodec``.
 """
@@ -74,11 +79,19 @@ def words(pkg, code, weights: list[int], count: int, seed) -> list[str]:
     return out
 
 
-def summary(result) -> tuple:
-    """A decode result as text and integers, comparable across packages."""
-    votes = tuple((r.s, tuple(map(str, r.candidates)),
-                   tuple((str(c), t) for c, t in r.tallies.items()),
-                   str(r.chosen), r.margin) for r in result.votes)
+def summary(result, intrinsic: bool = False) -> tuple:
+    """A decode result as text and integers, comparable across packages:
+    whole vote records, or with intrinsic only each vote's s, chosen
+    value, margin and nonzero tallies (as a sorted tuple, since the order
+    of nomination depends on the basis)."""
+    if intrinsic:
+        votes = tuple((r.s, str(r.chosen), r.margin,
+                       tuple(sorted((str(c), t) for c, t in r.tallies.items()
+                                    if t))) for r in result.votes)
+    else:
+        votes = tuple((r.s, tuple(map(str, r.candidates)),
+                       tuple((str(c), t) for c, t in r.tallies.items()),
+                       str(r.chosen), r.margin) for r in result.votes)
     return (tuple(map(str, result.message)), result.status, result.distance,
             votes)
 
@@ -125,6 +138,8 @@ def main(argv=None) -> int:
                         help="empty the memos before every decode")
     parser.add_argument("--cpu", type=int,
                         help="pin the process to this CPU")
+    parser.add_argument("--intrinsic", action="store_true",
+                        help="compare only the intrinsic vote fields")
     args = parser.parse_args(argv)
     if args.cpu is not None:
         allowed = sorted(os.sched_getaffinity(0))
@@ -158,6 +173,7 @@ def compare(args: argparse.Namespace, pkgs: list) -> int:
           f"{'emptied before every decode' if args.cold else 'kept'}")
 
     times: list[list[float]] = [[], []]
+    differ = 0  # words whose whole vote records differ
     for r in range(args.rounds):
         texts = words(pkgs[0], code, weights, args.words, f"{args.seed}:{r}")
         results: list[list] = [[], []]
@@ -167,11 +183,18 @@ def compare(args: argparse.Namespace, pkgs: list) -> int:
             ms, results[side] = batch_ms(pkg, c, received, clears[side])
             times[side].append(ms)
         for i, (a, b) in enumerate(zip(*results)):
-            if summary(a) != summary(b):
+            if summary(a, args.intrinsic) != summary(b, args.intrinsic):
                 print(f"round {r}, word {i}: the decodes disagree")
                 return 1
-    print(f"agree: messages, statuses, distances and vote records, on all "
-          f"{args.rounds * args.words} words")
+            differ += summary(a) != summary(b)
+    total = args.rounds * args.words
+    if args.intrinsic:
+        print(f"agree: messages, statuses, distances and each vote's s, "
+              f"chosen value, margin and nonzero tallies, on all {total} "
+              f"words; {differ} of them differ in their whole vote records")
+    else:
+        print(f"agree: messages, statuses, distances and vote records, on "
+              f"all {total} words")
     for side, checkout, ms in zip(SIDES, args.checkouts, times):
         print(f"{side.upper()} {checkout}: {min(ms):.3f} ms/word best, "
               f"{statistics.median(ms):.3f} median")
